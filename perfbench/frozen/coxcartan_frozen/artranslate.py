@@ -1,0 +1,682 @@
+"""Injective copresentations, the transpose, translates, meshes and knitting.
+
+Everything here works for hereditary path presentations.  The pipeline for a
+translate is the classical one: take a minimal injective copresentation
+0 -> M -> E0 -> E1, flip it through the duality into the opposite-side
+injectives (symbolically: reverse paths), and take the kernel there.  Windows
+enter only when injectives are materialised; kernels and cokernels are
+computed on the support of M enlarged by a margin, and any activity on the
+window boundary raises WindowInsufficient instead of silently truncating.
+
+Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
+dimension vector is obtained from mesh additivity (sum of the middle minus the
+end) and is cross-checked against the Coxeter transformation at every step, so
+an unsound seed section fails loudly rather than producing a wrong picture.
+"""
+
+from dataclasses import dataclass, field
+
+from . import linalg
+from .cartan import cartan_pair, path_count
+from .comodules import (
+    Comodule,
+    FormalInjective,
+    InjectiveMorphism,
+    MaterializedInjective,
+    arrows_from,
+    enumerate_paths,
+    interval_comodule,
+    materialized_kernel,
+    zero_comodule,
+)
+from .coxeter import CoxeterOperator
+from .errors import (
+    HomCNotZero,
+    HypothesisViolated,
+    InfiniteDimensional,
+    KnittingStuck,
+    NotInKnittedRegion,
+    PresentationError,
+    WindowInsufficient,
+)
+from .lazymatrix import DimensionVector, LazyVector
+
+F0 = linalg.F0
+
+LINEAR_FAMILIES = ("a-infinity", "z-a-infinity")
+
+
+def grow_window(pres, verts, steps):
+    cur = set(verts)
+    for _ in range(steps):
+        nxt = set(cur)
+        for v in cur:
+            for w, _ in pres.out_arcs(v):
+                nxt.add(w)
+            for w, _ in pres.in_arcs(v):
+                nxt.add(w)
+        cur = nxt
+    return sorted(cur, key=pres.sort_key)
+
+
+def boundary_ring(pres, window):
+    wset = set(window)
+    ring = []
+    for v in window:
+        out = any(w not in wset for w, _ in pres.out_arcs(v))
+        inc = any(w not in wset for w, _ in pres.in_arcs(v))
+        if out or inc:
+            ring.append(v)
+    return ring
+
+
+def path_action(mod, start, path):
+    """Composite of arrow maps of `mod` along `path` starting at `start`."""
+    verts = [start]
+    for arrow in path:
+        verts.append(arrow[1])
+    # zero-dimensional intermediate spaces kill the composite; short-circuit
+    # so matrix shapes stay consistent
+    if any(mod.dim(v) == 0 for v in verts):
+        return linalg.zeros(mod.dim(verts[-1]), mod.dim(start))
+    mat = linalg.identity(mod.dim(start))
+    for arrow in path:
+        mat = linalg.mat_mul(mod.arrow_map(arrow), mat)
+    return mat
+
+
+def _envelope_embedding(mod, window):
+    """Socle-driven injective envelope of `mod`, materialised on `window`.
+
+    Returns (formal injective, materialisation, per-vertex embedding mats).
+    The embedding sends x at vertex v to the functional-weighted sum over
+    paths v -> a of the socle functionals applied to the transported x.
+    """
+    pres = mod.pres
+    socdim, socbases = mod.socle()
+    summand_meta = []   # (vertex a, functional row)
+    mults = {}
+    for a in sorted(socdim.support, key=pres.sort_key):
+        basis = socbases[a]
+        _, cinv = linalg.extend_to_basis(basis, mod.dim(a))
+        for k in range(len(basis)):
+            summand_meta.append((a, [cinv[k]]))
+            mults[a] = mults.get(a, 0) + 1
+    formal = FormalInjective.from_multiplicities(pres, mults)
+    # align functional order with the formal summand order
+    meta_sorted = sorted(
+        range(len(summand_meta)), key=lambda i: pres.sort_key(summand_meta[i][0])
+    )
+    functionals = [summand_meta[i][1] for i in meta_sorted]
+    socle_vertices = [summand_meta[i][0] for i in meta_sorted]
+    mat = MaterializedInjective(formal, window)
+    embed = {}
+    for v in window:
+        rows_meta = mat.basis.get(v, [])
+        emb = linalg.zeros(len(rows_meta), mod.dim(v))
+        for r, (si, p) in enumerate(rows_meta):
+            if mod.dim(v) == 0:
+                continue
+            a = socle_vertices[si]
+            transported = path_action(mod, v, p)
+            if len(transported) == 0:
+                continue
+            row = linalg.mat_mul(functionals[si], transported)
+            emb[r] = row[0]
+        embed[v] = emb
+    for v in mod.support:
+        if v not in set(window):
+            raise WindowInsufficient(f"support vertex {pres.display(v)} outside window")
+        if linalg.nullspace(embed[v]):
+            raise AssertionError("envelope embedding not injective")
+    return formal, mat, embed
+
+
+def _quotient(mod, image_mats, window):
+    """mod / image, plus the per-vertex projections used to build it."""
+    pres = mod.pres
+    projs = {}
+    sections = {}
+    dims = {}
+    for v in window:
+        d = mod.dim(v)
+        img = image_mats.get(v)
+        cols = linalg.matrix_columns(img) if img is not None and len(img) else []
+        cols = [c for c in cols if any(x != 0 for x in c)]
+        proj, section = linalg.complement_projection(cols, d)
+        projs[v] = proj
+        sections[v] = section
+        if len(proj):
+            dims[v] = len(proj)
+    maps = {}
+    for v in window:
+        for arrow in arrows_from(pres, v):
+            w = arrow[1]
+            if dims.get(v) and dims.get(w):
+                maps[arrow] = linalg.mat_mul(
+                    projs[w], linalg.mat_mul(mod.arrow_map(arrow), sections[v])
+                )
+    return Comodule(pres, dims, maps), projs
+
+
+@dataclass
+class InjCopresentation:
+    module: Comodule
+    e0: FormalInjective
+    e1: FormalInjective
+    map: InjectiveMorphism        # symbolic E0 -> E1
+    window: list
+    embedding: dict               # per-vertex matrices M -> E0
+    exact_at_e1: bool             # cokernel of E0 -> E1 vanished on the window
+
+
+def min_inj_copresentation(module, margin=3):
+    """Minimal injective copresentation 0 -> M -> E0 -> E1 of a finite
+    comodule over a hereditary path presentation.
+
+    E0 is the injective envelope of soc M, E1 the envelope of soc(E0/M); the
+    connecting map is returned symbolically in the path basis.  Raises
+    WindowInsufficient when a socle or cokernel touches the window boundary.
+    """
+    pres = module.pres
+    if pres.kind != "quiver":
+        raise PresentationError("copresentations need a path presentation")
+    if module.is_zero():
+        e = FormalInjective(pres, [])
+        return InjCopresentation(
+            module, e, e, InjectiveMorphism(e, e, {}), [], {}, True
+        )
+    window = grow_window(pres, module.support, margin)
+    wset = set(window)
+    e0_formal, e0_mat, iota = _envelope_embedding(module, window)
+    quotient, projs = _quotient(e0_mat.comodule, iota, window)
+
+    # socle of the cokernel; only trust vertices whose out-arrows stay inside
+    socdim, _ = quotient.socle()
+    for v in socdim.support:
+        if any(w not in wset for w, _ in pres.out_arcs(v)):
+            raise WindowInsufficient(
+                f"cokernel socle at boundary vertex {pres.display(v)}"
+            )
+    if quotient.is_zero():
+        e1_formal = FormalInjective(pres, [])
+        gmor = InjectiveMorphism(e0_formal, e1_formal, {})
+        return InjCopresentation(module, e0_formal, e1_formal, gmor, window, iota, True)
+
+    e1_formal, e1_mat, embed2 = _envelope_embedding(quotient, window)
+    # concrete composite g = (Q -> E1) o (E0 -> Q)
+    gmats = {}
+    for v in window:
+        gmats[v] = linalg.mat_mul(embed2[v], projs[v]) if len(projs[v]) else (
+            linalg.zeros(len(embed2[v]), e0_mat.comodule.dim(v))
+        )
+    # exactness beyond E1 (hereditary: the cokernel of M -> E0 is injective,
+    # so the envelope embedding must already be onto) checked numerically
+    exact = True
+    for v in window:
+        if e1_mat.comodule.dim(v) and linalg.rank(embed2[v]) != e1_mat.comodule.dim(v):
+            exact = False
+    # extract the symbolic path coefficients of g
+    blocks = {}
+    for ti, a in enumerate(e1_formal.summands):
+        if a not in e1_mat.offset:
+            raise WindowInsufficient(f"socle vertex {pres.display(a)} outside window")
+        row = e1_mat.offset[a][(ti, ())]
+        for si, j in enumerate(e0_formal.summands):
+            blk = {}
+            for pi in enumerate_paths(pres, a, j):
+                col = e0_mat.offset.get(a, {}).get((si, pi))
+                if col is None:
+                    continue
+                coeff = gmats[a][row][col]
+                if coeff != 0:
+                    blk[pi] = coeff
+            if blk:
+                blocks[(ti, si)] = blk
+    gmor = InjectiveMorphism(e0_formal, e1_formal, blocks)
+    check = gmor.materialize(e0_mat, e1_mat)
+    for v in window:
+        if not linalg.mat_eq(check[v], gmats[v]):
+            raise AssertionError("symbolic copresentation map disagrees with matrices")
+    return InjCopresentation(module, e0_formal, e1_formal, gmor, window, iota, exact)
+
+
+def certify_no_inj_hom(module, margin=1):
+    """True when no indecomposable injective maps nonzero into `module`,
+    checked for socle vertices in supp(M) plus a one-arrow margin (the margin
+    is configurable; it suffices for the built-in families)."""
+    pres = module.pres
+    if module.is_zero():
+        return True
+    candidates = grow_window(pres, module.support, margin)
+    supp = set(module.support)
+    constraint_window = grow_window(pres, module.support, margin + 1)
+    for j in candidates:
+        inj = MaterializedInjective(FormalInjective(pres, [(j, 1)]), constraint_window)
+        if _nonzero_hom_into(inj, module, supp):
+            return False
+    return True
+
+
+def _nonzero_hom_into(inj_mat, module, supp):
+    """Solve for morphisms (injective restricted to its window) -> module,
+    with components supported on `supp`; True when a nonzero one exists."""
+    pres = module.pres
+    e = inj_mat.comodule
+    verts = [v for v in inj_mat.window if v in supp]
+    offset = {}
+    nvars = 0
+    for v in verts:
+        offset[v] = nvars
+        nvars += e.dim(v) * module.dim(v)
+    if nvars == 0:
+        return False
+    rows = []
+    for u in inj_mat.window:
+        for arrow in arrows_from(pres, u):
+            w = arrow[1]
+            if w not in supp:
+                continue  # target component of psi is zero: no constraint
+            ea = e.arrow_map(arrow)
+            ma = module.arrow_map(arrow) if u in supp else None
+            for r in range(module.dim(w)):
+                for c in range(e.dim(u)):
+                    row = [F0] * nvars
+                    if e.dim(w):
+                        base = offset[w]
+                        for t in range(e.dim(w)):
+                            row[base + r * e.dim(w) + t] += ea[t][c]
+                    if ma is not None and module.dim(u):
+                        base = offset[u]
+                        for t in range(module.dim(u)):
+                            row[base + t * e.dim(u) + c] -= ma[r][t]
+                    if any(x != 0 for x in row):
+                        rows.append(row)
+    if not rows:
+        return True
+    return bool(linalg.nullspace(rows))
+
+
+_MARGINS = (3, 5, 9)
+
+
+def transpose_tr(module, margin=None, materialize=True):
+    """The transpose of a finite comodule: the kernel of the flipped minimal
+    copresentation, over the opposite presentation.
+
+    Returns (dimension vector as a LazyVector over the opposite presentation,
+    kernel comodule or None).  The kernel route is the definition and needs no
+    hypotheses; the lazy dimension-difference form (dim of flipped E1 minus
+    dim of flipped E0) is only exact when no injective maps into the module,
+    so asking for it uncertified (materialize=False) raises HomCNotZero.
+    """
+    certified = certify_no_inj_hom(module)
+    if not materialize and not certified:
+        raise HomCNotZero(
+            "module receives a nonzero map from an injective; the dimension "
+            "shortcut for the transpose would be wrong"
+        )
+    margins = (margin,) if margin is not None else _MARGINS
+    last = None
+    for m in margins:
+        try:
+            return _transpose_attempt(module, m, materialize, certified)
+        except WindowInsufficient as exc:
+            last = exc
+    raise last
+
+
+def _transpose_attempt(module, margin, materialize, certified):
+    pres = module.pres
+    copres = min_inj_copresentation(module, margin)
+    op = pres.opposite()
+
+    def tr_dim(v):
+        high = sum(path_count(pres, a, v) for a in copres.e1.summands)
+        low = sum(path_count(pres, j, v) for j in copres.e0.summands)
+        return high - low
+
+    lazy = LazyVector(tr_dim)
+    if copres.e1.is_zero():
+        return LazyVector(lambda v: 0, support=frozenset()), zero_comodule(op)
+    if not materialize:
+        return lazy, None
+    nabla_g = copres.map.nabla()          # over op: nabla E1 -> nabla E0
+    anchors = set(module.support)
+    anchors.update(copres.e0.summands)
+    anchors.update(copres.e1.summands)
+    window = grow_window(op, sorted(anchors, key=op.sort_key), margin)
+    src = MaterializedInjective(nabla_g.source, window)
+    dst = MaterializedInjective(nabla_g.target, window)
+    mats = nabla_g.materialize(src, dst)
+    kernel = materialized_kernel(
+        op, window, {v: src.comodule.dim(v) for v in window}, src.comodule, mats
+    )
+    for v in boundary_ring(op, window):
+        if kernel.dim(v):
+            raise WindowInsufficient(
+                f"transpose kernel reaches window boundary at {op.display(v)}"
+            )
+    if certified:
+        for v in kernel.support:
+            if lazy.entry(v) != kernel.dim(v):
+                raise AssertionError("transpose dimension bookkeeping mismatch")
+        return lazy, kernel
+    return LazyVector(lambda v: kernel.dim(v), support=frozenset(kernel.dims)), kernel
+
+
+def tau(module, direction="tau-minus", margin=None):
+    """Auslander-Reiten translate at comodule level (hereditary presentations).
+
+    "tau-minus" of an injective and "tau" of a projective are zero; otherwise
+    the result is an honest comodule over the same presentation.
+    """
+    d = direction.lower().replace("_", "-")
+    if d == "tau-minus":
+        _, kernel = transpose_tr(module, margin=margin)
+        return kernel.dual()
+    if d == "tau":
+        dual = module.dual()
+        _, kernel = transpose_tr(dual, margin=margin)
+        return kernel
+    raise ValueError("direction must be 'tau' or 'tau-minus'")
+
+
+@dataclass
+class MeshSequence:
+    left: Comodule
+    middle: list
+    right: Comodule
+
+    def additivity_holds(self):
+        total = self.left.dim_vector() + self.right.dim_vector()
+        mid = DimensionVector()
+        for m in self.middle:
+            mid = mid + m.dim_vector()
+        return total == mid
+
+
+def interval_bounds(module):
+    """(lo, hi) when the comodule is a thin interval on consecutive integers
+    with nonzero consecutive maps, else None."""
+    supp = module.support
+    if not supp or any(not isinstance(v, int) for v in supp):
+        return None
+    lo, hi = supp[0], supp[-1]
+    if supp != list(range(lo, hi + 1)):
+        return None
+    if any(module.dim(v) != 1 for v in supp):
+        return None
+    for v in range(lo, hi):
+        arrows = [a for a in arrows_from(module.pres, v) if a[1] == v + 1]
+        if len(arrows) != 1 or module.arrow_map(arrows[0])[0][0] == 0:
+            return None
+    return lo, hi
+
+
+def almost_split_mesh(module, direction="ending-at"):
+    """The almost split sequence ending at (or starting from) an interval
+    module over a linear family, with degenerate summands dropped."""
+    pres = module.pres
+    if pres.family not in LINEAR_FAMILIES:
+        raise NotInKnittedRegion(
+            "closed-form meshes exist for interval modules over linear "
+            "families; knit the component instead"
+        )
+    bounds = interval_bounds(module)
+    if bounds is None:
+        raise NotInKnittedRegion("not an interval module")
+    lo, hi = bounds
+    d = direction.lower().replace("_", "-")
+
+    def iv(a, b):
+        if a > b or (pres.family == "a-infinity" and a < 0):
+            return None
+        return interval_comodule(pres, a, b)
+
+    if d == "ending-at":
+        left = iv(lo + 1, hi + 1)
+        mids = [iv(lo, hi + 1), iv(lo + 1, hi)]
+        right = module
+        if left is None:
+            raise HypothesisViolated("interval is projective; no mesh ends at it")
+    elif d == "starting-from":
+        if pres.family == "a-infinity" and lo == 0:
+            raise HypothesisViolated("interval is injective; no mesh starts from it")
+        left = module
+        mids = [iv(lo - 1, hi), iv(lo, hi - 1)]
+        right = iv(lo - 1, hi - 1)
+    else:
+        raise ValueError("direction must be 'ending-at' or 'starting-from'")
+    mesh = MeshSequence(left, [m for m in mids if m is not None], right)
+    assert mesh.additivity_holds()
+    return mesh
+
+
+# ---------------------------------------------------------------------------
+# knitting
+
+
+@dataclass
+class KnitNode:
+    node_id: str
+    dim: DimensionVector
+    label: str = None
+
+
+@dataclass
+class KnitFragment:
+    presentation: object
+    nodes: list = field(default_factory=list)
+    arrows: list = field(default_factory=list)      # (src_id, dst_id, mult)
+    tau_links: list = field(default_factory=list)   # (end_id, translate_id)
+    meshes: list = field(default_factory=list)      # (end_id, [middle ids], translate_id)
+
+    def node(self, node_id):
+        for n in self.nodes:
+            if n.node_id == node_id:
+                return n
+        raise KeyError(node_id)
+
+    def to_text(self):
+        pres = self.presentation
+        lines = []
+        for n in self.nodes:
+            lines.append(f"node {n.node_id} dim={n.dim.sparse_str(pres)}")
+        for s, t, mult in self.arrows:
+            for _ in range(mult):
+                lines.append(f"arrow {s} {t}")
+        for s, t in self.tau_links:
+            lines.append(f"tau {s} {t}")
+        return "\n".join(lines) + "\n"
+
+    def to_dot(self):
+        pres = self.presentation
+        lines = ["digraph ar_fragment {", "  rankdir=RL;"]
+        for n in self.nodes:
+            dim = n.dim.sparse_str(pres)
+            label = f"{n.label}\\n{dim}" if n.label else dim
+            lines.append(f'  {n.node_id} [label="{label}"];')
+        for s, t, mult in self.arrows:
+            for _ in range(mult):
+                lines.append(f"  {s} -> {t};")
+        for s, t in self.tau_links:
+            lines.append(f"  {s} -> {t} [style=dashed, dir=none];")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+
+def _interval_label(pres, dim):
+    if pres.family in LINEAR_FAMILIES:
+        supp = sorted(dim.support)
+        if supp and all(isinstance(v, int) for v in supp):
+            lo, hi = supp[0], supp[-1]
+            if supp == list(range(lo, hi + 1)) and all(dim[v] == 1 for v in supp):
+                return f"I[{lo},{hi}]"
+    return None
+
+
+def injective_section_seed(pres, window):
+    """Seed nodes E(j) for j in the window, with the arrows induced by the
+    quiver: an arrow k -> j induces an irreducible map E(j) -> E(k)."""
+    nodes = []
+    for j in window:
+        sup = pres.ancestors(j)
+        if sup is None:
+            raise KnittingStuck(
+                f"injective at {pres.display(j)} is infinite-dimensional; "
+                "seed the knitting explicitly"
+            )
+        dim = DimensionVector({v: path_count(pres, v, j) for v in sup})
+        nodes.append((f"E({pres.display(j)})", dim))
+    arrows = []
+    wset = {j: idx for idx, j in enumerate(window)}
+    for j in window:
+        for k, mult in pres.in_arcs(j):
+            if k in wset:
+                arrows.append((wset[j], wset[k], mult))
+    return nodes, arrows
+
+
+def interval_column_seed(pres, lo, hi_list):
+    """Seed a linear-family knitting with the column of intervals
+    [lo, m] for m in hi_list (consecutive, increasing)."""
+    nodes = []
+    for m in hi_list:
+        dim = DimensionVector({v: 1 for v in range(lo, m + 1)})
+        nodes.append((f"I[{lo},{m}]", dim))
+    arrows = []
+    for idx in range(len(hi_list) - 1):
+        if hi_list[idx + 1] == hi_list[idx] + 1:
+            arrows.append((idx + 1, idx, 1))
+    return nodes, arrows
+
+
+def knit_component(pres, seed, steps, coxeter_op=None):
+    """Knit `steps` meshes starting from a seed section.
+
+    seed: either ("injectives", window) or ("explicit", nodes, arrows) with
+    nodes a list of (label, DimensionVector) and arrows index pairs into it.
+    A node is ready once every out-neighbour inside the fragment has been
+    meshed; its translate gets the additivity value (middle minus end), which
+    must agree with the Coxeter transformation coordinatewise or the knitting
+    aborts.
+    """
+    if pres.kind != "quiver":
+        raise PresentationError("knitting needs a path presentation")
+    if coxeter_op is None:
+        coxeter_op = CoxeterOperator(cartan_pair(pres))
+    frag = KnitFragment(pres)
+    out_of = {}
+    in_of = {}
+
+    def add_node(dim, label):
+        nid = f"n{len(frag.nodes)}"
+        frag.nodes.append(KnitNode(nid, dim, label))
+        out_of[nid] = []
+        in_of[nid] = []
+        return nid
+
+    def add_arrow(src, dst, mult=1):
+        frag.arrows.append((src, dst, mult))
+        out_of[src].append((dst, mult))
+        in_of[dst].append((src, mult))
+
+    kind = seed[0]
+    if kind == "injectives":
+        nodes, arrows = injective_section_seed(pres, seed[1])
+    elif kind == "explicit":
+        nodes, arrows = seed[1], seed[2]
+    else:
+        raise ValueError("seed must be ('injectives', window) or ('explicit', nodes, arrows)")
+    ids = [add_node(dim, label) for label, dim in nodes]
+    for s, t, mult in arrows:
+        add_arrow(ids[s], ids[t], mult)
+
+    meshed = set()
+    for _ in range(steps):
+        ready = None
+        for n in frag.nodes:
+            if n.node_id in meshed:
+                continue
+            if all(t in meshed for t, _ in out_of[n.node_id]):
+                ready = n
+                break
+        if ready is None:
+            raise KnittingStuck("no node has all out-neighbours meshed")
+        middle = DimensionVector()
+        mids = []
+        for src, mult in in_of[ready.node_id]:
+            sdim = frag.node(src).dim
+            middle = middle + sdim.scale(mult)
+            mids.extend([src] * mult)
+        tdim = middle - ready.dim
+        if tdim.is_zero() or any(c < 0 for _, c in tdim.items()):
+            raise KnittingStuck(
+                f"mesh at {ready.node_id} has no valid translate (projective end?)"
+            )
+        phi = coxeter_op.apply(ready.dim, "forward")
+        anchor = sorted(set(tdim.support) | set(ready.dim.support), key=pres.sort_key)
+        coords = grow_window(pres, anchor, 1)
+        for v in coords:
+            if phi.entry(v) != tdim[v]:
+                raise KnittingStuck(
+                    f"mesh at {ready.node_id}: additivity and Coxeter disagree "
+                    f"at {pres.display(v)} ({tdim[v]} vs {phi.entry(v)})"
+                )
+        tid = add_node(tdim, _interval_label(pres, tdim))
+        for src, mult in in_of[ready.node_id]:
+            add_arrow(tid, src, mult)
+        frag.tau_links.append((ready.node_id, tid))
+        frag.meshes.append((ready.node_id, mids, tid))
+        meshed.add(ready.node_id)
+    return frag
+
+
+# ---------------------------------------------------------------------------
+# the translate / Coxeter comparison and the Nakayama dimension
+
+
+def verify_translate_formula(module, coxeter_op=None, margin=2):
+    """Compare dim of the translate (comodule route) with the Coxeter image of
+    dim N (matrix route), computed by independent code paths.
+
+    Hypotheses are certified, never assumed: the dual module must admit no
+    maps from injectives and its copresentation must stop after one step.
+    """
+    pres = module.pres
+    if pres.kind != "quiver":
+        raise HypothesisViolated("comodule-level translate needs a path presentation")
+    if coxeter_op is None:
+        coxeter_op = CoxeterOperator(cartan_pair(pres))
+    dual = module.dual()
+    if not certify_no_inj_hom(dual):
+        raise HomCNotZero("dual module receives an injective map")
+    copres = min_inj_copresentation(dual)
+    if copres.e1.is_zero():
+        raise HypothesisViolated("module is projective; translate vanishes")
+    if not copres.exact_at_e1:
+        raise HypothesisViolated("injective dimension of the dual exceeds one")
+    translate = tau(module, "tau")
+    lhs = translate.dim_vector()
+    rhs = coxeter_op.apply(module.dim_vector(), "forward")
+    coords = set(lhs.support) | set(module.dim_vector().support)
+    coords = grow_window(pres, sorted(coords, key=pres.sort_key), margin)
+    holds = all(rhs.entry(v) == lhs[v] for v in coords)
+    rhs_dim = DimensionVector({v: rhs.entry(v) for v in coords})
+    return {"holds": holds, "lhs": lhs, "rhs": rhs_dim}
+
+
+def nakayama_dim(formal):
+    """Dimension vector of the Nakayama image of a formal injective: the sum
+    of the opposite-side injective dimension vectors of its summands."""
+    pres = formal.pres
+    total = DimensionVector()
+    for a in formal.summands:
+        desc = pres.descendants(a)
+        if desc is None:
+            raise InfiniteDimensional(
+                f"opposite injective at {pres.display(a)} is infinite-dimensional"
+            )
+        total = total + DimensionVector({v: path_count(pres, a, v) for v in desc})
+    return total

@@ -1,0 +1,190 @@
+"""Cartan matrices of path and incidence presentations, and their inverses.
+
+Orientation convention, fixed once for the whole package: entry (i, j) of the
+Cartan matrix counts directed paths j -> i (for posets: 1 when j <= i), so row
+i is the dimension vector of the indecomposable injective at i and column j is
+the dimension vector of the opposite-side injective at j.
+
+The inverse is the canonical one built from minimal injective resolutions of
+the simples.  For a hereditary path presentation that resolution has length at
+most one, giving the closed form delta(j,p) - #arrows(p -> j); for incidence
+presentations the entries are alternating sums of resolution multiplicities
+(module `resolutions`), cross-checkable against the Mobius function.
+"""
+
+import os
+from weakref import WeakKeyDictionary
+
+from .errors import IntervalFinitenessViolated
+from .lazymatrix import LazyIntMatrix, LazyVector
+
+DEFAULT_NODE_BUDGET = 200_000
+
+_path_memos = WeakKeyDictionary()
+
+
+def node_budget():
+    raw = os.environ.get("COX_NODE_BUDGET")
+    return int(raw) if raw else DEFAULT_NODE_BUDGET
+
+
+def path_count(pres, frm, to, budget=None):
+    """Number of directed paths frm -> to, the trivial path included."""
+    if pres.kind == "poset":
+        return 1 if pres.leq(frm, to) else 0
+    memo = _path_memos.setdefault(pres, {})
+    limit = budget if budget is not None else node_budget()
+    spent = [0]
+
+    def count(v):
+        key = (v, to)
+        if key in memo:
+            return memo[key]
+        spent[0] += 1
+        if spent[0] > limit:
+            raise IntervalFinitenessViolated(
+                f"path enumeration {pres.display(frm)} -> {pres.display(to)} "
+                f"exceeded budget {limit}"
+            )
+        if v == to:
+            memo[key] = 1
+            return 1
+        total = 0
+        for w, mult in pres.out_arcs(v):
+            if pres.could_reach(w, to):
+                total += mult * count(w)
+        memo[key] = total
+        return total
+
+    if not pres.could_reach(frm, to):
+        return 0
+    return count(frm)
+
+
+_FAMILY_FINITENESS = {
+    # family -> (all rows finite, all columns finite) for the Cartan matrix
+    "a-infinity": (True, False),
+    "z-a-infinity": (False, False),
+    "d-infinity": (True, False),
+}
+
+
+def cartan_finiteness(pres):
+    """(rows_finite, cols_finite) for the Cartan matrix; None = unknown."""
+    if pres.is_finite:
+        return True, True
+    fam = pres.family or ""
+    if fam.startswith("op:"):
+        r, c = cartan_finiteness(pres.opposite())
+        return c, r
+    if fam.startswith("hasse:"):
+        return cartan_finiteness(pres.poset)
+    if fam in _FAMILY_FINITENESS:
+        return _FAMILY_FINITENESS[fam]
+    if fam.startswith("garland:"):
+        return False, False
+    return None, None
+
+
+def cartan_matrix(pres):
+    if pres.kind == "poset":
+        entry = lambda i, j: 1 if pres.leq(j, i) else 0
+    else:
+        entry = lambda i, j: path_count(pres, j, i)
+    row_fin, col_fin = cartan_finiteness(pres)
+    return LazyIntMatrix(
+        entry,
+        row_support=pres.ancestors,
+        col_support=pres.descendants,
+        row_finite=bool(row_fin),
+        col_finite=bool(col_fin),
+        name="c",
+    )
+
+
+def cartan_inverse(pres):
+    if pres.kind == "quiver":
+        def entry(j, p):
+            val = 1 if j == p else 0
+            for src, mult in pres.in_arcs(j):
+                if src == p:
+                    val -= mult
+            return val
+
+        def row_rule(j):
+            return {j} | {src for src, _ in pres.in_arcs(j)}
+
+        def col_rule(p):
+            return {p} | {tgt for tgt, _ in pres.out_arcs(p)}
+
+        return LazyIntMatrix(entry, row_support=row_rule, col_support=col_rule, name="c^-1")
+
+    from . import resolutions
+
+    def entry(j, p):
+        return resolutions.ext_alternating_sum(pres, p, j)
+
+    def row_rule(j):
+        s = pres.local_downset(j)
+        if s is None:
+            raise IntervalFinitenessViolated(
+                f"no finite support certificate for inverse row {pres.display(j)}"
+            )
+        return s
+
+    def col_rule(p):
+        s = pres.local_upset(p)
+        if s is None:
+            raise IntervalFinitenessViolated(
+                f"no finite support certificate for inverse column {pres.display(p)}"
+            )
+        return s
+
+    return LazyIntMatrix(entry, row_support=row_rule, col_support=col_rule, name="c^-1")
+
+
+class CartanPair:
+    """A presentation together with its Cartan matrix and canonical inverse."""
+
+    def __init__(self, pres):
+        self.presentation = pres
+        self.cartan = cartan_matrix(pres)
+        self.inverse = cartan_inverse(pres)
+
+
+def cartan_pair(pres):
+    return CartanPair(pres)
+
+
+def dim_injective(pres, a, side="left"):
+    """dim E(a) (side "left": row a of the Cartan matrix) or dim of the
+    opposite-side injective (side "right": column a)."""
+    c = cartan_matrix(pres)
+    side = side.lower()
+    if side == "left":
+        return LazyVector(lambda j: c.entry(a, j), support=c.row_support(a))
+    if side == "right":
+        return LazyVector(lambda i: c.entry(i, a), support=c.col_support(a))
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def classify_finiteness(pres, sample):
+    """Row/column finiteness of the Cartan matrix on sampled vertices, plus
+    the semiperfectness reading (row-finite = right semiperfect, column-finite
+    = left semiperfect).  Unknown is reported as None, never guessed."""
+    row_fin, col_fin = cartan_finiteness(pres)
+    per_vertex = {}
+    for v in sample:
+        anc = pres.ancestors(v)
+        desc = pres.descendants(v)
+        per_vertex[v] = {
+            "row_finite": anc is not None,
+            "col_finite": desc is not None,
+        }
+    return {
+        "row_finite": row_fin,
+        "col_finite": col_fin,
+        "right_semiperfect": row_fin,
+        "left_semiperfect": col_fin,
+        "per_vertex": per_vertex,
+    }

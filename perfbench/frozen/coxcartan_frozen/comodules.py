@@ -1,0 +1,451 @@
+"""Finite-dimensional comodules as quiver representations over the rationals.
+
+A Comodule assigns a Q-vector space to each vertex of a path presentation and
+a matrix to each arrow inside its support; arrows leaving the support are the
+zero map.  The injective at a vertex j is modelled with basis, at vertex i,
+the set of directed paths i -> j; an arrow strips itself from the front of a
+path and kills everything else.  With that model the dimension vector of the
+injective is exactly the corresponding Cartan row, and its socle is the simple
+at j.
+
+Morphisms between finite direct sums of injectives are carried around
+symbolically: the hom space from the injective at j to the one at a has as
+basis the paths a -> j, a path acting by chopping itself off the end.  The
+symbolic form is what makes the duality into the opposite quiver exact (it
+just reverses paths), while windows only enter when a morphism is
+materialised into matrices.
+"""
+
+from fractions import Fraction
+from weakref import WeakKeyDictionary
+
+from . import linalg
+from .cartan import node_budget, path_count
+from .errors import IntervalFinitenessViolated, PresentationError
+from .lazymatrix import DimensionVector
+
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# arrows and paths
+
+def arrows_from(pres, u):
+    """Concrete arrow ids (u, w, k) with k below the multiplicity."""
+    out = []
+    for w, mult in pres.out_arcs(u):
+        for k in range(mult):
+            out.append((u, w, k))
+    return out
+
+
+def reverse_arrow(arrow):
+    u, w, k = arrow
+    return (w, u, k)
+
+
+def reverse_path(path):
+    return tuple(reverse_arrow(a) for a in reversed(path))
+
+
+_path_list_memos = WeakKeyDictionary()
+
+
+def enumerate_paths(pres, u, v):
+    """All directed paths u -> v as tuples of arrows (deterministic order)."""
+    memo = _path_list_memos.setdefault(pres, {})
+    key = (u, v)
+    if key in memo:
+        return memo[key]
+    budget = node_budget()
+    spent = [0]
+
+    def walk(x):
+        k = (x, v)
+        if k in memo:
+            return memo[k]
+        spent[0] += 1
+        if spent[0] > budget:
+            raise IntervalFinitenessViolated(
+                f"path enumeration {pres.display(u)} -> {pres.display(v)} exceeded budget"
+            )
+        found = [()] if x == v else []
+        for arrow in arrows_from(pres, x):
+            w = arrow[1]
+            if pres.could_reach(w, v):
+                for tail in walk(w):
+                    found.append((arrow,) + tail)
+        found.sort(key=lambda p: (len(p), [pres.sort_key(a[0]) for a in p], [a[2] for a in p]))
+        memo[k] = found
+        return found
+
+    if not pres.could_reach(u, v):
+        memo[key] = []
+        return []
+    return walk(u)
+
+
+# ---------------------------------------------------------------------------
+# comodules
+
+class Comodule:
+    """dims: vertex -> dimension; maps: arrow id -> matrix (target x source).
+
+    Missing map entries are zero maps; vertices absent from dims carry the
+    zero space.
+    """
+
+    def __init__(self, pres, dims, maps=None):
+        self.pres = pres
+        self.dims = {v: int(d) for v, d in dims.items() if d}
+        self.maps = {}
+        for arrow, mat in (maps or {}).items():
+            u, w, _ = arrow
+            if self.dim(u) and self.dim(w):
+                assert linalg.shape(mat) == (self.dim(w), self.dim(u)), arrow
+                self.maps[arrow] = mat
+
+    def dim(self, v):
+        return self.dims.get(v, 0)
+
+    @property
+    def support(self):
+        return sorted(self.dims, key=self.pres.sort_key)
+
+    def total_dim(self):
+        return sum(self.dims.values())
+
+    def is_zero(self):
+        return not self.dims
+
+    def arrow_map(self, arrow):
+        u, w, _ = arrow
+        return self.maps.get(arrow, linalg.zeros(self.dim(w), self.dim(u)))
+
+    def dim_vector(self):
+        return DimensionVector(self.dims)
+
+    def socle(self):
+        """(dimension vector, per-vertex column bases) of the largest
+        semisimple subcomodule: at v, the intersection of the kernels of all
+        arrow maps out of v."""
+        dims = {}
+        bases = {}
+        for v in self.support:
+            mats = []
+            for arrow in arrows_from(self.pres, v):
+                if self.dim(arrow[1]):
+                    mats.append(self.arrow_map(arrow))
+            basis = linalg.intersect_kernels(mats, self.dim(v))
+            if basis:
+                dims[v] = len(basis)
+                bases[v] = basis
+        return DimensionVector(dims), bases
+
+    def dual(self):
+        """The dual comodule over the opposite presentation."""
+        op = self.pres.opposite()
+        maps = {}
+        for arrow, mat in self.maps.items():
+            maps[reverse_arrow(arrow)] = linalg.transpose(mat)
+        return Comodule(op, dict(self.dims), maps)
+
+    def __repr__(self):
+        return "Comodule(%s)" % self.dim_vector().sparse_str(self.pres)
+
+
+def zero_comodule(pres):
+    return Comodule(pres, {})
+
+
+def simple_comodule(pres, v):
+    return Comodule(pres, {v: 1})
+
+
+def interval_comodule(pres, lo, hi):
+    """The thin interval module on consecutive integer vertices lo..hi with
+    identity arrow maps (linear quiver families)."""
+    if lo > hi:
+        return zero_comodule(pres)
+    dims = {}
+    maps = {}
+    for v in range(lo, hi + 1):
+        if not pres.has_vertex(v):
+            raise PresentationError(f"interval vertex {v} not in presentation")
+        dims[v] = 1
+    for v in range(lo, hi):
+        arrows = [a for a in arrows_from(pres, v) if a[1] == v + 1]
+        if len(arrows) != 1:
+            raise PresentationError("interval modules need a single arrow per step")
+        maps[arrows[0]] = [[F1]]
+    return Comodule(pres, dims, maps)
+
+
+def direct_sum(mods):
+    mods = [m for m in mods if not m.is_zero()]
+    if not mods:
+        raise ValueError("empty direct sum; use zero_comodule")
+    pres = mods[0].pres
+    dims = {}
+    for m in mods:
+        for v, d in m.dims.items():
+            dims[v] = dims.get(v, 0) + d
+    offsets = []
+    running = {v: 0 for v in dims}
+    for m in mods:
+        offsets.append({v: running[v] for v in m.dims})
+        for v, d in m.dims.items():
+            running[v] += d
+    maps = {}
+    for mi, m in enumerate(mods):
+        for arrow, mat in m.maps.items():
+            u, w, _ = arrow
+            big = maps.setdefault(arrow, linalg.zeros(dims[w], dims[u]))
+            ou, ow = offsets[mi][u], offsets[mi][w]
+            for r in range(m.dim(w)):
+                for c in range(m.dim(u)):
+                    big[ow + r][ou + c] = mat[r][c]
+    return Comodule(pres, dims, maps)
+
+
+def hom_basis(x, y):
+    """Basis of the space of comodule morphisms x -> y (same presentation),
+    each represented as a dict vertex -> matrix."""
+    assert x.pres is y.pres
+    verts = sorted(set(x.dims) | set(y.dims), key=x.pres.sort_key)
+    var_offset = {}
+    nvars = 0
+    for v in verts:
+        var_offset[v] = nvars
+        nvars += x.dim(v) * y.dim(v)
+    if nvars == 0:
+        return []
+    rows = []
+    for v in verts:
+        for arrow in arrows_from(x.pres, v):
+            u, w, _ = arrow
+            xa = x.arrow_map(arrow) if x.dim(u) and x.dim(w) else None
+            ya = y.arrow_map(arrow) if y.dim(u) and y.dim(w) else None
+            # constraint: psi_w . x_arrow = y_arrow . psi_u  (entrywise rows)
+            rdim, cdim = y.dim(w), x.dim(u)
+            if rdim == 0 or cdim == 0:
+                continue
+            for r in range(rdim):
+                for c in range(cdim):
+                    row = [F0] * nvars
+                    if x.dim(w):
+                        base = var_offset[w]
+                        for t in range(x.dim(w)):
+                            row[base + r * x.dim(w) + t] += xa[t][c] if xa else F0
+                    if y.dim(u):
+                        base = var_offset[u]
+                        for t in range(y.dim(u)):
+                            row[base + t * x.dim(u) + c] -= ya[r][t] if ya else F0
+                    if any(e != 0 for e in row):
+                        rows.append(row)
+    kernel = linalg.nullspace(rows) if rows else [
+        [F1 if i == j else F0 for i in range(nvars)] for j in range(nvars)
+    ]
+    out = []
+    for vec in kernel:
+        comp = {}
+        for v in verts:
+            if x.dim(v) and y.dim(v):
+                base = var_offset[v]
+                comp[v] = [
+                    [vec[base + r * x.dim(v) + c] for c in range(x.dim(v))]
+                    for r in range(y.dim(v))
+                ]
+        out.append(comp)
+    return out
+
+
+def find_isomorphism(x, y):
+    """An isomorphism x -> y as per-vertex matrices, or None.
+
+    Tries the hom basis and small integer combinations of it; complete for
+    hom spaces of dimension <= 1 (enough for the interval modules used here),
+    raises when larger spaces stay inconclusive.
+    """
+    if x.dim_vector() != y.dim_vector():
+        return None
+    if x.is_zero():
+        return {}
+    basis = hom_basis(x, y)
+
+    def invertible(comp):
+        for v in x.dims:
+            mat = comp.get(v)
+            if mat is None or linalg.rank(mat) != x.dim(v):
+                return False
+        return True
+
+    candidates = list(basis)
+    if len(basis) > 1:
+        summed = {}
+        for comp in basis:
+            for v, mat in comp.items():
+                acc = summed.setdefault(v, linalg.zeros(len(mat), len(mat[0])))
+                summed[v] = linalg.mat_add(acc, mat)
+        candidates.append(summed)
+    for comp in candidates:
+        if invertible(comp):
+            return comp
+    if len(basis) <= 1:
+        return None
+    raise PresentationError("isomorphism test inconclusive for hom space dim > 1")
+
+
+# ---------------------------------------------------------------------------
+# formal injectives and symbolic morphisms between them
+
+class FormalInjective:
+    """A finite direct sum of indecomposable injectives, by socle vertex."""
+
+    def __init__(self, pres, summands):
+        self.pres = pres
+        self.summands = []          # flat list of socle vertices, one per copy
+        for v, mult in summands:
+            self.summands.extend([v] * mult)
+
+    @classmethod
+    def from_multiplicities(cls, pres, mult_map):
+        pairs = sorted(mult_map.items(), key=lambda p: pres.sort_key(p[0]))
+        return cls(pres, pairs)
+
+    def multiplicities(self):
+        out = {}
+        for v in self.summands:
+            out[v] = out.get(v, 0) + 1
+        return out
+
+    def is_zero(self):
+        return not self.summands
+
+    def dim_at(self, v):
+        return sum(path_count(self.pres, v, a) for a in self.summands)
+
+    def nabla(self):
+        """The corresponding sum of opposite-side injectives (same labels)."""
+        return FormalInjective(self.pres.opposite(), [(v, 1) for v in self.summands])
+
+    def __repr__(self):
+        mult = self.multiplicities()
+        parts = [
+            f"E({self.pres.display(v)})^{m}" if m > 1 else f"E({self.pres.display(v)})"
+            for v, m in sorted(mult.items(), key=lambda p: self.pres.sort_key(p[0]))
+        ]
+        return " + ".join(parts) if parts else "0"
+
+
+class MaterializedInjective:
+    """A formal injective realised on a window, with its path bases."""
+
+    def __init__(self, formal, window):
+        pres = formal.pres
+        self.formal = formal
+        self.window = sorted(window, key=pres.sort_key)
+        self.basis = {}
+        for v in self.window:
+            items = []
+            for si, a in enumerate(formal.summands):
+                for p in enumerate_paths(pres, v, a):
+                    items.append((si, p))
+            if items:
+                self.basis[v] = items
+        self.offset = {
+            v: {key: i for i, key in enumerate(items)} for v, items in self.basis.items()
+        }
+        dims = {v: len(items) for v, items in self.basis.items()}
+        maps = {}
+        for v in self.window:
+            for arrow in arrows_from(pres, v):
+                w = arrow[1]
+                if w not in self.basis or v not in self.basis:
+                    continue
+                mat = linalg.zeros(dims.get(w, 0), dims.get(v, 0))
+                for col, (si, p) in enumerate(self.basis[v]):
+                    if p and p[0] == arrow:
+                        row = self.offset[w].get((si, p[1:]))
+                        if row is not None:
+                            mat[row][col] = F1
+                maps[arrow] = mat
+        self.comodule = Comodule(pres, dims, maps)
+
+
+class InjectiveMorphism:
+    """Symbolic morphism source -> target between formal injectives.
+
+    blocks[(ti, si)] maps a path pi from target summand ti's socle vertex to
+    source summand si's socle vertex to its coefficient; pi acts on a path p
+    ending with pi by cutting it off.
+    """
+
+    def __init__(self, source, target, blocks):
+        self.source = source
+        self.target = target
+        self.blocks = {
+            key: {p: Fraction(c) for p, c in blk.items() if c != 0}
+            for key, blk in blocks.items()
+            if any(c != 0 for c in blk.values())
+        }
+
+    def nabla(self):
+        """The dual morphism between the opposite-side injectives: same
+        coefficients on reversed paths, source and target exchanged."""
+        blocks = {}
+        for (ti, si), blk in self.blocks.items():
+            blocks[(si, ti)] = {reverse_path(p): c for p, c in blk.items()}
+        return InjectiveMorphism(self.target.nabla(), self.source.nabla(), blocks)
+
+    def materialize(self, src_mat, tgt_mat):
+        """Per-vertex matrices of the morphism on already-materialised ends."""
+        out = {}
+        for v in src_mat.window:
+            cols = src_mat.basis.get(v, [])
+            rows = tgt_mat.basis.get(v, [])
+            mat = linalg.zeros(len(rows), len(cols))
+            if rows and cols:
+                row_of = tgt_mat.offset[v]
+                for c, (si, p) in enumerate(cols):
+                    for (ti, si2), blk in self.blocks.items():
+                        if si2 != si:
+                            continue
+                        for pi, coeff in blk.items():
+                            cut = len(p) - len(pi)
+                            if cut >= 0 and p[cut:] == pi:
+                                r = row_of.get((ti, p[:cut]))
+                                if r is not None:
+                                    mat[r][c] += coeff
+            out[v] = mat
+        return out
+
+
+def materialized_kernel(pres, window, dims_by_vertex, src_mat_mod, mor_mats):
+    """Kernel of a materialised morphism as a comodule on the window."""
+    bases = {}
+    for v in window:
+        d = dims_by_vertex.get(v, 0)
+        if d == 0:
+            continue
+        basis = linalg.nullspace(mor_mats[v]) if len(mor_mats[v]) else [
+            [F1 if i == j else F0 for i in range(d)] for j in range(d)
+        ]
+        if basis:
+            bases[v] = basis
+    dims = {v: len(b) for v, b in bases.items()}
+    maps = {}
+    for v in list(bases):
+        for arrow in arrows_from(pres, v):
+            w = arrow[1]
+            if w not in bases:
+                continue
+            amap = src_mat_mod.arrow_map(arrow)
+            img = linalg.mat_mul(amap, linalg.columns_matrix(bases[v], dims_by_vertex[v]))
+            sol = linalg.solve_matrix(
+                linalg.columns_matrix(bases[w], dims_by_vertex[w]), img
+            )
+            assert sol is not None, "kernel not arrow-stable"
+            maps[arrow] = sol
+    return Comodule(pres, dims, maps)

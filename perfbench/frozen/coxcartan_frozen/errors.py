@@ -1,0 +1,68 @@
+"""Exception types shared across the library."""
+
+
+class CoxError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class PresentationError(CoxError):
+    """Malformed presentation file, cycle in a quiver, or bad order data."""
+
+
+class UnknownVertex(CoxError):
+    pass
+
+
+class EmptyWindow(CoxError):
+    pass
+
+
+class UndefinedProduct(CoxError):
+    """A matrix/vector product entry whose defining sum is not certified finite.
+
+    Raised instead of returning a truncated partial sum.
+    """
+
+
+class IntervalFinitenessViolated(CoxError):
+    """Path enumeration exceeded the node budget (quiver not interval-finite?)."""
+
+
+class SharpEulerViolated(CoxError):
+    """A sampled simple has no finite socle-finite injective resolution within the cap."""
+
+
+class CapExceeded(CoxError):
+    """A resolution still has a nonzero term at the degree cap."""
+
+
+class WindowInsufficient(CoxError):
+    """A kernel/cokernel computation touched the window boundary; widen and retry."""
+
+
+class HypothesisViolated(CoxError):
+    """A translate/Coxeter comparison was requested outside its certified hypotheses."""
+
+
+class HomCNotZero(HypothesisViolated):
+    """The no-injective-hom certificate failed, so the transpose shortcut is invalid."""
+
+
+class NotInSubgroup(CoxError):
+    """Vector does not decompose over the requested generator family."""
+
+
+class NotInDomain(CoxError):
+    """Vector given neither finitely supported nor as a generator combination."""
+
+
+class NotInKnittedRegion(CoxError):
+    pass
+
+
+class KnittingStuck(CoxError):
+    """No mesh can be completed, or a completed mesh failed its consistency checks."""
+
+
+class InfiniteDimensional(CoxError):
+    """An operation needed a finite-dimensional injective that is not one here."""

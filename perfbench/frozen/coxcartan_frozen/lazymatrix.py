@@ -1,0 +1,344 @@
+"""Lazy integer matrices and vectors over a possibly infinite vertex set.
+
+A LazyIntMatrix is an entry rule plus optional finiteness certificates: a row
+(column) support rule returns, for each index, a finite set outside of which
+the row (column) vanishes.  A missing rule means "not certified", never
+"empty".  Products are formed entrywise and each requested entry must have at
+least one certificate making its defining sum finite, otherwise
+UndefinedProduct is raised; nothing is ever silently truncated.
+
+Multiplication in this setting is not associative, so the API is strictly
+binary: chain products only with explicit grouping.
+"""
+
+from .errors import UndefinedProduct
+
+
+class LazyIntMatrix:
+    """entry_rule(i, j) -> int plus optional support rules.
+
+    A support rule may return None for an individual index (that row/column is
+    not certified finite); `row_finite`/`col_finite` are the global flags and
+    default to "a rule is present".  Pass them explicitly when only some rows
+    or columns carry certificates.
+    """
+
+    def __init__(
+        self,
+        entry_rule,
+        row_support=None,
+        col_support=None,
+        row_finite=None,
+        col_finite=None,
+        name="",
+    ):
+        self._entry = entry_rule
+        self._row_support_rule = row_support
+        self._col_support_rule = col_support
+        self.row_finite = (row_support is not None) if row_finite is None else row_finite
+        self.col_finite = (col_support is not None) if col_finite is None else col_finite
+        self.name = name
+        self._memo = {}
+
+    def entry(self, i, j):
+        key = (i, j)
+        if key not in self._memo:
+            self._memo[key] = int(self._entry(i, j))
+        return self._memo[key]
+
+    def row_support(self, i):
+        if self._row_support_rule is None:
+            return None
+        s = self._row_support_rule(i)
+        return None if s is None else frozenset(s)
+
+    def col_support(self, j):
+        if self._col_support_rule is None:
+            return None
+        s = self._col_support_rule(j)
+        return None if s is None else frozenset(s)
+
+    def __repr__(self):
+        flags = ("R" if self.row_finite else "-") + ("C" if self.col_finite else "-")
+        return f"LazyIntMatrix({self.name or 'anon'},{flags})"
+
+
+def identity_matrix():
+    return LazyIntMatrix(
+        lambda i, j: 1 if i == j else 0,
+        row_support=lambda i: {i},
+        col_support=lambda j: {j},
+        name="E",
+    )
+
+
+def transpose(m):
+    return LazyIntMatrix(
+        lambda i, j: m.entry(j, i),
+        row_support=m.col_support,
+        col_support=m.row_support,
+        row_finite=m.col_finite,
+        col_finite=m.row_finite,
+        name=f"{m.name}^tr" if m.name else "",
+    )
+
+
+def negate(m):
+    return LazyIntMatrix(
+        lambda i, j: -m.entry(i, j),
+        row_support=m.row_support,
+        col_support=m.col_support,
+        row_finite=m.row_finite,
+        col_finite=m.col_finite,
+        name=f"-{m.name}" if m.name else "",
+    )
+
+
+def multiply(a, b):
+    """The product a.b with entries (i,j) -> sum_k a[i,k] b[k,j].
+
+    Each entry needs a finite row of `a` or a finite column of `b`; finiteness
+    flags of the result are derived conservatively (row-finite times
+    row-finite is row-finite, likewise for columns).
+    """
+
+    def entry(i, j):
+        ra = a.row_support(i)
+        if ra is not None:
+            return sum(a.entry(i, k) * b.entry(k, j) for k in ra)
+        cb = b.col_support(j)
+        if cb is not None:
+            return sum(a.entry(i, k) * b.entry(k, j) for k in cb)
+        raise UndefinedProduct(
+            f"entry ({i!r},{j!r}) of {a!r}.{b!r}: neither row nor column support is finite"
+        )
+
+    row_rule = None
+    if a._row_support_rule is not None and b._row_support_rule is not None:
+        def row_rule(i):
+            ra = a.row_support(i)
+            if ra is None:
+                return None
+            out = set()
+            for k in ra:
+                rb = b.row_support(k)
+                if rb is None:
+                    return None
+                out |= rb
+            return out
+
+    col_rule = None
+    if a._col_support_rule is not None and b._col_support_rule is not None:
+        def col_rule(j):
+            cb = b.col_support(j)
+            if cb is None:
+                return None
+            out = set()
+            for k in cb:
+                ca = a.col_support(k)
+                if ca is None:
+                    return None
+                out |= ca
+            return out
+
+    return LazyIntMatrix(
+        entry,
+        row_support=row_rule,
+        col_support=col_rule,
+        row_finite=a.row_finite and b.row_finite,
+        col_finite=a.col_finite and b.col_finite,
+        name=f"({a.name}.{b.name})" if a.name and b.name else "",
+    )
+
+
+class MatrixWindow:
+    """Dense evaluation of a lazy matrix on a rows x cols window."""
+
+    def __init__(self, rows, cols, data):
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    def __getitem__(self, pair):
+        i, j = pair
+        return self.data[i][j]
+
+    def __eq__(self, other):
+        if isinstance(other, MatrixWindow):
+            return (
+                self.rows.vertices == other.rows.vertices
+                and self.cols.vertices == other.cols.vertices
+                and self.data == other.data
+            )
+        return NotImplemented
+
+    def grid(self):
+        return [row[:] for row in self.data]
+
+    def to_tsv(self):
+        pres = self.rows.presentation
+        lines = ["\t" + "\t".join(pres.display(c) for c in self.cols)]
+        for v, row in zip(self.rows, self.data):
+            lines.append(pres.display(v) + "\t" + "\t".join(str(x) for x in row))
+        return "\n".join(lines) + "\n"
+
+
+def evaluate_window(m, rows, cols):
+    data = [[m.entry(i, j) for j in cols] for i in rows]
+    return MatrixWindow(rows, cols, data)
+
+
+def verify_identity_on_window(a, b, win, side="left"):
+    """Check that (a.b) agrees with the identity on win x win.
+
+    Entries of the product are full lazy sums over the whole index set, not
+    truncated to the window, so a True answer is exact.  Returns
+    (ok, counterexample) where the counterexample is (i, j, value) or None.
+    """
+    prod = multiply(a, b)
+    for i in win:
+        for j in win:
+            val = prod.entry(i, j)
+            expect = 1 if i == j else 0
+            if val != expect:
+                return False, (i, j, val)
+    return True, None
+
+
+class DimensionVector:
+    """Finitely supported integer vector indexed by vertices."""
+
+    def __init__(self, entries=None):
+        self._d = {}
+        if entries:
+            for v, c in dict(entries).items():
+                if c != 0:
+                    self._d[v] = int(c)
+
+    @classmethod
+    def unit(cls, v):
+        return cls({v: 1})
+
+    def __getitem__(self, v):
+        return self._d.get(v, 0)
+
+    @property
+    def support(self):
+        return frozenset(self._d)
+
+    def items(self):
+        return self._d.items()
+
+    def is_zero(self):
+        return not self._d
+
+    def total(self):
+        return sum(self._d.values())
+
+    def __add__(self, other):
+        out = dict(self._d)
+        for v, c in other.items():
+            out[v] = out.get(v, 0) + c
+        return DimensionVector(out)
+
+    def __sub__(self, other):
+        out = dict(self._d)
+        for v, c in other.items():
+            out[v] = out.get(v, 0) - c
+        return DimensionVector(out)
+
+    def __neg__(self):
+        return DimensionVector({v: -c for v, c in self._d.items()})
+
+    def scale(self, k):
+        return DimensionVector({v: k * c for v, c in self._d.items()})
+
+    def __eq__(self, other):
+        if isinstance(other, DimensionVector):
+            return self._d == other._d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self._d.items()))
+
+    def sparse_str(self, pres):
+        if not self._d:
+            return "0"
+        items = sorted(self._d.items(), key=lambda p: pres.sort_key(p[0]))
+        return ",".join(f"{c}@{pres.display(v)}" for v, c in items)
+
+    def __repr__(self):
+        return "DimensionVector(%r)" % (self._d,)
+
+
+def parse_vector_literal(pres, text):
+    """Parse the sparse "coeff@vertex,coeff@vertex" form."""
+    text = text.strip()
+    if not text or text == "0":
+        return DimensionVector()
+    out = {}
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        coeff, sep, vtok = chunk.partition("@")
+        if not sep:
+            raise ValueError(f"bad vector component {chunk!r}, expected coeff@vertex")
+        v = pres.parse_token(vtok.strip())
+        out[v] = out.get(v, 0) + int(coeff.strip())
+    return DimensionVector(out)
+
+
+class LazyVector:
+    """Integer vector given by an entry rule, with an optional finite support."""
+
+    def __init__(self, entry_rule, support=None):
+        self._entry = entry_rule
+        self.support = frozenset(support) if support is not None else None
+        self._memo = {}
+
+    @classmethod
+    def from_dimension_vector(cls, x):
+        return cls(lambda v: x[v], support=x.support)
+
+    def entry(self, v):
+        if v not in self._memo:
+            self._memo[v] = int(self._entry(v))
+        return self._memo[v]
+
+    def to_dimension_vector(self):
+        if self.support is None:
+            raise UndefinedProduct("vector support not certified finite")
+        return DimensionVector({v: self.entry(v) for v in self.support})
+
+
+def apply_vector(x, m):
+    """Row-vector times matrix: (x.m)_j = sum_i x_i m_ij.
+
+    `x` may be a DimensionVector or a LazyVector with certified support;
+    a lazy x without support needs every requested column of m finite.
+    """
+    if isinstance(x, DimensionVector):
+        x = LazyVector.from_dimension_vector(x)
+
+    def entry(j):
+        if x.support is not None:
+            return sum(x.entry(i) * m.entry(i, j) for i in x.support)
+        cs = m.col_support(j)
+        if cs is not None:
+            return sum(x.entry(i) * m.entry(i, j) for i in cs)
+        raise UndefinedProduct(
+            f"coordinate {j!r} of vector-matrix product: no finite certificate"
+        )
+
+    support = None
+    if x.support is not None and m._row_support_rule is not None:
+        acc = set()
+        for i in x.support:
+            ri = m.row_support(i)
+            if ri is None:
+                acc = None
+                break
+            acc |= ri
+        support = acc
+    return LazyVector(entry, support=support)

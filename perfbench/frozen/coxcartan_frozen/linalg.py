@@ -1,0 +1,251 @@
+"""Dense exact linear algebra over the rationals.
+
+Matrices are lists of row lists with Fraction entries.  Everything here is
+deterministic: no pivoting heuristics beyond first-nonzero, no floats.
+"""
+
+from fractions import Fraction
+
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+def zeros(rows, cols):
+    return [[F0] * cols for _ in range(rows)]
+
+
+def identity(n):
+    m = zeros(n, n)
+    for i in range(n):
+        m[i][i] = F1
+    return m
+
+
+def from_int_rows(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def copy(a):
+    return [row[:] for row in a]
+
+
+def shape(a):
+    return (len(a), len(a[0]) if a else 0)
+
+
+def transpose(a):
+    r, c = shape(a)
+    return [[a[i][j] for i in range(r)] for j in range(c)]
+
+
+def mat_mul(a, b):
+    if not a:
+        return []
+    ra, ca = shape(a)
+    rb, cb = shape(b)
+    assert ca == rb, (ca, rb)
+    out = zeros(ra, cb)
+    for i in range(ra):
+        arow = a[i]
+        orow = out[i]
+        for k in range(ca):
+            x = arow[k]
+            if x == 0:
+                continue
+            brow = b[k]
+            for j in range(cb):
+                if brow[j] != 0:
+                    orow[j] += x * brow[j]
+    return out
+
+
+def mat_vec(a, v):
+    r, c = shape(a)
+    assert len(v) == c
+    return [sum((a[i][j] * v[j] for j in range(c)), F0) for i in range(r)]
+
+
+def mat_add(a, b):
+    r, c = shape(a)
+    return [[a[i][j] + b[i][j] for j in range(c)] for i in range(r)]
+
+
+def mat_neg(a):
+    return [[-x for x in row] for row in a]
+
+
+def mat_eq(a, b):
+    return shape(a) == shape(b) and all(
+        a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]))
+    )
+
+
+def hstack(mats):
+    mats = [m for m in mats if shape(m)[1] > 0]
+    if not mats:
+        return []
+    r = len(mats[0])
+    return [sum((m[i] for m in mats), []) for i in range(r)]
+
+
+def vstack(mats):
+    out = []
+    for m in mats:
+        out.extend(copy(m))
+    return out
+
+
+def rref(a):
+    """Row-reduce in place a copy of `a`; return (reduced matrix, pivot column list)."""
+    m = copy(a)
+    rows, cols = shape(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = F1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def rank(a):
+    if not a or not a[0]:
+        return 0
+    return len(rref(a)[1])
+
+
+def nullspace(a):
+    """Basis of the right kernel {x : a x = 0}, returned as a list of columns."""
+    rows, cols = shape(a)
+    if cols == 0:
+        return []
+    if rows == 0:
+        return [[F1 if i == j else F0 for i in range(cols)] for j in range(cols)]
+    red, pivots = rref(a)
+    pivset = set(pivots)
+    free = [c for c in range(cols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [F0] * cols
+        v[fc] = F1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def columns_matrix(cols, nrows):
+    """Pack a list of column vectors into an nrows x len(cols) matrix."""
+    if not cols:
+        return [[] for _ in range(nrows)]
+    return [[col[i] for col in cols] for i in range(nrows)]
+
+
+def matrix_columns(a):
+    r, c = shape(a)
+    return [[a[i][j] for i in range(r)] for j in range(c)]
+
+
+def solve_matrix(a, b):
+    """Solve a X = b for X; return None when inconsistent.
+
+    When the solution is not unique the free coordinates are set to zero,
+    which is fine for our uses (a always has full column rank there).
+    """
+    ra, ca = shape(a)
+    rb, cb = shape(b)
+    assert ra == rb
+    aug = hstack([a, b]) if cb else copy(a)
+    red, pivots = rref(aug)
+    for r in range(len(red)):
+        if all(red[r][c] == 0 for c in range(ca)) and any(
+            red[r][c] != 0 for c in range(ca, ca + cb)
+        ):
+            return None
+    x = zeros(ca, cb)
+    for r, pc in enumerate(pivots):
+        if pc >= ca:
+            return None
+        for j in range(cb):
+            x[pc][j] = red[r][ca + j]
+    return x
+
+
+def invert(a):
+    n, m = shape(a)
+    assert n == m
+    red, pivots = rref(hstack([a, identity(n)]))
+    if len(pivots) != n:
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in red]
+
+
+def column_space_basis(a):
+    """Indices of a maximal independent subset of columns, chosen greedily."""
+    _, pivots = rref(a)
+    return pivots
+
+
+def complement_projection(basis_cols, n):
+    """Given columns spanning a subspace U of Q^n, build the quotient data.
+
+    Returns (proj, section): proj is a q x n matrix with kernel exactly U,
+    section is an n x q matrix with proj * section = identity.
+    Deterministic: the complement is greedily drawn from standard basis vectors.
+    """
+    b = columns_matrix(basis_cols, n)
+    pivots_b = column_space_basis(b) if basis_cols else []
+    kept = [basis_cols[j] for j in pivots_b]
+    aug = columns_matrix(kept, n)
+    full = hstack([aug, identity(n)]) if kept else identity(n)
+    pivots = column_space_basis(full)
+    r = len(kept)
+    std = [p - r for p in pivots if p >= r]
+    cols = kept + [[F1 if i == s else F0 for i in range(n)] for s in std]
+    cmat = columns_matrix(cols, n)
+    cinv = invert(cmat)
+    proj = cinv[r:]
+    section = columns_matrix(
+        [[F1 if i == s else F0 for i in range(n)] for s in std], n
+    )
+    return proj, section
+
+
+def extend_to_basis(cols, n):
+    """Complete independent columns to a basis of Q^n using standard vectors.
+
+    Returns (C, Cinv) with C the basis matrix (given columns first).
+    """
+    if not cols:
+        return identity(n), identity(n)
+    full = hstack([columns_matrix(cols, n), identity(n)])
+    pivots = column_space_basis(full)
+    k = len(cols)
+    assert len([p for p in pivots if p < k]) == k, "columns not independent"
+    std = [p - k for p in pivots if p >= k]
+    allcols = cols + [[F1 if i == s else F0 for i in range(n)] for s in std]
+    cmat = columns_matrix(allcols, n)
+    return cmat, invert(cmat)
+
+
+def intersect_kernels(mats, n):
+    """Basis (list of columns) of the intersection of kernels of maps from Q^n."""
+    stacked = vstack([m for m in mats if len(m) > 0])
+    if not stacked:
+        return [[F1 if i == j else F0 for i in range(n)] for j in range(n)]
+    return nullspace(stacked)

@@ -1,0 +1,912 @@
+"""Quiver and poset presentations of pointed coalgebras.
+
+A presentation stands in for the coalgebra: a path presentation is a locally
+finite acyclic quiver, an incidence presentation an intervally finite poset.
+Built-in infinite families answer neighbourhood/order queries in closed form;
+arbitrary user input is finite only, so interval-finiteness never has to be
+guessed.
+
+Conventions fixed here and relied on everywhere else:
+  * each presentation carries a total display order on its vertices
+    (`sort_key`); all matrix printouts follow it,
+  * quiver arcs are the arrows, poset arcs are the covering pairs lo -> hi,
+  * the opposite presentation reverses arcs/order but keeps the display order.
+"""
+
+import re
+
+from .errors import EmptyWindow, PresentationError, UnknownVertex
+
+
+class Window:
+    """An ordered finite list of distinct vertices, sorted by the display order."""
+
+    def __init__(self, pres, vertices):
+        seen = set()
+        verts = []
+        for v in vertices:
+            if not pres.has_vertex(v):
+                raise UnknownVertex(f"unknown vertex {v!r}")
+            if v in seen:
+                continue
+            seen.add(v)
+            verts.append(v)
+        if not verts:
+            raise EmptyWindow("empty window")
+        self.presentation = pres
+        self.vertices = sorted(verts, key=pres.sort_key)
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def __contains__(self, v):
+        return v in set(self.vertices)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Window)
+            and self.presentation is other.presentation
+            and self.vertices == other.vertices
+        )
+
+    def __repr__(self):
+        return "Window[%s]" % ",".join(self.presentation.display(v) for v in self.vertices)
+
+
+class Presentation:
+    """Common interface; concrete classes fill in the queries."""
+
+    kind = None          # "quiver" | "poset"
+    family = None        # short name for built-in families, else None
+    is_finite = False
+
+    # -- vertex bookkeeping ------------------------------------------------
+
+    def has_vertex(self, v):
+        raise NotImplementedError
+
+    def sort_key(self, v):
+        raise NotImplementedError
+
+    def display(self, v):
+        return str(v)
+
+    def parse_token(self, tok):
+        """Turn a textual vertex token into a vertex id (or raise UnknownVertex)."""
+        raise NotImplementedError
+
+    def vertices(self):
+        """All vertices; only valid for finite presentations."""
+        raise NotImplementedError
+
+    # -- arcs ----------------------------------------------------------------
+
+    def out_arcs(self, v):
+        """List of (target, multiplicity): arrows out of v / covers above v."""
+        raise NotImplementedError
+
+    def in_arcs(self, v):
+        raise NotImplementedError
+
+    # -- reachability / order -------------------------------------------------
+
+    def could_reach(self, u, v):
+        """True when a directed path u -> v may exist.  Must be exact for
+        infinite families (it prunes path enumeration); finite presentations
+        may answer via reachability."""
+        raise NotImplementedError
+
+    def ancestors(self, v):
+        """frozenset {u : path u -> v exists}, or None when infinite/uncertified."""
+        return None
+
+    def descendants(self, v):
+        return None
+
+    # Posets additionally provide the order itself.
+
+    def leq(self, u, v):
+        raise NotImplementedError("not an incidence presentation")
+
+    def interval(self, u, v):
+        """Sorted list of the closed interval [u, v]; empty when u <= v fails."""
+        raise NotImplementedError("not an incidence presentation")
+
+    def local_downset(self, v):
+        """Support certificate for row v of the inverse Cartan matrix:
+        a finite superset of {p : entry (v, p) can be nonzero}, or None."""
+        return self.ancestors(v)
+
+    def local_upset(self, v):
+        return self.descendants(v)
+
+    # -- misc ----------------------------------------------------------------
+
+    @property
+    def hereditary(self):
+        return self.kind == "quiver"
+
+    def opposite(self):
+        return OppositePresentation(self)
+
+    def window(self, spec):
+        """Build a Window from "a..b", an iterable of vertices, or a comma list."""
+        if isinstance(spec, Window):
+            return spec
+        if isinstance(spec, str):
+            return Window(self, self._parse_window_spec(spec))
+        return Window(self, list(spec))
+
+    def _parse_window_spec(self, spec):
+        spec = spec.strip()
+        m = re.fullmatch(r"(-?\d+)\s*\.\.\s*(-?\d+)", spec)
+        if m:
+            lo, hi = int(m.group(1)), int(m.group(2))
+            return self._range_vertices(lo, hi)
+        return [self.parse_token(tok.strip()) for tok in spec.split(",") if tok.strip()]
+
+    def _range_vertices(self, lo, hi):
+        out = []
+        for n in range(lo, hi + 1):
+            if self.has_vertex(n):
+                out.append(n)
+        if not out:
+            raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
+        return out
+
+
+class OppositePresentation(Presentation):
+    """Arc- and order-reversed view of a presentation; same display order."""
+
+    def __init__(self, base):
+        self.base = base
+        self.kind = base.kind
+        self.family = f"op:{base.family}" if base.family else None
+        self.is_finite = base.is_finite
+
+    def has_vertex(self, v):
+        return self.base.has_vertex(v)
+
+    def sort_key(self, v):
+        return self.base.sort_key(v)
+
+    def display(self, v):
+        return self.base.display(v)
+
+    def parse_token(self, tok):
+        return self.base.parse_token(tok)
+
+    def vertices(self):
+        return self.base.vertices()
+
+    def out_arcs(self, v):
+        return self.base.in_arcs(v)
+
+    def in_arcs(self, v):
+        return self.base.out_arcs(v)
+
+    def could_reach(self, u, v):
+        return self.base.could_reach(v, u)
+
+    def ancestors(self, v):
+        return self.base.descendants(v)
+
+    def descendants(self, v):
+        return self.base.ancestors(v)
+
+    def leq(self, u, v):
+        return self.base.leq(v, u)
+
+    def interval(self, u, v):
+        return self.base.interval(v, u)
+
+    def local_downset(self, v):
+        return self.base.local_upset(v)
+
+    def local_upset(self, v):
+        return self.base.local_downset(v)
+
+    def opposite(self):
+        return self.base
+
+    def _range_vertices(self, lo, hi):
+        return self.base._range_vertices(lo, hi)
+
+
+def _int_or_str(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
+
+
+class FiniteQuiver(Presentation):
+    """Finite acyclic quiver; parallel arrows allowed (multiplicity >= 1)."""
+
+    kind = "quiver"
+    is_finite = True
+
+    def __init__(self, vertices, arrows):
+        # vertices: iterable in display order; arrows: list of (src, dst) with repeats.
+        self._order = {}
+        self._verts = []
+        for v in vertices:
+            self._register(v)
+        self.arrow_list = []
+        self._out = {}
+        self._in = {}
+        for s, t in arrows:
+            self._register(s)
+            self._register(t)
+            self.arrow_list.append((s, t))
+            self._out.setdefault(s, {})
+            self._out[s][t] = self._out[s].get(t, 0) + 1
+            self._in.setdefault(t, {})
+            self._in[t][s] = self._in[t].get(s, 0) + 1
+        self._check_acyclic()
+        self._reach_memo = {}
+
+    def _register(self, v):
+        if v not in self._order:
+            self._order[v] = len(self._verts)
+            self._verts.append(v)
+
+    def _check_acyclic(self):
+        state = {}
+
+        def visit(v):
+            state[v] = 1
+            for w, _ in self.out_arcs(v):
+                s = state.get(w, 0)
+                if s == 1:
+                    raise PresentationError("cycle detected")
+                if s == 0:
+                    visit(w)
+            state[v] = 2
+
+        for v in self._verts:
+            if state.get(v, 0) == 0:
+                visit(v)
+
+    def has_vertex(self, v):
+        return v in self._order
+
+    def sort_key(self, v):
+        return self._order[v]
+
+    def parse_token(self, tok):
+        v = _int_or_str(tok)
+        if not self.has_vertex(v):
+            raise UnknownVertex(f"unknown vertex {tok}")
+        return v
+
+    def vertices(self):
+        return list(self._verts)
+
+    def out_arcs(self, v):
+        d = self._out.get(v, {})
+        return sorted(d.items(), key=lambda p: self.sort_key(p[0]))
+
+    def in_arcs(self, v):
+        d = self._in.get(v, {})
+        return sorted(d.items(), key=lambda p: self.sort_key(p[0]))
+
+    def could_reach(self, u, v):
+        key = (u, v)
+        if key in self._reach_memo:
+            return self._reach_memo[key]
+        if u == v:
+            res = True
+        else:
+            res = any(self.could_reach(w, v) for w, _ in self.out_arcs(u))
+        self._reach_memo[key] = res
+        return res
+
+    def ancestors(self, v):
+        return frozenset(u for u in self._verts if self.could_reach(u, v))
+
+    def descendants(self, v):
+        return frozenset(w for w in self._verts if self.could_reach(v, w))
+
+    def _range_vertices(self, lo, hi):
+        out = [v for v in self._verts if isinstance(v, int) and lo <= v <= hi]
+        if not out:
+            raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
+        return out
+
+
+class FinitePoset(Presentation):
+    """Finite poset given by relations; the order is their transitive closure.
+
+    Redundant input relations are tolerated: covers are recomputed canonically
+    from the closure, so the Hasse quiver does not depend on input phrasing.
+    """
+
+    kind = "poset"
+    is_finite = True
+
+    def __init__(self, elements, relations):
+        self._order = {}
+        self._verts = []
+        for v in elements:
+            self._register(v)
+        for lo, hi in relations:
+            self._register(lo)
+            self._register(hi)
+        self._le = {v: {v} for v in self._verts}
+        adj = {v: set() for v in self._verts}
+        for lo, hi in relations:
+            adj[lo].add(hi)
+        # DFS closure with cycle detection
+        state = {}
+        post = []
+
+        def visit(v):
+            state[v] = 1
+            for w in sorted(adj[v], key=self.sort_key):
+                s = state.get(w, 0)
+                if s == 1:
+                    raise PresentationError(
+                        f"cover {self.display(v)} {self.display(w)} violates strict order (cycle)"
+                    )
+                if s == 0:
+                    visit(w)
+            state[v] = 2
+            post.append(v)
+
+        for v in self._verts:
+            if state.get(v, 0) == 0:
+                visit(v)
+        for v in post:  # reverse topological accumulation
+            for w in adj[v]:
+                self._le[v] |= self._le[w]
+        self._covers_up = {v: [] for v in self._verts}
+        self._covers_down = {v: [] for v in self._verts}
+        for v in self._verts:
+            above = [w for w in self._le[v] if w != v]
+            for w in sorted(above, key=self.sort_key):
+                if not any(z != v and z != w and w in self._le[z] for z in above):
+                    self._covers_up[v].append(w)
+                    self._covers_down[w].append(v)
+
+    def _register(self, v):
+        if v not in self._order:
+            self._order[v] = len(self._verts)
+            self._verts.append(v)
+
+    def has_vertex(self, v):
+        return v in self._order
+
+    def sort_key(self, v):
+        return self._order[v]
+
+    def parse_token(self, tok):
+        v = _int_or_str(tok)
+        if not self.has_vertex(v):
+            raise UnknownVertex(f"unknown vertex {tok}")
+        return v
+
+    def vertices(self):
+        return list(self._verts)
+
+    def out_arcs(self, v):
+        return [(w, 1) for w in self._covers_up[v]]
+
+    def in_arcs(self, v):
+        return [(w, 1) for w in self._covers_down[v]]
+
+    def leq(self, u, v):
+        return v in self._le[u]
+
+    def could_reach(self, u, v):
+        return self.leq(u, v)
+
+    def interval(self, u, v):
+        if not self.leq(u, v):
+            return []
+        return sorted(
+            (z for z in self._verts if self.leq(u, z) and self.leq(z, v)),
+            key=self.sort_key,
+        )
+
+    def ancestors(self, v):
+        return frozenset(u for u in self._verts if self.leq(u, v))
+
+    def descendants(self, v):
+        return frozenset(w for w in self._verts if self.leq(v, w))
+
+    def _range_vertices(self, lo, hi):
+        out = [v for v in self._verts if isinstance(v, int) and lo <= v <= hi]
+        if not out:
+            raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
+        return out
+
+
+class AInfinityQuiver(Presentation):
+    """The one-way infinite linear quiver 0 -> 1 -> 2 -> ..."""
+
+    kind = "quiver"
+    family = "a-infinity"
+
+    def has_vertex(self, v):
+        return isinstance(v, int) and v >= 0
+
+    def sort_key(self, v):
+        return v
+
+    def parse_token(self, tok):
+        try:
+            v = int(tok)
+        except ValueError:
+            raise UnknownVertex(f"unknown vertex {tok}")
+        if not self.has_vertex(v):
+            raise UnknownVertex(f"unknown vertex {tok}")
+        return v
+
+    def out_arcs(self, v):
+        return [(v + 1, 1)]
+
+    def in_arcs(self, v):
+        return [(v - 1, 1)] if v > 0 else []
+
+    def could_reach(self, u, v):
+        return u <= v
+
+    def ancestors(self, v):
+        return frozenset(range(0, v + 1))
+
+    def descendants(self, v):
+        return None
+
+
+class ZAInfinityQuiver(Presentation):
+    """The two-way infinite linear quiver ... -> -1 -> 0 -> 1 -> ..."""
+
+    kind = "quiver"
+    family = "z-a-infinity"
+
+    def has_vertex(self, v):
+        return isinstance(v, int)
+
+    def sort_key(self, v):
+        return v
+
+    def parse_token(self, tok):
+        try:
+            return int(tok)
+        except ValueError:
+            raise UnknownVertex(f"unknown vertex {tok}")
+
+    def out_arcs(self, v):
+        return [(v + 1, 1)]
+
+    def in_arcs(self, v):
+        return [(v - 1, 1)]
+
+    def could_reach(self, u, v):
+        return u <= v
+
+
+class DInfinityQuiver(Presentation):
+    """The infinite quiver with a fork: 1 -> -1, 1 -> 0, 1 -> 2 -> 3 -> ...
+
+    Display order is (-1, 0, 1, 2, ...).
+    """
+
+    kind = "quiver"
+    family = "d-infinity"
+
+    def has_vertex(self, v):
+        return isinstance(v, int) and v >= -1
+
+    def sort_key(self, v):
+        return v
+
+    def parse_token(self, tok):
+        try:
+            v = int(tok)
+        except ValueError:
+            raise UnknownVertex(f"unknown vertex {tok}")
+        if not self.has_vertex(v):
+            raise UnknownVertex(f"unknown vertex {tok}")
+        return v
+
+    def out_arcs(self, v):
+        if v == 1:
+            return [(-1, 1), (0, 1), (2, 1)]
+        if v in (-1, 0):
+            return []
+        return [(v + 1, 1)]
+
+    def in_arcs(self, v):
+        if v in (-1, 0, 2):
+            return [(1, 1)]
+        if v == 1:
+            return []
+        return [(v - 1, 1)]
+
+    def could_reach(self, u, v):
+        if u == v:
+            return True
+        if v in (-1, 0):
+            return u == 1
+        return 1 <= u <= v
+
+    def ancestors(self, v):
+        if v in (-1, 0):
+            return frozenset({v, 1})
+        return frozenset(range(1, v + 1))
+
+    def descendants(self, v):
+        if v in (-1, 0):
+            return frozenset({v})
+        return None
+
+
+_GARLAND_TOKEN = re.compile(r"j(-?\d+)|g(-?\d+)\.(\d+)([tb])")
+
+
+class GarlandFamily(Presentation):
+    """Bi-infinite chain of identical garland blocks glued at junction vertices.
+
+    Block m sits between junction m and junction m+1 and consists of two
+    parallel chains of `length` vertices each, fully crossed level to level.
+    Vertex ids: ("j", m) for junctions, ("g", m, i, s) for interior level i
+    (1-based) with s = 0 top, s = 1 bottom.  Junctions are comparable to
+    everything around them, which cuts every long interval; top/bottom at the
+    same level are the only incomparable pairs.
+    """
+
+    kind = "poset"
+
+    def __init__(self, length):
+        if length < 1:
+            raise PresentationError("garland length must be >= 1")
+        self.length = length
+        self.family = f"garland:{length}"
+
+    def has_vertex(self, v):
+        if isinstance(v, tuple):
+            if v[0] == "j" and isinstance(v[1], int):
+                return len(v) == 2
+            if v[0] == "g" and len(v) == 4:
+                _, m, i, s = v
+                return isinstance(m, int) and 1 <= i <= self.length and s in (0, 1)
+        return False
+
+    def _pos(self, v):
+        return (v[1], 0) if v[0] == "j" else (v[1], v[2])
+
+    def sort_key(self, v):
+        m, i = self._pos(v)
+        return (m, i, 0 if v[0] == "j" else 1 + v[3])
+
+    def display(self, v):
+        if v[0] == "j":
+            return f"j{v[1]}"
+        _, m, i, s = v
+        return f"g{m}.{i}{'t' if s == 0 else 'b'}"
+
+    def parse_token(self, tok):
+        m = _GARLAND_TOKEN.fullmatch(tok.strip())
+        if not m:
+            raise UnknownVertex(f"unknown vertex {tok}")
+        if m.group(1) is not None:
+            return ("j", int(m.group(1)))
+        v = ("g", int(m.group(2)), int(m.group(3)), 0 if m.group(4) == "t" else 1)
+        if not self.has_vertex(v):
+            raise UnknownVertex(f"unknown vertex {tok}")
+        return v
+
+    def out_arcs(self, v):
+        L = self.length
+        if v[0] == "j":
+            m = v[1]
+            return [(("g", m, 1, 0), 1), (("g", m, 1, 1), 1)]
+        _, m, i, s = v
+        if i == L:
+            return [(("j", m + 1), 1)]
+        return [(("g", m, i + 1, 0), 1), (("g", m, i + 1, 1), 1)]
+
+    def in_arcs(self, v):
+        L = self.length
+        if v[0] == "j":
+            m = v[1]
+            return [(("g", m - 1, L, 0), 1), (("g", m - 1, L, 1), 1)]
+        _, m, i, s = v
+        if i == 1:
+            return [(("j", m), 1)]
+        return [(("g", m, i - 1, 0), 1), (("g", m, i - 1, 1), 1)]
+
+    def leq(self, u, v):
+        if u == v:
+            return True
+        return self._pos(u) < self._pos(v)
+
+    def could_reach(self, u, v):
+        return self.leq(u, v)
+
+    def _positions_between(self, pu, pv):
+        out = []
+        m, i = pu
+        while (m, i) <= pv:
+            out.append((m, i))
+            if i == self.length:
+                m, i = m + 1, 0
+            else:
+                i += 1
+        return out
+
+    def _at_pos(self, pos):
+        m, i = pos
+        if i == 0:
+            return [("j", m)]
+        return [("g", m, i, 0), ("g", m, i, 1)]
+
+    def interval(self, u, v):
+        if not self.leq(u, v):
+            return []
+        if u == v:
+            return [u]
+        pu, pv = self._pos(u), self._pos(v)
+        out = []
+        for pos in self._positions_between(pu, pv):
+            for z in self._at_pos(pos):
+                if self.leq(u, z) and self.leq(z, v):
+                    out.append(z)
+        return sorted(out, key=self.sort_key)
+
+    def local_downset(self, v):
+        # nearest junction at or below v cuts every longer interval
+        if v[0] == "j":
+            anchor = ("j", v[1] - 1)
+        else:
+            anchor = ("j", v[1])
+        return frozenset(self.interval(anchor, v))
+
+    def local_upset(self, v):
+        # nearest junction at or above v: junction m+1 in both cases
+        anchor = ("j", v[1] + 1)
+        return frozenset(self.interval(v, anchor))
+
+    def _range_vertices(self, lo, hi):
+        # integer range means junctions lo..hi and every block between
+        if hi < lo:
+            raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
+        out = [("j", lo)]
+        for m in range(lo, hi):
+            for i in range(1, self.length + 1):
+                out.extend([("g", m, i, 0), ("g", m, i, 1)])
+            out.append(("j", m + 1))
+        return out
+
+
+class HasseQuiverView(Presentation):
+    """The Hasse diagram of an incidence presentation, viewed as a quiver."""
+
+    kind = "quiver"
+
+    def __init__(self, poset):
+        if poset.kind != "poset":
+            raise PresentationError("hasse_quiver expects an incidence presentation")
+        self.poset = poset
+        self.family = f"hasse:{poset.family}" if poset.family else None
+        self.is_finite = poset.is_finite
+
+    def has_vertex(self, v):
+        return self.poset.has_vertex(v)
+
+    def sort_key(self, v):
+        return self.poset.sort_key(v)
+
+    def display(self, v):
+        return self.poset.display(v)
+
+    def parse_token(self, tok):
+        return self.poset.parse_token(tok)
+
+    def vertices(self):
+        return self.poset.vertices()
+
+    def out_arcs(self, v):
+        return self.poset.out_arcs(v)
+
+    def in_arcs(self, v):
+        return self.poset.in_arcs(v)
+
+    def could_reach(self, u, v):
+        return self.poset.leq(u, v)
+
+    def ancestors(self, v):
+        return self.poset.ancestors(v)
+
+    def descendants(self, v):
+        return self.poset.descendants(v)
+
+    def _range_vertices(self, lo, hi):
+        return self.poset._range_vertices(lo, hi)
+
+
+def garland_block_poset(lengths):
+    """Finite poset: garland blocks of the given lengths glued in a row.
+
+    Junctions are named j0..jk; block i (1-based, length lengths[i-1]) lies
+    between j(i-1) and j(i), with interior vertices named g<i>.<level><t|b>.
+    """
+    elements = ["j0"]
+    relations = []
+    for bi, L in enumerate(lengths, start=1):
+        lo = f"j{bi - 1}"
+        hi = f"j{bi}"
+        prev = [lo]
+        for lev in range(1, L + 1):
+            cur = [f"g{bi}.{lev}t", f"g{bi}.{lev}b"]
+            elements.extend(cur)
+            for p in prev:
+                for c in cur:
+                    relations.append((p, c))
+            prev = cur
+        elements.append(hi)
+        for p in prev:
+            relations.append((p, hi))
+    return FinitePoset(elements, relations)
+
+
+_FAMILIES = {
+    "a-infinity": lambda arg: AInfinityQuiver(),
+    "z-a-infinity": lambda arg: ZAInfinityQuiver(),
+    "d-infinity": lambda arg: DInfinityQuiver(),
+}
+
+
+def make_family(name, arg=None):
+    """Instantiate a built-in family from its name and optional parameter."""
+    if name in _FAMILIES:
+        return _FAMILIES[name](arg)
+    if name == "garland":
+        if arg is None:
+            raise PresentationError("family garland needs a length")
+        return GarlandFamily(int(arg))
+    if name == "garland-seq":
+        if not arg:
+            raise PresentationError("family garland-seq needs a length list")
+        if isinstance(arg, str):
+            lengths = [int(x) for x in arg.split(",") if x.strip()]
+        else:
+            lengths = [int(x) for x in arg]
+        if not lengths or any(x < 1 for x in lengths):
+            raise PresentationError("garland-seq lengths must be positive")
+        return garland_block_poset(lengths)
+    raise PresentationError(f"unknown family {name!r}")
+
+
+def parse_family_flag(text):
+    """Parse CLI-style family strings like "a-infinity", "garland:2",
+    "garland-seq:1,2"."""
+    name, _, arg = text.partition(":")
+    return make_family(name.strip(), arg.strip() or None)
+
+
+def parse_presentation(text):
+    """Parse the presentation file format (one directive per line, # comments)."""
+    kind = None
+    family = None
+    family_arg = None
+    vertices = []
+    arrows = []
+    covers = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        directive = parts[0].lower()
+        try:
+            if directive == "kind":
+                if len(parts) != 2 or parts[1] not in ("quiver", "poset"):
+                    raise PresentationError("expected 'kind quiver' or 'kind poset'")
+                kind = parts[1]
+            elif directive == "vertex":
+                if len(parts) != 2:
+                    raise PresentationError("expected 'vertex <id>'")
+                vertices.append(_int_or_str(parts[1]))
+            elif directive == "arrow":
+                if len(parts) != 3:
+                    raise PresentationError("expected 'arrow <src> <dst>'")
+                arrows.append((_int_or_str(parts[1]), _int_or_str(parts[2])))
+            elif directive == "cover":
+                if len(parts) != 3:
+                    raise PresentationError("expected 'cover <lo> <hi>'")
+                covers.append((_int_or_str(parts[1]), _int_or_str(parts[2])))
+            elif directive == "family":
+                if len(parts) < 2:
+                    raise PresentationError("expected 'family <name> [param]'")
+                family = parts[1]
+                family_arg = " ".join(parts[2:]) if len(parts) > 2 else None
+            else:
+                raise PresentationError(f"unknown directive {directive!r}")
+        except PresentationError as exc:
+            raise PresentationError(f"line {lineno}: {exc}") from None
+    if family is not None:
+        # built-in families ignore vertex/arrow/cover lines
+        if family == "garland-seq" and family_arg:
+            family_arg = family_arg.replace(" ", "")
+        return make_family(family, family_arg)
+    if kind is None:
+        raise PresentationError("missing 'kind' (or 'family') directive")
+    if kind == "quiver":
+        if covers:
+            raise PresentationError("'cover' lines are not allowed in a quiver")
+        return FiniteQuiver(vertices, arrows)
+    if arrows:
+        raise PresentationError("'arrow' lines are not allowed in a poset")
+    return FinitePoset(vertices, covers)
+
+
+def emit_presentation(pres):
+    """Serialize a finite presentation (or family) back to the file format."""
+    if pres.family and ":" in (pres.family or ""):
+        name, _, arg = pres.family.partition(":")
+        if name == "garland":
+            return f"family garland {arg}\n"
+    if pres.family:
+        return f"family {pres.family}\n"
+    lines = [f"kind {pres.kind}"]
+    for v in pres.vertices():
+        lines.append(f"vertex {pres.display(v)}")
+    if pres.kind == "quiver":
+        for s, t in pres.arrow_list:
+            lines.append(f"arrow {pres.display(s)} {pres.display(t)}")
+    else:
+        for v in pres.vertices():
+            for w, _ in pres.out_arcs(v):
+                lines.append(f"cover {pres.display(v)} {pres.display(w)}")
+    return "\n".join(lines) + "\n"
+
+
+def neighbors(pres, v, direction):
+    """(vertex, multiplicity) pairs adjacent to v; direction "in" or "out"."""
+    if not pres.has_vertex(v):
+        raise UnknownVertex(f"unknown vertex {v!r}")
+    d = direction.lower()
+    if d == "out":
+        return pres.out_arcs(v)
+    if d == "in":
+        return pres.in_arcs(v)
+    raise ValueError("direction must be 'in' or 'out'")
+
+
+def hasse_quiver(pres):
+    """The quiver of cover relations lo -> hi of an incidence presentation."""
+    if pres.kind != "poset":
+        raise PresentationError("hasse_quiver expects an incidence presentation")
+    if pres.is_finite:
+        arrows = []
+        for v in pres.vertices():
+            for w, _ in pres.out_arcs(v):
+                arrows.append((v, w))
+        return FiniteQuiver(pres.vertices(), arrows)
+    return HasseQuiverView(pres)
+
+
+def check_local_boundedness(pres, win):
+    """Vertex-by-vertex finiteness of in/out arcs on a window.
+
+    Built-in families are certified by construction; the witness table is
+    still filled in so callers can inspect degrees.
+    """
+    witnesses = {}
+    left = right = True
+    for v in win:
+        ins = pres.in_arcs(v)
+        outs = pres.out_arcs(v)
+        witnesses[v] = (sum(m for _, m in ins), sum(m for _, m in outs))
+    return {
+        "left_bounded": left,
+        "right_bounded": right,
+        "certified": pres.family is not None or pres.is_finite,
+        "witnesses": witnesses,
+    }

@@ -1,0 +1,504 @@
+"""Minimal injective resolutions of simples, Ext dimensions, Mobius oracle.
+
+Path presentations are hereditary, so their resolutions have length at most
+one and are written down in closed form.  For incidence presentations the
+multiplicity of the injective at p in degree m of the resolution of the simple
+at j equals dim Ext^m between the simples at p and j, and that Ext localizes
+to the finite closed interval [p, j]: the engine below resolves the simple
+inside the functor category of a finite convex region by exact rational linear
+algebra.
+
+Two independent cross-oracles are provided for incidence presentations:
+  * the classical Mobius recursion, whose values must match the alternating
+    sums of resolution multiplicities entrywise,
+  * reduced simplicial cohomology of the order complex of the open interval,
+    which must match Ext in degrees >= 2 (degree 1 is the cover count,
+    hard-coded to keep conventions from drifting).
+"""
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from weakref import WeakKeyDictionary
+
+from . import linalg
+from .errors import CapExceeded, IntervalFinitenessViolated, UnknownVertex
+
+DEFAULT_CAP = 16
+
+ABOVE_CAP = "above-cap"
+
+
+# ---------------------------------------------------------------------------
+# functor-category engine over a finite convex region of a poset
+
+
+class _Region:
+    """A finite convex set of poset elements with its internal order data."""
+
+    def __init__(self, pres, elems):
+        self.pres = pres
+        self.elems = sorted(elems, key=pres.sort_key)
+        self.index = {v: i for i, v in enumerate(self.elems)}
+        n = len(self.elems)
+        self.le = [[False] * n for _ in range(n)]
+        for i, u in enumerate(self.elems):
+            for j, v in enumerate(self.elems):
+                self.le[i][j] = pres.leq(u, v)
+        # covers inside the region; convexity makes these the global covers
+        self.covers_out = [[] for _ in range(n)]
+        self.covers_in = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and self.le[i][j]:
+                    if not any(
+                        z != i and z != j and self.le[i][z] and self.le[z][j]
+                        for z in range(n)
+                    ):
+                        self.covers_out[i].append(j)
+                        self.covers_in[j].append(i)
+
+    def down_idx(self, j):
+        return [i for i in range(len(self.elems)) if self.le[i][j]]
+
+
+class _RegionModule:
+    """A functor region -> Vect: dims per element, matrices on covers.
+
+    Maps along longer relations are composites along any saturated chain; the
+    modules built here are functorial so the choice of chain cannot matter.
+    """
+
+    def __init__(self, region, dims, cover_maps):
+        self.region = region
+        self.dims = dims                  # list of ints per element index
+        self.cover_maps = cover_maps     # dict (u_idx, w_idx) -> matrix
+        self._comp = {}
+
+    def is_zero(self):
+        return all(d == 0 for d in self.dims)
+
+    def map(self, u, w):
+        if u == w:
+            return linalg.identity(self.dims[u])
+        key = (u, w)
+        if key in self._comp:
+            return self._comp[key]
+        chain = [u]
+        x = u
+        while x != w:
+            for z in self.region.covers_out[x]:
+                if self.region.le[z][w]:
+                    chain.append(z)
+                    x = z
+                    break
+            else:
+                raise AssertionError("map requested along non-relation")
+        # a zero space anywhere inside the chosen chain kills the composite;
+        # functoriality makes every other chain agree, so the zero matrix of
+        # the right shape is the value
+        if any(self.dims[x] == 0 for x in chain[1:-1]):
+            m = linalg.zeros(self.dims[w], self.dims[u])
+        else:
+            m = linalg.identity(self.dims[u])
+            for i in range(len(chain) - 1):
+                m = linalg.mat_mul(self.cover_maps[(chain[i], chain[i + 1])], m)
+        self._comp[key] = m
+        return m
+
+    def socle_bases(self):
+        """Per element: column basis of the intersection of cover-map kernels."""
+        out = []
+        for u in range(len(self.region.elems)):
+            if self.dims[u] == 0:
+                out.append([])
+                continue
+            mats = [self.cover_maps[(u, w)] for w in self.region.covers_out[u]]
+            out.append(linalg.intersect_kernels(mats, self.dims[u]))
+        return out
+
+
+def _simple_module(region, j_idx):
+    n = len(region.elems)
+    dims = [1 if i == j_idx else 0 for i in range(n)]
+    maps = {}
+    for u in range(n):
+        for w in region.covers_out[u]:
+            maps[(u, w)] = linalg.zeros(dims[w], dims[u])
+    return _RegionModule(region, dims, maps)
+
+
+def _injective_coords(region, summands):
+    """Coordinate layout of a direct sum of region injectives.
+
+    summands: list of (element index, copy) pairs in fixed order; the injective
+    at a is one-dimensional on the principal down-set of a with identity maps.
+    Returns per-element coordinate lists.
+    """
+    coords = []
+    for p in range(len(region.elems)):
+        coords.append([s for s in summands if region.le[p][s[0]]])
+    return coords
+
+
+def _injective_module(region, summands):
+    coords = _injective_coords(region, summands)
+    dims = [len(c) for c in coords]
+    maps = {}
+    for u in range(len(region.elems)):
+        for w in region.covers_out[u]:
+            m = linalg.zeros(dims[w], dims[u])
+            pos_w = {s: r for r, s in enumerate(coords[w])}
+            for cidx, s in enumerate(coords[u]):
+                r = pos_w.get(s)
+                if r is not None:
+                    m[r][cidx] = Fraction(1)
+            maps[(u, w)] = m
+    return _RegionModule(region, dims, maps), coords
+
+
+def _envelope_embedding(mod):
+    """Minimal injective envelope of `mod`: summand list, the enveloping
+    module, and the pointwise embedding matrices."""
+    region = mod.region
+    soc = mod.socle_bases()
+    summands = []
+    functionals = {}
+    for a in range(len(region.elems)):
+        basis = soc[a]
+        if not basis:
+            continue
+        _, cinv = linalg.extend_to_basis(basis, mod.dims[a])
+        for k in range(len(basis)):
+            summands.append((a, k))
+            functionals[(a, k)] = [cinv[k]]  # 1 x dims[a] row
+    env, coords = _injective_module(region, summands)
+    embed = []
+    for p in range(len(region.elems)):
+        rows = []
+        for (a, k) in coords[p]:
+            block = linalg.mat_mul(functionals[(a, k)], mod.map(p, a))
+            rows.append(block[0])
+        embed.append(rows if rows else linalg.zeros(0, mod.dims[p]))
+    for p in range(len(region.elems)):
+        if mod.dims[p] and linalg.nullspace(embed[p]):
+            raise AssertionError("envelope embedding not injective")
+    return summands, env, embed
+
+
+def _quotient_module(mod, image_mats):
+    """mod / (pointwise column span of image_mats), with induced maps."""
+    region = mod.region
+    n = len(region.elems)
+    projs, sections = [], []
+    for p in range(n):
+        cols = linalg.matrix_columns(image_mats[p]) if image_mats[p] else []
+        cols = [c for c in cols if any(x != 0 for x in c)]
+        proj, section = linalg.complement_projection(cols, mod.dims[p])
+        projs.append(proj)
+        sections.append(section)
+    dims = [len(projs[p]) for p in range(n)]
+    maps = {}
+    for u in range(n):
+        for w in region.covers_out[u]:
+            maps[(u, w)] = linalg.mat_mul(
+                projs[w], linalg.mat_mul(mod.cover_maps[(u, w)], sections[u])
+            )
+    return _RegionModule(region, dims, maps)
+
+
+def _resolve_in_region(region, j_idx, max_degree):
+    """Multiplicity dicts (element -> int) of the minimal injective resolution
+    of the simple at j_idx inside the region's functor category."""
+    cur = _simple_module(region, j_idx)
+    terms = []
+    for _ in range(max_degree + 1):
+        if cur.is_zero():
+            return terms
+        summands, env, embed = _envelope_embedding(cur)
+        mult = {}
+        for (a, _k) in summands:
+            v = region.elems[a]
+            mult[v] = mult.get(v, 0) + 1
+        terms.append(mult)
+        cur = _quotient_module(env, embed)
+    if cur.is_zero():
+        return terms
+    raise CapExceeded(
+        f"resolution of simple at {region.pres.display(region.elems[j_idx])} "
+        f"still nonzero at degree {max_degree}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+_interval_memo = WeakKeyDictionary()
+
+
+def _interval_terms(pres, src, tgt, max_degree=DEFAULT_CAP):
+    """Resolution multiplicities of the simple at tgt over the closed interval
+    [src, tgt]; memoized per presentation."""
+    memo = _interval_memo.setdefault(pres, {})
+    key = (src, tgt)
+    if key not in memo:
+        elems = pres.interval(src, tgt)
+        region = _Region(pres, elems)
+        memo[key] = _resolve_in_region(region, region.index[tgt], max_degree)
+    return memo[key]
+
+
+def _region_for_simple(pres, j):
+    s = pres.local_downset(j)
+    if s is None:
+        raise IntervalFinitenessViolated(
+            f"no finite resolution region for {pres.display(j)}"
+        )
+    return sorted(s, key=pres.sort_key)
+
+
+@dataclass
+class ResolutionSummary:
+    simple: object
+    side: str
+    terms: list
+    finite: bool = True
+
+    def length(self):
+        return len(self.terms) - 1
+
+
+def minimal_injective_resolution(pres, j, side="left", max_degree=DEFAULT_CAP):
+    """Per-degree multiplicity tables of the minimal injective resolution of
+    the simple at j.  side "right" resolves over the opposite presentation."""
+    if not pres.has_vertex(j):
+        raise UnknownVertex(f"unknown vertex {j!r}")
+    p = pres if side.lower() == "left" else pres.opposite()
+    if p.kind == "quiver":
+        terms = [{j: 1}]
+        deg1 = {a: mult for a, mult in p.in_arcs(j)}
+        if deg1:
+            terms.append(deg1)
+        return ResolutionSummary(j, side.lower(), terms)
+    region = _Region(p, _region_for_simple(p, j))
+    terms = _resolve_in_region(region, region.index[j], max_degree)
+    return ResolutionSummary(j, side.lower(), terms)
+
+
+def ext_dim(pres, src, tgt, m, method="resolution"):
+    """dim Ext^m between the simples at src and tgt.
+
+    method "resolution" reads the minimal-resolution multiplicity over the
+    closed interval; method "complex" is the independent simplicial oracle
+    (degree 0: delta, degree 1: cover/arrow count, degree >= 2: reduced
+    cohomology of the order complex of the open interval).
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if pres.kind == "quiver":
+        if m == 0:
+            return 1 if src == tgt else 0
+        if m == 1:
+            for a, mult in pres.in_arcs(tgt):
+                if a == src:
+                    return mult
+            return 0
+        return 0
+    if m == 0:
+        return 1 if src == tgt else 0
+    if src == tgt or not pres.leq(src, tgt):
+        return 0
+    if method == "complex":
+        interval = pres.interval(src, tgt)
+        if m == 1:
+            return 1 if len(interval) == 2 else 0
+        open_part = [z for z in interval if z != src and z != tgt]
+        return _reduced_cohomology_dim(pres, open_part, m - 2)
+    terms = _interval_terms(pres, src, tgt)
+    if m >= len(terms):
+        return 0
+    return terms[m].get(src, 0)
+
+
+def ext_alternating_sum(pres, p, j):
+    """Sum over m of (-1)^m dim Ext^m(simple at p, simple at j): the (j, p)
+    entry of the inverse Cartan matrix of an incidence presentation."""
+    if p == j:
+        return 1
+    if not pres.leq(p, j):
+        return 0
+    terms = _interval_terms(pres, p, j)
+    return sum((-1) ** m * t.get(p, 0) for m, t in enumerate(terms))
+
+
+def _chains_of(elements, leq):
+    """All nonempty chains (as tuples in increasing order).
+
+    `elements` must be listed in some linear extension of the order.
+    """
+    elems = list(elements)
+    chains = []
+
+    def extend(chain, start):
+        for i in range(start, len(elems)):
+            z = elems[i]
+            if leq(chain[-1], z) and chain[-1] != z:
+                chains.append(chain + (z,))
+                extend(chain + (z,), i + 1)
+
+    for i, e in enumerate(elems):
+        chains.append((e,))
+        extend((e,), i + 1)
+    return chains
+
+
+def _reduced_cohomology_dim(pres, elements, degree):
+    """dim of reduced degree-`degree` cohomology of the order complex of
+    `elements` over the rationals (dimensions agree with homology)."""
+    if degree < 0:
+        return 0
+    if not elements:
+        return 0
+    # linear extension: order by size of the down-set within the element set
+    elems = sorted(
+        elements,
+        key=lambda e: (
+            sum(1 for z in elements if pres.leq(z, e)),
+            pres.sort_key(e),
+        ),
+    )
+    chains = _chains_of(elems, pres.leq)
+    by_dim = {}
+    for ch in chains:
+        by_dim.setdefault(len(ch) - 1, []).append(ch)
+    for k in by_dim:
+        by_dim[k].sort(key=lambda ch: tuple(pres.sort_key(v) for v in ch))
+    if degree > max(by_dim):
+        return 0
+
+    def boundary_matrix(k):
+        # C_k -> C_{k-1}; k = 0 maps to the empty simplex (augmentation)
+        rows_simplices = by_dim.get(k - 1, []) if k > 0 else [()]
+        cols_simplices = by_dim.get(k, [])
+        idx = {s: i for i, s in enumerate(rows_simplices)}
+        mat = linalg.zeros(len(rows_simplices), len(cols_simplices))
+        for c, simplex in enumerate(cols_simplices):
+            for drop in range(len(simplex)):
+                face = simplex[:drop] + simplex[drop + 1:]
+                r = idx.get(face)
+                if r is not None:
+                    mat[r][c] += Fraction((-1) ** drop)
+        return mat
+
+    ck = len(by_dim.get(degree, []))
+    rank_down = linalg.rank(boundary_matrix(degree))
+    rank_up = linalg.rank(boundary_matrix(degree + 1)) if degree + 1 in by_dim else 0
+    return ck - rank_down - rank_up
+
+
+def ext_table(pres, sample, max_degree=6):
+    """Dense table {(src, tgt, m): dim Ext^m} over sampled vertices."""
+    table = {}
+    for src in sample:
+        for tgt in sample:
+            for m in range(max_degree + 1):
+                val = ext_dim(pres, src, tgt, m)
+                if val:
+                    table[(src, tgt, m)] = val
+    return table
+
+
+_mobius_memo = WeakKeyDictionary()
+
+
+def mobius(pres, lo, hi):
+    """Classical Mobius recursion on an incidence presentation."""
+    if pres.kind != "poset":
+        raise ValueError("mobius needs an incidence presentation")
+    memo = _mobius_memo.setdefault(pres, {})
+
+    def mu(a, b):
+        if a == b:
+            return 1
+        if not pres.leq(a, b):
+            return 0
+        key = (a, b)
+        if key not in memo:
+            total = 0
+            for z in pres.interval(a, b):
+                if z != b:
+                    total += mu(a, z)
+            memo[key] = -total
+        return memo[key]
+
+    return mu(lo, hi)
+
+
+def inj_dim_simple(pres, j, cap=DEFAULT_CAP):
+    """Length of the minimal injective resolution of the simple at j, or
+    ABOVE_CAP when it is still nonzero at the cap."""
+    try:
+        summary = minimal_injective_resolution(pres, j, "left", max_degree=cap)
+    except CapExceeded:
+        return ABOVE_CAP
+    return summary.length()
+
+
+@dataclass
+class SharpEulerReport:
+    computable: bool
+    left_sharp: bool
+    right_sharp: bool
+    symmetric: bool
+    failures: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return self.computable and self.left_sharp and self.right_sharp and self.symmetric
+
+
+def check_sharp_euler(pres, sample, cap=8, ext_degree_cap=6):
+    """Sample-based certification: finite socle-finite resolutions of simples
+    on both sides, plus the two-sided Ext symmetry on sampled pairs."""
+    from .cartan import cartan_matrix  # local import to avoid a cycle
+
+    failures = []
+    computable = True
+    c = cartan_matrix(pres)
+    for v in sample:
+        for w in sample:
+            try:
+                c.entry(v, w)
+            except IntervalFinitenessViolated as exc:
+                computable = False
+                failures.append(f"entry ({pres.display(v)},{pres.display(w)}): {exc}")
+
+    def side_ok(p, side_name):
+        ok = True
+        for j in sample:
+            try:
+                summary = minimal_injective_resolution(p, j, "left", max_degree=cap)
+            except (CapExceeded, IntervalFinitenessViolated) as exc:
+                ok = False
+                failures.append(f"{side_name} resolution at {pres.display(j)}: {exc}")
+                continue
+            if any(len(t) == 0 for t in summary.terms):
+                ok = False
+                failures.append(f"{side_name} resolution at {pres.display(j)}: empty term")
+        return ok
+
+    left_sharp = side_ok(pres, "left")
+    right_sharp = side_ok(pres.opposite(), "right")
+
+    symmetric = True
+    op = pres.opposite()
+    for i in sample:
+        for j in sample:
+            for m in range(0, ext_degree_cap + 1):
+                a = ext_dim(pres, i, j, m)
+                b = ext_dim(op, j, i, m)
+                if a != b:
+                    symmetric = False
+                    failures.append(
+                        f"ext symmetry fails at ({pres.display(i)},{pres.display(j)},m={m}): {a} vs {b}"
+                    )
+    return SharpEulerReport(computable, left_sharp, right_sharp, symmetric, failures)
