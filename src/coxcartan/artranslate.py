@@ -3,10 +3,13 @@
 Everything here works for hereditary path presentations.  The pipeline for a
 translate is the classical one: take a minimal injective copresentation
 0 -> M -> E0 -> E1, flip it through the duality into the opposite-side
-injectives (symbolically: reverse paths), and take the kernel there.  Windows
-enter only when injectives are materialised; kernels and cokernels are
-computed on the support of M enlarged by a margin, and any activity on the
-window boundary raises WindowInsufficient instead of silently truncating.
+injectives (symbolically: reverse paths), and take the kernel there.  The
+copresentation is two steps of the socle -> envelope -> cokernel engine of
+module `comodules`, with its path-basis injectives, that also resolves simples
+of incidence presentations.  Windows enter only when injectives are
+materialised; kernels and cokernels are computed on the support of M enlarged
+by a margin, and any activity on the window boundary raises
+WindowInsufficient instead of silently truncating.
 
 Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
 dimension vector is obtained from mesh additivity (sum of the middle minus the
@@ -24,7 +27,10 @@ from .comodules import (
     InjectiveMorphism,
     MaterializedInjective,
     arrows_from,
+    cokernel,
     enumerate_paths,
+    envelope,
+    hom_basis,
     interval_comodule,
     materialized_kernel,
     zero_comodule,
@@ -40,11 +46,6 @@ from .errors import (
     WindowInsufficient,
 )
 from .lazymatrix import DimensionVector, LazyVector
-
-F0 = linalg.F0
-
-LINEAR_FAMILIES = ("a-infinity", "z-a-infinity")
-
 
 def grow_window(pres, verts, steps):
     cur = set(verts)
@@ -68,95 +69,6 @@ def boundary_ring(pres, window):
         if out or inc:
             ring.append(v)
     return ring
-
-
-def path_action(mod, start, path):
-    """Composite of arrow maps of `mod` along `path` starting at `start`."""
-    verts = [start]
-    for arrow in path:
-        verts.append(arrow[1])
-    # zero-dimensional intermediate spaces kill the composite; short-circuit
-    # so matrix shapes stay consistent
-    if any(mod.dim(v) == 0 for v in verts):
-        return linalg.zeros(mod.dim(verts[-1]), mod.dim(start))
-    mat = linalg.identity(mod.dim(start))
-    for arrow in path:
-        mat = linalg.mat_mul(mod.arrow_map(arrow), mat)
-    return mat
-
-
-def _envelope_embedding(mod, window):
-    """Socle-driven injective envelope of `mod`, materialised on `window`.
-
-    Returns (formal injective, materialisation, per-vertex embedding mats).
-    The embedding sends x at vertex v to the functional-weighted sum over
-    paths v -> a of the socle functionals applied to the transported x.
-    """
-    pres = mod.pres
-    socdim, socbases = mod.socle()
-    summand_meta = []   # (vertex a, functional row)
-    mults = {}
-    for a in sorted(socdim.support, key=pres.sort_key):
-        basis = socbases[a]
-        _, cinv = linalg.extend_to_basis(basis, mod.dim(a))
-        for k in range(len(basis)):
-            summand_meta.append((a, [cinv[k]]))
-            mults[a] = mults.get(a, 0) + 1
-    formal = FormalInjective.from_multiplicities(pres, mults)
-    # align functional order with the formal summand order
-    meta_sorted = sorted(
-        range(len(summand_meta)), key=lambda i: pres.sort_key(summand_meta[i][0])
-    )
-    functionals = [summand_meta[i][1] for i in meta_sorted]
-    socle_vertices = [summand_meta[i][0] for i in meta_sorted]
-    mat = MaterializedInjective(formal, window)
-    embed = {}
-    for v in window:
-        rows_meta = mat.basis.get(v, [])
-        emb = linalg.zeros(len(rows_meta), mod.dim(v))
-        for r, (si, p) in enumerate(rows_meta):
-            if mod.dim(v) == 0:
-                continue
-            a = socle_vertices[si]
-            transported = path_action(mod, v, p)
-            if len(transported) == 0:
-                continue
-            row = linalg.mat_mul(functionals[si], transported)
-            emb[r] = row[0]
-        embed[v] = emb
-    for v in mod.support:
-        if v not in set(window):
-            raise WindowInsufficient(f"support vertex {pres.display(v)} outside window")
-        if linalg.nullspace(embed[v]):
-            raise AssertionError("envelope embedding not injective")
-    return formal, mat, embed
-
-
-def _quotient(mod, image_mats, window):
-    """mod / image, plus the per-vertex projections used to build it."""
-    pres = mod.pres
-    projs = {}
-    sections = {}
-    dims = {}
-    for v in window:
-        d = mod.dim(v)
-        img = image_mats.get(v)
-        cols = linalg.matrix_columns(img) if img is not None and len(img) else []
-        cols = [c for c in cols if any(x != 0 for x in c)]
-        proj, section = linalg.complement_projection(cols, d)
-        projs[v] = proj
-        sections[v] = section
-        if len(proj):
-            dims[v] = len(proj)
-    maps = {}
-    for v in window:
-        for arrow in arrows_from(pres, v):
-            w = arrow[1]
-            if dims.get(v) and dims.get(w):
-                maps[arrow] = linalg.mat_mul(
-                    projs[w], linalg.mat_mul(mod.arrow_map(arrow), sections[v])
-                )
-    return Comodule(pres, dims, maps), projs
 
 
 @dataclass
@@ -188,8 +100,8 @@ def min_inj_copresentation(module, margin=3):
         )
     window = grow_window(pres, module.support, margin)
     wset = set(window)
-    e0_formal, e0_mat, iota = _envelope_embedding(module, window)
-    quotient, projs = _quotient(e0_mat.comodule, iota, window)
+    e0_formal, e0_mat, iota = envelope(module, window)
+    quotient, projs = cokernel(e0_mat.comodule, iota, window)
 
     # socle of the cokernel; only trust vertices whose out-arrows stay inside
     socdim, _ = quotient.socle()
@@ -203,7 +115,7 @@ def min_inj_copresentation(module, margin=3):
         gmor = InjectiveMorphism(e0_formal, e1_formal, {})
         return InjCopresentation(module, e0_formal, e1_formal, gmor, window, iota, True)
 
-    e1_formal, e1_mat, embed2 = _envelope_embedding(quotient, window)
+    e1_formal, e1_mat, embed2 = envelope(quotient, window)
     # concrete composite g = (Q -> E1) o (E0 -> Q)
     gmats = {}
     for v in window:
@@ -249,52 +161,12 @@ def certify_no_inj_hom(module, margin=1):
     if module.is_zero():
         return True
     candidates = grow_window(pres, module.support, margin)
-    supp = set(module.support)
     constraint_window = grow_window(pres, module.support, margin + 1)
     for j in candidates:
         inj = MaterializedInjective(FormalInjective(pres, [(j, 1)]), constraint_window)
-        if _nonzero_hom_into(inj, module, supp):
+        if hom_basis(inj.comodule, module):
             return False
     return True
-
-
-def _nonzero_hom_into(inj_mat, module, supp):
-    """Solve for morphisms (injective restricted to its window) -> module,
-    with components supported on `supp`; True when a nonzero one exists."""
-    pres = module.pres
-    e = inj_mat.comodule
-    verts = [v for v in inj_mat.window if v in supp]
-    offset = {}
-    nvars = 0
-    for v in verts:
-        offset[v] = nvars
-        nvars += e.dim(v) * module.dim(v)
-    if nvars == 0:
-        return False
-    rows = []
-    for u in inj_mat.window:
-        for arrow in arrows_from(pres, u):
-            w = arrow[1]
-            if w not in supp:
-                continue  # target component of psi is zero: no constraint
-            ea = e.arrow_map(arrow)
-            ma = module.arrow_map(arrow) if u in supp else None
-            for r in range(module.dim(w)):
-                for c in range(e.dim(u)):
-                    row = [F0] * nvars
-                    if e.dim(w):
-                        base = offset[w]
-                        for t in range(e.dim(w)):
-                            row[base + r * e.dim(w) + t] += ea[t][c]
-                    if ma is not None and module.dim(u):
-                        base = offset[u]
-                        for t in range(module.dim(u)):
-                            row[base + t * e.dim(u) + c] -= ma[r][t]
-                    if any(x != 0 for x in row):
-                        rows.append(row)
-    if not rows:
-        return True
-    return bool(linalg.nullspace(rows))
 
 
 _MARGINS = (3, 5, 9)
@@ -418,7 +290,7 @@ def almost_split_mesh(module, direction="ending-at"):
     """The almost split sequence ending at (or starting from) an interval
     module over a linear family, with degenerate summands dropped."""
     pres = module.pres
-    if pres.family not in LINEAR_FAMILIES:
+    if not pres.linear:
         raise NotInKnittedRegion(
             "closed-form meshes exist for interval modules over linear "
             "families; knit the component instead"
@@ -430,7 +302,7 @@ def almost_split_mesh(module, direction="ending-at"):
     d = direction.lower().replace("_", "-")
 
     def iv(a, b):
-        if a > b or (pres.family == "a-infinity" and a < 0):
+        if a > b or not pres.has_vertex(a):
             return None
         return interval_comodule(pres, a, b)
 
@@ -441,7 +313,7 @@ def almost_split_mesh(module, direction="ending-at"):
         if left is None:
             raise HypothesisViolated("interval is projective; no mesh ends at it")
     elif d == "starting-from":
-        if pres.family == "a-infinity" and lo == 0:
+        if not pres.has_vertex(lo - 1):
             raise HypothesisViolated("interval is injective; no mesh starts from it")
         left = module
         mids = [iv(lo - 1, hi), iv(lo, hi - 1)]
@@ -507,7 +379,7 @@ class KnitFragment:
 
 
 def _interval_label(pres, dim):
-    if pres.family in LINEAR_FAMILIES:
+    if pres.linear:
         supp = sorted(dim.support)
         if supp and all(isinstance(v, int) for v in supp):
             lo, hi = supp[0], supp[-1]

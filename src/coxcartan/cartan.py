@@ -61,37 +61,12 @@ def path_count(pres, frm, to, budget=None):
     return count(frm)
 
 
-_FAMILY_FINITENESS = {
-    # family -> (all rows finite, all columns finite) for the Cartan matrix
-    "a-infinity": (True, False),
-    "z-a-infinity": (False, False),
-    "d-infinity": (True, False),
-}
-
-
-def cartan_finiteness(pres):
-    """(rows_finite, cols_finite) for the Cartan matrix; None = unknown."""
-    if pres.is_finite:
-        return True, True
-    fam = pres.family or ""
-    if fam.startswith("op:"):
-        r, c = cartan_finiteness(pres.opposite())
-        return c, r
-    if fam.startswith("hasse:"):
-        return cartan_finiteness(pres.poset)
-    if fam in _FAMILY_FINITENESS:
-        return _FAMILY_FINITENESS[fam]
-    if fam.startswith("garland:"):
-        return False, False
-    return None, None
-
-
 def cartan_matrix(pres):
     if pres.kind == "poset":
         entry = lambda i, j: 1 if pres.leq(j, i) else 0
     else:
         entry = lambda i, j: path_count(pres, j, i)
-    row_fin, col_fin = cartan_finiteness(pres)
+    row_fin, col_fin = pres.cartan_finiteness
     return LazyIntMatrix(
         entry,
         row_support=pres.ancestors,
@@ -172,7 +147,7 @@ def classify_finiteness(pres, sample):
     """Row/column finiteness of the Cartan matrix on sampled vertices, plus
     the semiperfectness reading (row-finite = right semiperfect, column-finite
     = left semiperfect).  Unknown is reported as None, never guessed."""
-    row_fin, col_fin = cartan_finiteness(pres)
+    row_fin, col_fin = pres.cartan_finiteness
     per_vertex = {}
     for v in sample:
         anc = pres.ancestors(v)

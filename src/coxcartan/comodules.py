@@ -1,18 +1,31 @@
-"""Finite-dimensional comodules as quiver representations over the rationals.
+"""Finite-dimensional comodules as representations over the rationals, and
+the one socle -> envelope -> cokernel engine.
 
-A Comodule assigns a Q-vector space to each vertex of a path presentation and
-a matrix to each arrow inside its support; arrows leaving the support are the
-zero map.  The injective at a vertex j is modelled with basis, at vertex i,
-the set of directed paths i -> j; an arrow strips itself from the front of a
-path and kills everything else.  With that model the dimension vector of the
-injective is exactly the corresponding Cartan row, and its socle is the simple
-at j.
+A Comodule assigns a Q-vector space to each vertex of a presentation and a
+matrix to each arc inside its support; arcs leaving the support are the zero
+map.  Over an incidence presentation the arcs are the covers, so a comodule
+is a representation of the Hasse quiver with commutativity relations.
 
-Morphisms between finite direct sums of injectives are carried around
-symbolically: the hom space from the injective at j to the one at a has as
-basis the paths a -> j, a path acting by chopping itself off the end.  The
-symbolic form is what makes the duality into the opposite quiver exact (it
-just reverses paths), while windows only enter when a morphism is
+Minimal injective resolutions of simples (module `resolutions`) and minimal
+injective copresentations (module `artranslate`) both repeat one step on a
+finite window: take the socle, embed into its injective envelope
+(`envelope`), pass to the cokernel (`cokernel`).  The injective model is the
+only part that depends on the kind of presentation; MaterializedInjective
+chooses it:
+  * path presentations: the injective at a has basis, at vertex v, the
+    directed paths v -> a; an arrow strips itself off the front of a path and
+    kills everything else.  Its dimension vector is the Cartan row at a and
+    its socle the simple at a,
+  * incidence presentations: the injective at a is thin on the down-set of a
+    and a cover u -> w maps the basis element at u to the one at w when
+    w <= a.  Paths are never enumerated here; each basis element carries one
+    saturated chain to a, used only to transport socle functionals.
+
+Morphisms between finite direct sums of injectives of path presentations are
+carried around symbolically: the hom space from the injective at j to the one
+at a has as basis the paths a -> j, a path acting by chopping itself off the
+end.  The symbolic form is what makes the duality into the opposite quiver
+exact (it just reverses paths), while windows only enter when a morphism is
 materialised into matrices.
 """
 
@@ -20,8 +33,8 @@ from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from . import linalg
-from .cartan import node_budget, path_count
-from .errors import IntervalFinitenessViolated, PresentationError
+from .cartan import node_budget
+from .errors import IntervalFinitenessViolated, PresentationError, WindowInsufficient
 from .lazymatrix import DimensionVector
 
 F0 = Fraction(0)
@@ -112,9 +125,6 @@ class Comodule:
     @property
     def support(self):
         return sorted(self.dims, key=self.pres.sort_key)
-
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def is_zero(self):
         return not self.dims
@@ -309,11 +319,6 @@ class FormalInjective:
         for v, mult in summands:
             self.summands.extend([v] * mult)
 
-    @classmethod
-    def from_multiplicities(cls, pres, mult_map):
-        pairs = sorted(mult_map.items(), key=lambda p: pres.sort_key(p[0]))
-        return cls(pres, pairs)
-
     def multiplicities(self):
         out = {}
         for v in self.summands:
@@ -322,9 +327,6 @@ class FormalInjective:
 
     def is_zero(self):
         return not self.summands
-
-    def dim_at(self, v):
-        return sum(path_count(self.pres, v, a) for a in self.summands)
 
     def nabla(self):
         """The corresponding sum of opposite-side injectives (same labels)."""
@@ -340,18 +342,50 @@ class FormalInjective:
 
 
 class MaterializedInjective:
-    """A formal injective realised on a window, with its path bases."""
+    """A formal injective realised on a window, in the model of its kind.
+
+    basis[v] lists (summand index, route) pairs, a route being a path from v
+    to the socle vertex of the summand: every such path in the path model,
+    the chain that always takes the first cover below the socle vertex in the
+    thin incidence model (whose window must be convex).  A path-model arrow
+    strips itself off the front of a route; a thin-model cover u -> w sends
+    the basis element of a summand at u to its one at w when w lies below the
+    socle vertex.
+    """
 
     def __init__(self, formal, window):
         pres = formal.pres
         self.formal = formal
         self.window = sorted(window, key=pres.sort_key)
+        socles = formal.summands
+        if pres.kind == "poset":
+            chains = {}
+
+            def chain(v, a):
+                if (v, a) not in chains:
+                    if v == a:
+                        chains[v, a] = ()
+                    else:
+                        arrow = next(x for x in arrows_from(pres, v) if pres.leq(x[1], a))
+                        chains[v, a] = (arrow,) + chain(arrow[1], a)
+                return chains[v, a]
+
+            def routes(v, a):
+                return [chain(v, a)] if pres.leq(v, a) else []
+
+            def image(arrow, si, route):
+                w = arrow[1]
+                return (si, chain(w, socles[si])) if pres.leq(w, socles[si]) else None
+        else:
+            def routes(v, a):
+                return enumerate_paths(pres, v, a)
+
+            def image(arrow, si, route):
+                return (si, route[1:]) if route and route[0] == arrow else None
+
         self.basis = {}
         for v in self.window:
-            items = []
-            for si, a in enumerate(formal.summands):
-                for p in enumerate_paths(pres, v, a):
-                    items.append((si, p))
+            items = [(si, p) for si, a in enumerate(socles) for p in routes(v, a)]
             if items:
                 self.basis[v] = items
         self.offset = {
@@ -359,19 +393,89 @@ class MaterializedInjective:
         }
         dims = {v: len(items) for v, items in self.basis.items()}
         maps = {}
-        for v in self.window:
+        for v in self.basis:
             for arrow in arrows_from(pres, v):
                 w = arrow[1]
-                if w not in self.basis or v not in self.basis:
+                if w not in self.basis:
                     continue
-                mat = linalg.zeros(dims.get(w, 0), dims.get(v, 0))
+                mat = linalg.zeros(dims[w], dims[v])
                 for col, (si, p) in enumerate(self.basis[v]):
-                    if p and p[0] == arrow:
-                        row = self.offset[w].get((si, p[1:]))
-                        if row is not None:
-                            mat[row][col] = F1
+                    row = self.offset[w].get(image(arrow, si, p))
+                    if row is not None:
+                        mat[row][col] = F1
                 maps[arrow] = mat
         self.comodule = Comodule(pres, dims, maps)
+
+
+def envelope(mod, window):
+    """Minimal injective envelope of `mod`, materialised on `window`.
+
+    Returns (formal injective, materialisation, per-vertex embedding rows).
+    Each socle basis vector at a gives one summand E(a) and a functional on
+    the space at a that is 1 on it and 0 on the rest of a basis extending the
+    socle; the embedding row of a basis element is that functional pulled
+    back along its route.
+    """
+    pres = mod.pres
+    wset = set(window)
+    for v in mod.support:
+        if v not in wset:
+            raise WindowInsufficient(f"support vertex {pres.display(v)} outside window")
+    socdim, socbases = mod.socle()
+    socles, functionals = [], []
+    for a in sorted(socdim.support, key=pres.sort_key):
+        basis = socbases[a]
+        _, cinv = linalg.extend_to_basis(basis, mod.dim(a))
+        socles.extend([a] * len(basis))
+        functionals.extend(cinv[: len(basis)])
+    formal = FormalInjective(pres, [(a, 1) for a in socles])
+    inj = MaterializedInjective(formal, window)
+    pulled = {}
+
+    def pullback(si, route):
+        # functional si composed with the maps of `mod` along `route`; a
+        # zero space on the way gives the zero row
+        if (si, route) not in pulled:
+            if not route:
+                row = functionals[si]
+            else:
+                after = pullback(si, route[1:])
+                if any(x != 0 for x in after):
+                    row = linalg.mat_mul([after], mod.arrow_map(route[0]))[0]
+                else:
+                    row = [F0] * mod.dim(route[0][0])
+            pulled[si, route] = row
+        return pulled[si, route]
+
+    embed = {v: [pullback(si, p) for si, p in inj.basis.get(v, [])] for v in inj.window}
+    for v in mod.support:
+        if linalg.nullspace(embed[v]):
+            raise AssertionError("envelope embedding not injective")
+    return formal, inj, embed
+
+
+def cokernel(mod, image, window):
+    """mod / (pointwise column span of image[v]) on `window`, and the
+    per-vertex projections onto it."""
+    projs, sections, dims = {}, {}, {}
+    for v in window:
+        d = mod.dim(v)
+        if not d:
+            projs[v] = []
+            continue
+        cols = [c for c in linalg.matrix_columns(image.get(v, [])) if any(x != 0 for x in c)]
+        projs[v], sections[v] = linalg.complement_projection(cols, d)
+        if projs[v]:
+            dims[v] = len(projs[v])
+    maps = {}
+    for v in dims:
+        for arrow in arrows_from(mod.pres, v):
+            w = arrow[1]
+            if w in dims:
+                maps[arrow] = linalg.mat_mul(
+                    projs[w], linalg.mat_mul(mod.arrow_map(arrow), sections[v])
+                )
+    return Comodule(mod.pres, dims, maps), projs
 
 
 class InjectiveMorphism:

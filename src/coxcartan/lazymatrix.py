@@ -188,7 +188,7 @@ def evaluate_window(m, rows, cols):
     return MatrixWindow(rows, cols, data)
 
 
-def verify_identity_on_window(a, b, win, side="left"):
+def verify_identity_on_window(a, b, win):
     """Check that (a.b) agrees with the identity on win x win.
 
     Entries of the product are full lazy sums over the whole index set, not

@@ -21,10 +21,6 @@ def identity(n):
     return m
 
 
-def from_int_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def copy(a):
     return [row[:] for row in a]
 
@@ -59,19 +55,9 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    r, c = shape(a)
-    assert len(v) == c
-    return [sum((a[i][j] * v[j] for j in range(c)), F0) for i in range(r)]
-
-
 def mat_add(a, b):
     r, c = shape(a)
     return [[a[i][j] + b[i][j] for j in range(c)] for i in range(r)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def mat_eq(a, b):

@@ -62,6 +62,11 @@ class Presentation:
     kind = None          # "quiver" | "poset"
     family = None        # short name for built-in families, else None
     is_finite = False
+    # (all rows finite, all columns finite) for the Cartan matrix; None = unknown
+    cartan_finiteness = (None, None)
+    # a linear quiver on consecutive integers, where interval modules and
+    # their meshes have closed forms
+    linear = False
 
     # -- vertex bookkeeping ------------------------------------------------
 
@@ -166,6 +171,7 @@ class OppositePresentation(Presentation):
         self.kind = base.kind
         self.family = f"op:{base.family}" if base.family else None
         self.is_finite = base.is_finite
+        self.cartan_finiteness = base.cartan_finiteness[::-1]
 
     def has_vertex(self, v):
         return self.base.has_vertex(v)
@@ -228,6 +234,7 @@ class FiniteQuiver(Presentation):
 
     kind = "quiver"
     is_finite = True
+    cartan_finiteness = (True, True)
 
     def __init__(self, vertices, arrows):
         # vertices: iterable in display order; arrows: list of (src, dst) with repeats.
@@ -327,6 +334,7 @@ class FinitePoset(Presentation):
 
     kind = "poset"
     is_finite = True
+    cartan_finiteness = (True, True)
 
     def __init__(self, elements, relations):
         self._order = {}
@@ -430,6 +438,8 @@ class AInfinityQuiver(Presentation):
 
     kind = "quiver"
     family = "a-infinity"
+    cartan_finiteness = (True, False)
+    linear = True
 
     def has_vertex(self, v):
         return isinstance(v, int) and v >= 0
@@ -467,6 +477,8 @@ class ZAInfinityQuiver(Presentation):
 
     kind = "quiver"
     family = "z-a-infinity"
+    cartan_finiteness = (False, False)
+    linear = True
 
     def has_vertex(self, v):
         return isinstance(v, int)
@@ -498,6 +510,7 @@ class DInfinityQuiver(Presentation):
 
     kind = "quiver"
     family = "d-infinity"
+    cartan_finiteness = (True, False)
 
     def has_vertex(self, v):
         return isinstance(v, int) and v >= -1
@@ -561,6 +574,7 @@ class GarlandFamily(Presentation):
     """
 
     kind = "poset"
+    cartan_finiteness = (False, False)
 
     def __init__(self, length):
         if length < 1:
@@ -695,6 +709,7 @@ class HasseQuiverView(Presentation):
         self.poset = poset
         self.family = f"hasse:{poset.family}" if poset.family else None
         self.is_finite = poset.is_finite
+        self.cartan_finiteness = poset.cartan_finiteness
 
     def has_vertex(self, v):
         return self.poset.has_vertex(v)
@@ -899,14 +914,11 @@ def check_local_boundedness(pres, win):
     still filled in so callers can inspect degrees.
     """
     witnesses = {}
-    left = right = True
     for v in win:
         ins = pres.in_arcs(v)
         outs = pres.out_arcs(v)
         witnesses[v] = (sum(m for _, m in ins), sum(m for _, m in outs))
     return {
-        "left_bounded": left,
-        "right_bounded": right,
         "certified": pres.family is not None or pres.is_finite,
         "witnesses": witnesses,
     }

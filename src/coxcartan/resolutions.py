@@ -4,8 +4,9 @@ Path presentations are hereditary, so their resolutions have length at most
 one and are written down in closed form.  For incidence presentations the
 multiplicity of the injective at p in degree m of the resolution of the simple
 at j equals dim Ext^m between the simples at p and j, and that Ext localizes
-to the finite closed interval [p, j]: the engine below resolves the simple
-inside the functor category of a finite convex region by exact rational linear
+to the finite closed interval [p, j].  The simple is resolved over a finite
+convex region by the socle -> envelope -> cokernel engine of module
+`comodules`, with its thin incidence injectives, in exact rational linear
 algebra.
 
 Two independent cross-oracles are provided for incidence presentations:
@@ -21,6 +22,7 @@ from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from . import linalg
+from .comodules import cokernel, envelope, simple_comodule
 from .errors import CapExceeded, IntervalFinitenessViolated, UnknownVertex
 
 DEFAULT_CAP = 16
@@ -28,204 +30,24 @@ DEFAULT_CAP = 16
 ABOVE_CAP = "above-cap"
 
 
-# ---------------------------------------------------------------------------
-# functor-category engine over a finite convex region of a poset
-
-
-class _Region:
-    """A finite convex set of poset elements with its internal order data."""
-
-    def __init__(self, pres, elems):
-        self.pres = pres
-        self.elems = sorted(elems, key=pres.sort_key)
-        self.index = {v: i for i, v in enumerate(self.elems)}
-        n = len(self.elems)
-        self.le = [[False] * n for _ in range(n)]
-        for i, u in enumerate(self.elems):
-            for j, v in enumerate(self.elems):
-                self.le[i][j] = pres.leq(u, v)
-        # covers inside the region; convexity makes these the global covers
-        self.covers_out = [[] for _ in range(n)]
-        self.covers_in = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.le[i][j]:
-                    if not any(
-                        z != i and z != j and self.le[i][z] and self.le[z][j]
-                        for z in range(n)
-                    ):
-                        self.covers_out[i].append(j)
-                        self.covers_in[j].append(i)
-
-    def down_idx(self, j):
-        return [i for i in range(len(self.elems)) if self.le[i][j]]
-
-
-class _RegionModule:
-    """A functor region -> Vect: dims per element, matrices on covers.
-
-    Maps along longer relations are composites along any saturated chain; the
-    modules built here are functorial so the choice of chain cannot matter.
-    """
-
-    def __init__(self, region, dims, cover_maps):
-        self.region = region
-        self.dims = dims                  # list of ints per element index
-        self.cover_maps = cover_maps     # dict (u_idx, w_idx) -> matrix
-        self._comp = {}
-
-    def is_zero(self):
-        return all(d == 0 for d in self.dims)
-
-    def map(self, u, w):
-        if u == w:
-            return linalg.identity(self.dims[u])
-        key = (u, w)
-        if key in self._comp:
-            return self._comp[key]
-        chain = [u]
-        x = u
-        while x != w:
-            for z in self.region.covers_out[x]:
-                if self.region.le[z][w]:
-                    chain.append(z)
-                    x = z
-                    break
-            else:
-                raise AssertionError("map requested along non-relation")
-        # a zero space anywhere inside the chosen chain kills the composite;
-        # functoriality makes every other chain agree, so the zero matrix of
-        # the right shape is the value
-        if any(self.dims[x] == 0 for x in chain[1:-1]):
-            m = linalg.zeros(self.dims[w], self.dims[u])
-        else:
-            m = linalg.identity(self.dims[u])
-            for i in range(len(chain) - 1):
-                m = linalg.mat_mul(self.cover_maps[(chain[i], chain[i + 1])], m)
-        self._comp[key] = m
-        return m
-
-    def socle_bases(self):
-        """Per element: column basis of the intersection of cover-map kernels."""
-        out = []
-        for u in range(len(self.region.elems)):
-            if self.dims[u] == 0:
-                out.append([])
-                continue
-            mats = [self.cover_maps[(u, w)] for w in self.region.covers_out[u]]
-            out.append(linalg.intersect_kernels(mats, self.dims[u]))
-        return out
-
-
-def _simple_module(region, j_idx):
-    n = len(region.elems)
-    dims = [1 if i == j_idx else 0 for i in range(n)]
-    maps = {}
-    for u in range(n):
-        for w in region.covers_out[u]:
-            maps[(u, w)] = linalg.zeros(dims[w], dims[u])
-    return _RegionModule(region, dims, maps)
-
-
-def _injective_coords(region, summands):
-    """Coordinate layout of a direct sum of region injectives.
-
-    summands: list of (element index, copy) pairs in fixed order; the injective
-    at a is one-dimensional on the principal down-set of a with identity maps.
-    Returns per-element coordinate lists.
-    """
-    coords = []
-    for p in range(len(region.elems)):
-        coords.append([s for s in summands if region.le[p][s[0]]])
-    return coords
-
-
-def _injective_module(region, summands):
-    coords = _injective_coords(region, summands)
-    dims = [len(c) for c in coords]
-    maps = {}
-    for u in range(len(region.elems)):
-        for w in region.covers_out[u]:
-            m = linalg.zeros(dims[w], dims[u])
-            pos_w = {s: r for r, s in enumerate(coords[w])}
-            for cidx, s in enumerate(coords[u]):
-                r = pos_w.get(s)
-                if r is not None:
-                    m[r][cidx] = Fraction(1)
-            maps[(u, w)] = m
-    return _RegionModule(region, dims, maps), coords
-
-
-def _envelope_embedding(mod):
-    """Minimal injective envelope of `mod`: summand list, the enveloping
-    module, and the pointwise embedding matrices."""
-    region = mod.region
-    soc = mod.socle_bases()
-    summands = []
-    functionals = {}
-    for a in range(len(region.elems)):
-        basis = soc[a]
-        if not basis:
-            continue
-        _, cinv = linalg.extend_to_basis(basis, mod.dims[a])
-        for k in range(len(basis)):
-            summands.append((a, k))
-            functionals[(a, k)] = [cinv[k]]  # 1 x dims[a] row
-    env, coords = _injective_module(region, summands)
-    embed = []
-    for p in range(len(region.elems)):
-        rows = []
-        for (a, k) in coords[p]:
-            block = linalg.mat_mul(functionals[(a, k)], mod.map(p, a))
-            rows.append(block[0])
-        embed.append(rows if rows else linalg.zeros(0, mod.dims[p]))
-    for p in range(len(region.elems)):
-        if mod.dims[p] and linalg.nullspace(embed[p]):
-            raise AssertionError("envelope embedding not injective")
-    return summands, env, embed
-
-
-def _quotient_module(mod, image_mats):
-    """mod / (pointwise column span of image_mats), with induced maps."""
-    region = mod.region
-    n = len(region.elems)
-    projs, sections = [], []
-    for p in range(n):
-        cols = linalg.matrix_columns(image_mats[p]) if image_mats[p] else []
-        cols = [c for c in cols if any(x != 0 for x in c)]
-        proj, section = linalg.complement_projection(cols, mod.dims[p])
-        projs.append(proj)
-        sections.append(section)
-    dims = [len(projs[p]) for p in range(n)]
-    maps = {}
-    for u in range(n):
-        for w in region.covers_out[u]:
-            maps[(u, w)] = linalg.mat_mul(
-                projs[w], linalg.mat_mul(mod.cover_maps[(u, w)], sections[u])
-            )
-    return _RegionModule(region, dims, maps)
-
-
-def _resolve_in_region(region, j_idx, max_degree):
+def _resolve_in_region(pres, region, j, max_degree):
     """Multiplicity dicts (element -> int) of the minimal injective resolution
-    of the simple at j_idx inside the region's functor category."""
-    cur = _simple_module(region, j_idx)
+    of the simple at j over `region`, a finite convex set of elements.
+
+    Convexity makes the covers between region elements global covers, so the
+    region's functor category is that of comodules supported on it."""
+    cur = simple_comodule(pres, j)
     terms = []
     for _ in range(max_degree + 1):
         if cur.is_zero():
             return terms
-        summands, env, embed = _envelope_embedding(cur)
-        mult = {}
-        for (a, _k) in summands:
-            v = region.elems[a]
-            mult[v] = mult.get(v, 0) + 1
-        terms.append(mult)
-        cur = _quotient_module(env, embed)
+        formal, inj, embed = envelope(cur, region)
+        terms.append(formal.multiplicities())
+        cur, _ = cokernel(inj.comodule, embed, region)
     if cur.is_zero():
         return terms
     raise CapExceeded(
-        f"resolution of simple at {region.pres.display(region.elems[j_idx])} "
-        f"still nonzero at degree {max_degree}"
+        f"resolution of simple at {pres.display(j)} still nonzero at degree {max_degree}"
     )
 
 
@@ -241,9 +63,7 @@ def _interval_terms(pres, src, tgt, max_degree=DEFAULT_CAP):
     memo = _interval_memo.setdefault(pres, {})
     key = (src, tgt)
     if key not in memo:
-        elems = pres.interval(src, tgt)
-        region = _Region(pres, elems)
-        memo[key] = _resolve_in_region(region, region.index[tgt], max_degree)
+        memo[key] = _resolve_in_region(pres, pres.interval(src, tgt), tgt, max_degree)
     return memo[key]
 
 
@@ -279,8 +99,7 @@ def minimal_injective_resolution(pres, j, side="left", max_degree=DEFAULT_CAP):
         if deg1:
             terms.append(deg1)
         return ResolutionSummary(j, side.lower(), terms)
-    region = _Region(p, _region_for_simple(p, j))
-    terms = _resolve_in_region(region, region.index[j], max_degree)
+    terms = _resolve_in_region(p, _region_for_simple(p, j), j, max_degree)
     return ResolutionSummary(j, side.lower(), terms)
 
 

@@ -145,9 +145,9 @@ def random_quivers(count, seed=40408):
 
 def both_inverse_identities(pres, win):
     pair = cartan_pair(pres)
-    ok_l, ce = verify_identity_on_window(pair.inverse, pair.cartan, win, "left")
+    ok_l, ce = verify_identity_on_window(pair.inverse, pair.cartan, win)
     assert ok_l, (pres.family, ce)
-    ok_r, ce = verify_identity_on_window(pair.cartan, pair.inverse, win, "right")
+    ok_r, ce = verify_identity_on_window(pair.cartan, pair.inverse, win)
     assert ok_r, (pres.family, ce)
     op = CoxeterOperator(pair)
     for a in win:

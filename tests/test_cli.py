@@ -104,8 +104,13 @@ def test_knit_dot():
     assert out.startswith("digraph") and "style=dashed" in out
 
 
-def test_verify_suites_ok():
+def test_verify_suites_ok(tmp_path):
+    # Phi(e_3) on the chain 0 -> 1 -> 2 -> 3 is minus every simple, so the
+    # coxeter round trip needs all of it, not two steps around the window
+    chain = tmp_path / "chain.quiver"
+    chain.write_text("kind quiver\narrow 0 1\narrow 1 2\narrow 2 3\n")
     checks = [
+        ["verify", "--file", str(chain), "--window=3..3", "--suite", "coxeter"],
         ["verify", "--family", "a-infinity", "--window", "0..7", "--suite", "inverse"],
         ["verify", "--family", "d-infinity", "--window=-1..4", "--suite", "inverse"],
         ["verify", "--family", "z-a-infinity", "--window=-3..3", "--suite", "coxeter"],

@@ -79,16 +79,16 @@ def test_inverse_identities_on_window():
         p = make_family(fam)
         pair = cartan_pair(p)
         w = p.window(win)
-        ok, ce = verify_identity_on_window(pair.inverse, pair.cartan, w, "left")
+        ok, ce = verify_identity_on_window(pair.inverse, pair.cartan, w)
         assert ok, ce
-        ok, ce = verify_identity_on_window(pair.cartan, pair.inverse, w, "right")
+        ok, ce = verify_identity_on_window(pair.cartan, pair.inverse, w)
         assert ok, ce
 
 
 def test_verify_identity_reports_counterexample():
     a = make_family("a-infinity")
     c = cartan_matrix(a)
-    ok, ce = verify_identity_on_window(c, identity_matrix(), a.window("0..3"), "left")
+    ok, ce = verify_identity_on_window(c, identity_matrix(), a.window("0..3"))
     assert not ok
     assert ce == (1, 0, 1)
 

@@ -129,7 +129,7 @@ def test_local_boundedness_families():
     for fam, win in (("a-infinity", "0..5"), ("d-infinity", "-1..4")):
         p = make_family(fam)
         rep = check_local_boundedness(p, p.window(win))
-        assert rep["left_bounded"] and rep["right_bounded"] and rep["certified"]
+        assert rep["certified"]
 
 
 def test_local_boundedness_witnesses():

@@ -239,8 +239,8 @@ def test_hasse_view_is_an_honest_quiver_presentation():
     w = q.window(["a", "b", "c", "d"])
     assert pair.cartan.entry("d", "a") == 2
     assert cartan_inverse(diamond).entry("d", "a") == 1  # Mobius, not path count
-    assert verify_identity_on_window(pair.inverse, pair.cartan, w, "left")[0]
-    assert verify_identity_on_window(pair.cartan, pair.inverse, w, "right")[0]
+    assert verify_identity_on_window(pair.inverse, pair.cartan, w)[0]
+    assert verify_identity_on_window(pair.cartan, pair.inverse, w)[0]
 
 
 def test_junction_cut_kills_long_ext():
