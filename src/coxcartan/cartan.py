@@ -9,7 +9,9 @@ The inverse is the canonical one built from minimal injective resolutions of
 the simples.  For a hereditary path presentation that resolution has length at
 most one, giving the closed form delta(j,p) - #arrows(p -> j); for incidence
 presentations the entries are alternating sums of resolution multiplicities
-(module `resolutions`), cross-checkable against the Mobius function.
+(module `resolutions`), cross-checkable against the Mobius function.  Row j
+is read off one resolution of the simple at j over local_downset(j), the
+finite convex region that also certifies the row's support.
 """
 
 import os
@@ -33,6 +35,8 @@ def path_count(pres, frm, to, budget=None):
     if pres.kind == "poset":
         return 1 if pres.leq(frm, to) else 0
     memo = _path_memos.setdefault(pres, {})
+    if (frm, to) in memo:
+        return memo[frm, to]
     limit = budget if budget is not None else node_budget()
     spent = [0]
 

@@ -187,6 +187,25 @@ def column_space_basis(a):
     return pivots
 
 
+def _complete_with_standard(cols, n):
+    """One elimination of [B | I], B the n x k matrix with columns `cols`.
+
+    Returns (r, std, cinv): the rank r of B, the standard basis vectors (by
+    index) that complete B's pivot columns, a greedily chosen maximal
+    independent subset, to a basis of Q^n, and the inverse of that basis
+    matrix C = [pivot columns | standard vectors].  The pivots come in that
+    order, so the reduced matrix is [C^-1 B | C^-1].
+    """
+    k = len(cols)
+    red, pivots = rref(hstack([columns_matrix(cols, n), identity(n)]))
+    std = [p - k for p in pivots if p >= k]
+    return n - len(std), std, [row[k:] for row in red]
+
+
+def _unit_columns(indices, n):
+    return [[F1 if i == s else F0 for i in range(n)] for s in indices]
+
+
 def complement_projection(basis_cols, n):
     """Given columns spanning a subspace U of Q^n, build the quotient data.
 
@@ -194,22 +213,10 @@ def complement_projection(basis_cols, n):
     section is an n x q matrix with proj * section = identity.
     Deterministic: the complement is greedily drawn from standard basis vectors.
     """
-    b = columns_matrix(basis_cols, n)
-    pivots_b = column_space_basis(b) if basis_cols else []
-    kept = [basis_cols[j] for j in pivots_b]
-    aug = columns_matrix(kept, n)
-    full = hstack([aug, identity(n)]) if kept else identity(n)
-    pivots = column_space_basis(full)
-    r = len(kept)
-    std = [p - r for p in pivots if p >= r]
-    cols = kept + [[F1 if i == s else F0 for i in range(n)] for s in std]
-    cmat = columns_matrix(cols, n)
-    cinv = invert(cmat)
-    proj = cinv[r:]
-    section = columns_matrix(
-        [[F1 if i == s else F0 for i in range(n)] for s in std], n
-    )
-    return proj, section
+    if not basis_cols:
+        return identity(n), identity(n)
+    r, std, cinv = _complete_with_standard(basis_cols, n)
+    return cinv[r:], columns_matrix(_unit_columns(std, n), n)
 
 
 def extend_to_basis(cols, n):
@@ -219,14 +226,10 @@ def extend_to_basis(cols, n):
     """
     if not cols:
         return identity(n), identity(n)
-    full = hstack([columns_matrix(cols, n), identity(n)])
-    pivots = column_space_basis(full)
-    k = len(cols)
-    assert len([p for p in pivots if p < k]) == k, "columns not independent"
-    std = [p - k for p in pivots if p >= k]
-    allcols = cols + [[F1 if i == s else F0 for i in range(n)] for s in std]
-    cmat = columns_matrix(allcols, n)
-    return cmat, invert(cmat)
+    r, std, cinv = _complete_with_standard(cols, n)
+    if r != len(cols):
+        raise ValueError("columns not independent")
+    return columns_matrix(cols + _unit_columns(std, n), n), cinv
 
 
 def intersect_kernels(mats, n):

@@ -7,14 +7,20 @@ at j equals dim Ext^m between the simples at p and j, and that Ext localizes
 to the finite closed interval [p, j].  The simple is resolved over a finite
 convex region by the socle -> envelope -> cokernel engine of module
 `comodules`, with its thin incidence injectives, in exact rational linear
-algebra.
+algebra.  A row of the inverse Cartan matrix, like
+`minimal_injective_resolution`, takes one resolution of the simple at j over
+local_downset(j), which holds [p, j] for every p of the row that can be
+nonzero; `ext_dim` still resolves each interval [p, j] on its own, and that
+per-interval route is the tests' reference for the rows.
 
 Two independent cross-oracles are provided for incidence presentations:
   * the classical Mobius recursion, whose values must match the alternating
     sums of resolution multiplicities entrywise,
   * reduced simplicial cohomology of the order complex of the open interval,
     which must match Ext in degrees >= 2 (degree 1 is the cover count,
-    hard-coded to keep conventions from drifting).
+    hard-coded to keep conventions from drifting).  Its chains and boundary
+    ranks are kept per open interval, so asking for every degree ranks each
+    boundary matrix once.
 """
 
 from dataclasses import dataclass, field
@@ -55,6 +61,7 @@ def _resolve_in_region(pres, region, j, max_degree):
 # public surface
 
 _interval_memo = WeakKeyDictionary()
+_row_memo = WeakKeyDictionary()
 
 
 def _interval_terms(pres, src, tgt, max_degree=DEFAULT_CAP):
@@ -74,6 +81,22 @@ def _region_for_simple(pres, j):
             f"no finite resolution region for {pres.display(j)}"
         )
     return sorted(s, key=pres.sort_key)
+
+
+def _row_terms(pres, j, max_degree=DEFAULT_CAP):
+    """Resolution multiplicities of the simple at j over local_downset(j),
+    which hold row j of the inverse Cartan matrix; memoized per presentation,
+    a CapExceeded included, keyed by (j, max_degree)."""
+    memo = _row_memo.setdefault(pres, {})
+    key = (j, max_degree)
+    if key not in memo:
+        try:
+            memo[key] = _resolve_in_region(pres, _region_for_simple(pres, j), j, max_degree)
+        except CapExceeded as exc:
+            memo[key] = exc
+    if isinstance(memo[key], CapExceeded):
+        raise memo[key].with_traceback(None)
+    return memo[key]
 
 
 @dataclass
@@ -99,7 +122,7 @@ def minimal_injective_resolution(pres, j, side="left", max_degree=DEFAULT_CAP):
         if deg1:
             terms.append(deg1)
         return ResolutionSummary(j, side.lower(), terms)
-    terms = _resolve_in_region(p, _region_for_simple(p, j), j, max_degree)
+    terms = [dict(t) for t in _row_terms(p, j, max_degree)]
     return ResolutionSummary(j, side.lower(), terms)
 
 
@@ -140,12 +163,22 @@ def ext_dim(pres, src, tgt, m, method="resolution"):
 
 def ext_alternating_sum(pres, p, j):
     """Sum over m of (-1)^m dim Ext^m(simple at p, simple at j): the (j, p)
-    entry of the inverse Cartan matrix of an incidence presentation."""
+    entry of the inverse Cartan matrix of an incidence presentation.
+
+    Read off the one resolution of the simple at j over local_downset(j),
+    shared by the whole row: that region is convex and holds [p, j] for every
+    p in it, and an entry with p <= j outside it is the zero that the row's
+    support certificate promises.  Only when that resolution runs past the
+    degree cap is the interval [p, j] resolved on its own.
+    """
     if p == j:
         return 1
     if not pres.leq(p, j):
         return 0
-    terms = _interval_terms(pres, p, j)
+    try:
+        terms = _row_terms(pres, j)
+    except CapExceeded:
+        terms = _interval_terms(pres, p, j)
     return sum((-1) ** m * t.get(p, 0) for m, t in enumerate(terms))
 
 
@@ -170,6 +203,48 @@ def _chains_of(elements, leq):
     return chains
 
 
+_complex_memo = WeakKeyDictionary()
+
+
+def _order_complex(pres, elements):
+    """(chains by dimension, boundary ranks found so far) of the order complex
+    of `elements`; memoized per presentation by element set, so each
+    boundary rank is computed once however many degrees are asked for."""
+    memo = _complex_memo.setdefault(pres, {})
+    key = frozenset(elements)
+    if key not in memo:
+        # linear extension: order by size of the down-set within the element set
+        elems = sorted(
+            key,
+            key=lambda e: (
+                sum(1 for z in key if pres.leq(z, e)),
+                pres.sort_key(e),
+            ),
+        )
+        by_dim = {}
+        for ch in _chains_of(elems, pres.leq):
+            by_dim.setdefault(len(ch) - 1, []).append(ch)
+        for k in by_dim:
+            by_dim[k].sort(key=lambda ch: tuple(pres.sort_key(v) for v in ch))
+        memo[key] = (by_dim, {})
+    return memo[key]
+
+
+def _boundary_matrix(by_dim, k):
+    # C_k -> C_{k-1}; k = 0 maps to the empty simplex (augmentation)
+    rows_simplices = by_dim.get(k - 1, []) if k > 0 else [()]
+    cols_simplices = by_dim.get(k, [])
+    idx = {s: i for i, s in enumerate(rows_simplices)}
+    mat = linalg.zeros(len(rows_simplices), len(cols_simplices))
+    for c, simplex in enumerate(cols_simplices):
+        for drop in range(len(simplex)):
+            face = simplex[:drop] + simplex[drop + 1:]
+            r = idx.get(face)
+            if r is not None:
+                mat[r][c] += Fraction((-1) ** drop)
+    return mat
+
+
 def _reduced_cohomology_dim(pres, elements, degree):
     """dim of reduced degree-`degree` cohomology of the order complex of
     `elements` over the rationals (dimensions agree with homology)."""
@@ -177,41 +252,16 @@ def _reduced_cohomology_dim(pres, elements, degree):
         return 0
     if not elements:
         return 0
-    # linear extension: order by size of the down-set within the element set
-    elems = sorted(
-        elements,
-        key=lambda e: (
-            sum(1 for z in elements if pres.leq(z, e)),
-            pres.sort_key(e),
-        ),
-    )
-    chains = _chains_of(elems, pres.leq)
-    by_dim = {}
-    for ch in chains:
-        by_dim.setdefault(len(ch) - 1, []).append(ch)
-    for k in by_dim:
-        by_dim[k].sort(key=lambda ch: tuple(pres.sort_key(v) for v in ch))
+    by_dim, ranks = _order_complex(pres, elements)
     if degree > max(by_dim):
         return 0
 
-    def boundary_matrix(k):
-        # C_k -> C_{k-1}; k = 0 maps to the empty simplex (augmentation)
-        rows_simplices = by_dim.get(k - 1, []) if k > 0 else [()]
-        cols_simplices = by_dim.get(k, [])
-        idx = {s: i for i, s in enumerate(rows_simplices)}
-        mat = linalg.zeros(len(rows_simplices), len(cols_simplices))
-        for c, simplex in enumerate(cols_simplices):
-            for drop in range(len(simplex)):
-                face = simplex[:drop] + simplex[drop + 1:]
-                r = idx.get(face)
-                if r is not None:
-                    mat[r][c] += Fraction((-1) ** drop)
-        return mat
+    def boundary_rank(k):
+        if k not in ranks:
+            ranks[k] = linalg.rank(_boundary_matrix(by_dim, k)) if k in by_dim else 0
+        return ranks[k]
 
-    ck = len(by_dim.get(degree, []))
-    rank_down = linalg.rank(boundary_matrix(degree))
-    rank_up = linalg.rank(boundary_matrix(degree + 1)) if degree + 1 in by_dim else 0
-    return ck - rank_down - rank_up
+    return len(by_dim.get(degree, [])) - boundary_rank(degree) - boundary_rank(degree + 1)
 
 
 def ext_table(pres, sample, max_degree=6):

@@ -44,6 +44,15 @@ def test_path_count_budget():
         path_count(a, 0, 5000, budget=10)
 
 
+def test_path_count_memo_hit_spends_no_budget(monkeypatch):
+    a = make_family("a-infinity")
+    assert path_count(a, 0, 40) == 1
+    monkeypatch.setenv("COX_NODE_BUDGET", "1")
+    assert path_count(a, 0, 40) == 1
+    with pytest.raises(IntervalFinitenessViolated):
+        path_count(a, 0, 41)
+
+
 def test_cartan_a_infinity_golden():
     a = make_family("a-infinity")
     assert grid(a, cartan_matrix(a), "0..7") == [

@@ -71,3 +71,19 @@ def test_quiver_copresentations_of_simples_and_injectives(q):
                 e0 = sum(path_count(q, v, s) for s in cop.e0.summands)
                 e1 = sum(path_count(q, v, s) for s in cop.e1.summands)
                 assert module.dim(v) == e0 - e1, (a, v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(finite_presentations("poset"))
+def test_inverse_rows_match_per_interval_resolutions(p):
+    # a row resolves the simple at j once over local_downset(j); resolving
+    # each interval [i, j] on its own is the reference
+    for pres in (p, p.opposite()):
+        verts = pres.vertices()
+        for j in verts:
+            for i in verts:
+                if i == j or not pres.leq(i, j):
+                    continue
+                terms = resolutions._interval_terms(pres, i, j)
+                by_interval = sum((-1) ** m * t.get(i, 0) for m, t in enumerate(terms))
+                assert resolutions.ext_alternating_sum(pres, i, j) == by_interval, (i, j)

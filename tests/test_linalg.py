@@ -1,0 +1,117 @@
+"""The quotient helpers of `linalg` against the three-elimination formula they
+replace: independent columns by one elimination, the standard complement by a
+second, and the inverse of the completed basis by a third."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coxcartan import linalg
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def unit(s, n):
+    return [F1 if i == s else F0 for i in range(n)]
+
+
+def reference_complement_projection(basis_cols, n):
+    b = linalg.columns_matrix(basis_cols, n)
+    pivots_b = linalg.column_space_basis(b) if basis_cols else []
+    kept = [basis_cols[j] for j in pivots_b]
+    aug = linalg.columns_matrix(kept, n)
+    full = linalg.hstack([aug, linalg.identity(n)]) if kept else linalg.identity(n)
+    pivots = linalg.column_space_basis(full)
+    r = len(kept)
+    std = [p - r for p in pivots if p >= r]
+    cmat = linalg.columns_matrix(kept + [unit(s, n) for s in std], n)
+    return linalg.invert(cmat)[r:], linalg.columns_matrix([unit(s, n) for s in std], n)
+
+
+def reference_extend_to_basis(cols, n):
+    if not cols:
+        return linalg.identity(n), linalg.identity(n)
+    full = linalg.hstack([linalg.columns_matrix(cols, n), linalg.identity(n)])
+    k = len(cols)
+    std = [p - k for p in linalg.column_space_basis(full) if p >= k]
+    cmat = linalg.columns_matrix(cols + [unit(s, n) for s in std], n)
+    return cmat, linalg.invert(cmat)
+
+
+def check_quotient(cols, n):
+    proj, section = linalg.complement_projection(cols, n)
+    assert (proj, section) == reference_complement_projection(cols, n)
+    b = linalg.columns_matrix(cols, n)
+    r = linalg.rank(b) if cols else 0
+    assert len(proj) == n - r
+    # proj kills every column and has rank n - r, so its kernel is the span
+    if proj and cols:
+        assert all(x == 0 for row in linalg.mat_mul(proj, b) for x in row)
+    if proj:
+        assert linalg.rank(proj) == n - r
+        assert linalg.mat_eq(linalg.mat_mul(proj, section), linalg.identity(n - r))
+
+
+def check_basis(cols, n):
+    c, cinv = linalg.extend_to_basis(cols, n)
+    assert (c, cinv) == reference_extend_to_basis(cols, n)
+    assert linalg.matrix_columns(c)[: len(cols)] == [list(col) for col in cols]
+    assert linalg.mat_eq(linalg.mat_mul(c, cinv), linalg.identity(n))
+    assert linalg.mat_eq(linalg.mat_mul(cinv, c), linalg.identity(n))
+
+
+def cols_of(rows):
+    return [[Fraction(x) for x in col] for col in rows]
+
+
+CASES = {
+    "no columns": ([], 3),
+    "zero columns": (cols_of([[0, 0, 0], [0, 0, 0]]), 3),
+    "dependent columns": (cols_of([[1, 2, 0], [2, 4, 0], [0, 1, 1], [1, 3, 1]]), 3),
+    "full rank": (cols_of([[0, 1, 0], [1, 1, 0], [3, 0, 2]]), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_complement_projection_cases(name):
+    cols, n = CASES[name]
+    check_quotient(cols, n)
+
+
+def test_complement_projection_ends():
+    proj, section = linalg.complement_projection([], 3)
+    assert proj == section == linalg.identity(3)
+    proj, section = linalg.complement_projection(CASES["full rank"][0], 3)
+    assert proj == [] and section == [[], [], []]
+
+
+@pytest.mark.parametrize("name", ["no columns", "full rank"])
+def test_extend_to_basis_cases(name):
+    cols, n = CASES[name]
+    check_basis(cols, n)
+    check_basis(cols[:2], n)
+
+
+@pytest.mark.parametrize("name", ["zero columns", "dependent columns"])
+def test_extend_to_basis_rejects_dependent_columns(name):
+    cols, n = CASES[name]
+    with pytest.raises(ValueError):
+        linalg.extend_to_basis(cols, n)
+
+
+@st.composite
+def column_lists(draw):
+    n = draw(st.integers(1, 5))
+    col = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return cols_of(draw(st.lists(col, max_size=6))), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_lists())
+def test_quotient_helpers_match_three_eliminations(data):
+    cols, n = data
+    check_quotient(cols, n)
+    if cols:
+        independent = linalg.column_space_basis(linalg.columns_matrix(cols, n))
+        check_basis([cols[j] for j in independent], n)

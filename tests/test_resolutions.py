@@ -1,3 +1,6 @@
+import io
+from unittest import mock
+
 import pytest
 
 from coxcartan import (
@@ -13,7 +16,9 @@ from coxcartan import (
     minimal_injective_resolution,
     mobius,
     parse_presentation,
+    resolutions,
 )
+from coxcartan.cli import run
 
 DIAMOND = "kind poset\ncover a b\ncover a c\ncover b d\ncover c d\n"
 
@@ -251,3 +256,76 @@ def test_junction_cut_kills_long_ext():
         assert ext_dim(g, lo, hi, m) == 0
         assert ext_dim(g, lo, hi, m, method="complex") == 0
     assert ext_alternating_sum(g, lo, hi) == 0 == mobius(g, lo, hi)
+
+
+def test_inverse_entries_cut_by_a_junction_are_zero():
+    # p < j with a junction strictly between them: [p, j] is a cone, so the
+    # entry is 0.  On a garland these are exactly the p <= j outside
+    # local_downset(j), which no resolution of the row reaches; garland-seq
+    # down-sets are whole, so there the row's one resolution reads the 0
+    garland = make_family("garland", 2)
+    seq = garland_block_poset([1, 2, 1])
+    cases = [
+        (garland, list(garland.window("-1..2")), True),
+        (garland.opposite(), list(garland.window("-1..2")), True),
+        (seq, seq.vertices(), False),
+        (seq.opposite(), seq.vertices(), False),
+    ]
+    for pres, verts, cut_by_certificate in cases:
+        junctions = [v for v in verts if pres.display(v).startswith("j")]
+        cinv = cartan_inverse(pres)
+        cut_pairs = 0
+        for j in verts:
+            for p in verts:
+                if p == j or not pres.leq(p, j):
+                    continue
+                cut = any(
+                    z not in (p, j) and pres.leq(p, z) and pres.leq(z, j) for z in junctions
+                )
+                if cut_by_certificate:
+                    assert (p not in pres.local_downset(j)) == cut, (p, j)
+                if cut:
+                    cut_pairs += 1
+                    assert cinv.entry(j, p) == 0 == mobius(pres, p, j), (p, j)
+        assert cut_pairs > 0
+
+
+def test_garland_inverse_window_resolves_each_row_once():
+    resolved = []
+    real = resolutions._resolve_in_region
+
+    def counted(pres, region, j, max_degree):
+        resolved.append(j)
+        return real(pres, region, j, max_degree)
+
+    with mock.patch.object(resolutions, "_resolve_in_region", counted):
+        code = run(["inverse", "--family=garland:2", "--window=0..8"], out=io.StringIO())
+    assert code == 0
+    # at most one resolution per row of the 41-vertex window; resolving one
+    # interval per entry took 804
+    assert len(resolved) <= 41
+    assert len(set(resolved)) == len(resolved)
+
+
+def test_inverse_row_past_the_cap_falls_back_to_intervals():
+    # on garland:16, Ext^17 between the simples at j0 and j1 is nonzero, so
+    # the resolution of row j1 runs past the cap; entries of that row whose
+    # interval stays under the cap are still exact
+    g = make_family("garland", 16)
+    j0, j1, p = ("j", 0), ("j", 1), ("g", 0, 1, 0)
+    with pytest.raises(CapExceeded):
+        minimal_injective_resolution(g, j1)
+    assert ext_alternating_sum(g, p, j1) == mobius(g, p, j1) == 1
+    with pytest.raises(CapExceeded):
+        ext_alternating_sum(g, j0, j1)
+
+
+def test_order_complex_ranks_each_boundary_once():
+    # open interval (j0, j1) of garland-seq:3: three levels of two, so chains
+    # of dimension 0..2 and three boundary maps, augmentation included
+    g = garland_block_poset([3])
+    real = resolutions.linalg.rank
+    with mock.patch.object(resolutions.linalg, "rank", wraps=real) as rank:
+        dims = [ext_dim(g, "j0", "j1", m, method="complex") for m in range(8)]
+    assert dims == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert rank.call_count == 3
