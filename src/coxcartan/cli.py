@@ -7,6 +7,7 @@ input (unknown flags, malformed files, unknown vertices, undefined products).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -385,11 +386,14 @@ _COMMANDS = {
 }
 
 
+# the one parser of `run`, built on the first call rather than at import
+_parser = functools.cache(build_parser)
+
+
 def run(argv, out=None):
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

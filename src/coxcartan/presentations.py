@@ -11,9 +11,17 @@ Conventions fixed here and relied on everywhere else:
     (`sort_key`); all matrix printouts follow it,
   * quiver arcs are the arrows, poset arcs are the covering pairs lo -> hi,
   * the opposite presentation reverses arcs/order but keeps the display order.
+
+A finite presentation keeps its reachability closure as one int bitmask
+per vertex, built without recursion in topological order (Kahn); order,
+intervals, covers and support certificates read it.  A finite poset's
+inverse row j lives on [c, j] for the nearest c < j comparable with every
+element below j, when there is one: below c each open interval is a cone.
 """
 
 import re
+from collections import Counter
+from itertools import chain
 
 from .errors import EmptyWindow, PresentationError, UnknownVertex
 
@@ -56,6 +64,13 @@ class Window:
         return "Window[%s]" % ",".join(self.presentation.display(v) for v in self.vertices)
 
 
+def _int_or_str(tok):
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
+
+
 class Presentation:
     """Common interface; concrete classes fill in the queries."""
 
@@ -74,14 +89,17 @@ class Presentation:
         raise NotImplementedError
 
     def sort_key(self, v):
-        raise NotImplementedError
+        return v
 
     def display(self, v):
         return str(v)
 
     def parse_token(self, tok):
         """Turn a textual vertex token into a vertex id (or raise UnknownVertex)."""
-        raise NotImplementedError
+        v = _int_or_str(tok)
+        if not self.has_vertex(v):
+            raise UnknownVertex(f"unknown vertex {tok}")
+        return v
 
     def vertices(self):
         """All vertices; only valid for finite presentations."""
@@ -101,8 +119,8 @@ class Presentation:
     def could_reach(self, u, v):
         """True when a directed path u -> v may exist.  Must be exact for
         infinite families (it prunes path enumeration); finite presentations
-        may answer via reachability."""
-        raise NotImplementedError
+        may answer via reachability.  A poset's covers reach up its order."""
+        return self.leq(u, v)
 
     def ancestors(self, v):
         """frozenset {u : path u -> v exists}, or None when infinite/uncertified."""
@@ -130,10 +148,6 @@ class Presentation:
 
     # -- misc ----------------------------------------------------------------
 
-    @property
-    def hereditary(self):
-        return self.kind == "quiver"
-
     def opposite(self):
         return OppositePresentation(self)
 
@@ -154,24 +168,24 @@ class Presentation:
         return [self.parse_token(tok.strip()) for tok in spec.split(",") if tok.strip()]
 
     def _range_vertices(self, lo, hi):
-        out = []
-        for n in range(lo, hi + 1):
-            if self.has_vertex(n):
-                out.append(n)
+        """The integer vertices lo..hi; a finite presentation lists them
+        from its vertices, so a wide range costs nothing."""
+        pool = self.vertices() if self.is_finite else range(lo, hi + 1)
+        out = [v for v in pool if isinstance(v, int) and lo <= v <= hi and self.has_vertex(v)]
         if not out:
             raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
         return out
 
 
-class OppositePresentation(Presentation):
-    """Arc- and order-reversed view of a presentation; same display order."""
+class _View(Presentation):
+    """A presentation read through `base`: same vertices, display order and
+    vertex tokens."""
 
     def __init__(self, base):
         self.base = base
-        self.kind = base.kind
-        self.family = f"op:{base.family}" if base.family else None
+        self.family = f"{self.prefix}:{base.family}" if base.family else None
         self.is_finite = base.is_finite
-        self.cartan_finiteness = base.cartan_finiteness[::-1]
+        self.cartan_finiteness = base.cartan_finiteness
 
     def has_vertex(self, v):
         return self.base.has_vertex(v)
@@ -187,6 +201,20 @@ class OppositePresentation(Presentation):
 
     def vertices(self):
         return self.base.vertices()
+
+    def _range_vertices(self, lo, hi):
+        return self.base._range_vertices(lo, hi)
+
+
+class OppositePresentation(_View):
+    """Arc- and order-reversed view of a presentation; same display order."""
+
+    prefix = "op"
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.kind = base.kind
+        self.cartan_finiteness = base.cartan_finiteness[::-1]
 
     def out_arcs(self, v):
         return self.base.in_arcs(v)
@@ -218,65 +246,70 @@ class OppositePresentation(Presentation):
     def opposite(self):
         return self.base
 
-    def _range_vertices(self, lo, hi):
-        return self.base._range_vertices(lo, hi)
 
+class _FinitePresentation(Presentation):
+    """Vertex registry, arcs and reachability closure of a finite presentation.
 
-def _int_or_str(tok):
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
+    Vertices are numbered in display order: first `vertices`, then the ends
+    of `relations` as they come.  Vertex i owns bit i (`_bit`); `_up[v]` is
+    the mask of v and everything it reaches, `_down[v]` of v and everything
+    reaching it.  Kahn's algorithm orders the vertices once, and each mask is
+    the union of its neighbours' masks taken in that order.
+    """
 
-
-class FiniteQuiver(Presentation):
-    """Finite acyclic quiver; parallel arrows allowed (multiplicity >= 1)."""
-
-    kind = "quiver"
     is_finite = True
     cartan_finiteness = (True, True)
+    cycle_message = "cycle detected at {} -> {}"
 
-    def __init__(self, vertices, arrows):
-        # vertices: iterable in display order; arrows: list of (src, dst) with repeats.
+    def __init__(self, vertices, relations):
         self._order = {}
         self._verts = []
-        for v in vertices:
-            self._register(v)
-        self.arrow_list = []
-        self._out = {}
-        self._in = {}
-        for s, t in arrows:
-            self._register(s)
-            self._register(t)
-            self.arrow_list.append((s, t))
-            self._out.setdefault(s, {})
-            self._out[s][t] = self._out[s].get(t, 0) + 1
-            self._in.setdefault(t, {})
-            self._in[t][s] = self._in[t].get(s, 0) + 1
-        self._check_acyclic()
-        self._reach_memo = {}
+        for v in chain(vertices, chain.from_iterable(relations)):
+            if v not in self._order:
+                self._order[v] = len(self._verts)
+                self._verts.append(v)
+        self._succ = {v: [] for v in self._verts}
+        for s, t in relations:
+            self._succ[s].append(t)
+        indeg = Counter(chain.from_iterable(self._succ.values()))
+        topo = [v for v in self._verts if not indeg[v]]
+        for v in topo:
+            for w in self._succ[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    topo.append(w)
+        if len(topo) < len(self._verts):
+            arc = _arc_on_cycle(self._succ, indeg)
+            raise PresentationError(self.cycle_message.format(*map(self.display, arc)))
+        self._bit = {v: 1 << i for i, v in enumerate(self._verts)}
+        self._up, self._down = dict(self._bit), dict(self._bit)
+        for v in reversed(topo):
+            for w in self._succ[v]:
+                self._up[v] |= self._up[w]
+        for v in topo:
+            for w in self._succ[v]:
+                self._down[w] |= self._down[v]
 
-    def _register(self, v):
-        if v not in self._order:
-            self._order[v] = len(self._verts)
-            self._verts.append(v)
+    def _store_arcs(self, arcs):
+        """Keep (neighbour, multiplicity) lists in display order for `arcs`,
+        a list of (src, dst) pairs with repeats."""
+        out, into = {}, {}
+        for s, t in arcs:
+            out.setdefault(s, Counter())[t] += 1
+            into.setdefault(t, Counter())[s] += 1
+        self._out, self._in = (
+            {v: sorted(c.items(), key=lambda p: self._order[p[0]]) for v, c in d.items()}
+            for d in (out, into)
+        )
 
-    def _check_acyclic(self):
-        state = {}
-
-        def visit(v):
-            state[v] = 1
-            for w, _ in self.out_arcs(v):
-                s = state.get(w, 0)
-                if s == 1:
-                    raise PresentationError("cycle detected")
-                if s == 0:
-                    visit(w)
-            state[v] = 2
-
-        for v in self._verts:
-            if state.get(v, 0) == 0:
-                visit(v)
+    def _members(self, mask):
+        """The vertices whose bits are set in mask, in display order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self._verts[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     def has_vertex(self, v):
         return v in self._order
@@ -284,48 +317,51 @@ class FiniteQuiver(Presentation):
     def sort_key(self, v):
         return self._order[v]
 
-    def parse_token(self, tok):
-        v = _int_or_str(tok)
-        if not self.has_vertex(v):
-            raise UnknownVertex(f"unknown vertex {tok}")
-        return v
-
     def vertices(self):
         return list(self._verts)
 
     def out_arcs(self, v):
-        d = self._out.get(v, {})
-        return sorted(d.items(), key=lambda p: self.sort_key(p[0]))
+        return list(self._out.get(v, ()))
 
     def in_arcs(self, v):
-        d = self._in.get(v, {})
-        return sorted(d.items(), key=lambda p: self.sort_key(p[0]))
-
-    def could_reach(self, u, v):
-        key = (u, v)
-        if key in self._reach_memo:
-            return self._reach_memo[key]
-        if u == v:
-            res = True
-        else:
-            res = any(self.could_reach(w, v) for w, _ in self.out_arcs(u))
-        self._reach_memo[key] = res
-        return res
+        return list(self._in.get(v, ()))
 
     def ancestors(self, v):
-        return frozenset(u for u in self._verts if self.could_reach(u, v))
+        return frozenset(self._members(self._down.get(v, 0)))
 
     def descendants(self, v):
-        return frozenset(w for w in self._verts if self.could_reach(v, w))
-
-    def _range_vertices(self, lo, hi):
-        out = [v for v in self._verts if isinstance(v, int) and lo <= v <= hi]
-        if not out:
-            raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
-        return out
+        return frozenset(self._members(self._up.get(v, 0)))
 
 
-class FinitePoset(Presentation):
+def _arc_on_cycle(succ, indeg):
+    """An arc (v, w) on a cycle, from the in-degrees that Kahn's algorithm
+    left: each vertex it could not order has a predecessor it could not
+    order, so walking back from one closes a cycle."""
+    pred = {w: v for v, ws in succ.items() if indeg[v] for w in ws}
+    w, seen = next(iter(pred)), set()
+    while w not in seen:
+        seen.add(w)
+        w = pred[w]
+    return pred[w], w
+
+
+class FiniteQuiver(_FinitePresentation):
+    """Finite acyclic quiver; parallel arrows allowed (multiplicity >= 1)."""
+
+    kind = "quiver"
+
+    def __init__(self, vertices, arrows):
+        # vertices: iterable in display order; arrows: list of (src, dst) with repeats.
+        self.arrow_list = [(s, t) for s, t in arrows]
+        super().__init__(vertices, self.arrow_list)
+        self._store_arcs(self.arrow_list)
+
+    def could_reach(self, u, v):
+        """A path u -> v exists; an unknown vertex reaches only itself."""
+        return u == v or bool(self._up.get(u, 0) & self._bit.get(v, 0))
+
+
+class FinitePoset(_FinitePresentation):
     """Finite poset given by relations; the order is their transitive closure.
 
     Redundant input relations are tolerated: covers are recomputed canonically
@@ -333,104 +369,50 @@ class FinitePoset(Presentation):
     """
 
     kind = "poset"
-    is_finite = True
-    cartan_finiteness = (True, True)
+    cycle_message = "cover {} {} violates strict order (cycle)"
 
     def __init__(self, elements, relations):
-        self._order = {}
-        self._verts = []
-        for v in elements:
-            self._register(v)
-        for lo, hi in relations:
-            self._register(lo)
-            self._register(hi)
-        self._le = {v: {v} for v in self._verts}
-        adj = {v: set() for v in self._verts}
-        for lo, hi in relations:
-            adj[lo].add(hi)
-        # DFS closure with cycle detection
-        state = {}
-        post = []
-
-        def visit(v):
-            state[v] = 1
-            for w in sorted(adj[v], key=self.sort_key):
-                s = state.get(w, 0)
-                if s == 1:
-                    raise PresentationError(
-                        f"cover {self.display(v)} {self.display(w)} violates strict order (cycle)"
-                    )
-                if s == 0:
-                    visit(w)
-            state[v] = 2
-            post.append(v)
-
-        for v in self._verts:
-            if state.get(v, 0) == 0:
-                visit(v)
-        for v in post:  # reverse topological accumulation
-            for w in adj[v]:
-                self._le[v] |= self._le[w]
-        self._covers_up = {v: [] for v in self._verts}
-        self._covers_down = {v: [] for v in self._verts}
-        for v in self._verts:
-            above = [w for w in self._le[v] if w != v]
-            for w in sorted(above, key=self.sort_key):
-                if not any(z != v and z != w and w in self._le[z] for z in above):
-                    self._covers_up[v].append(w)
-                    self._covers_down[w].append(v)
-
-    def _register(self, v):
-        if v not in self._order:
-            self._order[v] = len(self._verts)
-            self._verts.append(v)
-
-    def has_vertex(self, v):
-        return v in self._order
-
-    def sort_key(self, v):
-        return self._order[v]
-
-    def parse_token(self, tok):
-        v = _int_or_str(tok)
-        if not self.has_vertex(v):
-            raise UnknownVertex(f"unknown vertex {tok}")
-        return v
-
-    def vertices(self):
-        return list(self._verts)
-
-    def out_arcs(self, v):
-        return [(w, 1) for w in self._covers_up[v]]
-
-    def in_arcs(self, v):
-        return [(w, 1) for w in self._covers_down[v]]
+        super().__init__(elements, list(relations))
+        covers = []
+        for v, ws in self._succ.items():
+            # x > v covers v unless it lies above some relation target w > v
+            above = self._up[v] ^ self._bit[v]
+            for w in ws:
+                above &= ~(self._up[w] ^ self._bit[w])
+            covers.extend((v, x) for x in self._members(above))
+        self._store_arcs(covers)
+        self._local = {}
 
     def leq(self, u, v):
-        return v in self._le[u]
-
-    def could_reach(self, u, v):
-        return self.leq(u, v)
+        return bool(self._up[u] & self._bit.get(v, 0))
 
     def interval(self, u, v):
         if not self.leq(u, v):
             return []
-        return sorted(
-            (z for z in self._verts if self.leq(u, z) and self.leq(z, v)),
-            key=self.sort_key,
-        )
+        return self._members(self._up[u] & self._down[v])
 
-    def ancestors(self, v):
-        return frozenset(u for u in self._verts if self.leq(u, v))
+    def local_downset(self, v):
+        """[c, v] for the nearest cut point c < v, one comparable with every
+        element below v, else the whole down-set.  For p < c the open
+        interval (p, v) is a cone on c, so Mobius and every Ext vanish."""
+        return self._cut(v, self._down, self._up)
 
-    def descendants(self, v):
-        return frozenset(w for w in self._verts if self.leq(v, w))
+    def local_upset(self, v):
+        return self._cut(v, self._up, self._down)
 
-    def _range_vertices(self, lo, hi):
-        out = [v for v in self._verts if isinstance(v, int) and lo <= v <= hi]
-        if not out:
-            raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
-        return out
+    def _cut(self, v, toward, away):
+        key = (v, toward is self._down)
+        if key not in self._local:
+            region = toward[v]
+            cuts = [
+                c for c in self._members(region ^ self._bit[v])
+                if (toward[c] | away[c]) & region == region
+            ]
+            if cuts:
+                # the cut points form a chain; the nearest has the largest `toward` set
+                region &= away[max(cuts, key=lambda c: toward[c].bit_count())]
+            self._local[key] = frozenset(self._members(region))
+        return self._local[key]
 
 
 class AInfinityQuiver(Presentation):
@@ -443,18 +425,6 @@ class AInfinityQuiver(Presentation):
 
     def has_vertex(self, v):
         return isinstance(v, int) and v >= 0
-
-    def sort_key(self, v):
-        return v
-
-    def parse_token(self, tok):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise UnknownVertex(f"unknown vertex {tok}")
-        if not self.has_vertex(v):
-            raise UnknownVertex(f"unknown vertex {tok}")
-        return v
 
     def out_arcs(self, v):
         return [(v + 1, 1)]
@@ -483,15 +453,6 @@ class ZAInfinityQuiver(Presentation):
     def has_vertex(self, v):
         return isinstance(v, int)
 
-    def sort_key(self, v):
-        return v
-
-    def parse_token(self, tok):
-        try:
-            return int(tok)
-        except ValueError:
-            raise UnknownVertex(f"unknown vertex {tok}")
-
     def out_arcs(self, v):
         return [(v + 1, 1)]
 
@@ -514,18 +475,6 @@ class DInfinityQuiver(Presentation):
 
     def has_vertex(self, v):
         return isinstance(v, int) and v >= -1
-
-    def sort_key(self, v):
-        return v
-
-    def parse_token(self, tok):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise UnknownVertex(f"unknown vertex {tok}")
-        if not self.has_vertex(v):
-            raise UnknownVertex(f"unknown vertex {tok}")
-        return v
 
     def out_arcs(self, v):
         if v == 1:
@@ -640,9 +589,6 @@ class GarlandFamily(Presentation):
             return True
         return self._pos(u) < self._pos(v)
 
-    def could_reach(self, u, v):
-        return self.leq(u, v)
-
     def _positions_between(self, pu, pv):
         out = []
         m, i = pu
@@ -698,51 +644,31 @@ class GarlandFamily(Presentation):
         return out
 
 
-class HasseQuiverView(Presentation):
+class HasseQuiverView(_View):
     """The Hasse diagram of an incidence presentation, viewed as a quiver."""
 
     kind = "quiver"
+    prefix = "hasse"
 
     def __init__(self, poset):
         if poset.kind != "poset":
             raise PresentationError("hasse_quiver expects an incidence presentation")
-        self.poset = poset
-        self.family = f"hasse:{poset.family}" if poset.family else None
-        self.is_finite = poset.is_finite
-        self.cartan_finiteness = poset.cartan_finiteness
-
-    def has_vertex(self, v):
-        return self.poset.has_vertex(v)
-
-    def sort_key(self, v):
-        return self.poset.sort_key(v)
-
-    def display(self, v):
-        return self.poset.display(v)
-
-    def parse_token(self, tok):
-        return self.poset.parse_token(tok)
-
-    def vertices(self):
-        return self.poset.vertices()
+        super().__init__(poset)
 
     def out_arcs(self, v):
-        return self.poset.out_arcs(v)
+        return self.base.out_arcs(v)
 
     def in_arcs(self, v):
-        return self.poset.in_arcs(v)
+        return self.base.in_arcs(v)
 
     def could_reach(self, u, v):
-        return self.poset.leq(u, v)
+        return self.base.leq(u, v)
 
     def ancestors(self, v):
-        return self.poset.ancestors(v)
+        return self.base.ancestors(v)
 
     def descendants(self, v):
-        return self.poset.descendants(v)
-
-    def _range_vertices(self, lo, hi):
-        return self.poset._range_vertices(lo, hi)
+        return self.base.descendants(v)
 
 
 def garland_block_poset(lengths):
@@ -862,23 +788,22 @@ def parse_presentation(text):
 
 
 def emit_presentation(pres):
-    """Serialize a finite presentation (or family) back to the file format."""
-    if pres.family and ":" in (pres.family or ""):
-        name, _, arg = pres.family.partition(":")
-        if name == "garland":
-            return f"family garland {arg}\n"
+    """Serialize a finite presentation, a view of one, or a built-in family
+    back to the file format; a view of a family has none."""
+    if isinstance(pres, _View) and pres.family:
+        raise PresentationError(f"the view {pres.family} has no file form")
     if pres.family:
-        return f"family {pres.family}\n"
+        return f"family {pres.family.replace(':', ' ')}\n"
     lines = [f"kind {pres.kind}"]
     for v in pres.vertices():
         lines.append(f"vertex {pres.display(v)}")
-    if pres.kind == "quiver":
-        for s, t in pres.arrow_list:
-            lines.append(f"arrow {pres.display(s)} {pres.display(t)}")
+    if isinstance(pres, FiniteQuiver):
+        arcs = pres.arrow_list
     else:
-        for v in pres.vertices():
-            for w, _ in pres.out_arcs(v):
-                lines.append(f"cover {pres.display(v)} {pres.display(w)}")
+        arcs = [(v, w) for v in pres.vertices() for w, m in pres.out_arcs(v) for _ in range(m)]
+    directive = "arrow" if pres.kind == "quiver" else "cover"
+    for s, t in arcs:
+        lines.append(f"{directive} {pres.display(s)} {pres.display(t)}")
     return "\n".join(lines) + "\n"
 
 

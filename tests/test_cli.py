@@ -1,6 +1,10 @@
 import io
 import json
+import subprocess
+import sys
+from unittest import mock
 
+from coxcartan import cli
 from coxcartan.cli import run
 
 
@@ -157,3 +161,25 @@ def test_file_input(tmp_path):
     code, out = invoke(["cartan", "--file", str(p), "--window", "0..1"])
     assert code == 0
     assert out.splitlines()[2] == "1\t2\t1"
+
+
+def test_one_parser_serves_every_call():
+    calls = [
+        ["cartan", "--family", "a-infinity", "--bogus"],
+        ["cartan", "--family", "a-infinity", "--window", "0..3"],
+        ["inverse", "--family=garland:1", "--window=0..1", "--format", "json-lines"],
+        ["ext", "--family=garland:2"],
+        ["resolve", "--family=garland:1", "--vertex=j1"],
+    ]
+    reused = [invoke(argv) for argv in calls]
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = [invoke(argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _ in reused] == [2, 0, 0, 2, 0]
+    assert cli._parser() is cli._parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import coxcartan.cli as c; print(c._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

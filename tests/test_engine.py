@@ -87,3 +87,21 @@ def test_inverse_rows_match_per_interval_resolutions(p):
                 terms = resolutions._interval_terms(pres, i, j)
                 by_interval = sum((-1) ** m * t.get(i, 0) for m, t in enumerate(terms))
                 assert resolutions.ext_alternating_sum(pres, i, j) == by_interval, (i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_presentations("poset"))
+def test_elements_cut_off_the_local_downset_have_no_ext(p):
+    # below the nearest cut point c < j every open interval (p, j) is a cone
+    # on c, so the row's resolution may leave those p out
+    for pres in (p, p.opposite()):
+        verts = pres.vertices()
+        for j in verts:
+            region = pres.local_downset(j)
+            assert j in region and region <= pres.ancestors(j)
+            for a in region:
+                assert set(pres.interval(a, j)) <= region
+            for q in pres.ancestors(j) - region:
+                assert mobius(pres, q, j) == 0, (q, j)
+                for m in range(len(verts) + 1):
+                    assert ext_dim(pres, q, j, m, method="complex") == 0, (q, j, m)

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from coxcartan import (
     EmptyWindow,
+    FinitePoset,
+    FiniteQuiver,
     PresentationError,
     UnknownVertex,
     check_local_boundedness,
@@ -12,6 +16,9 @@ from coxcartan import (
     neighbors,
     parse_presentation,
 )
+from coxcartan.presentations import HasseQuiverView
+
+DIAMOND = "kind poset\ncover a b\ncover a c\ncover b d\ncover c d\n"
 
 
 def test_parse_finite_quiver_a3():
@@ -219,3 +226,108 @@ def test_garland_parse_tokens():
     assert g.parse_token("g2.1b") == ("g", 2, 1, 1)
     with pytest.raises(UnknownVertex):
         g.parse_token("g2.9t")
+
+
+def test_finite_presentations_build_on_a_long_chain():
+    # the closure is built in topological order, not by recursion
+    n = 1000
+    chain = [(i, i + 1) for i in range(n - 1)]
+    poset = FinitePoset(range(n), chain)
+    for pres in (FiniteQuiver(range(n), chain), poset):
+        assert pres.could_reach(0, n - 1)
+        assert not pres.could_reach(n - 1, 0)
+        assert len(pres.descendants(0)) == n
+        assert len(pres.ancestors(n - 1)) == n
+    assert len(hasse_quiver(poset).arrow_list) == n - 1
+
+
+def _reach_by_search(n, pairs):
+    """reach[u]: the vertices reached from u by a directed path, u included."""
+    reach = {}
+    for u in range(n):
+        seen, todo = {u}, [u]
+        while todo:
+            x = todo.pop()
+            for s, t in pairs:
+                if s == x and t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[u] = seen
+    return reach
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14
+        ).map(lambda pairs: (n, pairs))
+    )
+)
+def test_finite_closure_matches_a_search(data):
+    n, pairs = data
+    reach = _reach_by_search(n, pairs)
+    if any(s in reach[t] for s, t in pairs):
+        for cls in (FiniteQuiver, FinitePoset):
+            with pytest.raises(PresentationError, match="cycle") as err:
+                cls(range(n), pairs)
+            # the message names an arc that lies on a cycle
+            s, t = map(int, re.search(r"(-?\d+)(?: -> | )(-?\d+)", str(err.value)).groups())
+            assert (s, t) in pairs and s in reach[t]
+        return
+    q, p = FiniteQuiver(range(n), pairs), FinitePoset(range(n), pairs)
+    for u in range(n):
+        above = frozenset(reach[u])
+        below = frozenset(x for x in range(n) if u in reach[x])
+        assert q.descendants(u) == p.descendants(u) == above
+        assert q.ancestors(u) == p.ancestors(u) == below
+        covers = sorted(
+            w for w in above - {u} if not any(w in reach[z] for z in above - {u, w})
+        )
+        assert p.out_arcs(u) == [(w, 1) for w in covers]
+        for w in covers:
+            assert (u, 1) in p.in_arcs(w)
+        for v in range(n):
+            assert q.could_reach(u, v) == p.could_reach(u, v) == p.leq(u, v) == (v in above)
+            assert p.interval(u, v) == [z for z in range(n) if z in above and v in reach[z]]
+    assert sum(len(p.in_arcs(v)) for v in range(n)) == sum(len(p.out_arcs(v)) for v in range(n))
+
+
+def test_parse_token_on_integer_labelled_presentations():
+    tokens = ["3", " 4 ", "-3", "abc", "1.5"]
+    finite = [(3, 4), (4, "abc")]
+    table = [
+        (make_family("a-infinity"), [3, 4, None, None, None]),
+        (make_family("z-a-infinity"), [3, 4, -3, None, None]),
+        (make_family("d-infinity"), [3, 4, None, None, None]),
+        (FiniteQuiver([3, 4, "abc"], finite), [3, 4, None, "abc", None]),
+        (FinitePoset([3, 4, "abc"], finite), [3, 4, None, "abc", None]),
+    ]
+    for pres, expected in table:
+        for tok, want in zip(tokens, expected):
+            if want is None:
+                with pytest.raises(UnknownVertex, match=f"^unknown vertex {re.escape(tok)}$"):
+                    pres.parse_token(tok)
+            else:
+                assert pres.parse_token(tok) == want, (pres, tok)
+
+
+def test_emit_views_of_finite_presentations_parse_back():
+    quiver = parse_presentation("kind quiver\narrow a b\narrow a b\narrow b c\narrow a c\n")
+    poset = parse_presentation(DIAMOND)
+    for view in (quiver.opposite(), poset.opposite(), HasseQuiverView(poset)):
+        again = parse_presentation(emit_presentation(view))
+        assert again.kind == view.kind
+        assert again.vertices() == view.vertices()
+        for v in view.vertices():
+            assert again.out_arcs(v) == view.out_arcs(v)
+            assert again.in_arcs(v) == view.in_arcs(v)
+    assert parse_presentation(emit_presentation(poset.opposite())).leq("d", "a")
+
+
+def test_emit_views_of_families_raise():
+    for view in (make_family("a-infinity").opposite(), hasse_quiver(make_family("garland", 2))):
+        with pytest.raises(PresentationError, match="no file form"):
+            emit_presentation(view)
+    for name, arg in (("a-infinity", None), ("garland", 2)):
+        fam = make_family(name, arg)
+        assert parse_presentation(emit_presentation(fam)).family == fam.family

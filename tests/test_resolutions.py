@@ -260,18 +260,17 @@ def test_junction_cut_kills_long_ext():
 
 def test_inverse_entries_cut_by_a_junction_are_zero():
     # p < j with a junction strictly between them: [p, j] is a cone, so the
-    # entry is 0.  On a garland these are exactly the p <= j outside
-    # local_downset(j), which no resolution of the row reaches; garland-seq
-    # down-sets are whole, so there the row's one resolution reads the 0
+    # entry is 0.  On a garland and on garland-seq these are exactly the
+    # p <= j outside local_downset(j), which no resolution of the row reaches
     garland = make_family("garland", 2)
     seq = garland_block_poset([1, 2, 1])
     cases = [
-        (garland, list(garland.window("-1..2")), True),
-        (garland.opposite(), list(garland.window("-1..2")), True),
-        (seq, seq.vertices(), False),
-        (seq.opposite(), seq.vertices(), False),
+        (garland, list(garland.window("-1..2"))),
+        (garland.opposite(), list(garland.window("-1..2"))),
+        (seq, seq.vertices()),
+        (seq.opposite(), seq.vertices()),
     ]
-    for pres, verts, cut_by_certificate in cases:
+    for pres, verts in cases:
         junctions = [v for v in verts if pres.display(v).startswith("j")]
         cinv = cartan_inverse(pres)
         cut_pairs = 0
@@ -282,8 +281,7 @@ def test_inverse_entries_cut_by_a_junction_are_zero():
                 cut = any(
                     z not in (p, j) and pres.leq(p, z) and pres.leq(z, j) for z in junctions
                 )
-                if cut_by_certificate:
-                    assert (p not in pres.local_downset(j)) == cut, (p, j)
+                assert (p not in pres.local_downset(j)) == cut, (p, j)
                 if cut:
                     cut_pairs += 1
                     assert cinv.entry(j, p) == 0 == mobius(pres, p, j), (p, j)
@@ -305,6 +303,25 @@ def test_garland_inverse_window_resolves_each_row_once():
     # interval per entry took 804
     assert len(resolved) <= 41
     assert len(set(resolved)) == len(resolved)
+
+
+def test_garland_seq_rows_resolve_the_last_block_only():
+    g = make_family("garland-seq", "3,3,3,1")
+    j4 = g.parse_token("j4")
+    assert {g.display(v) for v in g.local_downset(j4)} == {"j3", "g4.1t", "g4.1b", "j4"}
+    assert len(g.ancestors(j4)) == 25
+    regions = []
+    real = resolutions._resolve_in_region
+
+    def counted(pres, region, j, max_degree):
+        regions.append(len(region))
+        return real(pres, region, j, max_degree)
+
+    with mock.patch.object(resolutions, "_resolve_in_region", counted):
+        argv = ["inverse", "--family=garland-seq:3,3,3,1", "--window=g4.1t,j4"]
+        code = run(argv, out=io.StringIO())
+    assert code == 0
+    assert regions == [4]
 
 
 def test_inverse_row_past_the_cap_falls_back_to_intervals():
