@@ -11,6 +11,13 @@ materialised; kernels and cokernels are computed on the support of M enlarged
 by a margin, and any activity on the window boundary raises
 WindowInsufficient instead of silently truncating.
 
+The formula dim tau N = Phi(dim N) needs Hom(C, DN) = 0, which
+`certify_no_inj_hom` decides exactly at the socle: path coalgebras are
+hereditary, so the image of a nonzero map from an injective into a finite M
+is a finite injective, and it contains some E(k) with k a socle vertex of M.
+Hom(C, M) = 0 thus holds exactly when no such E(k) embeds in M; each
+candidate E(k) is materialised whole, on ancestors(k), never on a window.
+
 Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
 dimension vector is obtained from mesh additivity (sum of the middle minus the
 end) and is cross-checked against the Coxeter transformation at every step, so
@@ -60,25 +67,11 @@ def grow_window(pres, verts, steps):
     return sorted(cur, key=pres.sort_key)
 
 
-def boundary_ring(pres, window):
-    wset = set(window)
-    ring = []
-    for v in window:
-        out = any(w not in wset for w, _ in pres.out_arcs(v))
-        inc = any(w not in wset for w, _ in pres.in_arcs(v))
-        if out or inc:
-            ring.append(v)
-    return ring
-
-
 @dataclass
 class InjCopresentation:
-    module: Comodule
     e0: FormalInjective
     e1: FormalInjective
     map: InjectiveMorphism        # symbolic E0 -> E1
-    window: list
-    embedding: dict               # per-vertex matrices M -> E0
     exact_at_e1: bool             # cokernel of E0 -> E1 vanished on the window
 
 
@@ -93,11 +86,6 @@ def min_inj_copresentation(module, margin=3):
     pres = module.pres
     if pres.kind != "quiver":
         raise PresentationError("copresentations need a path presentation")
-    if module.is_zero():
-        e = FormalInjective(pres, [])
-        return InjCopresentation(
-            module, e, e, InjectiveMorphism(e, e, {}), [], {}, True
-        )
     window = grow_window(pres, module.support, margin)
     wset = set(window)
     e0_formal, e0_mat, iota = envelope(module, window)
@@ -110,10 +98,6 @@ def min_inj_copresentation(module, margin=3):
             raise WindowInsufficient(
                 f"cokernel socle at boundary vertex {pres.display(v)}"
             )
-    if quotient.is_zero():
-        e1_formal = FormalInjective(pres, [])
-        gmor = InjectiveMorphism(e0_formal, e1_formal, {})
-        return InjCopresentation(module, e0_formal, e1_formal, gmor, window, iota, True)
 
     e1_formal, e1_mat, embed2 = envelope(quotient, window)
     # concrete composite g = (Q -> E1) o (E0 -> Q)
@@ -150,20 +134,23 @@ def min_inj_copresentation(module, margin=3):
     for v in window:
         if not linalg.mat_eq(check[v], gmats[v]):
             raise AssertionError("symbolic copresentation map disagrees with matrices")
-    return InjCopresentation(module, e0_formal, e1_formal, gmor, window, iota, exact)
+    return InjCopresentation(e0_formal, e1_formal, gmor, exact)
 
 
-def certify_no_inj_hom(module, margin=1):
-    """True when no indecomposable injective maps nonzero into `module`,
-    checked for socle vertices in supp(M) plus a one-arrow margin (the margin
-    is configurable; it suffices for the built-in families)."""
+def certify_no_inj_hom(module):
+    """True when no injective maps nonzero into the finite comodule `module`
+    over a path presentation (exact; see the module docstring).  Only the
+    E(k), k in its socle, that fit inside it are tested: finite, with support
+    ancestors(k) in supp M and dimensions at most those of M."""
     pres = module.pres
-    if module.is_zero():
-        return True
-    candidates = grow_window(pres, module.support, margin)
-    constraint_window = grow_window(pres, module.support, margin + 1)
-    for j in candidates:
-        inj = MaterializedInjective(FormalInjective(pres, [(j, 1)]), constraint_window)
+    socdim, _ = module.socle()
+    for k in socdim.support:
+        sup = pres.ancestors(k)
+        if sup is None or not all(
+            v in module.dims and path_count(pres, v, k) <= module.dim(v) for v in sup
+        ):
+            continue
+        inj = MaterializedInjective(FormalInjective(pres, [(k, 1)]), sup)
         if hom_basis(inj.comodule, module):
             return False
     return True
@@ -172,47 +159,37 @@ def certify_no_inj_hom(module, margin=1):
 _MARGINS = (3, 5, 9)
 
 
-def transpose_tr(module, margin=None, materialize=True):
+def transpose_tr(module, margin=None):
     """The transpose of a finite comodule: the kernel of the flipped minimal
     copresentation, over the opposite presentation.
 
     Returns (dimension vector as a LazyVector over the opposite presentation,
-    kernel comodule or None).  The kernel route is the definition and needs no
-    hypotheses; the lazy dimension-difference form (dim of flipped E1 minus
-    dim of flipped E0) is only exact when no injective maps into the module,
-    so asking for it uncertified (materialize=False) raises HomCNotZero.
+    kernel comodule).  The kernel is the definition and needs no hypotheses;
+    the vector is dim of flipped E1 minus dim of flipped E0 when no injective
+    maps into the module (else that would be wrong) and the kernel's dims
+    otherwise.
     """
-    certified = certify_no_inj_hom(module)
-    if not materialize and not certified:
-        raise HomCNotZero(
-            "module receives a nonzero map from an injective; the dimension "
-            "shortcut for the transpose would be wrong"
-        )
-    margins = (margin,) if margin is not None else _MARGINS
+    _, lazy, kernel = _transpose(module, margin, certify_no_inj_hom(module))
+    return lazy, kernel
+
+
+def _transpose(module, margin, certified):
+    """(copresentation, lazy dims, kernel) at the first margin that suffices."""
     last = None
-    for m in margins:
+    for m in (margin,) if margin is not None else _MARGINS:
         try:
-            return _transpose_attempt(module, m, materialize, certified)
+            return _transpose_attempt(module, m, certified)
         except WindowInsufficient as exc:
             last = exc
     raise last
 
 
-def _transpose_attempt(module, margin, materialize, certified):
+def _transpose_attempt(module, margin, certified):
     pres = module.pres
     copres = min_inj_copresentation(module, margin)
     op = pres.opposite()
-
-    def tr_dim(v):
-        high = sum(path_count(pres, a, v) for a in copres.e1.summands)
-        low = sum(path_count(pres, j, v) for j in copres.e0.summands)
-        return high - low
-
-    lazy = LazyVector(tr_dim)
     if copres.e1.is_zero():
-        return LazyVector(lambda v: 0, support=frozenset()), zero_comodule(op)
-    if not materialize:
-        return lazy, None
+        return copres, LazyVector(lambda v: 0, support=frozenset()), zero_comodule(op)
     nabla_g = copres.map.nabla()          # over op: nabla E1 -> nabla E0
     anchors = set(module.support)
     anchors.update(copres.e0.summands)
@@ -220,21 +197,26 @@ def _transpose_attempt(module, margin, materialize, certified):
     window = grow_window(op, sorted(anchors, key=op.sort_key), margin)
     src = MaterializedInjective(nabla_g.source, window)
     dst = MaterializedInjective(nabla_g.target, window)
-    mats = nabla_g.materialize(src, dst)
-    kernel = materialized_kernel(
-        op, window, {v: src.comodule.dim(v) for v in window}, src.comodule, mats
-    )
-    for v in boundary_ring(op, window):
-        if kernel.dim(v):
+    kernel = materialized_kernel(src.comodule, nabla_g.materialize(src, dst), window)
+    wset = set(window)
+    for v in kernel.support:
+        if any(w not in wset for w, _ in [*op.out_arcs(v), *op.in_arcs(v)]):
             raise WindowInsufficient(
                 f"transpose kernel reaches window boundary at {op.display(v)}"
             )
-    if certified:
-        for v in kernel.support:
-            if lazy.entry(v) != kernel.dim(v):
-                raise AssertionError("transpose dimension bookkeeping mismatch")
-        return lazy, kernel
-    return LazyVector(lambda v: kernel.dim(v), support=frozenset(kernel.dims)), kernel
+    if not certified:
+        return copres, LazyVector(kernel.dim, support=frozenset(kernel.dims)), kernel
+
+    def tr_dim(v):
+        high = sum(path_count(pres, a, v) for a in copres.e1.summands)
+        low = sum(path_count(pres, j, v) for j in copres.e0.summands)
+        return high - low
+
+    lazy = LazyVector(tr_dim)
+    for v in kernel.support:
+        if lazy.entry(v) != kernel.dim(v):
+            raise AssertionError("transpose dimension bookkeeping mismatch")
+    return copres, lazy, kernel
 
 
 def tau(module, direction="tau-minus", margin=None):
@@ -268,17 +250,26 @@ class MeshSequence:
         return total == mid
 
 
+def _interval_span(dim):
+    """(lo, hi) when the dimension vector is 1 on the consecutive integers
+    lo..hi and 0 elsewhere, else None."""
+    supp = dim.support
+    if not supp or any(not isinstance(v, int) for v in supp):
+        return None
+    supp = sorted(supp)
+    lo, hi = supp[0], supp[-1]
+    if supp != list(range(lo, hi + 1)) or any(dim[v] != 1 for v in supp):
+        return None
+    return lo, hi
+
+
 def interval_bounds(module):
     """(lo, hi) when the comodule is a thin interval on consecutive integers
     with nonzero consecutive maps, else None."""
-    supp = module.support
-    if not supp or any(not isinstance(v, int) for v in supp):
+    bounds = _interval_span(module.dim_vector())
+    if bounds is None:
         return None
-    lo, hi = supp[0], supp[-1]
-    if supp != list(range(lo, hi + 1)):
-        return None
-    if any(module.dim(v) != 1 for v in supp):
-        return None
+    lo, hi = bounds
     for v in range(lo, hi):
         arrows = [a for a in arrows_from(module.pres, v) if a[1] == v + 1]
         if len(arrows) != 1 or module.arrow_map(arrows[0])[0][0] == 0:
@@ -378,16 +369,6 @@ class KnitFragment:
         return "\n".join(lines) + "\n"
 
 
-def _interval_label(pres, dim):
-    if pres.linear:
-        supp = sorted(dim.support)
-        if supp and all(isinstance(v, int) for v in supp):
-            lo, hi = supp[0], supp[-1]
-            if supp == list(range(lo, hi + 1)) and all(dim[v] == 1 for v in supp):
-                return f"I[{lo},{hi}]"
-    return None
-
-
 def injective_section_seed(pres, window):
     """Seed nodes E(j) for j in the window, with the arrows induced by the
     quiver: an arrow k -> j induces an irreducible map E(j) -> E(k)."""
@@ -424,7 +405,7 @@ def interval_column_seed(pres, lo, hi_list):
     return nodes, arrows
 
 
-def knit_component(pres, seed, steps, coxeter_op=None):
+def knit_component(pres, seed, steps):
     """Knit `steps` meshes starting from a seed section.
 
     seed: either ("injectives", window) or ("explicit", nodes, arrows) with
@@ -436,8 +417,7 @@ def knit_component(pres, seed, steps, coxeter_op=None):
     """
     if pres.kind != "quiver":
         raise PresentationError("knitting needs a path presentation")
-    if coxeter_op is None:
-        coxeter_op = CoxeterOperator(cartan_pair(pres))
+    coxeter_op = CoxeterOperator(cartan_pair(pres))
     frag = KnitFragment(pres)
     out_of = {}
     in_of = {}
@@ -496,7 +476,8 @@ def knit_component(pres, seed, steps, coxeter_op=None):
                     f"mesh at {ready.node_id}: additivity and Coxeter disagree "
                     f"at {pres.display(v)} ({tdim[v]} vs {phi.entry(v)})"
                 )
-        tid = add_node(tdim, _interval_label(pres, tdim))
+        span = _interval_span(tdim) if pres.linear else None
+        tid = add_node(tdim, f"I[{span[0]},{span[1]}]" if span else None)
         for src, mult in in_of[ready.node_id]:
             add_arrow(tid, src, mult)
         frag.tau_links.append((ready.node_id, tid))
@@ -509,12 +490,13 @@ def knit_component(pres, seed, steps, coxeter_op=None):
 # the translate / Coxeter comparison and the Nakayama dimension
 
 
-def verify_translate_formula(module, coxeter_op=None, margin=2):
+def verify_translate_formula(module, coxeter_op=None):
     """Compare dim of the translate (comodule route) with the Coxeter image of
     dim N (matrix route), computed by independent code paths.
 
     Hypotheses are certified, never assumed: the dual module must admit no
     maps from injectives and its copresentation must stop after one step.
+    Both sides are compared on their supports grown by two arrows.
     """
     pres = module.pres
     if pres.kind != "quiver":
@@ -524,16 +506,15 @@ def verify_translate_formula(module, coxeter_op=None, margin=2):
     dual = module.dual()
     if not certify_no_inj_hom(dual):
         raise HomCNotZero("dual module receives an injective map")
-    copres = min_inj_copresentation(dual)
+    copres, _, translate = _transpose(dual, None, True)
     if copres.e1.is_zero():
         raise HypothesisViolated("module is projective; translate vanishes")
     if not copres.exact_at_e1:
         raise HypothesisViolated("injective dimension of the dual exceeds one")
-    translate = tau(module, "tau")
     lhs = translate.dim_vector()
     rhs = coxeter_op.apply(module.dim_vector(), "forward")
     coords = set(lhs.support) | set(module.dim_vector().support)
-    coords = grow_window(pres, sorted(coords, key=pres.sort_key), margin)
+    coords = grow_window(pres, sorted(coords, key=pres.sort_key), 2)
     holds = all(rhs.entry(v) == lhs[v] for v in coords)
     rhs_dim = DimensionVector({v: rhs.entry(v) for v in coords})
     return {"holds": holds, "lhs": lhs, "rhs": rhs_dim}

@@ -38,31 +38,42 @@ def path_count(pres, frm, to, budget=None):
     if (frm, to) in memo:
         return memo[frm, to]
     limit = budget if budget is not None else node_budget()
-    spent = [0]
-
-    def count(v):
-        key = (v, to)
-        if key in memo:
-            return memo[key]
-        spent[0] += 1
-        if spent[0] > limit:
-            raise IntervalFinitenessViolated(
-                f"path enumeration {pres.display(frm)} -> {pres.display(to)} "
-                f"exceeded budget {limit}"
-            )
-        if v == to:
-            memo[key] = 1
-            return 1
-        total = 0
-        for w, mult in pres.out_arcs(v):
-            if pres.could_reach(w, to):
-                total += mult * count(w)
-        memo[key] = total
-        return total
-
     if not pres.could_reach(frm, to):
         return 0
-    return count(frm)
+    # depth-first post-order walk on an explicit stack, in the order of a
+    # recursive count: a vertex costs one unit of budget when it is first
+    # expanded, and its count is memoized once its last successor returns
+    spent = 0
+    stack = [[frm, None, 0, 0]]     # vertex, arcs left, count so far, multiplicity
+    value = 0
+    while stack:
+        frame = stack[-1]
+        v, arcs = frame[0], frame[1]
+        if arcs is None:
+            spent += 1
+            if spent > limit:
+                raise IntervalFinitenessViolated(
+                    f"path enumeration {pres.display(frm)} -> {pres.display(to)} "
+                    f"exceeded budget {limit}"
+                )
+            if v == to:
+                memo[v, to] = value = 1
+                stack.pop()
+                continue
+            arcs = frame[1] = iter(pres.out_arcs(v))
+        else:
+            frame[2] += frame[3] * value
+        for w, mult in arcs:
+            if (w, to) in memo:
+                frame[2] += mult * memo[w, to]
+            elif pres.could_reach(w, to):
+                frame[3] = mult
+                stack.append([w, None, 0, 0])
+                break
+        else:
+            memo[v, to] = value = frame[2]
+            stack.pop()
+    return value
 
 
 def cartan_matrix(pres):
@@ -70,13 +81,10 @@ def cartan_matrix(pres):
         entry = lambda i, j: 1 if pres.leq(j, i) else 0
     else:
         entry = lambda i, j: path_count(pres, j, i)
-    row_fin, col_fin = pres.cartan_finiteness
     return LazyIntMatrix(
         entry,
         row_support=pres.ancestors,
         col_support=pres.descendants,
-        row_finite=bool(row_fin),
-        col_finite=bool(col_fin),
         name="c",
     )
 

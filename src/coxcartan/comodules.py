@@ -526,14 +526,15 @@ class InjectiveMorphism:
         return out
 
 
-def materialized_kernel(pres, window, dims_by_vertex, src_mat_mod, mor_mats):
-    """Kernel of a materialised morphism as a comodule on the window."""
+def materialized_kernel(mod, mats, window):
+    """Kernel on `window` of a morphism out of `mod`, given by its per-vertex
+    matrices `mats`, as a subcomodule of `mod`."""
     bases = {}
     for v in window:
-        d = dims_by_vertex.get(v, 0)
+        d = mod.dim(v)
         if d == 0:
             continue
-        basis = linalg.nullspace(mor_mats[v]) if len(mor_mats[v]) else [
+        basis = linalg.nullspace(mats[v]) if len(mats[v]) else [
             [F1 if i == j else F0 for i in range(d)] for j in range(d)
         ]
         if basis:
@@ -541,15 +542,15 @@ def materialized_kernel(pres, window, dims_by_vertex, src_mat_mod, mor_mats):
     dims = {v: len(b) for v, b in bases.items()}
     maps = {}
     for v in list(bases):
-        for arrow in arrows_from(pres, v):
+        for arrow in arrows_from(mod.pres, v):
             w = arrow[1]
             if w not in bases:
                 continue
-            amap = src_mat_mod.arrow_map(arrow)
-            img = linalg.mat_mul(amap, linalg.columns_matrix(bases[v], dims_by_vertex[v]))
+            amap = mod.arrow_map(arrow)
+            img = linalg.mat_mul(amap, linalg.columns_matrix(bases[v], mod.dim(v)))
             sol = linalg.solve_matrix(
-                linalg.columns_matrix(bases[w], dims_by_vertex[w]), img
+                linalg.columns_matrix(bases[w], mod.dim(w)), img
             )
             assert sol is not None, "kernel not arrow-stable"
             maps[arrow] = sol
-    return Comodule(pres, dims, maps)
+    return Comodule(mod.pres, dims, maps)

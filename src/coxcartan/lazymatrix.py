@@ -18,9 +18,7 @@ class LazyIntMatrix:
     """entry_rule(i, j) -> int plus optional support rules.
 
     A support rule may return None for an individual index (that row/column is
-    not certified finite); `row_finite`/`col_finite` are the global flags and
-    default to "a rule is present".  Pass them explicitly when only some rows
-    or columns carry certificates.
+    not certified finite).
     """
 
     def __init__(
@@ -28,15 +26,11 @@ class LazyIntMatrix:
         entry_rule,
         row_support=None,
         col_support=None,
-        row_finite=None,
-        col_finite=None,
         name="",
     ):
         self._entry = entry_rule
         self._row_support_rule = row_support
         self._col_support_rule = col_support
-        self.row_finite = (row_support is not None) if row_finite is None else row_finite
-        self.col_finite = (col_support is not None) if col_finite is None else col_finite
         self.name = name
         self._memo = {}
 
@@ -59,8 +53,7 @@ class LazyIntMatrix:
         return None if s is None else frozenset(s)
 
     def __repr__(self):
-        flags = ("R" if self.row_finite else "-") + ("C" if self.col_finite else "-")
-        return f"LazyIntMatrix({self.name or 'anon'},{flags})"
+        return f"LazyIntMatrix({self.name or 'anon'})"
 
 
 def identity_matrix():
@@ -77,8 +70,6 @@ def transpose(m):
         lambda i, j: m.entry(j, i),
         row_support=m.col_support,
         col_support=m.row_support,
-        row_finite=m.col_finite,
-        col_finite=m.row_finite,
         name=f"{m.name}^tr" if m.name else "",
     )
 
@@ -88,8 +79,6 @@ def negate(m):
         lambda i, j: -m.entry(i, j),
         row_support=m.row_support,
         col_support=m.col_support,
-        row_finite=m.row_finite,
-        col_finite=m.col_finite,
         name=f"-{m.name}" if m.name else "",
     )
 
@@ -97,9 +86,8 @@ def negate(m):
 def multiply(a, b):
     """The product a.b with entries (i,j) -> sum_k a[i,k] b[k,j].
 
-    Each entry needs a finite row of `a` or a finite column of `b`; finiteness
-    flags of the result are derived conservatively (row-finite times
-    row-finite is row-finite, likewise for columns).
+    Each entry needs a finite row of `a` or a finite column of `b`; the result
+    has a row (column) support rule when both factors have one.
     """
 
     def entry(i, j):
@@ -145,8 +133,6 @@ def multiply(a, b):
         entry,
         row_support=row_rule,
         col_support=col_rule,
-        row_finite=a.row_finite and b.row_finite,
-        col_finite=a.col_finite and b.col_finite,
         name=f"({a.name}.{b.name})" if a.name and b.name else "",
     )
 

@@ -4,6 +4,7 @@ from coxcartan import (
     Comodule,
     DimensionVector,
     FormalInjective,
+    HomCNotZero,
     HypothesisViolated,
     InfiniteDimensional,
     NotInKnittedRegion,
@@ -96,21 +97,23 @@ def test_copresentation_minimality_socle_match():
 
 
 def test_copresentation_exact_at_e0():
-    # ker(g) must equal the image of the embedding pointwise on the window
+    # ker(g) must equal the image of the embedding M -> E0 pointwise on the
+    # window; the embedding is injective, so that image has the dims of M
+    from coxcartan.artranslate import grow_window
     from coxcartan.comodules import MaterializedInjective
     from coxcartan import linalg
 
     a = make_family("a-infinity")
     module = interval_comodule(a, 2, 4)
     cop = min_inj_copresentation(module)
-    e0 = MaterializedInjective(cop.e0, cop.window)
-    e1 = MaterializedInjective(cop.e1, cop.window)
+    window = grow_window(a, module.support, 3)
+    e0 = MaterializedInjective(cop.e0, window)
+    e1 = MaterializedInjective(cop.e1, window)
     gmats = cop.map.materialize(e0, e1)
-    for v in cop.window:
+    for v in window:
         d = e0.comodule.dim(v)
         ker_g = d - linalg.rank(gmats[v])
-        im_iota = linalg.rank(cop.embedding[v]) if cop.embedding[v] else 0
-        assert ker_g == im_iota, v
+        assert ker_g == module.dim(v), v
 
 
 def test_random_quiver_simple_translates_match_coxeter():
@@ -287,8 +290,9 @@ def test_translate_formula_intervals():
 
 def test_translate_formula_rejects_projective():
     a2 = parse_presentation(A2)
-    # the simple at 1 is projective over A2 (its dual is injective)
-    with pytest.raises(HypothesisViolated):
+    # the simple at 1 is projective over A2: its dual is injective, so the
+    # Hom(C, DN) = 0 certificate fails before any copresentation is made
+    with pytest.raises(HomCNotZero):
         verify_translate_formula(simple_comodule(a2, 1))
 
 

@@ -44,6 +44,21 @@ def test_path_count_budget():
         path_count(a, 0, 5000, budget=10)
 
 
+def test_path_count_charges_each_vertex_once_without_recursion():
+    # 0 -> n expands the n + 1 vertices 0..n once each, however many paths
+    # run through them and however deep the walk goes
+    def ladder(n, mult):
+        arrows = "".join(f"arrow {i} {i + 1}\n" * mult for i in range(n))
+        return parse_presentation("kind quiver\n" + arrows)
+
+    assert path_count(ladder(60, 2), 0, 60, budget=61) == 2**60
+    with pytest.raises(IntervalFinitenessViolated):
+        path_count(ladder(60, 2), 0, 60, budget=60)
+    assert path_count(ladder(3000, 1), 0, 3000, budget=3001) == 1
+    with pytest.raises(IntervalFinitenessViolated):
+        path_count(ladder(3000, 1), 0, 3000, budget=3000)
+
+
 def test_path_count_memo_hit_spends_no_budget(monkeypatch):
     a = make_family("a-infinity")
     assert path_count(a, 0, 40) == 1

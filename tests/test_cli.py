@@ -90,6 +90,32 @@ def test_tau_and_mesh():
     assert out.strip() == "0 -> 1@1,1@2 -> 1@0,1@1,1@2 + 1@1 -> 1@0,1@1 -> 0"
 
 
+def test_tau_of_an_injective_interval_solves_one_hom_space():
+    # the Hom(C, M) certificate looks at the socle only: I[0,29] has socle
+    # 29 and is E(29) itself, so one hom solve settles it
+    from coxcartan import artranslate
+
+    with mock.patch.object(artranslate, "hom_basis", wraps=artranslate.hom_basis) as hb:
+        code, out = invoke(
+            ["tau", "--family", "a-infinity", "--interval", "0,29", "--direction", "tau-minus"]
+        )
+    assert code == 0 and out == "0\n"
+    assert hb.call_count <= 1
+
+
+def test_verify_tau_copresents_each_module_once():
+    from coxcartan import artranslate
+
+    copres = artranslate.min_inj_copresentation
+    with mock.patch.object(artranslate, "min_inj_copresentation", wraps=copres) as mc:
+        code, out = invoke(
+            ["verify", "--family", "a-infinity", "--window", "9..16", "--suite", "tau"]
+        )
+    assert code == 0
+    assert out == "OK: translate formula holds for 36 interval modules\n"
+    assert mc.call_count == 36
+
+
 def test_knit_text_and_determinism():
     argv = ["knit", "--family", "a-infinity", "--steps", "3", "--section", "0..4"]
     out1 = invoke(argv)
@@ -145,6 +171,14 @@ def test_input_error_exit_two():
     assert code == 2
     code, _ = invoke(["cartan", "--window", "0..2"])
     assert code == 2
+
+
+def test_cartan_on_a_long_file_chain(tmp_path):
+    chain = tmp_path / "chain.quiver"
+    chain.write_text("kind quiver\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(1500)))
+    code, out = invoke(["cartan", f"--file={chain}", "--window=0,1500"])
+    assert code == 0
+    assert out.splitlines()[2].split("\t") == ["1500", "1", "1"]
 
 
 def test_classify_output():
