@@ -22,8 +22,16 @@ Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
 dimension vector is obtained from mesh additivity (sum of the middle minus the
 end) and is cross-checked against the Coxeter transformation at every step, so
 an unsound seed section fails loudly rather than producing a wrong picture.
+The check stays independent: Phi is applied to the end's own dimension vector,
+never assembled from the Phi values of earlier meshes.  Nodes are indexed by
+id, and a node enters a ready queue, ordered by creation, once its last
+out-neighbour is meshed; the next mesh ends at the oldest ready node, so the
+cost of a knitting is linear in its output.  A failed mesh at a seed injective
+E(j) with a quiver arc leaving the seed section is reported as the edge of the
+section rather than as a disagreement.
 """
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -92,14 +100,14 @@ def min_inj_copresentation(module, margin=3):
     quotient, projs = cokernel(e0_mat.comodule, iota, window)
 
     # socle of the cokernel; only trust vertices whose out-arrows stay inside
-    socdim, _ = quotient.socle()
-    for v in socdim.support:
+    socle = quotient.socle()
+    for v in socle[0].support:
         if any(w not in wset for w, _ in pres.out_arcs(v)):
             raise WindowInsufficient(
                 f"cokernel socle at boundary vertex {pres.display(v)}"
             )
 
-    e1_formal, e1_mat, embed2 = envelope(quotient, window)
+    e1_formal, e1_mat, embed2 = envelope(quotient, window, socle)
     # concrete composite g = (Q -> E1) o (E0 -> Q)
     gmats = {}
     for v in window:
@@ -334,12 +342,16 @@ class KnitFragment:
     arrows: list = field(default_factory=list)      # (src_id, dst_id, mult)
     tau_links: list = field(default_factory=list)   # (end_id, translate_id)
     meshes: list = field(default_factory=list)      # (end_id, [middle ids], translate_id)
+    by_id: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def add_node(self, dim, label):
+        node = KnitNode(f"n{len(self.nodes)}", dim, label)
+        self.nodes.append(node)
+        self.by_id[node.node_id] = node
+        return node.node_id
 
     def node(self, node_id):
-        for n in self.nodes:
-            if n.node_id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self.by_id[node_id]
 
     def to_text(self):
         pres = self.presentation
@@ -405,38 +417,56 @@ def interval_column_seed(pres, lo, hi_list):
     return nodes, arrows
 
 
+def _section_edge(pres, window):
+    """{index in window: a quiver arc between that vertex and one outside}"""
+    inside = set(window)
+    edge = {}
+    for idx, j in enumerate(window):
+        arcs = [(j, w) for w, _ in pres.out_arcs(j)] + [(w, j) for w, _ in pres.in_arcs(j)]
+        leaving = [arc for arc in arcs if not inside.issuperset(arc)]
+        if leaving:
+            edge[idx] = leaving[0]
+    return edge
+
+
 def knit_component(pres, seed, steps):
     """Knit `steps` meshes starting from a seed section.
 
     seed: either ("injectives", window) or ("explicit", nodes, arrows) with
     nodes a list of (label, DimensionVector) and arrows index pairs into it.
     A node is ready once every out-neighbour inside the fragment has been
-    meshed; its translate gets the additivity value (middle minus end), which
-    must agree with the Coxeter transformation coordinatewise or the knitting
-    aborts.
+    meshed, and the oldest ready node is meshed next; its translate gets the
+    additivity value (middle minus end), which must agree with the Coxeter
+    transformation coordinatewise or the knitting aborts.
     """
     if pres.kind != "quiver":
         raise PresentationError("knitting needs a path presentation")
     coxeter_op = CoxeterOperator(cartan_pair(pres))
     frag = KnitFragment(pres)
-    out_of = {}
     in_of = {}
+    pending = {}        # node id -> out-arrows to nodes not yet meshed
+    order = {}          # node id -> creation index
+    ready = []          # sorted (creation index, node id) of ready nodes
 
     def add_node(dim, label):
-        nid = f"n{len(frag.nodes)}"
-        frag.nodes.append(KnitNode(nid, dim, label))
-        out_of[nid] = []
+        nid = frag.add_node(dim, label)
         in_of[nid] = []
+        pending[nid] = 0
+        order[nid] = len(order)
         return nid
 
     def add_arrow(src, dst, mult=1):
+        # dst is never meshed here: seed arrows come first, and a translate
+        # points at the middle of a mesh whose end is not yet meshed
         frag.arrows.append((src, dst, mult))
-        out_of[src].append((dst, mult))
         in_of[dst].append((src, mult))
+        pending[src] += 1
 
     kind = seed[0]
+    edge = {}           # seed index -> an arc leaving the seed section
     if kind == "injectives":
         nodes, arrows = injective_section_seed(pres, seed[1])
+        edge = _section_edge(pres, seed[1])
     elif kind == "explicit":
         nodes, arrows = seed[1], seed[2]
     else:
@@ -444,45 +474,54 @@ def knit_component(pres, seed, steps):
     ids = [add_node(dim, label) for label, dim in nodes]
     for s, t, mult in arrows:
         add_arrow(ids[s], ids[t], mult)
+    for nid in ids:
+        if not pending[nid]:
+            insort(ready, (order[nid], nid))
 
-    meshed = set()
-    for _ in range(steps):
-        ready = None
-        for n in frag.nodes:
-            if n.node_id in meshed:
-                continue
-            if all(t in meshed for t, _ in out_of[n.node_id]):
-                ready = n
-                break
-        if ready is None:
-            raise KnittingStuck("no node has all out-neighbours meshed")
-        middle = DimensionVector()
-        mids = []
-        for src, mult in in_of[ready.node_id]:
-            sdim = frag.node(src).dim
-            middle = middle + sdim.scale(mult)
-            mids.extend([src] * mult)
-        tdim = middle - ready.dim
-        if tdim.is_zero() or any(c < 0 for _, c in tdim.items()):
-            raise KnittingStuck(
-                f"mesh at {ready.node_id} has no valid translate (projective end?)"
+    def stuck(nid, message):
+        # seed nodes come first, so a seed index is a creation index
+        if order[nid] in edge:
+            a, b = edge[order[nid]]
+            message = (
+                f"mesh at {nid}: knitting reached the edge of its seed section "
+                f"at {frag.node(nid).label}, whose arc {pres.display(a)} -> "
+                f"{pres.display(b)} leaves it; widen --section"
             )
-        phi = coxeter_op.apply(ready.dim, "forward")
-        anchor = sorted(set(tdim.support) | set(ready.dim.support), key=pres.sort_key)
-        coords = grow_window(pres, anchor, 1)
-        for v in coords:
+        return KnittingStuck(message)
+
+    for _ in range(steps):
+        if not ready:
+            raise KnittingStuck("no node has all out-neighbours meshed")
+        end = frag.node(ready.pop(0)[1])
+        acc = {v: -c for v, c in end.dim.items()}
+        mids = []
+        for src, mult in in_of[end.node_id]:
+            for v, c in frag.node(src).dim.items():
+                acc[v] = acc.get(v, 0) + mult * c
+            mids.extend([src] * mult)
+        tdim = DimensionVector(acc)       # middle minus end
+        if tdim.is_zero() or any(c < 0 for _, c in tdim.items()):
+            raise stuck(
+                end.node_id, f"mesh at {end.node_id} has no valid translate (projective end?)"
+            )
+        phi = coxeter_op.apply(end.dim, "forward")
+        for v in grow_window(pres, tdim.support | end.dim.support, 1):
             if phi.entry(v) != tdim[v]:
-                raise KnittingStuck(
-                    f"mesh at {ready.node_id}: additivity and Coxeter disagree "
-                    f"at {pres.display(v)} ({tdim[v]} vs {phi.entry(v)})"
+                raise stuck(
+                    end.node_id,
+                    f"mesh at {end.node_id}: additivity and Coxeter disagree "
+                    f"at {pres.display(v)} ({tdim[v]} vs {phi.entry(v)})",
                 )
         span = _interval_span(tdim) if pres.linear else None
         tid = add_node(tdim, f"I[{span[0]},{span[1]}]" if span else None)
-        for src, mult in in_of[ready.node_id]:
+        for src, mult in in_of[end.node_id]:
             add_arrow(tid, src, mult)
-        frag.tau_links.append((ready.node_id, tid))
-        frag.meshes.append((ready.node_id, mids, tid))
-        meshed.add(ready.node_id)
+        frag.tau_links.append((end.node_id, tid))
+        frag.meshes.append((end.node_id, mids, tid))
+        for src, _ in in_of[end.node_id]:
+            pending[src] -= 1
+            if not pending[src]:
+                insort(ready, (order[src], src))
     return frag
 
 

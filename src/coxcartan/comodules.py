@@ -407,10 +407,11 @@ class MaterializedInjective:
         self.comodule = Comodule(pres, dims, maps)
 
 
-def envelope(mod, window):
+def envelope(mod, window, socle=None):
     """Minimal injective envelope of `mod`, materialised on `window`.
 
     Returns (formal injective, materialisation, per-vertex embedding rows).
+    `socle` is mod.socle() when the caller has already computed it.
     Each socle basis vector at a gives one summand E(a) and a functional on
     the space at a that is 1 on it and 0 on the rest of a basis extending the
     socle; the embedding row of a basis element is that functional pulled
@@ -421,7 +422,7 @@ def envelope(mod, window):
     for v in mod.support:
         if v not in wset:
             raise WindowInsufficient(f"support vertex {pres.display(v)} outside window")
-    socdim, socbases = mod.socle()
+    socdim, socbases = socle if socle is not None else mod.socle()
     socles, functionals = [], []
     for a in sorted(socdim.support, key=pres.sort_key):
         basis = socbases[a]

@@ -7,11 +7,19 @@ column-finite, the inner product x . c^{-tr} of a finitely supported x is
 again finitely supported, which is what makes the outer product a finite sum
 even when the Cartan matrix itself has infinite columns.
 
+The inner product is computed eagerly as a scatter: each x_i is spread over
+the certified row support of the inverse factor, which is exactly the
+certificate that makes the product finite, so only entries that certificate
+allows are evaluated and the cost is linear in the size of the result.  The
+outer product stays lazy and is evaluated only on the coordinates a caller
+asks for.  The transposes of both Cartan matrices are built once per
+operator, so their entry memos survive from one vector to the next.
+
 Vectors with infinite support (dimension vectors of opposite-side injectives,
 say) enter as formal generator combinations and are transformed by linearity.
 """
 
-from .errors import NotInDomain, NotInSubgroup
+from .errors import NotInDomain, NotInSubgroup, UndefinedProduct
 from .lazymatrix import (
     DimensionVector,
     LazyVector,
@@ -60,20 +68,35 @@ class GeneratorCombination:
         return LazyVector(entry, support=sup)
 
 
+def _scatter(x, m):
+    """x . m for a finitely supported x: each x_i is spread over the
+    certified row support of m, so the sum is exact and touches only the
+    entries that certificate allows."""
+    acc = {}
+    for i, xi in x.items():
+        row = m.row_support(i)
+        if row is None:
+            raise UndefinedProduct("vector support not certified finite")
+        for j in row:
+            acc[j] = acc.get(j, 0) + xi * m.entry(i, j)
+    return DimensionVector(acc)
+
+
 class CoxeterOperator:
     def __init__(self, pair):
         self.pair = pair
         self.presentation = pair.presentation
+        self.c, self.cinv = pair.cartan, pair.inverse
+        self.c_tr, self.cinv_tr = transpose(self.c), transpose(self.cinv)
         self._matrices = {}
 
     def matrix(self, direction="forward"):
         d = direction.lower()
         if d not in self._matrices:
-            c, cinv = self.pair.cartan, self.pair.inverse
             if d == "forward":
-                self._matrices[d] = multiply(negate(transpose(cinv)), c)
+                self._matrices[d] = multiply(negate(self.cinv_tr), self.c)
             elif d == "inverse":
-                self._matrices[d] = multiply(negate(cinv), transpose(c))
+                self._matrices[d] = multiply(negate(self.cinv), self.c_tr)
             else:
                 raise ValueError("direction must be 'forward' or 'inverse'")
         return self._matrices[d]
@@ -87,7 +110,6 @@ class CoxeterOperator:
         d = direction.lower()
         if d not in ("forward", "inverse"):
             raise ValueError("direction must be 'forward' or 'inverse'")
-        c, cinv = self.pair.cartan, self.pair.inverse
         if isinstance(x, GeneratorCombination):
             return self._apply_generators(x, d)
         if isinstance(x, LazyVector):
@@ -98,16 +120,13 @@ class CoxeterOperator:
             x = x.to_dimension_vector()
         if not isinstance(x, DimensionVector):
             raise NotInDomain(f"cannot transform {x!r}")
+        # the sign goes on the finite inner product: -(x.A).B = (-(x.A)).B
         if d == "forward":
-            inner = apply_vector(x, transpose(cinv)).to_dimension_vector()
-            outer = apply_vector(inner, c)
-        else:
-            inner = apply_vector(x, cinv).to_dimension_vector()
-            outer = apply_vector(inner, transpose(c))
-        return LazyVector(lambda j: -outer.entry(j), support=outer.support)
+            return apply_vector(-_scatter(x, self.cinv_tr), self.c)
+        return apply_vector(-_scatter(x, self.cinv), self.c_tr)
 
     def _apply_generators(self, combo, direction):
-        c = self.pair.cartan
+        c = self.c
         coeffs = combo.coeffs
         if direction == "forward" and combo.side == "op-injectives":
             # op-injective generators map to negated injective rows
@@ -135,10 +154,10 @@ class CoxeterOperator:
         the row/column certificates of the inverse; those sums are evaluated
         exactly (never truncated), coordinate by coordinate on the window.
         """
-        c, cinv = self.pair.cartan, self.pair.inverse
+        c, cinv = self.c, self.cinv
         win = list(eval_window)
         op_inj = LazyVector(lambda i: c.entry(i, a))          # column a of c
-        inner_fwd = apply_vector(op_inj, transpose(cinv))
+        inner_fwd = apply_vector(op_inj, self.cinv_tr)
         for j in win:
             if inner_fwd.entry(j) != (1 if j == a else 0):
                 return False
@@ -167,19 +186,17 @@ class CoxeterOperator:
         """
         if not isinstance(x, DimensionVector):
             raise NotInDomain("decompose expects a finitely supported vector")
-        c, cinv = self.pair.cartan, self.pair.inverse
         side = side.lower()
         if side == "injectives":
-            lam = apply_vector(x, cinv)
-            back_mat = c
+            inv_mat, back_mat = self.cinv, self.c
         elif side == "op-injectives":
-            lam = apply_vector(x, transpose(cinv))
-            back_mat = transpose(c)
+            inv_mat, back_mat = self.cinv_tr, self.c_tr
         else:
             raise ValueError("side must be 'injectives' or 'op-injectives'")
-        if lam.support is None:
-            raise NotInSubgroup("coefficient support not certified finite")
-        coeffs = lam.to_dimension_vector()
+        try:
+            coeffs = _scatter(x, inv_mat)
+        except UndefinedProduct:
+            raise NotInSubgroup("coefficient support not certified finite") from None
         back = apply_vector(coeffs, back_mat)
         check = set(x.support)
         if back.support is not None:

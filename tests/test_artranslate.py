@@ -1,3 +1,6 @@
+import hashlib
+from unittest import mock
+
 import pytest
 
 from coxcartan import (
@@ -346,6 +349,48 @@ def test_knit_z_a_infinity_injective_section_rejected():
 
     with pytest.raises(KnittingStuck):
         knit_component(z, ("injectives", list(z.window("0..3"))), 2)
+
+
+@pytest.mark.parametrize("family, lo", [("a-infinity", 0), ("d-infinity", -1)])
+@pytest.mark.parametrize("steps", [80, 160])
+def test_knit_cost_is_linear_in_its_output(family, lo, steps):
+    # a count, not a timing: each mesh evaluates Phi only on entries its row
+    # certificates allow, so matrix entries stay within a small multiple of
+    # the nonzeros the fragment prints
+    from coxcartan.lazymatrix import LazyIntMatrix
+
+    pres = make_family(family)
+    calls = 0
+    entry = LazyIntMatrix.entry
+
+    def counted(self, i, j):
+        nonlocal calls
+        calls += 1
+        return entry(self, i, j)
+
+    with mock.patch.object(LazyIntMatrix, "entry", counted):
+        frag = knit_component(pres, ("injectives", list(pres.window(f"{lo}..{steps + 2}"))), steps)
+    assert len(frag.meshes) == steps
+    assert calls <= 4 * sum(len(n.dim.support) for n in frag.nodes)
+
+
+def test_knit_a_infinity_160_steps_output_is_stable():
+    a = make_family("a-infinity")
+    text = knit_component(a, ("injectives", list(a.window("0..162"))), 160).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0b85b88c466638cc71e8f39df8a0b1fcf6b66d9f5a6868eeaae5289f245e78c9"
+    )
+
+
+def test_copresentation_computes_each_socle_once():
+    # one socle for M's envelope and one for the cokernel, whose boundary
+    # check and envelope share it
+    a = make_family("a-infinity")
+    module = interval_comodule(a, 3, 5)
+    with mock.patch.object(Comodule, "socle", autospec=True, side_effect=Comodule.socle) as soc:
+        copres = min_inj_copresentation(module)
+    assert soc.call_count == 2
+    assert copres.e0.summands == [5] and copres.e1.summands == [2]
 
 
 def test_knit_dot_output():

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -125,6 +126,21 @@ def test_knit_text_and_determinism():
     assert "tau n0 n5" in out1[1]
 
 
+def test_knit_names_the_edge_of_its_seed_section(capsys):
+    # E(3) is meshed while its arc 3 -> 4 leaves the section, so its mesh
+    # lacks E(4): that is the edge of the section, not a Coxeter mismatch
+    code, out = invoke(
+        ["knit", "--family=d-infinity", "--section=-1..3", "--steps=5"]
+    )
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: mesh at n4: knitting reached the edge of its seed section at "
+        "E(3), whose arc 3 -> 4 leaves it; widen --section\n"
+    )
+    code, _ = invoke(["knit", "--family=d-infinity", "--section=-1..4", "--steps=5"])
+    assert code == 0
+
+
 def test_knit_dot():
     code, out = invoke(
         ["knit", "--family", "a-infinity", "--steps", "2", "--section", "0..3",
@@ -215,5 +231,10 @@ def test_one_parser_serves_every_call():
 
 def test_importing_the_cli_builds_no_parser():
     code = "import coxcartan.cli as c; print(c._parser.cache_info().currsize)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child imports the package this test imported, however it was found
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
     assert out.stdout.strip() == "0"

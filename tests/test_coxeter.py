@@ -216,3 +216,19 @@ def test_decompose_residual_guard():
     op = CoxeterOperator(pair)
     with pytest.raises(NotInSubgroup):
         op.decompose_in_generators(DimensionVector.unit(1), "injectives")
+
+
+def test_apply_without_row_certificate_raises():
+    # right entries but no support rules: the inner product has no finite
+    # certificate, so it is refused rather than summed over a guess
+    from coxcartan import LazyIntMatrix, UndefinedProduct
+
+    k = parse_presentation("kind quiver\narrow 0 1\n")
+    pair = cartan_pair(k)
+    pair.inverse = LazyIntMatrix(pair.inverse.entry, name="c^-1")
+    op = CoxeterOperator(pair)
+    for direction in ("forward", "inverse"):
+        with pytest.raises(UndefinedProduct):
+            op.apply(DimensionVector.unit(0), direction)
+    with pytest.raises(NotInSubgroup):
+        op.decompose_in_generators(DimensionVector.unit(0), "injectives")

@@ -1,12 +1,16 @@
-"""Property tests of the socle -> envelope -> cokernel engine on random finite
-posets and quivers, against oracles that do not run it."""
+"""Property tests on random finite posets and quivers against oracles that do
+not share the code under test: the socle -> envelope -> cokernel engine, and
+the lazy Coxeter action against dense inversion of the whole Cartan matrix."""
 
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from coxcartan import (
+    CoxeterOperator,
+    DimensionVector,
     FormalInjective,
+    cartan_pair,
     cartan_inverse,
     cartan_matrix,
     ext_dim,
@@ -105,3 +109,26 @@ def test_elements_cut_off_the_local_downset_have_no_ext(p):
                 assert mobius(pres, q, j) == 0, (q, j)
                 for m in range(len(verts) + 1):
                     assert ext_dim(pres, q, j, m, method="complex") == 0, (q, j, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["poset", "quiver"]).flatmap(finite_presentations), st.data())
+def test_coxeter_action_matches_dense_inverse(p, data):
+    # Phi x = -x.C^-tr.C and Phi^-1 x = -x.C^-1.C^tr, with C^-1 the dense
+    # inverse of a Cartan matrix built here from path counts
+    for pres in (p, p.opposite()):
+        verts = pres.vertices()
+        dense = [[path_count(pres, j, i) for j in verts] for i in verts]
+        inv = linalg.invert(dense)
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=len(verts), max_size=len(verts)))
+        op = CoxeterOperator(cartan_pair(pres))
+        factors = {
+            "forward": (linalg.transpose(inv), dense),
+            "inverse": (inv, linalg.transpose(dense)),
+        }
+        for direction, (a, b) in factors.items():
+            expect = [-e for e in linalg.mat_mul(linalg.mat_mul([x], a), b)[0]]
+            got = op.apply(DimensionVector(dict(zip(verts, x))), direction)
+            assert [got.entry(v) for v in verts] == expect, direction
+            if got.support is not None:
+                assert {v for v, e in zip(verts, expect) if e} <= got.support
