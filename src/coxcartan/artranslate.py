@@ -7,9 +7,20 @@ injectives (symbolically: reverse paths), and take the kernel there.  The
 copresentation is two steps of the socle -> envelope -> cokernel engine of
 module `comodules`, with its path-basis injectives, that also resolves simples
 of incidence presentations.  Windows enter only when injectives are
-materialised; kernels and cokernels are computed on the support of M enlarged
-by a margin, and any activity on the window boundary raises
-WindowInsufficient instead of silently truncating.
+materialised, and each window is exact, never a guess.  The copresentation
+works on the convex closure of T = supp M plus its in-neighbours (every
+vertex on a path between two of T).  soc(E0/M) lies in T: a socle class at
+v outside supp M is some x != 0 in E0(v) outside soc E0 = soc M, so an
+arrow v -> w maps it into M.  No arrow leaves the window for a u with
+E0(u) != 0, since such a u reaches soc M; so the socle of the cokernel on
+the window and every route of the envelopes are exact.  The transpose
+kernel K, a subcomodule of the flipped E1, is walked in layers by arrow
+distance to the socle vertices of the flipped E1.  A nonzero element of K
+has a chain of nonzero arrow images down to layer 0, one layer at most per
+arrow, so K vanishes beyond the first layer where it is zero.  A vertex
+walked costs one unit of COX_NODE_BUDGET.  A flipped E1 that is
+infinite-dimensional over a finite flipped E0 makes K infinite-dimensional;
+InfiniteDimensional says so.
 
 The formula dim tau N = Phi(dim N) needs Hom(C, DN) = 0, which
 `certify_no_inj_hom` decides exactly at the socle: path coalgebras are
@@ -33,9 +44,10 @@ section rather than as a disagreement.
 
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from . import linalg
-from .cartan import cartan_pair, path_count
+from .cartan import cartan_pair, node_budget, path_count
 from .comodules import (
     Comodule,
     FormalInjective,
@@ -48,6 +60,7 @@ from .comodules import (
     hom_basis,
     interval_comodule,
     materialized_kernel,
+    path_basis,
     zero_comodule,
 )
 from .coxeter import CoxeterOperator
@@ -55,24 +68,29 @@ from .errors import (
     HomCNotZero,
     HypothesisViolated,
     InfiniteDimensional,
+    IntervalFinitenessViolated,
     KnittingStuck,
     NotInKnittedRegion,
     PresentationError,
-    WindowInsufficient,
+    UnknownVertex,
 )
 from .lazymatrix import DimensionVector, LazyVector
 
+
+def _layers(start, neighbours):
+    """Breadth-first layers: the vertices of `start`, then at each step the
+    vertices first reached along `neighbours`."""
+    seen, layer = set(), list(dict.fromkeys(start))
+    while layer:
+        seen.update(layer)
+        yield layer
+        layer = [w for w in dict.fromkeys(w for v in layer for w in neighbours(v)) if w not in seen]
+
+
 def grow_window(pres, verts, steps):
-    cur = set(verts)
-    for _ in range(steps):
-        nxt = set(cur)
-        for v in cur:
-            for w, _ in pres.out_arcs(v):
-                nxt.add(w)
-            for w, _ in pres.in_arcs(v):
-                nxt.add(w)
-        cur = nxt
-    return sorted(cur, key=pres.sort_key)
+    """`verts` and every vertex within `steps` arcs of them, either way."""
+    layers = _layers(verts, lambda v: [w for w, _ in pres.out_arcs(v) + pres.in_arcs(v)])
+    return sorted(chain.from_iterable(islice(layers, steps + 1)), key=pres.sort_key)
 
 
 @dataclass
@@ -80,63 +98,53 @@ class InjCopresentation:
     e0: FormalInjective
     e1: FormalInjective
     map: InjectiveMorphism        # symbolic E0 -> E1
-    exact_at_e1: bool             # cokernel of E0 -> E1 vanished on the window
+    exact_at_e1: bool             # E0/M -> E1 is onto on the window
 
 
-def min_inj_copresentation(module, margin=3):
+def min_inj_copresentation(module):
     """Minimal injective copresentation 0 -> M -> E0 -> E1 of a finite
     comodule over a hereditary path presentation.
 
     E0 is the injective envelope of soc M, E1 the envelope of soc(E0/M); the
-    connecting map is returned symbolically in the path basis.  Raises
-    WindowInsufficient when a socle or cokernel touches the window boundary.
+    connecting map is returned symbolically in the path basis.  Both are
+    computed on one exact window (see the module docstring).
     """
     pres = module.pres
     if pres.kind != "quiver":
         raise PresentationError("copresentations need a path presentation")
-    window = grow_window(pres, module.support, margin)
-    wset = set(window)
+    heads = set(module.dims).union(w for v in module.dims for w, _ in pres.in_arcs(v))
+
+    def onward(v):
+        return [
+            w for w, _ in pres.out_arcs(v)
+            if w in heads or any(pres.could_reach(w, h) for h in heads)
+        ]
+
+    # the convex closure of heads: forward from them, through the vertices
+    # that can still reach one of them
+    window = sorted(chain.from_iterable(_layers(heads, onward)), key=pres.sort_key)
     e0_formal, e0_mat, iota = envelope(module, window)
     quotient, projs = cokernel(e0_mat.comodule, iota, window)
-
-    # socle of the cokernel; only trust vertices whose out-arrows stay inside
-    socle = quotient.socle()
-    for v in socle[0].support:
-        if any(w not in wset for w, _ in pres.out_arcs(v)):
-            raise WindowInsufficient(
-                f"cokernel socle at boundary vertex {pres.display(v)}"
-            )
-
-    e1_formal, e1_mat, embed2 = envelope(quotient, window, socle)
+    e1_formal, e1_mat, embed2 = envelope(quotient, window)
     # concrete composite g = (Q -> E1) o (E0 -> Q)
-    gmats = {}
-    for v in window:
-        gmats[v] = linalg.mat_mul(embed2[v], projs[v]) if len(projs[v]) else (
-            linalg.zeros(len(embed2[v]), e0_mat.comodule.dim(v))
-        )
+    gmats = {
+        v: linalg.mat_mul(embed2[v], projs[v]) if projs[v]
+        else linalg.zeros(len(embed2[v]), e0_mat.comodule.dim(v))
+        for v in window
+    }
     # exactness beyond E1 (hereditary: the cokernel of M -> E0 is injective,
     # so the envelope embedding must already be onto) checked numerically
-    exact = True
-    for v in window:
-        if e1_mat.comodule.dim(v) and linalg.rank(embed2[v]) != e1_mat.comodule.dim(v):
-            exact = False
-    # extract the symbolic path coefficients of g
-    blocks = {}
-    for ti, a in enumerate(e1_formal.summands):
-        if a not in e1_mat.offset:
-            raise WindowInsufficient(f"socle vertex {pres.display(a)} outside window")
-        row = e1_mat.offset[a][(ti, ())]
-        for si, j in enumerate(e0_formal.summands):
-            blk = {}
-            for pi in enumerate_paths(pres, a, j):
-                col = e0_mat.offset.get(a, {}).get((si, pi))
-                if col is None:
-                    continue
-                coeff = gmats[a][row][col]
-                if coeff != 0:
-                    blk[pi] = coeff
-            if blk:
-                blocks[(ti, si)] = blk
+    exact = all(linalg.rank(embed2[v]) == e1_mat.comodule.dim(v) for v in e1_mat.basis)
+    # the symbolic path coefficients of g, read at the socle vertex a of
+    # each E1 summand; InjectiveMorphism drops the zero ones
+    blocks = {
+        (ti, si): {
+            pi: gmats[a][e1_mat.offset[a][ti, ()]][e0_mat.offset[a][si, pi]]
+            for pi in enumerate_paths(pres, a, j)
+        }
+        for ti, a in enumerate(e1_formal.summands)
+        for si, j in enumerate(e0_formal.summands)
+    }
     gmor = InjectiveMorphism(e0_formal, e1_formal, blocks)
     check = gmor.materialize(e0_mat, e1_mat)
     for v in window:
@@ -164,54 +172,58 @@ def certify_no_inj_hom(module):
     return True
 
 
-_MARGINS = (3, 5, 9)
-
-
-def transpose_tr(module, margin=None):
+def transpose_tr(module):
     """The transpose of a finite comodule: the kernel of the flipped minimal
     copresentation, over the opposite presentation.
 
     Returns (dimension vector as a LazyVector over the opposite presentation,
-    kernel comodule).  The kernel is the definition and needs no hypotheses;
-    the vector is dim of flipped E1 minus dim of flipped E0 when no injective
-    maps into the module (else that would be wrong) and the kernel's dims
-    otherwise.
+    kernel comodule).  The vector is dim of flipped E1 minus dim of flipped
+    E0 when no injective maps into the module, the kernel's dims otherwise.
     """
-    _, lazy, kernel = _transpose(module, margin, certify_no_inj_hom(module))
+    _, lazy, kernel = _transpose_attempt(module, certify_no_inj_hom(module))
     return lazy, kernel
 
 
-def _transpose(module, margin, certified):
-    """(copresentation, lazy dims, kernel) at the first margin that suffices."""
-    last = None
-    for m in (margin,) if margin is not None else _MARGINS:
-        try:
-            return _transpose_attempt(module, m, certified)
-        except WindowInsufficient as exc:
-            last = exc
-    raise last
-
-
-def _transpose_attempt(module, margin, certified):
-    pres = module.pres
-    copres = min_inj_copresentation(module, margin)
-    op = pres.opposite()
-    if copres.e1.is_zero():
-        return copres, LazyVector(lambda v: 0, support=frozenset()), zero_comodule(op)
-    nabla_g = copres.map.nabla()          # over op: nabla E1 -> nabla E0
-    anchors = set(module.support)
-    anchors.update(copres.e0.summands)
-    anchors.update(copres.e1.summands)
-    window = grow_window(op, sorted(anchors, key=op.sort_key), margin)
-    src = MaterializedInjective(nabla_g.source, window)
-    dst = MaterializedInjective(nabla_g.target, window)
-    kernel = materialized_kernel(src.comodule, nabla_g.materialize(src, dst), window)
-    wset = set(window)
-    for v in kernel.support:
-        if any(w not in wset for w, _ in [*op.out_arcs(v), *op.in_arcs(v)]):
-            raise WindowInsufficient(
-                f"transpose kernel reaches window boundary at {op.display(v)}"
+def _flipped_kernel(nabla_g):
+    """ker(nabla E1 -> nabla E0), walked in layers by arrow distance to the
+    socle vertices of nabla E1 and stopped at the first layer where it is
+    zero (see the module docstring)."""
+    src, dst = nabla_g.source, nabla_g.target
+    op = src.pres
+    infinite = [a for a in src.summands if op.ancestors(a) is None]
+    if infinite and all(op.ancestors(j) is not None for j in dst.summands):
+        raise InfiniteDimensional(
+            f"transpose kernel is infinite-dimensional: the flipped E1 = {src!r} "
+            f"is infinite at {op.display(infinite[0])} and the flipped E0 = {dst!r} finite"
+        )
+    budget, walked, bases = node_budget(), 0, {}
+    for layer in _layers(src.summands, lambda v: [w for w, _ in op.in_arcs(v)]):
+        walked += len(layer)
+        if walked > budget:
+            raise IntervalFinitenessViolated(
+                f"transpose kernel walk exceeded COX_NODE_BUDGET {budget}"
             )
+        found = {}
+        for v in layer:
+            cols = path_basis(src, v)
+            mat = nabla_g.matrix(cols, {item: r for r, item in enumerate(path_basis(dst, v))})
+            basis = linalg.nullspace(mat) if mat else linalg.identity(len(cols))
+            if basis:
+                found[v] = basis
+        if not found:
+            break
+        bases.update(found)
+    return materialized_kernel(MaterializedInjective(src, bases).comodule, bases)
+
+
+def _transpose_attempt(module, certified):
+    """(copresentation, lazy dims, kernel) of the transpose of `module`;
+    `certified` says that no injective maps into it."""
+    pres = module.pres
+    copres = min_inj_copresentation(module)
+    if copres.e1.is_zero():
+        return copres, LazyVector(lambda v: 0, support=frozenset()), zero_comodule(pres.opposite())
+    kernel = _flipped_kernel(copres.map.nabla())   # over op: nabla E1 -> nabla E0
     if not certified:
         return copres, LazyVector(kernel.dim, support=frozenset(kernel.dims)), kernel
 
@@ -227,7 +239,7 @@ def _transpose_attempt(module, margin, certified):
     return copres, lazy, kernel
 
 
-def tau(module, direction="tau-minus", margin=None):
+def tau(module, direction="tau-minus"):
     """Auslander-Reiten translate at comodule level (hereditary presentations).
 
     "tau-minus" of an injective and "tau" of a projective are zero; otherwise
@@ -235,12 +247,9 @@ def tau(module, direction="tau-minus", margin=None):
     """
     d = direction.lower().replace("_", "-")
     if d == "tau-minus":
-        _, kernel = transpose_tr(module, margin=margin)
-        return kernel.dual()
+        return transpose_tr(module)[1].dual()
     if d == "tau":
-        dual = module.dual()
-        _, kernel = transpose_tr(dual, margin=margin)
-        return kernel
+        return transpose_tr(module.dual())[1]
     raise ValueError("direction must be 'tau' or 'tau-minus'")
 
 
@@ -406,6 +415,9 @@ def injective_section_seed(pres, window):
 def interval_column_seed(pres, lo, hi_list):
     """Seed a linear-family knitting with the column of intervals
     [lo, m] for m in hi_list (consecutive, increasing)."""
+    for v in range(lo, max(hi_list, default=lo - 1) + 1):
+        if not pres.has_vertex(v):
+            raise UnknownVertex(f"seed column vertex {v} not in presentation")
     nodes = []
     for m in hi_list:
         dim = DimensionVector({v: 1 for v in range(lo, m + 1)})
@@ -545,7 +557,7 @@ def verify_translate_formula(module, coxeter_op=None):
     dual = module.dual()
     if not certify_no_inj_hom(dual):
         raise HomCNotZero("dual module receives an injective map")
-    copres, _, translate = _transpose(dual, None, True)
+    copres, _, translate = _transpose_attempt(dual, True)
     if copres.e1.is_zero():
         raise HypothesisViolated("module is projective; translate vanishes")
     if not copres.exact_at_e1:

@@ -3,7 +3,9 @@
 Every subcommand is a pure function of its flags: output ordering follows the
 presentation's display order, so identical invocations are byte-identical.
 Exit codes: 0 success, 1 a verification suite found a counterexample, 2 bad
-input (unknown flags, malformed files, unknown vertices, undefined products).
+input (unknown flags, malformed files, unknown vertices, undefined products),
+3 an internal error: any other exception, reported as one line
+"internal error: <Type>: <message>" instead of a traceback.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import json
 import sys
 
 from . import artranslate, cartan, coxeter, lazymatrix, presentations, resolutions
+from .comodules import interval_comodule
 from .errors import CoxError
 
 
@@ -95,7 +98,6 @@ def build_parser():
     _add_common(sub, window=False)
     sub.add_argument("--interval", required=True, help="lo,hi")
     sub.add_argument("--direction", default="tau-minus", choices=["tau", "tau-minus"])
-    sub.add_argument("--margin", type=int, help="window margin for kernel computations")
 
     sub = subs.add_parser("mesh", help="almost split mesh at an interval module")
     _add_common(sub, window=False)
@@ -186,15 +188,13 @@ def _parse_interval(pres, text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise CoxError("--interval expects lo,hi")
-    from .comodules import interval_comodule
-
     return interval_comodule(pres, int(parts[0]), int(parts[1]))
 
 
 def _cmd_tau(args, out):
     pres = _load_presentation(args)
     module = _parse_interval(pres, args.interval)
-    result = artranslate.tau(module, args.direction, margin=args.margin)
+    result = artranslate.tau(module, args.direction)
     out.write(result.dim_vector().sparse_str(pres) + "\n")
     return 0
 
@@ -301,8 +301,6 @@ def _suite_tau(pres, win, out, max_degree):
         out.write("FAIL: tau suite needs a path presentation\n")
         return 1
     if pres.linear:
-        from .comodules import interval_comodule
-
         ints = [v for v in win if isinstance(v, int)]
         checked = 0
         for lo in ints:
@@ -398,12 +396,12 @@ def run(argv, out=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args, out)
-    except CoxError as exc:
+    except (CoxError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main(argv=None):

@@ -71,32 +71,38 @@ def enumerate_paths(pres, u, v):
     key = (u, v)
     if key in memo:
         return memo[key]
-    budget = node_budget()
-    spent = [0]
-
-    def walk(x):
-        k = (x, v)
-        if k in memo:
-            return memo[k]
-        spent[0] += 1
-        if spent[0] > budget:
-            raise IntervalFinitenessViolated(
-                f"path enumeration {pres.display(u)} -> {pres.display(v)} exceeded budget"
-            )
-        found = [()] if x == v else []
-        for arrow in arrows_from(pres, x):
-            w = arrow[1]
-            if pres.could_reach(w, v):
-                for tail in walk(w):
-                    found.append((arrow,) + tail)
-        found.sort(key=lambda p: (len(p), [pres.sort_key(a[0]) for a in p], [a[2] for a in p]))
-        memo[k] = found
-        return found
-
     if not pres.could_reach(u, v):
         memo[key] = []
         return []
-    return walk(u)
+    # depth-first post-order walk on an explicit stack, in the order of a
+    # recursive walk: a vertex costs one unit of budget when it is first
+    # expanded, and its path list is memoized once its last successor returns
+    budget = node_budget()
+    spent = 0
+    stack = [[u, None]]     # vertex, arrows left
+    while stack:
+        frame = stack[-1]
+        x, arrows = frame
+        if arrows is None:
+            spent += 1
+            if spent > budget:
+                raise IntervalFinitenessViolated(
+                    f"path enumeration {pres.display(u)} -> {pres.display(v)} exceeded budget"
+                )
+            arrows = frame[1] = iter(arrows_from(pres, x))
+        for arrow in arrows:
+            if (arrow[1], v) not in memo and pres.could_reach(arrow[1], v):
+                stack.append([arrow[1], None])
+                break
+        else:
+            # a successor that cannot reach v has no memo entry, or []
+            found = [()] if x == v else []
+            for arrow in arrows_from(pres, x):
+                found.extend((arrow,) + tail for tail in memo.get((arrow[1], v), ()))
+            found.sort(key=lambda p: (len(p), [pres.sort_key(a[0]) for a in p], [a[2] for a in p]))
+            memo[x, v] = found
+            stack.pop()
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +202,20 @@ def direct_sum(mods):
     mods = [m for m in mods if not m.is_zero()]
     if not mods:
         raise ValueError("empty direct sum; use zero_comodule")
-    pres = mods[0].pres
-    dims = {}
+    dims, offsets = {}, []
     for m in mods:
+        offsets.append({v: dims.get(v, 0) for v in m.dims})
         for v, d in m.dims.items():
             dims[v] = dims.get(v, 0) + d
-    offsets = []
-    running = {v: 0 for v in dims}
-    for m in mods:
-        offsets.append({v: running[v] for v in m.dims})
-        for v, d in m.dims.items():
-            running[v] += d
     maps = {}
-    for mi, m in enumerate(mods):
+    for m, off in zip(mods, offsets):
         for arrow, mat in m.maps.items():
             u, w, _ = arrow
             big = maps.setdefault(arrow, linalg.zeros(dims[w], dims[u]))
-            ou, ow = offsets[mi][u], offsets[mi][w]
             for r in range(m.dim(w)):
                 for c in range(m.dim(u)):
-                    big[ow + r][ou + c] = mat[r][c]
-    return Comodule(pres, dims, maps)
+                    big[off[w] + r][off[u] + c] = mat[r][c]
+    return Comodule(mods[0].pres, dims, maps)
 
 
 def hom_basis(x, y):
@@ -224,51 +223,37 @@ def hom_basis(x, y):
     each represented as a dict vertex -> matrix."""
     assert x.pres is y.pres
     verts = sorted(set(x.dims) | set(y.dims), key=x.pres.sort_key)
-    var_offset = {}
-    nvars = 0
+    var_offset, nvars = {}, 0
     for v in verts:
         var_offset[v] = nvars
         nvars += x.dim(v) * y.dim(v)
     if nvars == 0:
         return []
     rows = []
-    for v in verts:
-        for arrow in arrows_from(x.pres, v):
-            u, w, _ = arrow
-            xa = x.arrow_map(arrow) if x.dim(u) and x.dim(w) else None
-            ya = y.arrow_map(arrow) if y.dim(u) and y.dim(w) else None
-            # constraint: psi_w . x_arrow = y_arrow . psi_u  (entrywise rows)
-            rdim, cdim = y.dim(w), x.dim(u)
-            if rdim == 0 or cdim == 0:
-                continue
-            for r in range(rdim):
-                for c in range(cdim):
+    for u in verts:
+        for arrow in arrows_from(x.pres, u):
+            w = arrow[1]
+            xa, ya = x.arrow_map(arrow), y.arrow_map(arrow)
+            # constraint: psi_w . x_arrow = y_arrow . psi_u, one row per entry
+            for r in range(y.dim(w)):
+                for c in range(x.dim(u)):
                     row = [F0] * nvars
-                    if x.dim(w):
-                        base = var_offset[w]
-                        for t in range(x.dim(w)):
-                            row[base + r * x.dim(w) + t] += xa[t][c] if xa else F0
-                    if y.dim(u):
-                        base = var_offset[u]
-                        for t in range(y.dim(u)):
-                            row[base + t * x.dim(u) + c] -= ya[r][t] if ya else F0
-                    if any(e != 0 for e in row):
+                    for t in range(x.dim(w)):
+                        row[var_offset[w] + r * x.dim(w) + t] += xa[t][c]
+                    for t in range(y.dim(u)):
+                        row[var_offset[u] + t * x.dim(u) + c] -= ya[r][t]
+                    if any(row):
                         rows.append(row)
-    kernel = linalg.nullspace(rows) if rows else [
-        [F1 if i == j else F0 for i in range(nvars)] for j in range(nvars)
+    kernel = linalg.nullspace(rows) if rows else linalg.identity(nvars)
+    shared = [v for v in verts if x.dim(v) and y.dim(v)]
+    return [
+        {
+            v: [[vec[var_offset[v] + r * x.dim(v) + c] for c in range(x.dim(v))]
+                for r in range(y.dim(v))]
+            for v in shared
+        }
+        for vec in kernel
     ]
-    out = []
-    for vec in kernel:
-        comp = {}
-        for v in verts:
-            if x.dim(v) and y.dim(v):
-                base = var_offset[v]
-                comp[v] = [
-                    [vec[base + r * x.dim(v) + c] for c in range(x.dim(v))]
-                    for r in range(y.dim(v))
-                ]
-        out.append(comp)
-    return out
 
 
 def find_isomorphism(x, y):
@@ -285,11 +270,7 @@ def find_isomorphism(x, y):
     basis = hom_basis(x, y)
 
     def invertible(comp):
-        for v in x.dims:
-            mat = comp.get(v)
-            if mat is None or linalg.rank(mat) != x.dim(v):
-                return False
-        return True
+        return all(v in comp and linalg.rank(comp[v]) == d for v, d in x.dims.items())
 
     candidates = list(basis)
     if len(basis) > 1:
@@ -341,6 +322,14 @@ class FormalInjective:
         return " + ".join(parts) if parts else "0"
 
 
+def path_basis(formal, v):
+    """Basis at v of a formal injective of a path presentation: the pairs
+    (summand index, path v -> socle vertex of the summand)."""
+    return [
+        (si, p) for si, a in enumerate(formal.summands) for p in enumerate_paths(formal.pres, v, a)
+    ]
+
+
 class MaterializedInjective:
     """A formal injective realised on a window, in the model of its kind.
 
@@ -362,30 +351,34 @@ class MaterializedInjective:
             chains = {}
 
             def chain(v, a):
-                if (v, a) not in chains:
-                    if v == a:
-                        chains[v, a] = ()
-                    else:
-                        arrow = next(x for x in arrows_from(pres, v) if pres.leq(x[1], a))
-                        chains[v, a] = (arrow,) + chain(arrow[1], a)
-                return chains[v, a]
+                # follow first covers up to a known chain, then memoize the
+                # chain of every vertex passed, nearest to a first
+                passed = []
+                while (v, a) not in chains and v != a:
+                    arrow = next(x for x in arrows_from(pres, v) if pres.leq(x[1], a))
+                    passed.append((v, arrow))
+                    v = arrow[1]
+                tail = chains.setdefault((v, a), ())
+                for u, arrow in reversed(passed):
+                    tail = chains[u, a] = (arrow,) + tail
+                return tail
 
-            def routes(v, a):
-                return [chain(v, a)] if pres.leq(v, a) else []
+            def items_at(v):
+                return [(si, chain(v, a)) for si, a in enumerate(socles) if pres.leq(v, a)]
 
             def image(arrow, si, route):
                 w = arrow[1]
                 return (si, chain(w, socles[si])) if pres.leq(w, socles[si]) else None
         else:
-            def routes(v, a):
-                return enumerate_paths(pres, v, a)
+            def items_at(v):
+                return path_basis(formal, v)
 
             def image(arrow, si, route):
                 return (si, route[1:]) if route and route[0] == arrow else None
 
         self.basis = {}
         for v in self.window:
-            items = [(si, p) for si, a in enumerate(socles) for p in routes(v, a)]
+            items = items_at(v)
             if items:
                 self.basis[v] = items
         self.offset = {
@@ -407,11 +400,10 @@ class MaterializedInjective:
         self.comodule = Comodule(pres, dims, maps)
 
 
-def envelope(mod, window, socle=None):
+def envelope(mod, window):
     """Minimal injective envelope of `mod`, materialised on `window`.
 
     Returns (formal injective, materialisation, per-vertex embedding rows).
-    `socle` is mod.socle() when the caller has already computed it.
     Each socle basis vector at a gives one summand E(a) and a functional on
     the space at a that is 1 on it and 0 on the rest of a basis extending the
     socle; the embedding row of a basis element is that functional pulled
@@ -422,7 +414,7 @@ def envelope(mod, window, socle=None):
     for v in mod.support:
         if v not in wset:
             raise WindowInsufficient(f"support vertex {pres.display(v)} outside window")
-    socdim, socbases = socle if socle is not None else mod.socle()
+    socdim, socbases = mod.socle()
     socles, functionals = [], []
     for a in sorted(socdim.support, key=pres.sort_key):
         basis = socbases[a]
@@ -434,18 +426,22 @@ def envelope(mod, window, socle=None):
     pulled = {}
 
     def pullback(si, route):
-        # functional si composed with the maps of `mod` along `route`; a
-        # zero space on the way gives the zero row
-        if (si, route) not in pulled:
-            if not route:
-                row = functionals[si]
+        # functional si composed with the maps of `mod` along `route`, from
+        # the longest memoized tail of the route back to its start; a zero
+        # space on the way gives the zero row
+        k = 0
+        while (si, route[k:]) not in pulled:
+            if k == len(route):
+                pulled[si, ()] = functionals[si]
+                break
+            k += 1
+        for i in range(k - 1, -1, -1):
+            after = pulled[si, route[i + 1:]]
+            if any(x != 0 for x in after):
+                row = linalg.mat_mul([after], mod.arrow_map(route[i]))[0]
             else:
-                after = pullback(si, route[1:])
-                if any(x != 0 for x in after):
-                    row = linalg.mat_mul([after], mod.arrow_map(route[0]))[0]
-                else:
-                    row = [F0] * mod.dim(route[0][0])
-            pulled[si, route] = row
+                row = [F0] * mod.dim(route[i][0])
+            pulled[si, route[i:]] = row
         return pulled[si, route]
 
     embed = {v: [pullback(si, p) for si, p in inj.basis.get(v, [])] for v in inj.window}
@@ -506,40 +502,28 @@ class InjectiveMorphism:
 
     def materialize(self, src_mat, tgt_mat):
         """Per-vertex matrices of the morphism on already-materialised ends."""
-        out = {}
-        for v in src_mat.window:
-            cols = src_mat.basis.get(v, [])
-            rows = tgt_mat.basis.get(v, [])
-            mat = linalg.zeros(len(rows), len(cols))
-            if rows and cols:
-                row_of = tgt_mat.offset[v]
-                for c, (si, p) in enumerate(cols):
-                    for (ti, si2), blk in self.blocks.items():
-                        if si2 != si:
-                            continue
-                        for pi, coeff in blk.items():
-                            cut = len(p) - len(pi)
-                            if cut >= 0 and p[cut:] == pi:
-                                r = row_of.get((ti, p[:cut]))
-                                if r is not None:
-                                    mat[r][c] += coeff
-            out[v] = mat
-        return out
+        return {
+            v: self.matrix(src_mat.basis.get(v, []), tgt_mat.offset.get(v, {}))
+            for v in src_mat.window
+        }
+
+    def matrix(self, cols, row_of):
+        """The matrix at one vertex, from the source basis `cols` there to the
+        target basis indexed by `row_of` (basis item -> row)."""
+        mat = linalg.zeros(len(row_of), len(cols))
+        for c, (si, p) in enumerate(cols):
+            for (ti, si2), blk in self.blocks.items():
+                if si2 == si:
+                    for pi, coeff in blk.items():
+                        cut = len(p) - len(pi)
+                        if cut >= 0 and p[cut:] == pi and (ti, p[:cut]) in row_of:
+                            mat[row_of[ti, p[:cut]]][c] += coeff
+        return mat
 
 
-def materialized_kernel(mod, mats, window):
-    """Kernel on `window` of a morphism out of `mod`, given by its per-vertex
-    matrices `mats`, as a subcomodule of `mod`."""
-    bases = {}
-    for v in window:
-        d = mod.dim(v)
-        if d == 0:
-            continue
-        basis = linalg.nullspace(mats[v]) if len(mats[v]) else [
-            [F1 if i == j else F0 for i in range(d)] for j in range(d)
-        ]
-        if basis:
-            bases[v] = basis
+def materialized_kernel(mod, bases):
+    """The subcomodule of `mod` spanned at each vertex v by the columns
+    bases[v], which must be stable under the arrow maps (a kernel)."""
     dims = {v: len(b) for v, b in bases.items()}
     maps = {}
     for v in list(bases):

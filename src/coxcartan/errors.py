@@ -37,7 +37,7 @@ class CapExceeded(CoxError):
 
 
 class WindowInsufficient(CoxError):
-    """A kernel/cokernel computation touched the window boundary; widen and retry."""
+    """A module was handed to the envelope on a window that misses part of its support."""
 
 
 class HypothesisViolated(CoxError):
@@ -65,4 +65,5 @@ class KnittingStuck(CoxError):
 
 
 class InfiniteDimensional(CoxError):
-    """An operation needed a finite-dimensional injective that is not one here."""
+    """An operation needed a finite-dimensional injective or transpose kernel
+    that is infinite-dimensional here."""

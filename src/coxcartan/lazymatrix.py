@@ -33,6 +33,7 @@ class LazyIntMatrix:
         self._col_support_rule = col_support
         self.name = name
         self._memo = {}
+        self._supports = {}
 
     def entry(self, i, j):
         key = (i, j)
@@ -41,16 +42,17 @@ class LazyIntMatrix:
         return self._memo[key]
 
     def row_support(self, i):
-        if self._row_support_rule is None:
-            return None
-        s = self._row_support_rule(i)
-        return None if s is None else frozenset(s)
+        return self._certificate(self._row_support_rule, ("row", i))
 
     def col_support(self, j):
-        if self._col_support_rule is None:
-            return None
-        s = self._col_support_rule(j)
-        return None if s is None else frozenset(s)
+        return self._certificate(self._col_support_rule, ("col", j))
+
+    def _certificate(self, rule, key):
+        # an immutable frozenset, computed once per index and shared
+        if rule is not None and key not in self._supports:
+            s = rule(key[1])
+            self._supports[key] = None if s is None else frozenset(s)
+        return self._supports.get(key)
 
     def __repr__(self):
         return f"LazyIntMatrix({self.name or 'anon'})"

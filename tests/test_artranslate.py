@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from unittest import mock
 
 import pytest
@@ -199,7 +200,7 @@ def test_transpose_kronecker_parallel_arrows():
 def test_transpose_explicit_small_margin():
     a = make_family("a-infinity")
     module = interval_comodule(a, 5, 6)
-    _, kernel = transpose_tr(module)  # default margins
+    _, kernel = transpose_tr(module)  # one exact window, no margin
     assert kernel.dim_vector() == DimensionVector({4: 1, 5: 1})
 
 
@@ -383,8 +384,7 @@ def test_knit_a_infinity_160_steps_output_is_stable():
 
 
 def test_copresentation_computes_each_socle_once():
-    # one socle for M's envelope and one for the cokernel, whose boundary
-    # check and envelope share it
+    # one socle for M's envelope and one for the cokernel's
     a = make_family("a-infinity")
     module = interval_comodule(a, 3, 5)
     with mock.patch.object(Comodule, "socle", autospec=True, side_effect=Comodule.socle) as soc:
@@ -447,3 +447,38 @@ def test_nakayama_rejects_infinite():
     a = make_family("a-infinity")
     with pytest.raises(InfiniteDimensional):
         nakayama_dim(FormalInjective(a, [(0, 1)]))
+
+
+def test_comodule_engine_walks_a_long_chain_without_recursion():
+    # every route on a 1500-arrow chain is deeper than the recursion limit
+    from coxcartan.comodules import MaterializedInjective, enumerate_paths, envelope
+
+    n = 1500
+    assert sys.getrecursionlimit() < n
+    arrows = "".join(f"arrow {i} {i + 1}\n" for i in range(n))
+    q = parse_presentation("kind quiver\n" + arrows)
+    paths = enumerate_paths(q, 0, n)
+    assert [[a[1] for a in p] for p in paths] == [list(range(1, n + 1))]
+    formal, inj, embed = envelope(interval_comodule(q, 0, n), range(n + 1))
+    assert formal.summands == [n]
+    assert all(embed[v] == [[1]] for v in range(n + 1))
+    p = parse_presentation("kind poset\n" + arrows.replace("arrow", "cover"))
+    top = MaterializedInjective(FormalInjective(p, [(n, 1)]), p.vertices())
+    assert top.basis[0] == [(0, tuple((i, i + 1, 0) for i in range(n)))]
+    assert all(top.comodule.dim(v) == 1 for v in range(n + 1))
+
+
+def test_transpose_kernel_walk_charges_one_budget_unit_per_vertex():
+    # tau-minus I[0,7] over z-a-infinity is I[-1,6]: the walk visits -1..6,
+    # where the kernel lives, and stops at 7, where it is zero
+    from coxcartan import IntervalFinitenessViolated, artranslate
+
+    z = make_family("z-a-infinity")
+    module = interval_comodule(z, 0, 7)
+    with mock.patch.object(artranslate, "node_budget", return_value=9):
+        assert tau(module, "tau-minus").dim_vector() == DimensionVector(
+            {v: 1 for v in range(-1, 7)}
+        )
+    with mock.patch.object(artranslate, "node_budget", return_value=8):
+        with pytest.raises(IntervalFinitenessViolated, match="COX_NODE_BUDGET 8"):
+            tau(module, "tau-minus")

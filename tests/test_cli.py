@@ -3,7 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from coxcartan import cli
 from coxcartan.cli import run
@@ -108,13 +111,55 @@ def test_verify_tau_copresents_each_module_once():
     from coxcartan import artranslate
 
     copres = artranslate.min_inj_copresentation
-    with mock.patch.object(artranslate, "min_inj_copresentation", wraps=copres) as mc:
+    transpose = artranslate._transpose_attempt
+    with mock.patch.object(artranslate, "min_inj_copresentation", wraps=copres) as mc, \
+            mock.patch.object(artranslate, "_transpose_attempt", wraps=transpose) as mt:
         code, out = invoke(
             ["verify", "--family", "a-infinity", "--window", "9..16", "--suite", "tau"]
         )
     assert code == 0
     assert out == "OK: translate formula holds for 36 interval modules\n"
     assert mc.call_count == 36
+    assert mt.call_count == 36
+
+
+def test_tau_names_an_infinite_transpose_kernel(capsys):
+    # the flipped E1 at the fork vertex 1 is infinite and the flipped E0 at a
+    # leg finite, so the kernel is infinite: no window could hold it
+    for leg in ("-1", "0"):
+        code, out = invoke(
+            ["tau", "--family=d-infinity", f"--interval={leg},{leg}", "--direction=tau-minus"]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: transpose kernel is infinite-dimensional: the flipped E1 = E(1) "
+            f"is infinite at 1 and the flipped E0 = E({leg}) finite\n"
+        )
+
+
+def test_tau_has_no_margin_flag():
+    # a margin of 0 used to print 0 for this translate; the windows are exact now
+    argv = ["tau", "--family=a-infinity", "--interval=5,8", "--direction=tau-minus"]
+    assert invoke(argv + ["--margin=0"]) == (2, "")
+    assert invoke(argv) == (0, "1@4,1@5,1@6,1@7\n")
+
+
+def test_internal_errors_exit_three(capsys):
+    def broken(exc):
+        def command(args, out):
+            raise exc
+        return command
+
+    argv = ["cartan", "--family=a-infinity", "--window=0..2"]
+    for exc, line in (
+        (RecursionError("maximum recursion depth exceeded"),
+         "internal error: RecursionError: maximum recursion depth exceeded\n"),
+        (AssertionError("kernel not arrow-stable"),
+         "internal error: AssertionError: kernel not arrow-stable\n"),
+    ):
+        with mock.patch.dict(cli._COMMANDS, {"cartan": broken(exc)}):
+            assert invoke(argv) == (3, "")
+        assert capsys.readouterr().err == line
 
 
 def test_knit_text_and_determinism():
@@ -238,3 +283,47 @@ def test_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "0"
+
+
+@st.composite
+def translate_argvs(draw):
+    """argv for tau, mesh, knit or verify --suite=tau, on a path family or a
+    small random acyclic --file quiver (given as its text)."""
+    command = draw(st.sampled_from(["tau", "mesh", "knit", "verify"]))
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
+        source, text = [f"--family={family}"], None
+    else:
+        n = draw(st.integers(1, 5))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=7))
+        lines = ["kind quiver"] + [f"vertex {i}" for i in range(n)]
+        lines += [f"arrow {min(u, v)} {max(u, v)}" for u, v in pairs if u != v]
+        source, text = [], "\n".join(lines) + "\n"
+    lo = draw(st.integers(-3, 5))
+    hi = lo + draw(st.integers(-1, 5))
+    if command == "tau":
+        rest = [f"--interval={lo},{hi}",
+                f"--direction={draw(st.sampled_from(['tau', 'tau-minus']))}"]
+    elif command == "mesh":
+        rest = [f"--interval={lo},{hi}",
+                f"--direction={draw(st.sampled_from(['ending-at', 'starting-from']))}"]
+    elif command == "knit":
+        seed = draw(st.sampled_from(["--section", "--seed-column"]))
+        rest = [f"--steps={draw(st.integers(0, 6))}", f"{seed}={lo}..{hi}"]
+    else:
+        rest = ["--suite=tau", f"--window={lo}..{hi}"]
+    return [command, *source, *rest], text
+
+
+@settings(max_examples=80, deadline=None)
+@given(translate_argvs())
+def test_translate_commands_exit_with_a_documented_code(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = os.path.join(tmp, "q.quiver")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = [*argv, f"--file={path}"]
+        code, _ = invoke(argv)
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv

@@ -70,7 +70,7 @@ def test_quiver_copresentations_of_simples_and_injectives(q):
     for a in verts:
         injective = MaterializedInjective(FormalInjective(q, [(a, 1)]), verts).comodule
         for module in (simple_comodule(q, a), injective):
-            cop = min_inj_copresentation(module, margin=len(verts))
+            cop = min_inj_copresentation(module)
             for v in verts:
                 e0 = sum(path_count(q, v, s) for s in cop.e0.summands)
                 e1 = sum(path_count(q, v, s) for s in cop.e1.summands)

@@ -180,3 +180,33 @@ def test_matrix_window_tsv():
     w = a.window("0..1")
     tsv = evaluate_window(cartan_matrix(a), w, w).to_tsv()
     assert tsv == "\t0\t1\n0\t1\t0\n1\t1\t1\n"
+
+
+def test_knit_reads_each_inverse_support_once():
+    # the Coxeter scatter asks for the same rows of the inverse at every
+    # mesh; the certificates are frozensets, computed once per index
+    from collections import Counter
+    from unittest import mock
+
+    from coxcartan import cartan, knit_component
+
+    calls = Counter()
+    inverse = cartan.cartan_inverse
+
+    def counted(side, rule):
+        def wrapped(index):
+            calls[side, index] += 1
+            return rule(index)
+        return wrapped
+
+    def counted_inverse(pres):
+        m = inverse(pres)
+        m._row_support_rule = counted("row", m._row_support_rule)
+        m._col_support_rule = counted("col", m._col_support_rule)
+        return m
+
+    a = make_family("a-infinity")
+    with mock.patch.object(cartan, "cartan_inverse", counted_inverse):
+        frag = knit_component(a, ("injectives", list(a.window("0..162"))), 160)
+    assert len(frag.meshes) == 160
+    assert calls and max(calls.values()) == 1

@@ -1,8 +1,16 @@
-"""The Hom(C, M) = 0 certificate at the socle against the check it replaced:
-every injective E(j) with j within one arrow of supp M, cut down to the
-window two arrows around supp M.  On that window the hom space from the cut
-injective into M is the whole Hom(E(j), M), so the reference is exact for
-its candidates; the socle certificate must agree with it everywhere."""
+"""The exact translate machinery against references that need no window
+argument.
+
+The Hom(C, M) = 0 certificate at the socle is compared with the check it
+replaced: every injective E(j) with j within one arrow of supp M, cut down
+to the window two arrows around supp M.  On that window the hom space from
+the cut injective into M is the whole Hom(E(j), M), so the reference is
+exact for its candidates; the socle certificate must agree with it
+everywhere.
+
+The copresentation and the transpose kernel, each computed on its own exact
+window, are compared on finite quivers with the same constructions run on
+the whole quiver."""
 
 from fractions import Fraction
 
@@ -14,12 +22,21 @@ from coxcartan import (
     certify_no_inj_hom,
     direct_sum,
     interval_comodule,
+    linalg,
     make_family,
+    min_inj_copresentation,
     parse_presentation,
     simple_comodule,
+    transpose_tr,
 )
 from coxcartan.artranslate import grow_window
-from coxcartan.comodules import MaterializedInjective, arrows_from, hom_basis
+from coxcartan.comodules import (
+    MaterializedInjective,
+    arrows_from,
+    cokernel,
+    envelope,
+    hom_basis,
+)
 
 
 def windowed_reference(module, margin=1):
@@ -124,3 +141,99 @@ def test_socle_certificate_matches_reference_on_family_intervals():
             seen[got] += 1
     # both verdicts occur, so neither side can pass by being constant
     assert seen[True] and seen[False]
+
+
+def whole_quiver_copresentation(module):
+    """E0, E1 and the per-vertex matrices of E0 -> E1 on every vertex of a
+    finite quiver: the envelope, cokernel and envelope again, with the whole
+    quiver as the window."""
+    verts = module.pres.vertices()
+    e0, e0_mat, iota = envelope(module, verts)
+    quotient, projs = cokernel(e0_mat.comodule, iota, verts)
+    e1, e1_mat, embed = envelope(quotient, verts)
+    g = {
+        v: linalg.mat_mul(embed[v], projs[v]) if projs[v]
+        else linalg.zeros(len(embed[v]), e0_mat.comodule.dim(v))
+        for v in verts
+    }
+    return e0, e1, e0_mat, e1_mat, g
+
+
+def whole_quiver_kernel(nabla_g):
+    """The kernel of the flipped map on every vertex: its dimensions and
+    arrow maps in nullspace bases, solved for on the whole opposite quiver."""
+    op = nabla_g.source.pres
+    verts = op.vertices()
+    src = MaterializedInjective(nabla_g.source, verts)
+    dst = MaterializedInjective(nabla_g.target, verts)
+    mats = nabla_g.materialize(src, dst)
+    bases = {}
+    for v in verts:
+        d = src.comodule.dim(v)
+        basis = linalg.nullspace(mats[v]) if mats[v] else linalg.identity(d)
+        if basis:
+            bases[v] = basis
+    maps = {}
+    for v in bases:
+        for arrow in arrows_from(op, v):
+            w = arrow[1]
+            if w in bases:
+                img = linalg.mat_mul(
+                    src.comodule.arrow_map(arrow), linalg.columns_matrix(bases[v], len(bases[v][0]))
+                )
+                maps[arrow] = linalg.solve_matrix(
+                    linalg.columns_matrix(bases[w], len(bases[w][0])), img
+                )
+    return Comodule(op, {v: len(b) for v, b in bases.items()}, maps)
+
+
+@st.composite
+def quiver_modules(draw):
+    """A random representation, a simple or an indecomposable injective of
+    a random acyclic quiver or of its opposite."""
+    module = draw(representations())
+    pres = module.pres
+    if draw(st.booleans()):
+        module = module.dual()
+        pres = module.pres
+    kind = draw(st.sampled_from(["representation", "simple", "injective"]))
+    if kind == "representation":
+        return module
+    a = draw(st.sampled_from(pres.vertices()))
+    if kind == "simple":
+        return simple_comodule(pres, a)
+    return MaterializedInjective(FormalInjective(pres, [(a, 1)]), pres.vertices()).comodule
+
+
+@settings(max_examples=150, deadline=None)
+@given(quiver_modules())
+def test_exact_windows_match_the_whole_quiver(module):
+    cop = min_inj_copresentation(module)
+    e0, e1, e0_mat, e1_mat, g = whole_quiver_copresentation(module)
+    assert cop.e0.summands == e0.summands
+    assert cop.e1.summands == e1.summands
+    assert cop.exact_at_e1
+    assert cop.map.materialize(e0_mat, e1_mat) == g
+    lazy, kernel = transpose_tr(module)
+    if cop.e1.is_zero():
+        assert kernel.is_zero()
+        return
+    ref = whole_quiver_kernel(cop.map.nabla())
+    assert kernel.dims == ref.dims
+    assert kernel.maps == ref.maps
+    for v in module.pres.vertices():
+        assert lazy.entry(v) == ref.dim(v), v
+
+
+def test_copresentation_window_holds_every_route():
+    # the cokernel of S(4) -> E(4) has its socle at 0 and 3, and the route
+    # 0 -> 1 -> 2 -> 3 of E(3) passes 2, which is neither in T = {0, 3, 4}
+    # (supp M and its in-neighbours) nor an out-neighbour of T
+    q = parse_presentation("kind quiver\n" + "".join(
+        f"arrow {u} {v}\n" for u, v in ((0, 4), (0, 1), (1, 2), (2, 3), (3, 4))
+    ))
+    module = simple_comodule(q, 4)
+    cop = min_inj_copresentation(module)
+    e0, e1, e0_mat, e1_mat, g = whole_quiver_copresentation(module)
+    assert cop.e1.summands == e1.summands == [0, 3]
+    assert cop.map.materialize(e0_mat, e1_mat) == g
