@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from . import linalg
-from .cartan import cartan_pair, node_budget, path_count
+from .cartan import cartan_pair, path_count
 from .comodules import (
     Comodule,
     FormalInjective,
@@ -60,6 +60,7 @@ from .comodules import (
     hom_basis,
     interval_comodule,
     materialized_kernel,
+    node_budget,
     path_basis,
     zero_comodule,
 )

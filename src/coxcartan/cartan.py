@@ -3,7 +3,9 @@
 Orientation convention, fixed once for the whole package: entry (i, j) of the
 Cartan matrix counts directed paths j -> i (for posets: 1 when j <= i), so row
 i is the dimension vector of the indecomposable injective at i and column j is
-the dimension vector of the opposite-side injective at j.
+the dimension vector of the opposite-side injective at j.  Each count is a
+fact of the presentation's class (`Presentation.path_count`), so no walk,
+memo or budget lives here.
 
 The inverse is the canonical one built from minimal injective resolutions of
 the simples.  For a hereditary path presentation that resolution has length at
@@ -14,75 +16,19 @@ is read off one resolution of the simple at j over local_downset(j), the
 finite convex region that also certifies the row's support.
 """
 
-import os
-from weakref import WeakKeyDictionary
-
 from .errors import IntervalFinitenessViolated
 from .lazymatrix import LazyIntMatrix, LazyVector
 
-DEFAULT_NODE_BUDGET = 200_000
 
-_path_memos = WeakKeyDictionary()
-
-
-def node_budget():
-    raw = os.environ.get("COX_NODE_BUDGET")
-    return int(raw) if raw else DEFAULT_NODE_BUDGET
-
-
-def path_count(pres, frm, to, budget=None):
-    """Number of directed paths frm -> to, the trivial path included."""
-    if pres.kind == "poset":
-        return 1 if pres.leq(frm, to) else 0
-    memo = _path_memos.setdefault(pres, {})
-    if (frm, to) in memo:
-        return memo[frm, to]
-    limit = budget if budget is not None else node_budget()
-    if not pres.could_reach(frm, to):
-        return 0
-    # depth-first post-order walk on an explicit stack, in the order of a
-    # recursive count: a vertex costs one unit of budget when it is first
-    # expanded, and its count is memoized once its last successor returns
-    spent = 0
-    stack = [[frm, None, 0, 0]]     # vertex, arcs left, count so far, multiplicity
-    value = 0
-    while stack:
-        frame = stack[-1]
-        v, arcs = frame[0], frame[1]
-        if arcs is None:
-            spent += 1
-            if spent > limit:
-                raise IntervalFinitenessViolated(
-                    f"path enumeration {pres.display(frm)} -> {pres.display(to)} "
-                    f"exceeded budget {limit}"
-                )
-            if v == to:
-                memo[v, to] = value = 1
-                stack.pop()
-                continue
-            arcs = frame[1] = iter(pres.out_arcs(v))
-        else:
-            frame[2] += frame[3] * value
-        for w, mult in arcs:
-            if (w, to) in memo:
-                frame[2] += mult * memo[w, to]
-            elif pres.could_reach(w, to):
-                frame[3] = mult
-                stack.append([w, None, 0, 0])
-                break
-        else:
-            memo[v, to] = value = frame[2]
-            stack.pop()
-    return value
+def path_count(pres, frm, to):
+    """Number of directed paths frm -> to, the trivial path included (for
+    posets: 1 when frm <= to); a fact of the presentation's class."""
+    return pres.path_count(frm, to)
 
 
 def cartan_matrix(pres):
-    if pres.kind == "poset":
-        entry = lambda i, j: 1 if pres.leq(j, i) else 0
-    else:
-        entry = lambda i, j: path_count(pres, j, i)
     return LazyIntMatrix(
-        entry,
+        lambda i, j: path_count(pres, j, i),
         row_support=pres.ancestors,
         col_support=pres.descendants,
         name="c",

@@ -29,16 +29,23 @@ exact (it just reverses paths), while windows only enter when a morphism is
 materialised into matrices.
 """
 
+import os
 from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from . import linalg
-from .cartan import node_budget
 from .errors import IntervalFinitenessViolated, PresentationError, WindowInsufficient
 from .lazymatrix import DimensionVector
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+DEFAULT_NODE_BUDGET = 200_000
+
+
+def node_budget():
+    raw = os.environ.get("COX_NODE_BUDGET")
+    return int(raw) if raw else DEFAULT_NODE_BUDGET
 
 
 # ---------------------------------------------------------------------------

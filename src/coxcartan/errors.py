@@ -25,7 +25,8 @@ class UndefinedProduct(CoxError):
 
 
 class IntervalFinitenessViolated(CoxError):
-    """Path enumeration exceeded the node budget (quiver not interval-finite?)."""
+    """A walk exceeded COX_NODE_BUDGET: a path list of an injective, a
+    transpose kernel walk, or the chains of an order complex."""
 
 
 class SharpEulerViolated(CoxError):

@@ -14,7 +14,9 @@ Conventions fixed here and relied on everywhere else:
 
 A finite presentation keeps its reachability closure as one int bitmask
 per vertex, built without recursion in topological order (Kahn); order,
-intervals, covers and support certificates read it.  A finite poset's
+intervals, covers and support certificates read it.  Path counts are facts
+of each class: 0 or 1 wherever at most one path joins two vertices, one
+column per target in reverse Kahn order on a finite quiver.  A finite poset's
 inverse row j lives on [c, j] for the nearest c < j comparable with every
 element below j, when there is one: below c each open interval is a cone.
 """
@@ -122,6 +124,13 @@ class Presentation:
         may answer via reachability.  A poset's covers reach up its order."""
         return self.leq(u, v)
 
+    def path_count(self, u, v):
+        """Number of directed paths u -> v, the trivial path included.  This
+        default is exact wherever at most one path joins two vertices: every
+        poset (`could_reach` is `leq`) and the tree families a-infinity,
+        z-a-infinity and d-infinity."""
+        return 1 if u == v or self.could_reach(u, v) else 0
+
     def ancestors(self, v):
         """frozenset {u : path u -> v exists}, or None when infinite/uncertified."""
         return None
@@ -225,6 +234,9 @@ class OppositePresentation(_View):
     def could_reach(self, u, v):
         return self.base.could_reach(v, u)
 
+    def path_count(self, u, v):
+        return self.base.path_count(v, u)
+
     def ancestors(self, v):
         return self.base.descendants(v)
 
@@ -281,6 +293,7 @@ class _FinitePresentation(Presentation):
         if len(topo) < len(self._verts):
             arc = _arc_on_cycle(self._succ, indeg)
             raise PresentationError(self.cycle_message.format(*map(self.display, arc)))
+        self._topo = topo
         self._bit = {v: 1 << i for i, v in enumerate(self._verts)}
         self._up, self._down = dict(self._bit), dict(self._bit)
         for v in reversed(topo):
@@ -355,10 +368,22 @@ class FiniteQuiver(_FinitePresentation):
         self.arrow_list = [(s, t) for s, t in arrows]
         super().__init__(vertices, self.arrow_list)
         self._store_arcs(self.arrow_list)
+        self._columns = {}
 
     def could_reach(self, u, v):
         """A path u -> v exists; an unknown vertex reaches only itself."""
         return u == v or bool(self._up.get(u, 0) & self._bit.get(v, 0))
+
+    def path_count(self, u, v):
+        """Read off the kept column of v: the counts w -> v of its ancestors,
+        each the sum over w's arrows, in one pass in reverse Kahn order."""
+        if v not in self._columns:
+            down, col = self._down.get(v, 0), {v: 1}
+            for w in reversed(self._topo):
+                if w != v and down & self._bit[w]:
+                    col[w] = sum(m * col.get(x, 0) for x, m in self._out[w])
+            self._columns[v] = col
+        return self._columns[v].get(u, 0)
 
 
 class FinitePoset(_FinitePresentation):
@@ -664,11 +689,28 @@ class HasseQuiverView(_View):
     def could_reach(self, u, v):
         return self.base.leq(u, v)
 
+    def path_count(self, u, v):
+        """The maximal chains of [u, v], counted in one pass over a linear
+        extension: a chain up to z extends one up to a cover below z."""
+        if u == v:
+            return 1
+        chains = {u: 1}
+        for z in linear_extension(self.base, self.base.interval(u, v))[1:]:
+            chains[z] = sum(chains.get(y, 0) * m for y, m in self.base.in_arcs(z))
+        return chains.get(v, 0)
+
     def ancestors(self, v):
         return self.base.ancestors(v)
 
     def descendants(self, v):
         return self.base.descendants(v)
+
+
+def linear_extension(poset, elements):
+    """`elements` of an incidence presentation by the size of their down-set
+    among them, ties in display order: a linear extension of the order."""
+    elems = list(elements)
+    return sorted(elems, key=lambda e: (sum(poset.leq(z, e) for z in elems), poset.sort_key(e)))
 
 
 def garland_block_poset(lengths):

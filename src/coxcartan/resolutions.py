@@ -28,8 +28,9 @@ from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from . import linalg
-from .comodules import cokernel, envelope, simple_comodule
+from .comodules import cokernel, envelope, node_budget, simple_comodule
 from .errors import CapExceeded, IntervalFinitenessViolated, UnknownVertex
+from .presentations import linear_extension
 
 DEFAULT_CAP = 16
 
@@ -183,23 +184,33 @@ def ext_alternating_sum(pres, p, j):
 
 
 def _chains_of(elements, leq):
-    """All nonempty chains (as tuples in increasing order).
+    """All nonempty chains (as tuples in increasing order), depth first.
 
-    `elements` must be listed in some linear extension of the order.
+    `elements` must be listed in some linear extension of the order.  Each
+    chain costs one COX_NODE_BUDGET unit, charged by counting them first.
     """
-    elems = list(elements)
+    elems, ending, budget = list(elements), [], node_budget()
+    for z in elems:
+        ending.append(1 + sum(n for y, n in zip(elems, ending) if leq(y, z)))
+        if sum(ending) > budget:
+            raise IntervalFinitenessViolated(
+                f"chains of an order complex on {len(elems)} elements "
+                f"exceeded COX_NODE_BUDGET {budget}"
+            )
     chains = []
-
-    def extend(chain, start):
+    stack = [[(), 0]]       # chain, index of the next element to try on it
+    while stack:
+        frame = stack[-1]
+        chain, start = frame
         for i in range(start, len(elems)):
             z = elems[i]
-            if leq(chain[-1], z) and chain[-1] != z:
+            if not chain or leq(chain[-1], z):
+                frame[1] = i + 1
                 chains.append(chain + (z,))
-                extend(chain + (z,), i + 1)
-
-    for i, e in enumerate(elems):
-        chains.append((e,))
-        extend((e,), i + 1)
+                stack.append([chains[-1], i + 1])
+                break
+        else:
+            stack.pop()
     return chains
 
 
@@ -213,16 +224,8 @@ def _order_complex(pres, elements):
     memo = _complex_memo.setdefault(pres, {})
     key = frozenset(elements)
     if key not in memo:
-        # linear extension: order by size of the down-set within the element set
-        elems = sorted(
-            key,
-            key=lambda e: (
-                sum(1 for z in key if pres.leq(z, e)),
-                pres.sort_key(e),
-            ),
-        )
         by_dim = {}
-        for ch in _chains_of(elems, pres.leq):
+        for ch in _chains_of(linear_extension(pres, key), pres.leq):
             by_dim.setdefault(len(ch) - 1, []).append(ch)
         for k in by_dim:
             by_dim[k].sort(key=lambda ch: tuple(pres.sort_key(v) for v in ch))
@@ -280,26 +283,21 @@ _mobius_memo = WeakKeyDictionary()
 
 
 def mobius(pres, lo, hi):
-    """Classical Mobius recursion on an incidence presentation."""
+    """Classical Mobius recursion on an incidence presentation, run as one
+    pass over [lo, hi] in a linear extension: mu(lo, z) is minus the sum of
+    mu(lo, y) over the y < z passed before z."""
     if pres.kind != "poset":
         raise ValueError("mobius needs an incidence presentation")
+    if lo == hi or not pres.leq(lo, hi):
+        return int(lo == hi)
     memo = _mobius_memo.setdefault(pres, {})
-
-    def mu(a, b):
-        if a == b:
-            return 1
-        if not pres.leq(a, b):
-            return 0
-        key = (a, b)
-        if key not in memo:
-            total = 0
-            for z in pres.interval(a, b):
-                if z != b:
-                    total += mu(a, z)
-            memo[key] = -total
-        return memo[key]
-
-    return mu(lo, hi)
+    if (lo, hi) not in memo:
+        mu = {}
+        for z in linear_extension(pres, pres.interval(lo, hi)):
+            if z != lo and (lo, z) not in memo:
+                memo[lo, z] = -sum(m for y, m in mu.items() if pres.leq(y, z))
+            mu[z] = memo.get((lo, z), 1)
+    return memo[lo, hi]
 
 
 def inj_dim_simple(pres, j, cap=DEFAULT_CAP):

@@ -1,21 +1,24 @@
 import random
+import tracemalloc
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcartan import (
-    IntervalFinitenessViolated,
     cartan_inverse,
     cartan_matrix,
     cartan_pair,
     classify_finiteness,
     dim_injective,
     evaluate_window,
+    hasse_quiver,
     make_family,
+    parse_family_flag,
     parse_presentation,
     path_count,
     verify_identity_on_window,
 )
+from coxcartan import linalg
+from coxcartan.comodules import enumerate_paths
 
 
 def grid(pres, matrix, spec):
@@ -38,25 +41,25 @@ def test_path_count_multiplicities_compose():
     assert path_count(q, 0, 2) == 2
 
 
-def test_path_count_budget():
+def test_path_count_budget(monkeypatch):
+    # a path count is a fact of the presentation: COX_NODE_BUDGET, which
+    # bounds walks, does not bound it
+    monkeypatch.setenv("COX_NODE_BUDGET", "10")
     a = make_family("a-infinity")
-    with pytest.raises(IntervalFinitenessViolated):
-        path_count(a, 0, 5000, budget=10)
+    assert path_count(a, 0, 5000) == 1
+    assert path_count(a.opposite(), 5000, 0) == 1
 
 
-def test_path_count_charges_each_vertex_once_without_recursion():
-    # 0 -> n expands the n + 1 vertices 0..n once each, however many paths
-    # run through them and however deep the walk goes
+def test_path_count_charges_each_vertex_once_without_recursion(monkeypatch):
+    # one Kahn-order column per target, however many paths run through it
+    # and however long the quiver is
     def ladder(n, mult):
         arrows = "".join(f"arrow {i} {i + 1}\n" * mult for i in range(n))
         return parse_presentation("kind quiver\n" + arrows)
 
-    assert path_count(ladder(60, 2), 0, 60, budget=61) == 2**60
-    with pytest.raises(IntervalFinitenessViolated):
-        path_count(ladder(60, 2), 0, 60, budget=60)
-    assert path_count(ladder(3000, 1), 0, 3000, budget=3001) == 1
-    with pytest.raises(IntervalFinitenessViolated):
-        path_count(ladder(3000, 1), 0, 3000, budget=3000)
+    monkeypatch.setenv("COX_NODE_BUDGET", "1")
+    assert path_count(ladder(60, 2), 0, 60) == 2**60
+    assert path_count(ladder(3000, 1), 0, 3000) == 1
 
 
 def test_path_count_memo_hit_spends_no_budget(monkeypatch):
@@ -64,8 +67,27 @@ def test_path_count_memo_hit_spends_no_budget(monkeypatch):
     assert path_count(a, 0, 40) == 1
     monkeypatch.setenv("COX_NODE_BUDGET", "1")
     assert path_count(a, 0, 40) == 1
-    with pytest.raises(IntervalFinitenessViolated):
-        path_count(a, 0, 41)
+    assert path_count(a, 0, 41) == 1
+
+
+def test_path_counts_on_a_family_keep_no_memory():
+    a = make_family("a-infinity")
+    path_count(a, 0, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 101):
+            assert path_count(a, 0, 30 * k) == 1
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
+
+
+def test_path_count_of_a_vertex_to_itself_is_one_even_unknown():
+    q = parse_presentation("kind quiver\narrow 0 1\n")
+    for pres in (q, q.opposite(), make_family("d-infinity"), hasse_quiver(make_family("garland", 1))):
+        assert path_count(pres, "x", "x") == 1
 
 
 def test_cartan_a_infinity_golden():
@@ -252,3 +274,73 @@ def test_cartan_row_against_dim_injective():
         vec = dim_injective(d, a, "left")
         for j in range(-1, 8):
             assert vec.entry(j) == c.entry(a, j)
+
+
+def walk_count(pres, u, v, verts):
+    """Independent oracle: paths u -> v by a plain depth-first walk over the
+    arcs of `pres` that stay inside the finite vertex set `verts`."""
+    if u == v:
+        return 1
+    return sum(m * walk_count(pres, w, v, verts) for w, m in pres.out_arcs(u) if w in verts)
+
+
+@st.composite
+def family_windows(draw):
+    # integer windows of the path families and junction windows of the
+    # garland Hasse views are convex: every path between two of their
+    # vertices stays inside
+    name = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity", "garland:1", "garland:2"]))
+    pres = parse_family_flag(name)
+    if pres.kind == "poset":
+        pres = hasse_quiver(pres)
+        lo = draw(st.integers(-2, 2))
+        hi = lo + draw(st.integers(0, 2))
+    else:
+        lo = draw(st.integers({"a-infinity": 0, "d-infinity": -1}.get(name, -5), 5))
+        hi = lo + draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        pres = pres.opposite()
+    return pres, list(pres.window(f"{lo}..{hi}"))
+
+
+@st.composite
+def shuffled_quivers(draw):
+    # a random acyclic quiver with parallel arrows, its vertices renamed and
+    # their `vertex` lines listed in a shuffled order
+    n = draw(st.integers(1, 7))
+    arrows = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)).filter(
+                lambda e: e[0] < e[1]
+            ),
+            max_size=10,
+        )
+    )
+    names = draw(st.permutations(range(n)))
+    lines = ["kind quiver"] + [f"vertex {names[i]}" for i in draw(st.permutations(range(n)))]
+    lines += [f"arrow {names[s]} {names[t]}" for s, t, mult in arrows for _ in range(mult)]
+    pres = parse_presentation("\n".join(lines))
+    return pres.opposite() if draw(st.booleans()) else pres
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(family_windows(), shuffled_quivers().map(lambda q: (q, q.vertices()))), st.data())
+def test_path_count_matches_walked_and_listed_paths(case, data):
+    pres, verts = case
+    u = data.draw(st.sampled_from(verts))
+    v = data.draw(st.sampled_from(verts))
+    expect = walk_count(pres, u, v, set(verts))
+    assert path_count(pres, u, v) == expect == len(enumerate_paths(pres, u, v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_quivers())
+def test_lazy_inverse_matches_dense_inverse_of_walked_cartan(pres):
+    verts = pres.vertices()
+    dense = [[walk_count(pres, j, i, set(verts)) for j in verts] for i in verts]
+    inv = linalg.invert(dense)
+    c, cinv = cartan_matrix(pres), cartan_inverse(pres)
+    for r, i in enumerate(verts):
+        for k, j in enumerate(verts):
+            assert c.entry(i, j) == dense[r][k]
+            assert cinv.entry(i, j) == inv[r][k]

@@ -242,6 +242,31 @@ def test_cartan_on_a_long_file_chain(tmp_path):
     assert out.splitlines()[2].split("\t") == ["1500", "1", "1"]
 
 
+def test_cartan_on_a_wide_family_window():
+    # a path count on a-infinity is 0 or 1 in closed form, with no budget
+    code, out = invoke(["cartan", "--family=a-infinity", "--window=0,250000"])
+    assert code == 0
+    assert out == "\t0\t250000\n0\t1\t0\n250000\t1\t1\n"
+
+
+def test_mobius_suite_names_the_chain_budget(tmp_path, capsys, monkeypatch):
+    # the open interval (0, 1400) of a chain has 2^1399 - 1 chains
+    monkeypatch.delenv("COX_NODE_BUDGET", raising=False)
+    for order in (range(1500), range(1499, -1, -1)):
+        chain = tmp_path / "chain.poset"
+        chain.write_text(
+            "kind poset\n"
+            + "".join(f"vertex {i}\n" for i in order)
+            + "".join(f"cover {i} {i + 1}\n" for i in range(1499))
+        )
+        code, out = invoke(["verify", "--suite=mobius", f"--file={chain}", "--window=0,1400"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: chains of an order complex on 1399 elements "
+            "exceeded COX_NODE_BUDGET 200000\n"
+        )
+
+
 def test_classify_output():
     code, out = invoke(["classify", "--family", "z-a-infinity", "--window=-1..1"])
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from coxcartan import (
     ABOVE_CAP,
     CapExceeded,
+    IntervalFinitenessViolated,
     cartan_inverse,
     check_sharp_euler,
     ext_alternating_sum,
@@ -90,6 +91,34 @@ def test_mobius_small_cases():
     diamond = parse_presentation(DIAMOND)
     assert mobius(diamond, "a", "d") == 1
     assert mobius(diamond, "b", "c") == 0
+
+
+def chain_poset(n, reverse=False):
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    return parse_presentation(
+        "kind poset\n"
+        + "".join(f"vertex {i}\n" for i in order)
+        + "".join(f"cover {i} {i + 1}\n" for i in range(n - 1))
+    )
+
+
+def test_mobius_on_a_long_reversed_chain_needs_no_recursion():
+    # display order 1499, ..., 0 sent the recursive mu 1400 calls deep
+    p = chain_poset(1500, reverse=True)
+    assert mobius(p, 0, 1400) == 0
+    assert mobius(p, 1399, 1400) == -1
+
+
+def test_chains_are_listed_depth_first_within_the_budget(monkeypatch):
+    p = chain_poset(3)
+    assert resolutions._chains_of([0, 1, 2], p.leq) == [
+        (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,),
+    ]
+    monkeypatch.setenv("COX_NODE_BUDGET", "7")
+    assert len(resolutions._chains_of([0, 1, 2], p.leq)) == 7
+    monkeypatch.setenv("COX_NODE_BUDGET", "6")
+    with pytest.raises(IntervalFinitenessViolated, match="COX_NODE_BUDGET 6"):
+        resolutions._chains_of([0, 1, 2], p.leq)
 
 
 def test_mobius_diamond_hand_recursion():
