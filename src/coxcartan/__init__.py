@@ -42,7 +42,6 @@ from .comodules import (
 )
 from .coxeter import CoxeterOperator, GeneratorCombination
 from .errors import (
-    CapExceeded,
     CoxError,
     EmptyWindow,
     HomCNotZero,
@@ -54,7 +53,6 @@ from .errors import (
     NotInKnittedRegion,
     NotInSubgroup,
     PresentationError,
-    SharpEulerViolated,
     UndefinedProduct,
     UnknownVertex,
     WindowInsufficient,
@@ -91,7 +89,6 @@ from .presentations import (
     parse_presentation,
 )
 from .resolutions import (
-    ABOVE_CAP,
     ResolutionSummary,
     SharpEulerReport,
     check_sharp_euler,

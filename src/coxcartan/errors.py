@@ -29,14 +29,6 @@ class IntervalFinitenessViolated(CoxError):
     transpose kernel walk, or the chains of an order complex."""
 
 
-class SharpEulerViolated(CoxError):
-    """A sampled simple has no finite socle-finite injective resolution within the cap."""
-
-
-class CapExceeded(CoxError):
-    """A resolution still has a nonzero term at the degree cap."""
-
-
 class WindowInsufficient(CoxError):
     """A module was handed to the envelope on a window that misses part of its support."""
 

@@ -147,6 +147,10 @@ class Presentation:
         """Sorted list of the closed interval [u, v]; empty when u <= v fails."""
         raise NotImplementedError("not an incidence presentation")
 
+    def linear_extension(self, elements):
+        """`elements` listed so that u comes before v whenever u < v."""
+        raise NotImplementedError("not an incidence presentation")
+
     def local_downset(self, v):
         """Support certificate for row v of the inverse Cartan matrix:
         a finite superset of {p : entry (v, p) can be nonzero}, or None."""
@@ -249,6 +253,9 @@ class OppositePresentation(_View):
     def interval(self, u, v):
         return self.base.interval(v, u)
 
+    def linear_extension(self, elements):
+        return self.base.linear_extension(elements)[::-1]
+
     def local_downset(self, v):
         return self.base.local_upset(v)
 
@@ -294,6 +301,7 @@ class _FinitePresentation(Presentation):
             arc = _arc_on_cycle(self._succ, indeg)
             raise PresentationError(self.cycle_message.format(*map(self.display, arc)))
         self._topo = topo
+        self._topo_index = {v: i for i, v in enumerate(topo)}
         self._bit = {v: 1 << i for i, v in enumerate(self._verts)}
         self._up, self._down = dict(self._bit), dict(self._bit)
         for v in reversed(topo):
@@ -338,6 +346,10 @@ class _FinitePresentation(Presentation):
 
     def in_arcs(self, v):
         return list(self._in.get(v, ()))
+
+    def linear_extension(self, elements):
+        """By position in the Kahn order, which extends reachability."""
+        return sorted(elements, key=self._topo_index.__getitem__)
 
     def ancestors(self, v):
         return frozenset(self._members(self._down.get(v, 0)))
@@ -644,6 +656,10 @@ class GarlandFamily(Presentation):
                     out.append(z)
         return sorted(out, key=self.sort_key)
 
+    def linear_extension(self, elements):
+        # display order lists positions in order, and leq compares positions
+        return sorted(elements, key=self.sort_key)
+
     def local_downset(self, v):
         # nearest junction at or below v cuts every longer interval
         if v[0] == "j":
@@ -695,7 +711,7 @@ class HasseQuiverView(_View):
         if u == v:
             return 1
         chains = {u: 1}
-        for z in linear_extension(self.base, self.base.interval(u, v))[1:]:
+        for z in self.base.linear_extension(self.base.interval(u, v))[1:]:
             chains[z] = sum(chains.get(y, 0) * m for y, m in self.base.in_arcs(z))
         return chains.get(v, 0)
 
@@ -704,13 +720,6 @@ class HasseQuiverView(_View):
 
     def descendants(self, v):
         return self.base.descendants(v)
-
-
-def linear_extension(poset, elements):
-    """`elements` of an incidence presentation by the size of their down-set
-    among them, ties in display order: a linear extension of the order."""
-    elems = list(elements)
-    return sorted(elems, key=lambda e: (sum(poset.leq(z, e) for z in elems), poset.sort_key(e)))
 
 
 def garland_block_poset(lengths):

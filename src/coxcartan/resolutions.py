@@ -7,7 +7,9 @@ at j equals dim Ext^m between the simples at p and j, and that Ext localizes
 to the finite closed interval [p, j].  The simple is resolved over a finite
 convex region by the socle -> envelope -> cokernel engine of module
 `comodules`, with its thin incidence injectives, in exact rational linear
-algebra.  A row of the inverse Cartan matrix, like
+algebra, until the cokernel is zero: there is no degree cap, since Ext^m
+between simples vanishes above the length of the longest chain between them
+(see `_resolve_in_region`).  A row of the inverse Cartan matrix, like
 `minimal_injective_resolution`, takes one resolution of the simple at j over
 local_downset(j), which holds [p, j] for every p of the row that can be
 nonzero; `ext_dim` still resolves each interval [p, j] on its own, and that
@@ -29,32 +31,32 @@ from weakref import WeakKeyDictionary
 
 from . import linalg
 from .comodules import cokernel, envelope, node_budget, simple_comodule
-from .errors import CapExceeded, IntervalFinitenessViolated, UnknownVertex
-from .presentations import linear_extension
-
-DEFAULT_CAP = 16
-
-ABOVE_CAP = "above-cap"
+from .errors import IntervalFinitenessViolated, UnknownVertex
 
 
-def _resolve_in_region(pres, region, j, max_degree):
+def _resolve_in_region(pres, region, j):
     """Multiplicity dicts (element -> int) of the minimal injective resolution
     of the simple at j over `region`, a finite convex set of elements.
 
     Convexity makes the covers between region elements global covers, so the
-    region's functor category is that of comodules supported on it."""
+    region's functor category is that of comodules supported on it.  The
+    resolution ends before degree len(region): its degree-m term at p is
+    dim Ext^m between the simples at p and j, the reduced cohomology of the
+    order complex of the open interval (p, j) in degree m - 2 (Cibils,
+    J. Pure Appl. Algebra 56, 1989), which vanishes unless a chain
+    p < ... < j of m + 1 elements lies in the region.  A cokernel still
+    nonzero after len(region) steps is therefore a defect."""
     cur = simple_comodule(pres, j)
     terms = []
-    for _ in range(max_degree + 1):
+    for _ in range(len(region) + 1):
         if cur.is_zero():
             return terms
         formal, inj, embed = envelope(cur, region)
         terms.append(formal.multiplicities())
         cur, _ = cokernel(inj.comodule, embed, region)
-    if cur.is_zero():
-        return terms
-    raise CapExceeded(
-        f"resolution of simple at {pres.display(j)} still nonzero at degree {max_degree}"
+    raise AssertionError(
+        f"resolution of simple at {pres.display(j)} still nonzero at degree "
+        f"{len(region)} over a region of {len(region)} elements"
     )
 
 
@@ -65,13 +67,13 @@ _interval_memo = WeakKeyDictionary()
 _row_memo = WeakKeyDictionary()
 
 
-def _interval_terms(pres, src, tgt, max_degree=DEFAULT_CAP):
+def _interval_terms(pres, src, tgt):
     """Resolution multiplicities of the simple at tgt over the closed interval
     [src, tgt]; memoized per presentation."""
     memo = _interval_memo.setdefault(pres, {})
     key = (src, tgt)
     if key not in memo:
-        memo[key] = _resolve_in_region(pres, pres.interval(src, tgt), tgt, max_degree)
+        memo[key] = _resolve_in_region(pres, pres.interval(src, tgt), tgt)
     return memo[key]
 
 
@@ -84,20 +86,13 @@ def _region_for_simple(pres, j):
     return sorted(s, key=pres.sort_key)
 
 
-def _row_terms(pres, j, max_degree=DEFAULT_CAP):
+def _row_terms(pres, j):
     """Resolution multiplicities of the simple at j over local_downset(j),
-    which hold row j of the inverse Cartan matrix; memoized per presentation,
-    a CapExceeded included, keyed by (j, max_degree)."""
+    which hold row j of the inverse Cartan matrix; memoized per presentation."""
     memo = _row_memo.setdefault(pres, {})
-    key = (j, max_degree)
-    if key not in memo:
-        try:
-            memo[key] = _resolve_in_region(pres, _region_for_simple(pres, j), j, max_degree)
-        except CapExceeded as exc:
-            memo[key] = exc
-    if isinstance(memo[key], CapExceeded):
-        raise memo[key].with_traceback(None)
-    return memo[key]
+    if j not in memo:
+        memo[j] = _resolve_in_region(pres, _region_for_simple(pres, j), j)
+    return memo[j]
 
 
 @dataclass
@@ -105,13 +100,12 @@ class ResolutionSummary:
     simple: object
     side: str
     terms: list
-    finite: bool = True
 
     def length(self):
         return len(self.terms) - 1
 
 
-def minimal_injective_resolution(pres, j, side="left", max_degree=DEFAULT_CAP):
+def minimal_injective_resolution(pres, j, side="left"):
     """Per-degree multiplicity tables of the minimal injective resolution of
     the simple at j.  side "right" resolves over the opposite presentation."""
     if not pres.has_vertex(j):
@@ -123,7 +117,7 @@ def minimal_injective_resolution(pres, j, side="left", max_degree=DEFAULT_CAP):
         if deg1:
             terms.append(deg1)
         return ResolutionSummary(j, side.lower(), terms)
-    terms = [dict(t) for t in _row_terms(p, j, max_degree)]
+    terms = [dict(t) for t in _row_terms(p, j)]
     return ResolutionSummary(j, side.lower(), terms)
 
 
@@ -169,17 +163,13 @@ def ext_alternating_sum(pres, p, j):
     Read off the one resolution of the simple at j over local_downset(j),
     shared by the whole row: that region is convex and holds [p, j] for every
     p in it, and an entry with p <= j outside it is the zero that the row's
-    support certificate promises.  Only when that resolution runs past the
-    degree cap is the interval [p, j] resolved on its own.
+    support certificate promises.
     """
     if p == j:
         return 1
     if not pres.leq(p, j):
         return 0
-    try:
-        terms = _row_terms(pres, j)
-    except CapExceeded:
-        terms = _interval_terms(pres, p, j)
+    terms = _row_terms(pres, j)
     return sum((-1) ** m * t.get(p, 0) for m, t in enumerate(terms))
 
 
@@ -225,7 +215,7 @@ def _order_complex(pres, elements):
     key = frozenset(elements)
     if key not in memo:
         by_dim = {}
-        for ch in _chains_of(linear_extension(pres, key), pres.leq):
+        for ch in _chains_of(pres.linear_extension(key), pres.leq):
             by_dim.setdefault(len(ch) - 1, []).append(ch)
         for k in by_dim:
             by_dim[k].sort(key=lambda ch: tuple(pres.sort_key(v) for v in ch))
@@ -267,12 +257,19 @@ def _reduced_cohomology_dim(pres, elements, degree):
     return len(by_dim.get(degree, [])) - boundary_rank(degree) - boundary_rank(degree + 1)
 
 
-def ext_table(pres, sample, max_degree=6):
+def ext_degrees(pres, src, tgt):
+    """The degrees m where Ext^m between the simples at src and tgt can be
+    nonzero on either side: 0 and 1 on a quiver, which is hereditary, and
+    below the length of [src, tgt] on a poset (see `_resolve_in_region`)."""
+    return range(2) if pres.kind == "quiver" else range(len(pres.interval(src, tgt)))
+
+
+def ext_table(pres, sample):
     """Dense table {(src, tgt, m): dim Ext^m} over sampled vertices."""
     table = {}
     for src in sample:
         for tgt in sample:
-            for m in range(max_degree + 1):
+            for m in ext_degrees(pres, src, tgt):
                 val = ext_dim(pres, src, tgt, m)
                 if val:
                     table[(src, tgt, m)] = val
@@ -293,21 +290,16 @@ def mobius(pres, lo, hi):
     memo = _mobius_memo.setdefault(pres, {})
     if (lo, hi) not in memo:
         mu = {}
-        for z in linear_extension(pres, pres.interval(lo, hi)):
+        for z in pres.linear_extension(pres.interval(lo, hi)):
             if z != lo and (lo, z) not in memo:
                 memo[lo, z] = -sum(m for y, m in mu.items() if pres.leq(y, z))
             mu[z] = memo.get((lo, z), 1)
     return memo[lo, hi]
 
 
-def inj_dim_simple(pres, j, cap=DEFAULT_CAP):
-    """Length of the minimal injective resolution of the simple at j, or
-    ABOVE_CAP when it is still nonzero at the cap."""
-    try:
-        summary = minimal_injective_resolution(pres, j, "left", max_degree=cap)
-    except CapExceeded:
-        return ABOVE_CAP
-    return summary.length()
+def inj_dim_simple(pres, j):
+    """Length of the minimal injective resolution of the simple at j."""
+    return minimal_injective_resolution(pres, j).length()
 
 
 @dataclass
@@ -323,7 +315,7 @@ class SharpEulerReport:
         return self.computable and self.left_sharp and self.right_sharp and self.symmetric
 
 
-def check_sharp_euler(pres, sample, cap=8, ext_degree_cap=6):
+def check_sharp_euler(pres, sample):
     """Sample-based certification: finite socle-finite resolutions of simples
     on both sides, plus the two-sided Ext symmetry on sampled pairs."""
     from .cartan import cartan_matrix  # local import to avoid a cycle
@@ -343,8 +335,8 @@ def check_sharp_euler(pres, sample, cap=8, ext_degree_cap=6):
         ok = True
         for j in sample:
             try:
-                summary = minimal_injective_resolution(p, j, "left", max_degree=cap)
-            except (CapExceeded, IntervalFinitenessViolated) as exc:
+                summary = minimal_injective_resolution(p, j)
+            except IntervalFinitenessViolated as exc:
                 ok = False
                 failures.append(f"{side_name} resolution at {pres.display(j)}: {exc}")
                 continue
@@ -360,7 +352,7 @@ def check_sharp_euler(pres, sample, cap=8, ext_degree_cap=6):
     op = pres.opposite()
     for i in sample:
         for j in sample:
-            for m in range(0, ext_degree_cap + 1):
+            for m in ext_degrees(pres, i, j):
                 a = ext_dim(pres, i, j, m)
                 b = ext_dim(op, j, i, m)
                 if a != b:

@@ -232,10 +232,10 @@ def test_criterion_06_ext_symmetry():
 
 def test_criterion_07_garland_injective_dimensions():
     g = garland_block_poset([1, 2])
-    assert inj_dim_simple(g, "j1", cap=3) == 2
-    assert inj_dim_simple(g, "j2", cap=4) == 3
-    assert inj_dim_simple(make_family("garland", 1), ("j", 0), cap=3) == 2
-    assert inj_dim_simple(make_family("garland", 2), ("j", 0), cap=4) == 3
+    assert inj_dim_simple(g, "j1") == 2
+    assert inj_dim_simple(g, "j2") == 3
+    assert inj_dim_simple(make_family("garland", 1), ("j", 0)) == 2
+    assert inj_dim_simple(make_family("garland", 2), ("j", 0)) == 3
     print("PASS criterion 7: garland junction simples have injective dimension 2 and 3")
 
 

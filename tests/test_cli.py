@@ -6,9 +6,9 @@ import sys
 import tempfile
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from coxcartan import cli
+from coxcartan import cli, garland_block_poset, make_family
 from coxcartan.cli import run
 
 
@@ -352,3 +352,90 @@ def test_translate_commands_exit_with_a_documented_code(case):
             argv = [*argv, f"--file={path}"]
         code, _ = invoke(argv)
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
+
+
+@st.composite
+def incidence_argvs(draw):
+    """argv for verify --suite=mobius|euler|inverse|coxeter, resolve, ext or
+    inverse on a random --file poset of at most 7 elements (given as its
+    text), on garland-seq with block lengths 1-9, or on a one-block window of
+    garland:1..4.  The mobius suite ranks the order complex of each interval
+    densely, so on garland-seq it gets one block of length at most 5."""
+    command = draw(st.sampled_from(["verify", "resolve", "ext", "inverse"]))
+    suite = draw(st.sampled_from(["mobius", "euler", "inverse", "coxeter"]))
+    text, window = None, None
+    source = draw(st.sampled_from(["file", "garland-seq", "garland"]))
+    if source == "file":
+        n = draw(st.integers(1, 7))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+        lines = ["kind poset"] + [f"vertex {i}" for i in range(n)]
+        lines += [f"cover {min(u, v)} {max(u, v)}" for u, v in pairs if u != v]
+        text, args, names = "\n".join(lines) + "\n", [], [str(i) for i in range(n)]
+    elif source == "garland-seq":
+        small = command == "verify" and suite == "mobius"
+        lengths = draw(st.lists(st.integers(1, 5 if small else 9), min_size=1, max_size=1 if small else 3))
+        args = ["--family=garland-seq:" + ",".join(map(str, lengths))]
+        pres = garland_block_poset(lengths)
+        names = [pres.display(v) for v in pres.vertices()]
+    else:
+        length, lo = draw(st.integers(1, 4)), draw(st.integers(-3, 3))
+        args, window = [f"--family=garland:{length}"], f"{lo}..{lo + 1}"
+        pres = make_family("garland", length)
+        names = [pres.display(v) for v in pres.window(window)]
+    if window is None:
+        window = ",".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)))
+    if command == "verify":
+        args += [f"--suite={suite}", f"--window={window}"]
+    elif command == "resolve":
+        args += [f"--vertex={draw(st.sampled_from(names))}",
+                 f"--side={draw(st.sampled_from(['left', 'right']))}"]
+    elif command == "ext":
+        args += [f"--from={draw(st.sampled_from(names))}", f"--to={draw(st.sampled_from(names))}",
+                 f"--max-degree={draw(st.integers(0, 12))}"]
+    else:
+        args += [f"--window={window}"]
+    return [command, *args], text
+
+
+@settings(max_examples=40, deadline=None)
+@given(incidence_argvs())
+@example((["verify", "--suite=mobius", "--family=garland-seq:6", "--window=j0,j1"], None))
+@example((["verify", "--suite=euler", "--family=garland-seq:8", "--window=j0,j1"], None))
+@example((["verify", "--suite=euler", "--family=garland-seq:9", "--window=j0,j1"], None))
+@example((["verify", "--suite=coxeter", "--family=garland:3", "--window=0..1"], None))
+@example((["inverse", "--family=garland:16", "--window=0..1"], None))
+@example((["resolve", "--family=garland:16", "--vertex=j1"], None))
+def test_incidence_commands_give_no_false_counterexamples(case):
+    # every resolution ends, so on a poset no suite may fail and no command
+    # may stop short
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = os.path.join(tmp, "p.poset")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = [*argv, f"--file={path}"]
+        code, out = invoke(argv)
+    assert code == 0, (argv, out)
+    if argv[0] == "verify":
+        assert out.startswith("OK:"), (argv, out)
+
+
+def test_long_garland_resolution_runs_to_its_end():
+    # Ext^17 between the simples at j0 and j1 of garland:16 is nonzero
+    code, out = invoke(["resolve", "--family=garland:16", "--vertex=j1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "17\tj0\t1"
+    code, out = invoke(["inverse", "--family=garland:16", "--window=0..1"])
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows[-1][0] == "j1" and rows[0][1] == "j0"
+    assert rows[-1][1] == "-1"
+
+
+def test_resolve_and_verify_take_no_degree_cap():
+    for argv in (
+        ["resolve", "--family=garland:1", "--vertex=j1", "--max-degree=3"],
+        ["verify", "--family=garland:1", "--window=0..1", "--suite=euler", "--max-degree=3"],
+    ):
+        assert invoke(argv) == (2, "")

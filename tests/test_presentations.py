@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -290,6 +291,43 @@ def test_finite_closure_matches_a_search(data):
             assert q.could_reach(u, v) == p.could_reach(u, v) == p.leq(u, v) == (v in above)
             assert p.interval(u, v) == [z for z in range(n) if z in above and v in reach[z]]
     assert sum(len(p.in_arcs(v)) for v in range(n)) == sum(len(p.out_arcs(v)) for v in range(n))
+
+
+def _assert_linear_extension(pres, elements, listed):
+    assert sorted(listed, key=pres.sort_key) == sorted(elements, key=pres.sort_key)
+    for i, u in enumerate(listed):
+        assert not any(pres.leq(v, u) for v in listed[i + 1:])
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(n)),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14),
+            st.sets(st.integers(0, n - 1)),
+        )
+    )
+)
+def test_linear_extensions_need_no_comparisons(data):
+    # relations go up a hidden order, so display order need not extend it
+    perm, pairs, elements = data
+    relations = [(perm[min(u, v)], perm[max(u, v)]) for u, v in pairs if u != v]
+    poset = FinitePoset(range(len(perm)), relations)
+    for pres in (poset, poset.opposite()):
+        with mock.patch.object(FinitePoset, "leq") as leq:
+            listed = pres.linear_extension(elements)
+        leq.assert_not_called()
+        _assert_linear_extension(pres, elements, listed)
+
+
+def test_garland_linear_extension_is_display_order():
+    g = make_family("garland", 2)
+    elements = list(g.window("-1..1"))[::-1]
+    for pres in (g, g.opposite()):
+        with mock.patch.object(type(g), "leq") as leq:
+            listed = pres.linear_extension(elements)
+        leq.assert_not_called()
+        _assert_linear_extension(pres, elements, listed)
 
 
 def test_parse_token_on_integer_labelled_presentations():

@@ -4,8 +4,6 @@ from unittest import mock
 import pytest
 
 from coxcartan import (
-    ABOVE_CAP,
-    CapExceeded,
     IntervalFinitenessViolated,
     cartan_inverse,
     check_sharp_euler,
@@ -26,39 +24,32 @@ DIAMOND = "kind poset\ncover a b\ncover a c\ncover b d\ncover c d\n"
 
 def test_resolution_a_infinity_simple():
     a = make_family("a-infinity")
-    summary = minimal_injective_resolution(a, 1, "left", 3)
+    summary = minimal_injective_resolution(a, 1, "left")
     assert summary.terms == [{1: 1}, {0: 1}]
-    assert summary.finite
 
 
 def test_resolution_d_infinity_injective_simple():
     d = make_family("d-infinity")
-    summary = minimal_injective_resolution(d, 1, "left", 3)
+    summary = minimal_injective_resolution(d, 1, "left")
     assert summary.terms == [{1: 1}]
 
 
 def test_resolution_right_side_uses_opposite():
     a = make_family("a-infinity")
-    summary = minimal_injective_resolution(a, 0, "right", 3)
+    summary = minimal_injective_resolution(a, 0, "right")
     assert summary.terms == [{0: 1}, {1: 1}]
 
 
 def test_resolution_chain_poset():
     p = parse_presentation("kind poset\ncover a b\ncover b c\n")
-    summary = minimal_injective_resolution(p, "c", "left", 3)
+    summary = minimal_injective_resolution(p, "c", "left")
     assert summary.terms == [{"c": 1}, {"b": 1}]
 
 
 def test_resolution_diamond_reaches_degree_two():
     p = parse_presentation(DIAMOND)
-    summary = minimal_injective_resolution(p, "d", "left", 5)
+    summary = minimal_injective_resolution(p, "d", "left")
     assert summary.terms == [{"d": 1}, {"b": 1, "c": 1}, {"a": 1}]
-
-
-def test_resolution_cap_exceeded():
-    p = parse_presentation(DIAMOND)
-    with pytest.raises(CapExceeded):
-        minimal_injective_resolution(p, "d", "left", 1)
 
 
 def test_ext_quiver_cases():
@@ -147,28 +138,23 @@ def test_cartan_inverse_poset_equals_mobius():
 
 def test_inj_dim_garland_blocks():
     g = garland_block_poset([1, 2])
-    assert inj_dim_simple(g, "j1", cap=3) == 2
-    assert inj_dim_simple(g, "j2", cap=4) == 3
+    assert inj_dim_simple(g, "j1") == 2
+    assert inj_dim_simple(g, "j2") == 3
 
 
 def test_inj_dim_infinite_garland():
     g1 = make_family("garland", 1)
     g2 = make_family("garland", 2)
-    assert inj_dim_simple(g1, ("j", 0), cap=3) == 2
-    assert inj_dim_simple(g2, ("j", 5), cap=4) == 3
-
-
-def test_inj_dim_above_cap():
-    g = garland_block_poset([2])
-    assert inj_dim_simple(g, "j1", cap=2) == ABOVE_CAP
+    assert inj_dim_simple(g1, ("j", 0)) == 2
+    assert inj_dim_simple(g2, ("j", 5)) == 3
 
 
 def test_inj_dim_quiver_cases():
     a = make_family("a-infinity")
-    assert inj_dim_simple(a, 0, cap=3) == 0
-    assert inj_dim_simple(a, 5, cap=3) == 1
+    assert inj_dim_simple(a, 0) == 0
+    assert inj_dim_simple(a, 5) == 1
     d = make_family("d-infinity")
-    assert inj_dim_simple(d, 1, cap=3) == 0
+    assert inj_dim_simple(d, 1) == 0
 
 
 def test_sharp_euler_families():
@@ -190,7 +176,7 @@ def test_sharp_euler_random_tree():
 def test_sharp_euler_garland():
     g = make_family("garland", 1)
     sample = list(g.window("0..1"))
-    report = check_sharp_euler(g, sample, cap=6, ext_degree_cap=4)
+    report = check_sharp_euler(g, sample)
     assert report.ok, report.failures
 
 
@@ -224,7 +210,7 @@ def test_ext_table_helper():
     from coxcartan import ext_table
 
     p = parse_presentation(DIAMOND)
-    table = ext_table(p, p.vertices(), max_degree=4)
+    table = ext_table(p, p.vertices())
     assert table[("a", "a", 0)] == 1
     assert table[("a", "b", 1)] == 1
     assert table[("a", "d", 2)] == 1
@@ -239,7 +225,7 @@ def test_longer_garland_block_top_ext_degree():
     dims = [ext_dim(g, lo, hi, m) for m in range(6)]
     assert dims == [0, 0, 0, 0, 1, 0]
     assert [ext_dim(g, lo, hi, m, method="complex") for m in range(6)] == dims
-    assert inj_dim_simple(g, hi, cap=5) == 4
+    assert inj_dim_simple(g, hi) == 4
 
 
 def test_random_poset_ext_symmetry():
@@ -317,13 +303,28 @@ def test_inverse_entries_cut_by_a_junction_are_zero():
         assert cut_pairs > 0
 
 
+def test_a_resolution_that_outlasts_its_region_is_a_defect(capsys):
+    # no resolution over a region of n elements reaches degree n, so a
+    # cokernel that never vanishes can only come from a broken engine
+    def stuck(inj, embed, region):
+        return resolutions.simple_comodule(inj.pres, region[-1]), None
+
+    with mock.patch.object(resolutions, "cokernel", stuck):
+        code = run(["resolve", "--family=garland-seq:1", "--vertex=j1"], out=io.StringIO())
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: AssertionError: resolution of simple at j1 still nonzero "
+        "at degree 4 over a region of 4 elements\n"
+    )
+
+
 def test_garland_inverse_window_resolves_each_row_once():
     resolved = []
     real = resolutions._resolve_in_region
 
-    def counted(pres, region, j, max_degree):
+    def counted(pres, region, j):
         resolved.append(j)
-        return real(pres, region, j, max_degree)
+        return real(pres, region, j)
 
     with mock.patch.object(resolutions, "_resolve_in_region", counted):
         code = run(["inverse", "--family=garland:2", "--window=0..8"], out=io.StringIO())
@@ -342,9 +343,9 @@ def test_garland_seq_rows_resolve_the_last_block_only():
     regions = []
     real = resolutions._resolve_in_region
 
-    def counted(pres, region, j, max_degree):
+    def counted(pres, region, j):
         regions.append(len(region))
-        return real(pres, region, j, max_degree)
+        return real(pres, region, j)
 
     with mock.patch.object(resolutions, "_resolve_in_region", counted):
         argv = ["inverse", "--family=garland-seq:3,3,3,1", "--window=g4.1t,j4"]
@@ -353,17 +354,17 @@ def test_garland_seq_rows_resolve_the_last_block_only():
     assert regions == [4]
 
 
-def test_inverse_row_past_the_cap_falls_back_to_intervals():
-    # on garland:16, Ext^17 between the simples at j0 and j1 is nonzero, so
-    # the resolution of row j1 runs past the cap; entries of that row whose
-    # interval stays under the cap are still exact
+def test_inverse_row_of_a_long_resolution():
+    # on garland:16, Ext^17 between the simples at j0 and j1 is nonzero: the
+    # resolution of row j1 runs to degree 17, one below the 35 elements of
+    # its region [j0, j1], and ends there
     g = make_family("garland", 16)
     j0, j1, p = ("j", 0), ("j", 1), ("g", 0, 1, 0)
-    with pytest.raises(CapExceeded):
-        minimal_injective_resolution(g, j1)
+    summary = minimal_injective_resolution(g, j1)
+    assert summary.length() == 17
+    assert summary.terms[17] == {j0: 1}
     assert ext_alternating_sum(g, p, j1) == mobius(g, p, j1) == 1
-    with pytest.raises(CapExceeded):
-        ext_alternating_sum(g, j0, j1)
+    assert ext_alternating_sum(g, j0, j1) == mobius(g, j0, j1) == -1
 
 
 def test_order_complex_ranks_each_boundary_once():
