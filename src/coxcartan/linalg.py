@@ -1,10 +1,13 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of row lists with Fraction entries.  Everything here is
-deterministic: no pivoting heuristics beyond first-nonzero, no floats.
+Matrices are lists of row lists with Fraction entries, except in
+`sparse_rank`, which ranks integer matrices given as sparse columns in
+stdlib ints.  Everything here is deterministic: no pivoting heuristics
+beyond first-nonzero (lowest row in `sparse_rank`), no floats.
 """
 
 from fractions import Fraction
+from math import gcd
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -113,6 +116,44 @@ def rank(a):
     if not a or not a[0]:
         return 0
     return len(rref(a)[1])
+
+
+def sparse_rank(columns):
+    """Rank over Q of the integer matrix whose columns are dicts {row: int}.
+
+    Column reduction by lowest row, fraction-free (Bareiss, Math. Comp. 22,
+    1968): a column whose lowest row is the lowest row of a kept pivot
+    column p becomes a*col - b*p, with a and b the entries of p and of the
+    column in that row divided by their gcd, so a unit pivot (a = 1) never
+    scales the column.  A column reduced to zero is dependent; any other
+    is kept, divided by the gcd of its entries, as the pivot of its lowest
+    row.  The kept columns have distinct lowest rows, so they are
+    independent and their number is the rank.
+    """
+    pivots = {}
+    for col in columns:
+        col = {r: v for r, v in col.items() if v}
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                g = gcd(*col.values())
+                pivots[low] = {r: v // g for r, v in col.items()}
+                break
+            a, b = piv[low], col[low]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                col = {r: a * v for r, v in col.items()}
+            for r, v in piv.items():
+                w = col.get(r, 0) - b * v
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 def nullspace(a):

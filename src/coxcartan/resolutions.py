@@ -20,13 +20,14 @@ Two independent cross-oracles are provided for incidence presentations:
     sums of resolution multiplicities entrywise,
   * reduced simplicial cohomology of the order complex of the open interval,
     which must match Ext in degrees >= 2 (degree 1 is the cover count,
-    hard-coded to keep conventions from drifting).  Its chains and boundary
-    ranks are kept per open interval, so asking for every degree ranks each
-    boundary matrix once.
+    hard-coded to keep conventions from drifting).  Each boundary map is
+    built straight from the chains as sparse +-1 columns and ranked by the
+    fraction-free integer kernel `linalg.sparse_rank`; chains and ranks are
+    kept per open interval, so asking for every degree ranks each boundary
+    once.  The oracle calls neither the engine nor the Mobius recursion.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 from . import linalg
@@ -210,37 +211,32 @@ _complex_memo = WeakKeyDictionary()
 def _order_complex(pres, elements):
     """(chains by dimension, boundary ranks found so far) of the order complex
     of `elements`; memoized per presentation by element set, so each
-    boundary rank is computed once however many degrees are asked for."""
+    boundary rank is computed once however many degrees are asked for.
+    Chains keep the order of `_chains_of`: a rank does not depend on it."""
     memo = _complex_memo.setdefault(pres, {})
     key = frozenset(elements)
     if key not in memo:
         by_dim = {}
         for ch in _chains_of(pres.linear_extension(key), pres.leq):
             by_dim.setdefault(len(ch) - 1, []).append(ch)
-        for k in by_dim:
-            by_dim[k].sort(key=lambda ch: tuple(pres.sort_key(v) for v in ch))
         memo[key] = (by_dim, {})
     return memo[key]
 
 
-def _boundary_matrix(by_dim, k):
-    # C_k -> C_{k-1}; k = 0 maps to the empty simplex (augmentation)
-    rows_simplices = by_dim.get(k - 1, []) if k > 0 else [()]
-    cols_simplices = by_dim.get(k, [])
-    idx = {s: i for i, s in enumerate(rows_simplices)}
-    mat = linalg.zeros(len(rows_simplices), len(cols_simplices))
-    for c, simplex in enumerate(cols_simplices):
-        for drop in range(len(simplex)):
-            face = simplex[:drop] + simplex[drop + 1:]
-            r = idx.get(face)
-            if r is not None:
-                mat[r][c] += Fraction((-1) ** drop)
-    return mat
+def _boundary_columns(by_dim, k):
+    """The boundary C_k -> C_{k-1} as sparse columns {row: +-1}, one per
+    k-chain; k = 0 maps to the empty simplex (augmentation)."""
+    if k == 0:
+        return [{0: 1}] * len(by_dim[0])
+    idx = {s: i for i, s in enumerate(by_dim[k - 1])}
+    return [{idx[ch[:d] + ch[d + 1:]]: (-1) ** d for d in range(len(ch))} for ch in by_dim[k]]
 
 
 def _reduced_cohomology_dim(pres, elements, degree):
     """dim of reduced degree-`degree` cohomology of the order complex of
-    `elements` over the rationals (dimensions agree with homology)."""
+    `elements` over the rationals (dimensions agree with homology): the
+    number of `degree`-chains minus the ranks of the boundaries into and out
+    of them, each ranked once by `linalg.sparse_rank` on its +-1 columns."""
     if degree < 0:
         return 0
     if not elements:
@@ -251,7 +247,7 @@ def _reduced_cohomology_dim(pres, elements, degree):
 
     def boundary_rank(k):
         if k not in ranks:
-            ranks[k] = linalg.rank(_boundary_matrix(by_dim, k)) if k in by_dim else 0
+            ranks[k] = linalg.sparse_rank(_boundary_columns(by_dim, k)) if k in by_dim else 0
         return ranks[k]
 
     return len(by_dim.get(degree, [])) - boundary_rank(degree) - boundary_rank(degree + 1)
@@ -282,18 +278,21 @@ _mobius_memo = WeakKeyDictionary()
 def mobius(pres, lo, hi):
     """Classical Mobius recursion on an incidence presentation, run as one
     pass over [lo, hi] in a linear extension: mu(lo, z) is minus the sum of
-    mu(lo, y) over the y < z passed before z."""
+    mu(lo, y) over the y < z passed before z, so only the nonzero ones are
+    kept to be summed (on a chain, two)."""
     if pres.kind != "poset":
         raise ValueError("mobius needs an incidence presentation")
     if lo == hi or not pres.leq(lo, hi):
         return int(lo == hi)
     memo = _mobius_memo.setdefault(pres, {})
     if (lo, hi) not in memo:
-        mu = {}
+        mu = {}     # the nonzero mu(lo, y) passed so far
         for z in pres.linear_extension(pres.interval(lo, hi)):
             if z != lo and (lo, z) not in memo:
                 memo[lo, z] = -sum(m for y, m in mu.items() if pres.leq(y, z))
-            mu[z] = memo.get((lo, z), 1)
+            m = memo.get((lo, z), 1)
+            if m:
+                mu[z] = m
     return memo[lo, hi]
 
 

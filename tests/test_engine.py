@@ -2,6 +2,7 @@
 not share the code under test: the socle -> envelope -> cokernel engine, and
 the lazy Coxeter action against dense inversion of the whole Cartan matrix."""
 
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,47 @@ def test_poset_resolutions_match_independent_oracles(p):
                 assert [ext_dim(pres, i, j, m) for m in degrees] == cx[i, j], (i, j)
                 euler = sum((-1) ** m * d for m, d in enumerate(cx[i, j]))
                 assert cinv.entry(j, i) == mu[i, j] == euler == dense[b][a], (i, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(finite_presentations("poset"))
+def test_sparse_boundary_ranks_match_dense_rank(pres):
+    # every boundary map of the order complex of the whole poset, ranked by
+    # the sparse integer kernel and densely over Fraction; consecutive maps
+    # compose to zero
+    by_dim, _ = resolutions._order_complex(pres, pres.vertices())
+    prev = [[Fraction(1)] * len(by_dim[0])]
+    for k in sorted(by_dim):
+        columns = resolutions._boundary_columns(by_dim, k)
+        dense = [[Fraction(col.get(r, 0)) for col in columns] for r in range(len(prev[0]))]
+        assert linalg.sparse_rank(columns) == linalg.rank(dense), k
+        if k:
+            assert not any(map(any, linalg.mat_mul(prev, dense))), k
+        prev = dense
+
+
+def full_sum_mobius_memo(pres, pairs):
+    """The memo of the Mobius pass that sums every mu(lo, y) passed so far."""
+    memo = {}
+    for lo, hi in pairs:
+        if lo != hi and pres.leq(lo, hi) and (lo, hi) not in memo:
+            mu = {}
+            for z in pres.linear_extension(pres.interval(lo, hi)):
+                if z != lo and (lo, z) not in memo:
+                    memo[lo, z] = -sum(m for y, m in mu.items() if pres.leq(y, z))
+                mu[z] = memo.get((lo, z), 1)
+    return memo
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_presentations("poset"), st.data())
+def test_mobius_memo_matches_the_full_running_sum(p, data):
+    for pres in (p, p.opposite()):
+        verts = pres.vertices()
+        pairs = data.draw(st.permutations([(i, j) for i in verts for j in verts]))
+        for i, j in pairs:
+            mobius(pres, i, j)
+        assert resolutions._mobius_memo.get(pres, {}) == full_sum_mobius_memo(pres, pairs)
 
 
 @settings(max_examples=30, deadline=None)

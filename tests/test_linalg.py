@@ -1,6 +1,7 @@
 """The quotient helpers of `linalg` against the three-elimination formula they
 replace: independent columns by one elimination, the standard complement by a
-second, and the inverse of the completed basis by a third."""
+second, and the inverse of the completed basis by a third.  The sparse
+integer rank against the dense Fraction rank."""
 
 from fractions import Fraction
 
@@ -115,3 +116,36 @@ def test_quotient_helpers_match_three_eliminations(data):
     if cols:
         independent = linalg.column_space_basis(linalg.columns_matrix(cols, n))
         check_basis([cols[j] for j in independent], n)
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """(rows, cols, grid) of an integer matrix, entries -2..2, with some rows
+    and columns zeroed."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    grid = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    grid = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(grid)]
+    return rows, cols, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_int_matrices())
+def test_sparse_rank_matches_dense_rank(data):
+    rows, cols, grid = data
+    # explicit zero entries in a column are allowed and ignored
+    columns = [{i: grid[i][j] for i in range(rows) if grid[i][j] or i % 2} for j in range(cols)]
+    dense = [[Fraction(x) for x in row] for row in grid]
+    assert linalg.sparse_rank(columns) == linalg.rank(dense)
+
+
+def test_sparse_rank_needs_a_non_unit_pivot():
+    # the second column's lowest entry 3 is not a multiple of the pivot's 2;
+    # a pivot column is kept divided by its gcd, (2, 4) as (1, 2), so (3, 6)
+    # reduces to zero in one unit step
+    assert linalg.sparse_rank([{0: 1, 1: 2}, {0: 1, 1: 3}]) == 2
+    assert linalg.sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {}]) == 1

@@ -11,6 +11,7 @@ from coxcartan import (
     ext_dim,
     garland_block_poset,
     inj_dim_simple,
+    linalg,
     make_family,
     minimal_injective_resolution,
     mobius,
@@ -371,8 +372,33 @@ def test_order_complex_ranks_each_boundary_once():
     # open interval (j0, j1) of garland-seq:3: three levels of two, so chains
     # of dimension 0..2 and three boundary maps, augmentation included
     g = garland_block_poset([3])
-    real = resolutions.linalg.rank
-    with mock.patch.object(resolutions.linalg, "rank", wraps=real) as rank:
+    real = resolutions.linalg.sparse_rank
+    with mock.patch.object(resolutions.linalg, "sparse_rank", wraps=real) as rank:
         dims = [ext_dim(g, "j0", "j1", m, method="complex") for m in range(8)]
     assert dims == [0, 0, 0, 0, 1, 0, 0, 0]
     assert rank.call_count == 3
+
+
+def test_order_complex_of_a_long_garland_interval():
+    # open interval (j0, j3) of garland-seq:2,2,2: 14 elements, 2915 chains
+    g = garland_block_poset([2, 2, 2])
+    open_part = [z for z in g.interval("j0", "j3") if z not in ("j0", "j3")]
+    by_dim, _ = resolutions._order_complex(g, open_part)
+    assert [len(by_dim[k]) for k in range(8)] == [14, 85, 292, 620, 832, 688, 320, 64]
+    ranks = [linalg.sparse_rank(resolutions._boundary_columns(by_dim, k)) for k in range(8)]
+    assert ranks == [1, 13, 72, 220, 400, 432, 256, 64]
+
+
+def test_mobius_sums_only_nonzero_terms():
+    # on a chain only mu(lo, lo) and mu(lo, its cover) are nonzero, so each
+    # element is tested against two; the full running sum made 980k tests
+    n = 1500
+    p = parse_presentation(
+        "kind poset\n"
+        + "".join(f"vertex {i}\n" for i in range(n - 1, -1, -1))
+        + "".join(f"cover {i} {i + 1}\n" for i in range(n - 1))
+    )
+    with mock.patch.object(p, "leq", wraps=p.leq) as leq:
+        assert mobius(p, 0, 1400) == 0
+    assert leq.call_count < 3 * n
+    assert mobius(p, 0, 1) == -1 and mobius(p, 0, 2) == 0
