@@ -18,7 +18,7 @@ import sys
 
 from . import artranslate, cartan, coxeter, lazymatrix, presentations, resolutions
 from .comodules import interval_comodule
-from .errors import CoxError
+from .errors import CoxError, PresentationError
 
 
 def _load_presentation(args):
@@ -187,7 +187,13 @@ def _parse_interval(pres, text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise CoxError("--interval expects lo,hi")
-    return interval_comodule(pres, int(parts[0]), int(parts[1]))
+    try:
+        lo, hi = int(parts[0]), int(parts[1])
+    except ValueError:
+        lo = None
+    if lo is None or pres.kind != "quiver":
+        raise PresentationError("interval modules need a path presentation on integer vertices")
+    return interval_comodule(pres, lo, hi)
 
 
 def _cmd_tau(args, out):
@@ -299,8 +305,7 @@ def _suite_coxeter(pres, win, out):
 
 def _suite_tau(pres, win, out):
     if pres.kind != "quiver":
-        out.write("FAIL: tau suite needs a path presentation\n")
-        return 1
+        raise PresentationError("tau suite needs a path presentation")
     if pres.linear:
         ints = [v for v in win if isinstance(v, int)]
         checked = 0
@@ -334,8 +339,7 @@ def _suite_euler(pres, win, out):
 
 def _suite_mobius(pres, win, out):
     if pres.kind != "poset":
-        out.write("FAIL: mobius suite needs an incidence presentation\n")
-        return 1
+        raise PresentationError("mobius suite needs an incidence presentation")
     cinv = cartan.cartan_inverse(pres)
     for p in win:
         for j in win:

@@ -1,19 +1,18 @@
 """Minimal injective resolutions of simples, Ext dimensions, Mobius oracle.
 
-Path presentations are hereditary, so their resolutions have length at most
-one and are written down in closed form.  For incidence presentations the
-multiplicity of the injective at p in degree m of the resolution of the simple
-at j equals dim Ext^m between the simples at p and j, and that Ext localizes
-to the finite closed interval [p, j].  The simple is resolved over a finite
-convex region by the socle -> envelope -> cokernel engine of module
-`comodules`, with its thin incidence injectives, in exact rational linear
-algebra, until the cokernel is zero: there is no degree cap, since Ext^m
-between simples vanishes above the length of the longest chain between them
-(see `_resolve_in_region`).  A row of the inverse Cartan matrix, like
-`minimal_injective_resolution`, takes one resolution of the simple at j over
-local_downset(j), which holds [p, j] for every p of the row that can be
-nonzero; `ext_dim` still resolves each interval [p, j] on its own, and that
-per-interval route is the tests' reference for the rows.
+Each simple is resolved once (`_row_terms`), and Ext, the resolution tables
+and the rows of the inverse Cartan matrix all read that one resolution: the
+multiplicity of the injective at p in degree m of the resolution of the
+simple at j is dim Ext^m between the simples at p and j.  Path presentations
+are hereditary, so their resolutions have length at most one and are written
+down in closed form.  On incidence presentations that Ext localizes to the
+finite closed interval [p, j] (Cibils, J. Pure Appl. Algebra 56, 1989), and
+the simple at j is resolved over local_downset(j), a finite convex region
+holding [p, j] for every p whose Ext can be nonzero, by the socle -> envelope
+-> cokernel engine of module `comodules`, with its thin incidence injectives,
+in exact rational linear algebra, until the cokernel is zero: there is no
+degree cap, since Ext^m between simples vanishes above the length of the
+longest chain between them (see `_resolve_in_region`).
 
 Two independent cross-oracles are provided for incidence presentations:
   * the classical Mobius recursion, whose values must match the alternating
@@ -64,36 +63,43 @@ def _resolve_in_region(pres, region, j):
 # ---------------------------------------------------------------------------
 # public surface
 
-_interval_memo = WeakKeyDictionary()
 _row_memo = WeakKeyDictionary()
 
 
-def _interval_terms(pres, src, tgt):
-    """Resolution multiplicities of the simple at tgt over the closed interval
-    [src, tgt]; memoized per presentation."""
-    memo = _interval_memo.setdefault(pres, {})
-    key = (src, tgt)
-    if key not in memo:
-        memo[key] = _resolve_in_region(pres, pres.interval(src, tgt), tgt)
-    return memo[key]
-
-
-def _region_for_simple(pres, j):
-    s = pres.local_downset(j)
-    if s is None:
-        raise IntervalFinitenessViolated(
-            f"no finite resolution region for {pres.display(j)}"
-        )
-    return sorted(s, key=pres.sort_key)
-
-
 def _row_terms(pres, j):
-    """Resolution multiplicities of the simple at j over local_downset(j),
-    which hold row j of the inverse Cartan matrix; memoized per presentation."""
+    """Multiplicity dicts (vertex -> int) of the minimal injective resolution
+    of the simple at j, the only resolution of that simple; memoized per
+    presentation.  Its degree-m term at p is dim Ext^m between the simples at
+    p and j.  A quiver is hereditary, so the resolution is S_j -> E(j) -> the
+    injectives at the tails of the arrows into j.  A poset's simple is
+    resolved by the engine over local_downset(j): that region is convex and
+    holds [p, j] for every p whose Ext can be nonzero, and for p below its cut
+    point the open interval (p, j) is a cone, so every Ext there is 0."""
     memo = _row_memo.setdefault(pres, {})
     if j not in memo:
-        memo[j] = _resolve_in_region(pres, _region_for_simple(pres, j), j)
+        if pres.kind == "quiver":
+            arrows_in = dict(pres.in_arcs(j))
+            memo[j] = [{j: 1}, arrows_in] if arrows_in else [{j: 1}]
+        else:
+            region = pres.local_downset(j)
+            if region is None:
+                raise IntervalFinitenessViolated(
+                    f"no finite resolution region for {pres.display(j)}"
+                )
+            memo[j] = _resolve_in_region(pres, sorted(region, key=pres.sort_key), j)
     return memo[j]
+
+
+def _interval_terms(pres, src, tgt):
+    """[dim Ext^m between the simples at src and tgt for m = 0, 1, ...], read
+    off the one resolution of the simple at tgt (`_row_terms`).  That Ext
+    localizes to [src, tgt], so src == tgt gives [1] and a src that cannot
+    reach tgt gives [] without resolving anything."""
+    if src == tgt:
+        return [1]
+    if not pres.could_reach(src, tgt):
+        return []
+    return [t.get(src, 0) for t in _row_terms(pres, tgt)]
 
 
 @dataclass
@@ -112,66 +118,39 @@ def minimal_injective_resolution(pres, j, side="left"):
     if not pres.has_vertex(j):
         raise UnknownVertex(f"unknown vertex {j!r}")
     p = pres if side.lower() == "left" else pres.opposite()
-    if p.kind == "quiver":
-        terms = [{j: 1}]
-        deg1 = {a: mult for a, mult in p.in_arcs(j)}
-        if deg1:
-            terms.append(deg1)
-        return ResolutionSummary(j, side.lower(), terms)
-    terms = [dict(t) for t in _row_terms(p, j)]
-    return ResolutionSummary(j, side.lower(), terms)
+    return ResolutionSummary(j, side.lower(), [dict(t) for t in _row_terms(p, j)])
 
 
 def ext_dim(pres, src, tgt, m, method="resolution"):
     """dim Ext^m between the simples at src and tgt.
 
-    method "resolution" reads the minimal-resolution multiplicity over the
-    closed interval; method "complex" is the independent simplicial oracle
-    (degree 0: delta, degree 1: cover/arrow count, degree >= 2: reduced
-    cohomology of the order complex of the open interval).
+    method "resolution" reads degree m of the resolution of the simple at tgt
+    (`_interval_terms`); method "complex" is the independent simplicial oracle
+    on a poset (degree 0: delta, degree 1: cover count, degree >= 2: reduced
+    cohomology of the order complex of the open interval), which never runs
+    the engine.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if pres.kind == "quiver":
-        if m == 0:
-            return 1 if src == tgt else 0
-        if m == 1:
-            for a, mult in pres.in_arcs(tgt):
-                if a == src:
-                    return mult
-            return 0
-        return 0
-    if m == 0:
-        return 1 if src == tgt else 0
-    if src == tgt or not pres.leq(src, tgt):
-        return 0
-    if method == "complex":
-        interval = pres.interval(src, tgt)
-        if m == 1:
-            return 1 if len(interval) == 2 else 0
-        open_part = [z for z in interval if z != src and z != tgt]
-        return _reduced_cohomology_dim(pres, open_part, m - 2)
-    terms = _interval_terms(pres, src, tgt)
-    if m >= len(terms):
-        return 0
-    return terms[m].get(src, 0)
+    if method != "complex":
+        terms = _interval_terms(pres, src, tgt)
+        return terms[m] if m < len(terms) else 0
+    if m == 0 or src == tgt or not pres.leq(src, tgt):
+        return int(m == 0 and src == tgt)
+    interval = pres.interval(src, tgt)
+    if m == 1:
+        return 1 if len(interval) == 2 else 0
+    open_part = [z for z in interval if z != src and z != tgt]
+    return _reduced_cohomology_dim(pres, open_part, m - 2)
 
 
 def ext_alternating_sum(pres, p, j):
     """Sum over m of (-1)^m dim Ext^m(simple at p, simple at j): the (j, p)
-    entry of the inverse Cartan matrix of an incidence presentation.
-
-    Read off the one resolution of the simple at j over local_downset(j),
-    shared by the whole row: that region is convex and holds [p, j] for every
-    p in it, and an entry with p <= j outside it is the zero that the row's
-    support certificate promises.
+    entry of the inverse Cartan matrix of an incidence presentation, read off
+    the same per-degree list as `ext_dim`.  An entry with p <= j outside
+    local_downset(j) is the zero that the row's support certificate promises.
     """
-    if p == j:
-        return 1
-    if not pres.leq(p, j):
-        return 0
-    terms = _row_terms(pres, j)
-    return sum((-1) ** m * t.get(p, 0) for m, t in enumerate(terms))
+    return sum((-1) ** m * d for m, d in enumerate(_interval_terms(pres, p, j)))
 
 
 def _chains_of(elements, leq):
@@ -344,11 +323,11 @@ def check_sharp_euler(pres, sample):
                 failures.append(f"{side_name} resolution at {pres.display(j)}: empty term")
         return ok
 
+    op = pres.opposite()    # one view, so each right simple is resolved once
     left_sharp = side_ok(pres, "left")
-    right_sharp = side_ok(pres.opposite(), "right")
+    right_sharp = side_ok(op, "right")
 
     symmetric = True
-    op = pres.opposite()
     for i in sample:
         for j in sample:
             for m in ext_degrees(pres, i, j):

@@ -218,11 +218,31 @@ def test_verify_suites_ok(tmp_path):
 
 
 def test_verify_failure_exit_one():
-    code, out = invoke(
-        ["verify", "--family", "a-infinity", "--window", "0..3", "--suite", "mobius"]
-    )
+    # exit 1 is a counterexample: here a Mobius oracle broken on purpose
+    with mock.patch.object(cli.resolutions, "mobius", lambda pres, lo, hi: 7):
+        code, out = invoke(["verify", "--family=garland-seq:1", "--window=j0,j1", "--suite=mobius"])
     assert code == 1
-    assert out.startswith("FAIL")
+    assert out == "FAIL: cross-oracle at (j0,j0): resolution 1, mobius 7, complex 1\n"
+
+
+def test_wrong_kind_of_presentation_exits_two(capsys):
+    cases = [
+        (["verify", "--suite=tau", "--family=garland-seq:2", "--window=j0,j1"],
+         "tau suite needs a path presentation"),
+        (["verify", "--suite=mobius", "--family=a-infinity", "--window=0..3"],
+         "mobius suite needs an incidence presentation"),
+        (["tau", "--family=garland-seq:2", "--interval=j0,j1"],
+         "interval modules need a path presentation on integer vertices"),
+        (["mesh", "--family=garland-seq:2", "--interval=j0,j1"],
+         "interval modules need a path presentation on integer vertices"),
+        (["tau", "--family=garland-seq:2", "--interval=0,1"],
+         "interval modules need a path presentation on integer vertices"),
+        (["tau", "--family=a-infinity", "--interval=x,3"],
+         "interval modules need a path presentation on integer vertices"),
+    ]
+    for argv, message in cases:
+        assert invoke(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_input_error_exit_two():
@@ -312,8 +332,8 @@ def test_importing_the_cli_builds_no_parser():
 
 @st.composite
 def translate_argvs(draw):
-    """argv for tau, mesh, knit or verify --suite=tau, on a path family or a
-    small random acyclic --file quiver (given as its text)."""
+    """argv for tau, mesh, knit or verify --suite=tau|mobius|euler, on a path
+    family or a small random acyclic --file quiver (given as its text)."""
     command = draw(st.sampled_from(["tau", "mesh", "knit", "verify"]))
     if draw(st.booleans()):
         family = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
@@ -336,7 +356,8 @@ def translate_argvs(draw):
         seed = draw(st.sampled_from(["--section", "--seed-column"]))
         rest = [f"--steps={draw(st.integers(0, 6))}", f"{seed}={lo}..{hi}"]
     else:
-        rest = ["--suite=tau", f"--window={lo}..{hi}"]
+        suite = draw(st.sampled_from(["tau", "mobius", "euler"]))
+        rest = [f"--suite={suite}", f"--window={lo}..{hi}"]
     return [command, *source, *rest], text
 
 
@@ -350,20 +371,24 @@ def test_translate_commands_exit_with_a_documented_code(case):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             argv = [*argv, f"--file={path}"]
-        code, _ = invoke(argv)
+        code, out = invoke(argv)
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
+    # exit 1 only with a counterexample; a quiver is the wrong kind for mobius
+    assert (code == 1) == out.startswith("FAIL:"), (argv, out)
+    if "--suite=mobius" in argv:
+        assert (code, out) == (2, ""), argv
 
 
 @st.composite
 def incidence_argvs(draw):
-    """argv for verify --suite=mobius|euler|inverse|coxeter, resolve, ext or
-    inverse on a random --file poset of at most 7 elements (given as its
+    """argv for verify --suite=mobius|euler|inverse|coxeter|tau, resolve, ext
+    or inverse on a random --file poset of at most 7 elements (given as its
     text), on garland-seq with block lengths 1-9, or on a one-block window of
     garland:1..4.  The mobius suite ranks the order complex of each interval,
     whose chains grow fast with the block lengths, so on garland-seq it gets
     one block."""
     command = draw(st.sampled_from(["verify", "resolve", "ext", "inverse"]))
-    suite = draw(st.sampled_from(["mobius", "euler", "inverse", "coxeter"]))
+    suite = draw(st.sampled_from(["mobius", "euler", "inverse", "coxeter", "tau"]))
     text, window = None, None
     source = draw(st.sampled_from(["file", "garland-seq", "garland"]))
     if source == "file":
@@ -419,6 +444,10 @@ def test_incidence_commands_give_no_false_counterexamples(case):
                 fh.write(text)
             argv = [*argv, f"--file={path}"]
         code, out = invoke(argv)
+    if "--suite=tau" in argv:
+        # a poset is the wrong kind of presentation for the tau suite
+        assert (code, out) == (2, ""), argv
+        return
     assert code == 0, (argv, out)
     if argv[0] == "verify":
         assert out.startswith("OK:"), (argv, out)

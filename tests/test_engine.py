@@ -5,7 +5,7 @@ the lazy Coxeter action against dense inversion of the whole Cartan matrix."""
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coxcartan import (
     CoxeterOperator,
@@ -121,18 +121,26 @@ def test_quiver_copresentations_of_simples_and_injectives(q):
 
 @settings(max_examples=30, deadline=None)
 @given(finite_presentations("poset"))
+@example(parse_presentation("kind poset\ncover 0 1\ncover 1 2\n"))
 def test_inverse_rows_match_per_interval_resolutions(p):
-    # a row resolves the simple at j once over local_downset(j); resolving
-    # each interval [i, j] on its own is the reference
+    # Ext and the inverse rows read one resolution of the simple at j over
+    # local_downset(j); resolving each interval [i, j] on its own is the
+    # reference in every degree, for the i cut off that region too
     for pres in (p, p.opposite()):
         verts = pres.vertices()
         for j in verts:
             for i in verts:
                 if i == j or not pres.leq(i, j):
                     continue
-                terms = resolutions._interval_terms(pres, i, j)
-                by_interval = sum((-1) ** m * t.get(i, 0) for m, t in enumerate(terms))
-                assert resolutions.ext_alternating_sum(pres, i, j) == by_interval, (i, j)
+                terms = resolutions._resolve_in_region(pres, pres.interval(i, j), j)
+                degrees = resolutions.ext_degrees(pres, i, j)
+                reference = [t.get(i, 0) for t in terms]
+                reference += [0] * (len(degrees) - len(reference))
+                assert [ext_dim(pres, i, j, m) for m in degrees] == reference, (i, j)
+                if i not in pres.local_downset(j):
+                    assert not any(reference), (i, j)
+                euler = sum((-1) ** m * d for m, d in enumerate(reference))
+                assert resolutions.ext_alternating_sum(pres, i, j) == euler, (i, j)
 
 
 @settings(max_examples=40, deadline=None)

@@ -336,6 +336,23 @@ def test_garland_inverse_window_resolves_each_row_once():
     assert len(set(resolved)) == len(resolved)
 
 
+def test_euler_suite_resolves_each_simple_once_per_side():
+    # Ext, the symmetry check and both sides' resolution tables read one
+    # resolution per simple and side; one per interval took 1374
+    g = make_family("garland", 4)
+    win = list(g.window("0..4"))
+    with mock.patch.object(
+        resolutions, "_resolve_in_region", wraps=resolutions._resolve_in_region
+    ) as engine:
+        out = io.StringIO()
+        code = run(["verify", "--suite=euler", "--family=garland:4", "--window=0..4"], out=out)
+    assert (code, out.getvalue()) == (
+        0, "OK: sampled simples have finite socle-finite resolutions, Ext symmetric\n"
+    )
+    resolved = [(type(call.args[0]).__name__, call.args[2]) for call in engine.call_args_list]
+    assert len(set(resolved)) == len(resolved) == 2 * len(win)
+
+
 def test_garland_seq_rows_resolve_the_last_block_only():
     g = make_family("garland-seq", "3,3,3,1")
     j4 = g.parse_token("j4")
