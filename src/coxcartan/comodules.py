@@ -153,26 +153,18 @@ class Comodule:
         """(dimension vector, per-vertex column bases) of the largest
         semisimple subcomodule: at v, the intersection of the kernels of all
         arrow maps out of v."""
-        dims = {}
         bases = {}
         for v in self.support:
-            mats = []
-            for arrow in arrows_from(self.pres, v):
-                if self.dim(arrow[1]):
-                    mats.append(self.arrow_map(arrow))
+            mats = [self.arrow_map(a) for a in arrows_from(self.pres, v) if self.dim(a[1])]
             basis = linalg.intersect_kernels(mats, self.dim(v))
             if basis:
-                dims[v] = len(basis)
                 bases[v] = basis
-        return DimensionVector(dims), bases
+        return DimensionVector({v: len(b) for v, b in bases.items()}), bases
 
     def dual(self):
         """The dual comodule over the opposite presentation."""
-        op = self.pres.opposite()
-        maps = {}
-        for arrow, mat in self.maps.items():
-            maps[reverse_arrow(arrow)] = linalg.transpose(mat)
-        return Comodule(op, dict(self.dims), maps)
+        maps = {reverse_arrow(arrow): linalg.transpose(mat) for arrow, mat in self.maps.items()}
+        return Comodule(self.pres.opposite(), dict(self.dims), maps)
 
     def __repr__(self):
         return "Comodule(%s)" % self.dim_vector().sparse_str(self.pres)
@@ -227,31 +219,27 @@ def direct_sum(mods):
 
 def hom_basis(x, y):
     """Basis of the space of comodule morphisms x -> y (same presentation),
-    each represented as a dict vertex -> matrix."""
+    each a dict vertex -> matrix.  Each entry of psi_w x_a = y_a psi_u is one
+    sparse row of at most dim x(w) + dim y(u) terms for `linalg.kernel_basis`."""
     assert x.pres is y.pres
     verts = sorted(set(x.dims) | set(y.dims), key=x.pres.sort_key)
     var_offset, nvars = {}, 0
     for v in verts:
         var_offset[v] = nvars
         nvars += x.dim(v) * y.dim(v)
-    if nvars == 0:
-        return []
     rows = []
     for u in verts:
         for arrow in arrows_from(x.pres, u):
             w = arrow[1]
             xa, ya = x.arrow_map(arrow), y.arrow_map(arrow)
-            # constraint: psi_w . x_arrow = y_arrow . psi_u, one row per entry
+            # psi_w . x_arrow = y_arrow . psi_u, one row per entry (w != u: acyclic)
             for r in range(y.dim(w)):
                 for c in range(x.dim(u)):
-                    row = [F0] * nvars
-                    for t in range(x.dim(w)):
-                        row[var_offset[w] + r * x.dim(w) + t] += xa[t][c]
+                    row = {var_offset[w] + r * x.dim(w) + t: xa[t][c] for t in range(x.dim(w))}
                     for t in range(y.dim(u)):
-                        row[var_offset[u] + t * x.dim(u) + c] -= ya[r][t]
-                    if any(row):
-                        rows.append(row)
-    kernel = linalg.nullspace(rows) if rows else linalg.identity(nvars)
+                        row[var_offset[u] + t * x.dim(u) + c] = -ya[r][t]
+                    rows.append(row)
+    kernel = linalg.kernel_basis(rows, nvars)
     shared = [v for v in verts if x.dim(v) and y.dim(v)]
     return [
         {

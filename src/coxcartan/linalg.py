@@ -1,13 +1,13 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, never in floats.
 
-Matrices are lists of row lists with Fraction entries, except in
-`sparse_rank`, which ranks integer matrices given as sparse columns in
-stdlib ints.  Everything here is deterministic: no pivoting heuristics
-beyond first-nonzero (lowest row in `sparse_rank`), no floats.
+Kernels, solves and ranks eliminate sparse rows {col: value} fraction-free
+in stdlib ints (`echelon`), dividing once per entry read.  Other matrices
+are dense lists of Fraction rows; dense `rref` serves the engine's small
+quotient blocks.  Pivots are deterministic: first column, units first.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -64,9 +64,7 @@ def mat_add(a, b):
 
 
 def mat_eq(a, b):
-    return shape(a) == shape(b) and all(
-        a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0]))
-    )
+    return a == b
 
 
 def hstack(mats):
@@ -78,10 +76,7 @@ def hstack(mats):
 
 
 def vstack(mats):
-    out = []
-    for m in mats:
-        out.extend(copy(m))
-    return out
+    return [row[:] for m in mats for row in m]
 
 
 def rref(a):
@@ -113,73 +108,100 @@ def rref(a):
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
     return len(rref(a)[1])
 
 
-def sparse_rank(columns):
-    """Rank over Q of the integer matrix whose columns are dicts {row: int}.
+def _integer_row(row):
+    """`row` without its zeros, times the lcm of its entries' denominators."""
+    den = lcm(*[x.denominator for x in row.values()])
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
 
-    Column reduction by lowest row, fraction-free (Bareiss, Math. Comp. 22,
-    1968): a column whose lowest row is the lowest row of a kept pivot
-    column p becomes a*col - b*p, with a and b the entries of p and of the
-    column in that row divided by their gcd, so a unit pivot (a = 1) never
-    scales the column.  A column reduced to zero is dependent; any other
-    is kept, divided by the gcd of its entries, as the pivot of its lowest
-    row.  The kept columns have distinct lowest rows, so they are
-    independent and their number is the rank.
-    """
+
+def _forward(rows, lead_of=min):
+    """{lead column: row} of a fraction-free echelon form (Bareiss, Math. Comp.
+    22, 1968) of sparse integer rows without zeros, led by their first column
+    (or last, `max`).  A unit-led row displaces a pivot whose lead is not a
+    unit (unit pivots first, Dumas-Saunders-Villard, J. Symb. Comput. 32,
+    2001).  Rows are reduced in place; kept ones are primitive, lead > 0."""
     pivots = {}
-    for col in columns:
-        col = {r: v for r, v in col.items() if v}
-        while col:
-            low = max(col)
-            piv = pivots.get(low)
-            if piv is None:
-                g = gcd(*col.values())
-                pivots[low] = {r: v // g for r, v in col.items()}
-                break
-            a, b = piv[low], col[low]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                col = {r: a * v for r, v in col.items()}
-            for r, v in piv.items():
-                w = col.get(r, 0) - b * v
-                if w:
-                    col[r] = w
-                else:
-                    del col[r]
-    return len(pivots)
+    for row in rows:
+        while row:
+            lead = lead_of(row)
+            piv = pivots.get(lead)
+            if piv is None or (piv[lead] != 1 and abs(row[lead]) == 1):
+                pivots[lead] = _primitive(row, row[lead] < 0)
+                if piv is None:
+                    break
+                row = piv
+            else:
+                row = _reduce(row, piv, lead)
+    return pivots
+
+
+def _primitive(row, negate=False):
+    """`row` divided by the gcd of its entries, negated too if `negate`."""
+    g = -gcd(*row.values()) if negate else gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _reduce(row, piv, col):
+    """a*row - b*piv, zero at `col`: a/b is piv[col]/row[col] in lowest terms, a > 0."""
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in piv.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
+    return row
+
+
+def sparse_rank(columns):
+    """Rank over Q of the integer matrix with columns {row: int}, eliminated
+    as rows from the last row up: +-1 boundary maps fill in far less so."""
+    return len(_forward(({r: v for r, v in col.items() if v} for col in columns), max))
+
+
+def echelon(rows):
+    """(pivot columns, {pivot p: row}) of sparse rows {col: int or Fraction},
+    row / row[p] being exactly `rref`'s reduced row at p: back-substitution
+    stays in integers and leaves the one division per entry to the reader."""
+    pivots = _forward(map(_integer_row, rows))
+    order = sorted(pivots)
+    for p in reversed(order):
+        row = pivots[p]
+        if len(row) > 1:
+            for q in [c for c in row if c > p and c in pivots]:
+                row = _reduce(row, pivots[q], q)
+            pivots[p] = _primitive(row)
+    return order, pivots
+
+
+def kernel_basis(rows, ncols):
+    """Kernel in Q^ncols of sparse rows: a column per free column f, 1 at f, 0 at the others."""
+    order, reduced = echelon(rows)
+    if len(order) == ncols:
+        return []
+    free = [f for f in range(ncols) if f not in reduced]
+    basis = dict(zip(free, _unit_columns(free, ncols)))
+    for p in order:
+        for c, v in reduced[p].items():
+            if c != p:
+                basis[c][p] = Fraction(-v, reduced[p][p])
+    return list(basis.values())
 
 
 def nullspace(a):
     """Basis of the right kernel {x : a x = 0}, returned as a list of columns."""
-    rows, cols = shape(a)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[F1 if i == j else F0 for i in range(cols)] for j in range(cols)]
-    red, pivots = rref(a)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [F0] * cols
-        v[fc] = F1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return kernel_basis([dict(enumerate(row)) for row in a], shape(a)[1])
 
 
 def columns_matrix(cols, nrows):
     """Pack a list of column vectors into an nrows x len(cols) matrix."""
-    if not cols:
-        return [[] for _ in range(nrows)]
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
@@ -189,27 +211,16 @@ def matrix_columns(a):
 
 
 def solve_matrix(a, b):
-    """Solve a X = b for X; return None when inconsistent.
-
-    When the solution is not unique the free coordinates are set to zero,
-    which is fine for our uses (a always has full column rank there).
-    """
-    ra, ca = shape(a)
-    rb, cb = shape(b)
-    assert ra == rb
-    aug = hstack([a, b]) if cb else copy(a)
-    red, pivots = rref(aug)
-    for r in range(len(red)):
-        if all(red[r][c] == 0 for c in range(ca)) and any(
-            red[r][c] != 0 for c in range(ca, ca + cb)
-        ):
-            return None
+    """Solve a X = b for X, None when inconsistent; free coordinates are 0
+    (a always has full column rank in our uses)."""
+    assert len(a) == len(b)
+    ca, cb = shape(a)[1], shape(b)[1]
+    order, reduced = echelon([dict(enumerate(ra + rb)) for ra, rb in zip(a, b)])
+    if order and order[-1] >= ca:
+        return None
     x = zeros(ca, cb)
-    for r, pc in enumerate(pivots):
-        if pc >= ca:
-            return None
-        for j in range(cb):
-            x[pc][j] = red[r][ca + j]
+    for p in order:
+        x[p] = [Fraction(reduced[p].get(ca + j, 0), reduced[p][p]) for j in range(cb)]
     return x
 
 
@@ -275,7 +286,6 @@ def extend_to_basis(cols, n):
 
 def intersect_kernels(mats, n):
     """Basis (list of columns) of the intersection of kernels of maps from Q^n."""
-    stacked = vstack([m for m in mats if len(m) > 0])
-    if not stacked:
-        return [[F1 if i == j else F0 for i in range(n)] for j in range(n)]
-    return nullspace(stacked)
+    if not mats:
+        return identity(n)
+    return kernel_basis([dict(enumerate(row)) for m in mats for row in m], n)

@@ -162,7 +162,10 @@ class Presentation:
     # -- misc ----------------------------------------------------------------
 
     def opposite(self):
-        return OppositePresentation(self)
+        """The one opposite view of this presentation, so memos keyed on it are shared."""
+        if "_opposite" not in vars(self):
+            self._opposite = OppositePresentation(self)
+        return self._opposite
 
     def window(self, spec):
         """Build a Window from "a..b", an iterable of vertices, or a comma list."""

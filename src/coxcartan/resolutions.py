@@ -323,16 +323,15 @@ def check_sharp_euler(pres, sample):
                 failures.append(f"{side_name} resolution at {pres.display(j)}: empty term")
         return ok
 
-    op = pres.opposite()    # one view, so each right simple is resolved once
     left_sharp = side_ok(pres, "left")
-    right_sharp = side_ok(op, "right")
+    right_sharp = side_ok(pres.opposite(), "right")
 
     symmetric = True
     for i in sample:
         for j in sample:
             for m in ext_degrees(pres, i, j):
                 a = ext_dim(pres, i, j, m)
-                b = ext_dim(op, j, i, m)
+                b = ext_dim(pres.opposite(), j, i, m)
                 if a != b:
                     symmetric = False
                     failures.append(

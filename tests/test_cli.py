@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -105,6 +106,21 @@ def test_tau_of_an_injective_interval_solves_one_hom_space():
         )
     assert code == 0 and out == "0\n"
     assert hb.call_count <= 1
+
+
+def test_tau_of_a_long_injective_interval_solves_no_dense_system():
+    # I[0,300] is E(300): the certificate's Hom system has about 300 unknowns
+    # and at most two nonzeros per row, and is solved by sparse elimination;
+    # dense rref only sees the 1 x 1 and 1 x 2 blocks of the engine
+    from coxcartan import linalg
+
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+        code, out = invoke(
+            ["tau", "--family", "a-infinity", "--interval", "0,300", "--direction", "tau-minus"]
+        )
+    assert (code, out) == (0, "0\n")
+    assert max((len(call.args[0][0]) for call in rref.call_args_list if call.args[0]),
+               default=0) <= 2
 
 
 def test_verify_tau_copresents_each_module_once():
@@ -377,6 +393,59 @@ def test_translate_commands_exit_with_a_documented_code(case):
     assert (code == 1) == out.startswith("FAIL:"), (argv, out)
     if "--suite=mobius" in argv:
         assert (code, out) == (2, ""), argv
+
+
+@st.composite
+def matrix_argvs(draw):
+    """argv for cartan, inverse, coxeter, apply or classify on a path family
+    or a small random --file quiver or poset (given as its text)."""
+    command = draw(st.sampled_from(["cartan", "inverse", "coxeter", "apply", "classify"]))
+    source = draw(st.sampled_from(["family", "quiver", "poset"]))
+    if source == "family":
+        family = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
+        args, text = [f"--family={family}"], None
+    else:
+        n = draw(st.integers(1, 6))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+        word = "arrow" if source == "quiver" else "cover"
+        lines = [f"kind {source}"] + [f"vertex {i}" for i in range(n)]
+        lines += [f"{word} {min(u, v)} {max(u, v)}" for u, v in pairs if u != v]
+        args, text = [], "\n".join(lines) + "\n"
+    lo = draw(st.integers(-3, 5))
+    window = f"{lo}..{lo + draw(st.integers(-1, 6))}"
+    if command == "apply":
+        terms = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 6)), min_size=1, max_size=3))
+        args += ["--vector=" + ",".join(f"{c}@{v}" for c, v in terms), f"--eval={window}"]
+    else:
+        args.append(f"--window={window}")
+    if command in ("coxeter", "apply"):
+        args.append(f"--direction={draw(st.sampled_from(['forward', 'inverse']))}")
+    return [command, *args], text
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_argvs())
+@example((["apply", "--family=z-a-infinity", "--vector=1@0", "--eval=0..2"], None))
+@example((["coxeter", "--window=0..2"], "kind poset\nvertex 0\ncover 0 1\n"))
+def test_matrix_commands_exit_zero_or_name_the_input_error(case):
+    # no counterexample can come from these commands: exit 0, or exit 2 with
+    # one error line, and never an internal error
+    argv, text = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = os.path.join(tmp, "p.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = [*argv, f"--file={path}"]
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    if code == 2:
+        assert out == "" and err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    else:
+        assert out and err.getvalue() == "", (argv, err.getvalue())
 
 
 @st.composite

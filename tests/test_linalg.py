@@ -1,7 +1,8 @@
 """The quotient helpers of `linalg` against the three-elimination formula they
 replace: independent columns by one elimination, the standard complement by a
 second, and the inverse of the completed basis by a third.  The sparse
-integer rank against the dense Fraction rank."""
+integer rank against the dense Fraction rank, and the sparse echelon form
+and kernel basis against dense `rref`."""
 
 from fractions import Fraction
 
@@ -149,3 +150,87 @@ def test_sparse_rank_needs_a_non_unit_pivot():
     # reduces to zero in one unit step
     assert linalg.sparse_rank([{0: 1, 1: 2}, {0: 1, 1: 3}]) == 2
     assert linalg.sparse_rank([{0: 2, 1: 4}, {0: 3, 1: 6}, {}]) == 1
+
+
+@st.composite
+def fraction_matrices(draw):
+    """(rows, cols, grid) of a Fraction matrix with small numerators and
+    denominators, some rows and columns zeroed, and sometimes a row that is
+    a combination of two others; 0 x n and n x 0 shapes included."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0))))
+    grid = [[F0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(grid)]
+    if rows >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)))
+        grid.append([a * x + b * y for x, y in zip(grid[0], grid[1])])
+        rows += 1
+    return rows, cols, grid
+
+
+def reference_kernel(grid, cols):
+    """The kernel basis read off dense `rref`: one column per free column."""
+    red, pivots = linalg.rref(grid)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F0] * cols
+        v[f] = F1
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(a, b, cols):
+    """a X = b by dense rref of [a | b], free coordinates 0; None when a
+    pivot falls in the b block."""
+    red, pivots = linalg.rref([ra + rb for ra, rb in zip(a, b)])
+    if any(p >= cols for p in pivots):
+        return None
+    x = linalg.zeros(cols, len(b[0]) if b else 0)
+    for r, p in enumerate(pivots):
+        x[p] = red[r][cols:]
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_matrices())
+def test_sparse_echelon_matches_dense_rref(data):
+    rows, cols, grid = data
+    # explicit zero entries in a sparse row are allowed and ignored
+    sparse = [{j: x for j, x in enumerate(row) if x or j % 3 == 0} for row in grid]
+    red, pivots = linalg.rref(grid)
+    order, rows_at = linalg.echelon(sparse)
+    assert order == pivots and sorted(rows_at) == pivots
+    assert all(isinstance(v, int) for row in rows_at.values() for v in row.values())
+    # each integer row over its pivot entry is the dense reduced row
+    assert [{c: Fraction(v, rows_at[p][p]) for c, v in rows_at[p].items()} for p in order] == [
+        {j: x for j, x in enumerate(row) if x} for row in red[: len(pivots)]
+    ]
+    kernel = linalg.kernel_basis(sparse, cols)
+    assert kernel == reference_kernel(grid, cols)
+    assert all(isinstance(x, Fraction) for v in kernel for x in v)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in grid for v in kernel)
+    if rows:
+        assert linalg.nullspace(grid) == kernel
+        # solve against the first two columns: consistent, a solution with
+        # zero free coordinates, the one dense rref of [a | b] gives
+        b = [row[:2] for row in grid]
+        x = linalg.solve_matrix(grid, b)
+        assert x == reference_solve(grid, b, cols)
+        if cols:
+            assert linalg.mat_eq(linalg.mat_mul(grid, x), b)
+        assert linalg.solve_matrix(grid, [[F1] for _ in grid]) == reference_solve(
+            grid, [[F1] for _ in grid], cols)
+
+
+def test_sparse_echelon_of_empty_shapes():
+    assert linalg.echelon([]) == ([], {})
+    assert linalg.echelon([{}, {2: Fraction(-2, 3)}]) == ([2], {2: {2: 1}})
+    assert linalg.kernel_basis([], 3) == linalg.identity(3)
+    assert linalg.kernel_basis([{}, {}], 0) == []
+    assert linalg.nullspace([[], []]) == []

@@ -353,6 +353,22 @@ def test_euler_suite_resolves_each_simple_once_per_side():
     assert len(set(resolved)) == len(resolved) == 2 * len(win)
 
 
+def test_opposite_view_is_shared_so_each_simple_resolves_once():
+    # the row memo is keyed on the view; a fresh view per call resolved the
+    # right simple again (3 calls)
+    g = make_family("garland", 2)
+    assert g.opposite() is g.opposite()
+    assert g.opposite().opposite() is g
+    j1 = g.parse_token("j1")
+    with mock.patch.object(
+        resolutions, "_resolve_in_region", wraps=resolutions._resolve_in_region
+    ) as engine:
+        tables = [minimal_injective_resolution(g, j1, side).terms
+                  for side in ("left", "left", "right", "right")]
+    assert engine.call_count == 2
+    assert tables[0] == tables[1] and tables[2] == tables[3]
+
+
 def test_garland_seq_rows_resolve_the_last_block_only():
     g = make_family("garland-seq", "3,3,3,1")
     j4 = g.parse_token("j4")
