@@ -31,7 +31,6 @@ materialised into matrices.
 
 import os
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
 from . import linalg
 from .errors import IntervalFinitenessViolated, PresentationError, WindowInsufficient
@@ -69,12 +68,10 @@ def reverse_path(path):
     return tuple(reverse_arrow(a) for a in reversed(path))
 
 
-_path_list_memos = WeakKeyDictionary()
-
-
 def enumerate_paths(pres, u, v):
-    """All directed paths u -> v as tuples of arrows (deterministic order)."""
-    memo = _path_list_memos.setdefault(pres, {})
+    """All directed paths u -> v as tuples of arrows (deterministic order),
+    memoized on the presentation (`pres.memo("paths")`)."""
+    memo = pres.memo("paths")
     key = (u, v)
     if key in memo:
         return memo[key]
@@ -221,7 +218,7 @@ def hom_basis(x, y):
     """Basis of the space of comodule morphisms x -> y (same presentation),
     each a dict vertex -> matrix.  Each entry of psi_w x_a = y_a psi_u is one
     sparse row of at most dim x(w) + dim y(u) terms for `linalg.kernel_basis`."""
-    assert x.pres is y.pres
+    assert x.pres == y.pres
     verts = sorted(set(x.dims) | set(y.dims), key=x.pres.sort_key)
     var_offset, nvars = {}, 0
     for v in verts:

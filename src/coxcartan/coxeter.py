@@ -23,6 +23,7 @@ from .errors import NotInDomain, NotInSubgroup, UndefinedProduct
 from .lazymatrix import (
     DimensionVector,
     LazyVector,
+    _support_union,
     apply_vector,
     multiply,
     negate,
@@ -49,23 +50,9 @@ class GeneratorCombination:
         coeffs = self.coeffs
         if self.side == "injectives":
             entry = lambda j: sum(c * cartan.entry(a, j) for a, c in coeffs.items())
-            sup = set()
-            for a in coeffs:
-                s = cartan.row_support(a)
-                if s is None:
-                    sup = None
-                    break
-                sup |= s
-        else:
-            entry = lambda j: sum(c * cartan.entry(j, a) for a, c in coeffs.items())
-            sup = set()
-            for a in coeffs:
-                s = cartan.col_support(a)
-                if s is None:
-                    sup = None
-                    break
-                sup |= s
-        return LazyVector(entry, support=sup)
+            return LazyVector(entry, support=_support_union(coeffs, cartan.row_support))
+        entry = lambda j: sum(c * cartan.entry(j, a) for a, c in coeffs.items())
+        return LazyVector(entry, support=_support_union(coeffs, cartan.col_support))
 
 
 def _scatter(x, m):

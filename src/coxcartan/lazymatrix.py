@@ -58,6 +58,21 @@ class LazyIntMatrix:
         return f"LazyIntMatrix({self.name or 'anon'})"
 
 
+def _support_union(indices, support):
+    """The union of support(k) over a certified finite set `indices`: None
+    (not certified) when `indices` or any support(k) is None, an empty set
+    when `indices` is empty."""
+    if indices is None:
+        return None
+    out = set()
+    for k in indices:
+        s = support(k)
+        if s is None:
+            return None
+        out |= s
+    return out
+
+
 def identity_matrix():
     return LazyIntMatrix(
         lambda i, j: 1 if i == j else 0,
@@ -88,8 +103,9 @@ def negate(m):
 def multiply(a, b):
     """The product a.b with entries (i,j) -> sum_k a[i,k] b[k,j].
 
-    Each entry needs a finite row of `a` or a finite column of `b`; the result
-    has a row (column) support rule when both factors have one.
+    Each entry needs a finite row of `a` or a finite column of `b`; row i of
+    the result is certified when row i of `a` and the rows of `b` it meets
+    are, and likewise for columns.
     """
 
     def entry(i, j):
@@ -103,38 +119,10 @@ def multiply(a, b):
             f"entry ({i!r},{j!r}) of {a!r}.{b!r}: neither row nor column support is finite"
         )
 
-    row_rule = None
-    if a._row_support_rule is not None and b._row_support_rule is not None:
-        def row_rule(i):
-            ra = a.row_support(i)
-            if ra is None:
-                return None
-            out = set()
-            for k in ra:
-                rb = b.row_support(k)
-                if rb is None:
-                    return None
-                out |= rb
-            return out
-
-    col_rule = None
-    if a._col_support_rule is not None and b._col_support_rule is not None:
-        def col_rule(j):
-            cb = b.col_support(j)
-            if cb is None:
-                return None
-            out = set()
-            for k in cb:
-                ca = a.col_support(k)
-                if ca is None:
-                    return None
-                out |= ca
-            return out
-
     return LazyIntMatrix(
         entry,
-        row_support=row_rule,
-        col_support=col_rule,
+        row_support=lambda i: _support_union(a.row_support(i), b.row_support),
+        col_support=lambda j: _support_union(b.col_support(j), a.col_support),
         name=f"({a.name}.{b.name})" if a.name and b.name else "",
     )
 
@@ -319,14 +307,4 @@ def apply_vector(x, m):
             f"coordinate {j!r} of vector-matrix product: no finite certificate"
         )
 
-    support = None
-    if x.support is not None and m._row_support_rule is not None:
-        acc = set()
-        for i in x.support:
-            ri = m.row_support(i)
-            if ri is None:
-                acc = None
-                break
-            acc |= ri
-        support = acc
-    return LazyVector(entry, support=support)
+    return LazyVector(entry, support=_support_union(x.support, m.row_support))

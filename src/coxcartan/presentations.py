@@ -12,6 +12,12 @@ Conventions fixed here and relied on everywhere else:
   * quiver arcs are the arrows, poset arcs are the covering pairs lo -> hi,
   * the opposite presentation reverses arcs/order but keeps the display order.
 
+Memos keyed on a presentation live on it (`Presentation.memo`) and die with
+it.  Views (the opposite, the Hasse quiver of an infinite poset) are values:
+two views of one kind over one base are equal, and a view keeps its memos on
+the base under its prefix, so every copy of a view shares them and no view
+is cached on the base.
+
 A finite presentation keeps its reachability closure as one int bitmask
 per vertex, built without recursion in topological order (Kahn); order,
 intervals, covers and support certificates read it.  Path counts are facts
@@ -58,7 +64,7 @@ class Window:
     def __eq__(self, other):
         return (
             isinstance(other, Window)
-            and self.presentation is other.presentation
+            and self.presentation == other.presentation
             and self.vertices == other.vertices
         )
 
@@ -161,11 +167,20 @@ class Presentation:
 
     # -- misc ----------------------------------------------------------------
 
+    def memo(self, name):
+        """The dict of memos called `name` kept on this presentation, made on
+        first use."""
+        try:
+            return self._memos[name]
+        except AttributeError:
+            self._memos = {}
+        except KeyError:
+            pass
+        return self._memos.setdefault(name, {})
+
     def opposite(self):
-        """The one opposite view of this presentation, so memos keyed on it are shared."""
-        if "_opposite" not in vars(self):
-            self._opposite = OppositePresentation(self)
-        return self._opposite
+        """A fresh opposite view; it equals, and shares memos with, every other."""
+        return OppositePresentation(self)
 
     def window(self, spec):
         """Build a Window from "a..b", an iterable of vertices, or a comma list."""
@@ -195,13 +210,23 @@ class Presentation:
 
 class _View(Presentation):
     """A presentation read through `base`: same vertices, display order and
-    vertex tokens."""
+    vertex tokens.  Views of one type over one base are equal and share the
+    memos kept on the base under the view's prefix."""
 
     def __init__(self, base):
         self.base = base
         self.family = f"{self.prefix}:{base.family}" if base.family else None
         self.is_finite = base.is_finite
         self.cartan_finiteness = base.cartan_finiteness
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.base == other.base
+
+    def __hash__(self):
+        return hash((type(self), self.base))
+
+    def memo(self, name):
+        return self.base.memo((self.prefix, name))
 
     def has_vertex(self, v):
         return self.base.has_vertex(v)
@@ -383,7 +408,6 @@ class FiniteQuiver(_FinitePresentation):
         self.arrow_list = [(s, t) for s, t in arrows]
         super().__init__(vertices, self.arrow_list)
         self._store_arcs(self.arrow_list)
-        self._columns = {}
 
     def could_reach(self, u, v):
         """A path u -> v exists; an unknown vertex reaches only itself."""
@@ -392,13 +416,14 @@ class FiniteQuiver(_FinitePresentation):
     def path_count(self, u, v):
         """Read off the kept column of v: the counts w -> v of its ancestors,
         each the sum over w's arrows, in one pass in reverse Kahn order."""
-        if v not in self._columns:
+        columns = self.memo("columns")
+        if v not in columns:
             down, col = self._down.get(v, 0), {v: 1}
             for w in reversed(self._topo):
                 if w != v and down & self._bit[w]:
                     col[w] = sum(m * col.get(x, 0) for x, m in self._out[w])
-            self._columns[v] = col
-        return self._columns[v].get(u, 0)
+            columns[v] = col
+        return columns[v].get(u, 0)
 
 
 class FinitePoset(_FinitePresentation):
@@ -421,7 +446,6 @@ class FinitePoset(_FinitePresentation):
                 above &= ~(self._up[w] ^ self._bit[w])
             covers.extend((v, x) for x in self._members(above))
         self._store_arcs(covers)
-        self._local = {}
 
     def leq(self, u, v):
         return bool(self._up[u] & self._bit.get(v, 0))
@@ -441,8 +465,8 @@ class FinitePoset(_FinitePresentation):
         return self._cut(v, self._up, self._down)
 
     def _cut(self, v, toward, away):
-        key = (v, toward is self._down)
-        if key not in self._local:
+        local, key = self.memo("local"), (v, toward is self._down)
+        if key not in local:
             region = toward[v]
             cuts = [
                 c for c in self._members(region ^ self._bit[v])
@@ -451,8 +475,8 @@ class FinitePoset(_FinitePresentation):
             if cuts:
                 # the cut points form a chain; the nearest has the largest `toward` set
                 region &= away[max(cuts, key=lambda c: toward[c].bit_count())]
-            self._local[key] = frozenset(self._members(region))
-        return self._local[key]
+            local[key] = frozenset(self._members(region))
+        return local[key]
 
 
 class AInfinityQuiver(Presentation):

@@ -24,10 +24,15 @@ Two independent cross-oracles are provided for incidence presentations:
     fraction-free integer kernel `linalg.sparse_rank`; chains and ranks are
     kept per open interval, so asking for every degree ranks each boundary
     once.  The oracle calls neither the engine nor the Mobius recursion.
+
+Memos live on the presentation (`Presentation.memo`): the rows of the
+resolutions under "rows", the order complexes with their ranks under
+"complex", the Mobius values under "mobius".  An opposite view keeps its
+memos on its base, so each simple is resolved once per side however many
+views are built, and every memo is freed with its presentation.
 """
 
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 from . import linalg
 from .comodules import cokernel, envelope, node_budget, simple_comodule
@@ -63,19 +68,17 @@ def _resolve_in_region(pres, region, j):
 # ---------------------------------------------------------------------------
 # public surface
 
-_row_memo = WeakKeyDictionary()
-
-
 def _row_terms(pres, j):
     """Multiplicity dicts (vertex -> int) of the minimal injective resolution
-    of the simple at j, the only resolution of that simple; memoized per
-    presentation.  Its degree-m term at p is dim Ext^m between the simples at
-    p and j.  A quiver is hereditary, so the resolution is S_j -> E(j) -> the
-    injectives at the tails of the arrows into j.  A poset's simple is
-    resolved by the engine over local_downset(j): that region is convex and
-    holds [p, j] for every p whose Ext can be nonzero, and for p below its cut
-    point the open interval (p, j) is a cone, so every Ext there is 0."""
-    memo = _row_memo.setdefault(pres, {})
+    of the simple at j, the only resolution of that simple; kept in
+    `pres.memo("rows")`, which every copy of a view shares.  Its degree-m
+    term at p is dim Ext^m between the simples at p and j.  A quiver is
+    hereditary, so the resolution is S_j -> E(j) -> the injectives at the
+    tails of the arrows into j.  A poset's simple is resolved by the engine
+    over local_downset(j): that region is convex and holds [p, j] for every p
+    whose Ext can be nonzero, and for p below its cut point the open interval
+    (p, j) is a cone, so every Ext there is 0."""
+    memo = pres.memo("rows")
     if j not in memo:
         if pres.kind == "quiver":
             arrows_in = dict(pres.in_arcs(j))
@@ -184,15 +187,12 @@ def _chains_of(elements, leq):
     return chains
 
 
-_complex_memo = WeakKeyDictionary()
-
-
 def _order_complex(pres, elements):
     """(chains by dimension, boundary ranks found so far) of the order complex
-    of `elements`; memoized per presentation by element set, so each
+    of `elements`; kept in `pres.memo("complex")` by element set, so each
     boundary rank is computed once however many degrees are asked for.
     Chains keep the order of `_chains_of`: a rank does not depend on it."""
-    memo = _complex_memo.setdefault(pres, {})
+    memo = pres.memo("complex")
     key = frozenset(elements)
     if key not in memo:
         by_dim = {}
@@ -251,19 +251,17 @@ def ext_table(pres, sample):
     return table
 
 
-_mobius_memo = WeakKeyDictionary()
-
-
 def mobius(pres, lo, hi):
     """Classical Mobius recursion on an incidence presentation, run as one
     pass over [lo, hi] in a linear extension: mu(lo, z) is minus the sum of
     mu(lo, y) over the y < z passed before z, so only the nonzero ones are
-    kept to be summed (on a chain, two)."""
+    kept to be summed (on a chain, two).  Every mu(lo, z) met on the way is
+    kept in `pres.memo("mobius")`."""
     if pres.kind != "poset":
         raise ValueError("mobius needs an incidence presentation")
     if lo == hi or not pres.leq(lo, hi):
         return int(lo == hi)
-    memo = _mobius_memo.setdefault(pres, {})
+    memo = pres.memo("mobius")
     if (lo, hi) not in memo:
         mu = {}     # the nonzero mu(lo, y) passed so far
         for z in pres.linear_extension(pres.interval(lo, hi)):

@@ -16,6 +16,7 @@ from coxcartan import (
     certify_no_inj_hom,
     direct_sum,
     find_isomorphism,
+    hom_basis,
     interval_comodule,
     knit_component,
     make_family,
@@ -149,6 +150,17 @@ def test_random_quiver_simple_translates_match_coxeter():
             assert result["holds"], (text, j)
             checked += 1
     assert checked >= 10
+
+
+def test_hom_between_duals_built_on_separate_views():
+    # each dual() builds its own opposite view; equal views are one
+    # presentation, and Hom(DM, DN) is Hom(N, M) reversed
+    a = make_family("a-infinity")
+    m, n = interval_comodule(a, 1, 3), interval_comodule(a, 2, 4)
+    assert m.dual().pres is not n.dual().pres
+    basis = hom_basis(m.dual(), n.dual())
+    assert basis == [{2: [[1]], 3: [[1]]}]
+    assert len(basis) == len(hom_basis(n, m))
 
 
 def test_certify_no_inj_hom():

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -319,6 +321,30 @@ def test_file_input(tmp_path):
     assert out.splitlines()[2] == "1\t2\t1"
 
 
+def test_a_query_frees_its_presentation_without_the_cycle_collector(monkeypatch):
+    # memos live on the presentation and views are rebuilt on demand, so
+    # nothing points back at a presentation once its query returns
+    refs, load = [], cli.presentations.parse_family_flag
+
+    def tracked(text):
+        pres = load(text)
+        refs.append(weakref.ref(pres))
+        return pres
+
+    monkeypatch.setattr(cli.presentations, "parse_family_flag", tracked)
+    gc.disable()
+    try:
+        for argv in (
+            ["verify", "--suite=euler", "--family=garland:2", "--window=0..1"],
+            ["tau", "--family=a-infinity", "--interval=1,3", "--direction=tau"],
+        ):
+            code, out = invoke(argv)
+            assert code == 0 and out, argv
+            assert refs[-1]() is None, argv
+    finally:
+        gc.enable()
+
+
 def test_one_parser_serves_every_call():
     calls = [
         ["cartan", "--family", "a-infinity", "--bogus"],
@@ -348,8 +374,9 @@ def test_importing_the_cli_builds_no_parser():
 
 @st.composite
 def translate_argvs(draw):
-    """argv for tau, mesh, knit or verify --suite=tau|mobius|euler, on a path
-    family or a small random acyclic --file quiver (given as its text)."""
+    """argv for tau, mesh, knit or verify --suite=tau|mobius|euler|inverse|coxeter,
+    on a path family or a small random acyclic --file quiver (given as its
+    text)."""
     command = draw(st.sampled_from(["tau", "mesh", "knit", "verify"]))
     if draw(st.booleans()):
         family = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
@@ -372,27 +399,38 @@ def translate_argvs(draw):
         seed = draw(st.sampled_from(["--section", "--seed-column"]))
         rest = [f"--steps={draw(st.integers(0, 6))}", f"{seed}={lo}..{hi}"]
     else:
-        suite = draw(st.sampled_from(["tau", "mobius", "euler"]))
+        suite = draw(st.sampled_from(["tau", "mobius", "euler", "inverse", "coxeter"]))
         rest = [f"--suite={suite}", f"--window={lo}..{hi}"]
     return [command, *source, *rest], text
 
 
 @settings(max_examples=80, deadline=None)
 @given(translate_argvs())
+@example((["verify", "--family=d-infinity", "--suite=coxeter", "--window=-1..3"], None))
+@example((["verify", "--suite=inverse", "--window=0..2"], "kind quiver\nvertex 0\narrow 0 1\narrow 0 1\n"))
 def test_translate_commands_exit_with_a_documented_code(case):
     argv, text = case
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if text is not None:
             path = os.path.join(tmp, "q.quiver")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             argv = [*argv, f"--file={path}"]
-        code, out = invoke(argv)
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(argv)
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), argv
     # exit 1 only with a counterexample; a quiver is the wrong kind for mobius
     assert (code == 1) == out.startswith("FAIL:"), (argv, out)
     if "--suite=mobius" in argv:
         assert (code, out) == (2, ""), argv
+    if "--suite=inverse" in argv or "--suite=coxeter" in argv:
+        # the identities hold on every path presentation
+        if code == 0:
+            assert out.startswith("OK:") and err.getvalue() == "", (argv, out, err.getvalue())
+        else:
+            assert code == 2 and out == "", (argv, code, out)
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
 
 
 @st.composite

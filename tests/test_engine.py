@@ -101,7 +101,7 @@ def test_mobius_memo_matches_the_full_running_sum(p, data):
         pairs = data.draw(st.permutations([(i, j) for i in verts for j in verts]))
         for i, j in pairs:
             mobius(pres, i, j)
-        assert resolutions._mobius_memo.get(pres, {}) == full_sum_mobius_memo(pres, pairs)
+        assert pres.memo("mobius") == full_sum_mobius_memo(pres, pairs)
 
 
 @settings(max_examples=30, deadline=None)

@@ -121,6 +121,11 @@ def test_product_supports_compose():
     p = multiply(m, m)
     assert p.entry(0, 2) == 3
     assert p.row_support(0) == frozenset({2})
+    # an empty row is certified empty; a factor without a rule certifies nothing
+    assert p.row_support(5) == frozenset() and p.col_support(0) == frozenset()
+    q = multiply(m, dense_matrix({(1, 2): 3}, finite=False))
+    assert q.row_support(0) is None and q.col_support(2) is None
+    assert q.row_support(5) == frozenset()
 
 
 def test_apply_vector_with_finite_support():

@@ -202,6 +202,20 @@ def test_opposite_flips_arcs_and_order():
     assert op.opposite() is d
 
 
+def test_views_are_values_that_keep_their_memos_on_the_base():
+    g = make_family("garland", 2)
+    op, again = g.opposite(), g.opposite()
+    assert op is not again and op == again and hash(op) == hash(again)
+    assert op.window("0..1") == again.window("0..1")
+    op.memo("rows")["j1"] = [{"j1": 1}]
+    assert again.memo("rows") is op.memo("rows")
+    assert g.memo("rows") == {}
+    hasse = hasse_quiver(g)
+    assert hasse != op and hasse.memo("rows") == {}
+    assert hasse.memo("rows") is not op.memo("rows")
+    assert hasse.opposite().memo("rows") is not op.memo("rows")
+
+
 def test_garland_order_and_intervals():
     g = make_family("garland", 1)
     j0, j1 = ("j", 0), ("j", 1)

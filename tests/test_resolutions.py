@@ -354,11 +354,9 @@ def test_euler_suite_resolves_each_simple_once_per_side():
 
 
 def test_opposite_view_is_shared_so_each_simple_resolves_once():
-    # the row memo is keyed on the view; a fresh view per call resolved the
-    # right simple again (3 calls)
+    # each call builds its own opposite view; their row memos live on the
+    # base, so the right simple is resolved once
     g = make_family("garland", 2)
-    assert g.opposite() is g.opposite()
-    assert g.opposite().opposite() is g
     j1 = g.parse_token("j1")
     with mock.patch.object(
         resolutions, "_resolve_in_region", wraps=resolutions._resolve_in_region
