@@ -28,7 +28,7 @@ def path_count(pres, frm, to):
 
 def cartan_matrix(pres):
     return LazyIntMatrix(
-        lambda i, j: path_count(pres, j, i),
+        lambda i, j: pres.path_count(j, i),
         row_support=pres.ancestors,
         col_support=pres.descendants,
         name="c",

@@ -37,17 +37,17 @@ def _window(pres, args):
 
 
 def _emit_matrix(pres, matrix, win, fmt, out):
-    if fmt == "tsv":
-        out.write(lazymatrix.evaluate_window(matrix, win, win).to_tsv())
-    elif fmt == "json-lines":
-        for v in win:
-            row = {
-                "row": pres.display(v),
-                "entries": [[pres.display(w), matrix.entry(v, w)] for w in win],
-            }
-            out.write(json.dumps(row) + "\n")
-    else:
+    """Print matrix on win x win; tsv and json-lines print the rows of one
+    `evaluate_window`, so nothing is printed when an entry raises."""
+    if fmt not in ("tsv", "json-lines"):
         raise CoxError(f"unsupported format {fmt!r} for matrix output")
+    window = lazymatrix.evaluate_window(matrix, win, win)
+    if fmt == "tsv":
+        out.write(window.to_tsv())
+        return
+    for v, row in zip(win, window.data):
+        entries = [[pres.display(w), x] for w, x in zip(win, row)]
+        out.write(json.dumps({"row": pres.display(v), "entries": entries}) + "\n")
 
 
 def _add_common(sub, window=True):

@@ -3,13 +3,22 @@
 A LazyIntMatrix is an entry rule plus optional finiteness certificates: a row
 (column) support rule returns, for each index, a finite set outside of which
 the row (column) vanishes.  A missing rule means "not certified", never
-"empty".  Products are formed entrywise and each requested entry must have at
-least one certificate making its defining sum finite, otherwise
-UndefinedProduct is raised; nothing is ever silently truncated.
+"empty".  Each requested entry of a product must have at least one
+certificate making its defining sum finite, otherwise UndefinedProduct is
+raised; nothing is ever silently truncated.
+
+A window of a product a.b is evaluated row by row: when row i of `a` is
+certified finite, row i of the window is the sum over k in a.row_support(i)
+of a[i,k] times row k of `b` on the window's columns, and each such row of
+`b` is read once per window and shared by every output row that meets it.
+That is the same exact sum, under the same certificate, as the entry rule's
+first choice; a row without it is evaluated entry by entry.
 
 Multiplication in this setting is not associative, so the API is strictly
 binary: chain products only with explicit grouping.
 """
+
+from functools import partial
 
 from .errors import UndefinedProduct
 
@@ -32,14 +41,15 @@ class LazyIntMatrix:
         self._row_support_rule = row_support
         self._col_support_rule = col_support
         self.name = name
+        self.factors = None
         self._memo = {}
         self._supports = {}
 
     def entry(self, i, j):
-        key = (i, j)
-        if key not in self._memo:
-            self._memo[key] = int(self._entry(i, j))
-        return self._memo[key]
+        val = self._memo.get((i, j))
+        if val is None:
+            val = self._memo[i, j] = int(self._entry(i, j))
+        return val
 
     def row_support(self, i):
         return self._certificate(self._row_support_rule, ("row", i))
@@ -105,7 +115,9 @@ def multiply(a, b):
 
     Each entry needs a finite row of `a` or a finite column of `b`; row i of
     the result is certified when row i of `a` and the rows of `b` it meets
-    are, and likewise for columns.
+    are, and likewise for columns.  The result keeps (a, b) as `factors`, so
+    a window of it is read row by row: sum over k in a.row_support(i) of
+    a[i,k] times row k of `b` (see `evaluate_window`).
     """
 
     def entry(i, j):
@@ -119,12 +131,14 @@ def multiply(a, b):
             f"entry ({i!r},{j!r}) of {a!r}.{b!r}: neither row nor column support is finite"
         )
 
-    return LazyIntMatrix(
+    prod = LazyIntMatrix(
         entry,
         row_support=lambda i: _support_union(a.row_support(i), b.row_support),
         col_support=lambda j: _support_union(b.col_support(j), a.col_support),
         name=f"({a.name}.{b.name})" if a.name and b.name else "",
     )
+    prod.factors = (a, b)
+    return prod
 
 
 class MatrixWindow:
@@ -155,13 +169,50 @@ class MatrixWindow:
         pres = self.rows.presentation
         lines = ["\t" + "\t".join(pres.display(c) for c in self.cols)]
         for v, row in zip(self.rows, self.data):
-            lines.append(pres.display(v) + "\t" + "\t".join(str(x) for x in row))
+            lines.append(pres.display(v) + "\t" + "\t".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
 
+def _window_rows(m, rows, cols):
+    """Row i of m on cols for each i of rows in turn: a list, or an iterator
+    that reads the row entry by entry.
+
+    For a product a.b (`m.factors`) whose row i of `a` is certified, the row
+    is the sum over k in a.row_support(i) of a[i,k] times row k of `b` on
+    cols; row k of `b` is read on every column, even where a[i,k] = 0, and
+    once per call.  So the factor entries read up to each row are those the
+    entry rule reads.  If reading the row raises, the row is read entry by
+    entry instead, so the first error is the one that order meets first.
+    """
+    cols = list(cols)
+    a, b = m.factors if m.factors and cols else (None, None)
+    factor_rows = {}
+    for i in rows:
+        ra = None if a is None else a.row_support(i)
+        if ra is not None:
+            try:
+                out = [0] * len(cols)
+                for k in ra:
+                    aik = a.entry(i, k)
+                    row = factor_rows.get(k)
+                    if row is None:
+                        row = factor_rows[k] = [b.entry(k, j) for j in cols]
+                    if aik:
+                        out = [x + aik * y for x, y in zip(out, row)]
+            except Exception:
+                pass    # read entry by entry below: the error that order meets
+            else:
+                yield out
+                continue
+        yield map(partial(m.entry, i), cols)
+
+
 def evaluate_window(m, rows, cols):
-    data = [[m.entry(i, j) for j in cols] for i in rows]
-    return MatrixWindow(rows, cols, data)
+    """m on rows x cols.  A product is read row by row when its left factor
+    certifies the row (`_window_rows`), otherwise entry by entry through
+    m's entry rule, which uses the right factor's column certificate or
+    raises UndefinedProduct."""
+    return MatrixWindow(rows, cols, [list(row) for row in _window_rows(m, rows, cols)])
 
 
 def verify_identity_on_window(a, b, win):
@@ -169,14 +220,13 @@ def verify_identity_on_window(a, b, win):
 
     Entries of the product are full lazy sums over the whole index set, not
     truncated to the window, so a True answer is exact.  Returns
-    (ok, counterexample) where the counterexample is (i, j, value) or None.
+    (ok, counterexample) where the counterexample is the first (i, j, value)
+    in row-major order, or None.
     """
-    prod = multiply(a, b)
-    for i in win:
-        for j in win:
-            val = prod.entry(i, j)
-            expect = 1 if i == j else 0
-            if val != expect:
+    win = list(win)
+    for i, row in zip(win, _window_rows(multiply(a, b), win, win)):
+        for j, val in zip(win, row):
+            if val != (1 if i == j else 0):
                 return False, (i, j, val)
     return True, None
 

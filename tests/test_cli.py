@@ -435,8 +435,9 @@ def test_translate_commands_exit_with_a_documented_code(case):
 
 @st.composite
 def matrix_argvs(draw):
-    """argv for cartan, inverse, coxeter, apply or classify on a path family
-    or a small random --file quiver or poset (given as its text)."""
+    """argv for cartan, inverse, coxeter (tsv or json-lines), apply or
+    classify on a path family or a small random --file quiver or poset
+    (given as its text)."""
     command = draw(st.sampled_from(["cartan", "inverse", "coxeter", "apply", "classify"]))
     source = draw(st.sampled_from(["family", "quiver", "poset"]))
     if source == "family":
@@ -458,6 +459,8 @@ def matrix_argvs(draw):
         args.append(f"--window={window}")
     if command in ("coxeter", "apply"):
         args.append(f"--direction={draw(st.sampled_from(['forward', 'inverse']))}")
+    if command in ("cartan", "inverse", "coxeter") and draw(st.booleans()):
+        args.append("--format=json-lines")
     return [command, *args], text
 
 
@@ -478,12 +481,26 @@ def test_matrix_commands_exit_zero_or_name_the_input_error(case):
             argv = [*argv, f"--file={path}"]
         with contextlib.redirect_stderr(err):
             code, out = invoke(argv)
+        if "--format=json-lines" in argv:
+            with contextlib.redirect_stderr(io.StringIO()):
+                tsv = invoke([a for a in argv if a != "--format=json-lines"])
     assert code in (0, 2), (argv, code, err.getvalue())
     if code == 2:
         assert out == "" and err.getvalue().startswith("error: "), (argv, err.getvalue())
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
     else:
         assert out and err.getvalue() == "", (argv, err.getvalue())
+    if "--format=json-lines" in argv:
+        # the same window as the tsv of the same argv, row for row
+        assert tsv[0] == code
+        if code == 0:
+            header, *lines = tsv[1].splitlines()
+            grid = [line.split("\t") for line in lines]
+            rows = [json.loads(line) for line in out.splitlines()]
+            assert [r["row"] for r in rows] == [g[0] for g in grid]
+            for r, g in zip(rows, grid):
+                assert [e[0] for e in r["entries"]] == header.split("\t")[1:]
+                assert [str(e[1]) for e in r["entries"]] == g[1:]
 
 
 @st.composite

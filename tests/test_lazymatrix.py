@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coxcartan import (
+    CoxeterOperator,
     DimensionVector,
     LazyIntMatrix,
     UndefinedProduct,
@@ -13,6 +14,7 @@ from coxcartan import (
     make_family,
     multiply,
     negate,
+    parse_presentation,
     parse_vector_literal,
     transpose,
     verify_identity_on_window,
@@ -215,3 +217,132 @@ def test_knit_reads_each_inverse_support_once():
         frag = knit_component(a, ("injectives", list(a.window("0..162"))), 160)
     assert len(frag.meshes) == 160
     assert calls and max(calls.values()) == 1
+
+
+def per_entry_grid(m, rows, cols):
+    return [[m.entry(i, j) for j in cols] for i in rows]
+
+
+@st.composite
+def coxeter_windows(draw):
+    """(presentation, window, direction): a random --file quiver or poset of
+    at most 7 vertices with a random sub-window, or a path-family window."""
+    source = draw(st.sampled_from(["quiver", "poset", "family"]))
+    if source == "family":
+        pres = make_family(draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"])))
+        lo = draw(st.integers(0, 8))    # vertex 0 on: every family has it
+        spec = f"{lo}..{lo + draw(st.integers(0, 9))}"
+    else:
+        n = draw(st.integers(1, 7))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+        word = "arrow" if source == "quiver" else "cover"
+        lines = [f"kind {source}"] + [f"vertex {i}" for i in range(n)]
+        lines += [f"{word} {min(u, v)} {max(u, v)}" for u, v in pairs if u != v]
+        pres = parse_presentation("\n".join(lines) + "\n")
+        spec = ",".join(str(v) for v in draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+    return pres, pres.window(spec), draw(st.sampled_from(["forward", "inverse"]))
+
+
+def dense_coxeter(pres, direction):
+    """The Coxeter matrix of a finite presentation as a dense product of the
+    dense c^-1 and c over all vertices, indexed by vertex."""
+    verts = list(pres.vertices())
+    pair = cartan_pair(pres)
+    c = {(i, j): pair.cartan.entry(i, j) for i in verts for j in verts}
+    ci = {(i, j): pair.inverse.entry(i, j) for i in verts for j in verts}
+    if direction == "forward":   # -(c^-1)^tr . c
+        return lambda i, j: -sum(ci[k, i] * c[k, j] for k in verts)
+    return lambda i, j: -sum(ci[i, k] * c[j, k] for k in verts)   # -c^-1 . c^tr
+
+
+@settings(max_examples=60, deadline=None)
+@given(coxeter_windows())
+def test_product_window_rows_match_entries_and_the_dense_product(case):
+    pres, w, direction = case
+    grid = evaluate_window(CoxeterOperator(cartan_pair(pres)).matrix(direction), w, w).grid()
+    fresh = CoxeterOperator(cartan_pair(pres)).matrix(direction)
+    assert grid == per_entry_grid(fresh, w, w)
+    if pres.is_finite:
+        dense = dense_coxeter(pres, direction)
+        assert grid == [[dense(i, j) for j in w] for i in w]
+
+
+def test_product_window_without_row_rule_reads_column_certificates():
+    # the left factor certifies no row, so every entry is a column sum
+    b = dense_matrix({(0, 0): 2, (1, 0): 1, (1, 2): -3, (2, 1): 4})
+    a = LazyIntMatrix(lambda i, j: i + 2 * j - 1, col_support=lambda j: set(range(3)))
+    prod = multiply(a, b)
+    rows, cols = [0, 1, 2, 3], [0, 1, 2]
+    expect = [[sum(a.entry(i, k) * b.entry(k, j) for k in range(3)) for j in cols] for i in rows]
+    assert evaluate_window(prod, rows, cols).grid() == expect
+    assert per_entry_grid(multiply(a, b), rows, cols) == expect
+    # with neither certificate the window refuses, as the entry does
+    with pytest.raises(UndefinedProduct):
+        evaluate_window(multiply(a, dense_matrix({(0, 0): 1}, finite=False)), rows, cols)
+
+
+def raising_factor(entries, bad):
+    """dense_matrix(entries) whose entry rule raises at the positions in bad."""
+    m = dense_matrix(entries)
+    rule = m._entry
+
+    def entry(k, j):
+        if (k, j) in bad:
+            raise ValueError(f"bad entry {(k, j)}")
+        return rule(k, j)
+
+    m._entry = entry
+    return m
+
+
+def first_outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+def entrywise_verify(prod, win):
+    """verify_identity_on_window's answer read entry by entry in row-major
+    order, as its definition states it."""
+    for i in win:
+        for j in win:
+            if prod.entry(i, j) != (1 if i == j else 0):
+                return False, (i, j, prod.entry(i, j))
+    return True, None
+
+
+square = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-2, 2), max_size=10
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square, square, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=2))
+def test_product_window_raises_the_error_the_entry_order_meets_first(left, right, bad):
+    # the left factor certifies all of 0..3, zeros included: a zero a[i,k]
+    # still reads row k of the right factor
+    win = [0, 1, 2, 3]
+
+    def factors():
+        a = LazyIntMatrix(lambda i, k: left.get((i, k), 0), lambda i: win, lambda k: win)
+        return a, raising_factor(right, bad)
+
+    assert first_outcome(lambda: evaluate_window(multiply(*factors()), win, win).grid()) == (
+        first_outcome(lambda: per_entry_grid(multiply(*factors()), win, win))
+    )
+    assert first_outcome(lambda: verify_identity_on_window(*factors(), win)) == first_outcome(
+        lambda: entrywise_verify(multiply(*factors()), win)
+    )
+
+
+def test_certified_product_window_leaves_the_entry_memo_empty():
+    # each row of the forward Coxeter window is spread over rows of c read
+    # once, so no product entry goes through the product's entry memo
+    a = make_family("a-infinity")
+    m = CoxeterOperator(cartan_pair(a)).matrix("forward")
+    w = a.window("0..159")
+    grid = evaluate_window(m, w, w).grid()
+    assert m._memo == {}
+    assert grid[5][4:7] == [0, 0, 1] and grid[159][0] == 0
