@@ -4,20 +4,21 @@ Orientation convention, fixed once for the whole package: entry (i, j) of the
 Cartan matrix counts directed paths j -> i (for posets: 1 when j <= i), so row
 i is the dimension vector of the indecomposable injective at i and column j is
 the dimension vector of the opposite-side injective at j.  Each count is a
-fact of the presentation's class (`Presentation.path_count`), so no walk,
-memo or budget lives here.
+fact of the presentation's class (`Presentation.path_count`), and so are the
+certified rows and columns (`paths_into`, `paths_from`), so no walk, memo or
+budget lives here.
 
 The inverse is the canonical one built from minimal injective resolutions of
-the simples.  For a hereditary path presentation that resolution has length at
-most one, giving the closed form delta(j,p) - #arrows(p -> j); for incidence
-presentations the entries are alternating sums of resolution multiplicities
-(module `resolutions`), cross-checkable against the Mobius function.  Row j
-is read off one resolution of the simple at j over local_downset(j), the
-finite convex region that also certifies the row's support.
+the simples, with one rule for both kinds of presentation: row j holds the
+alternating sums of the resolution multiplicities of the simple at j (module
+`resolutions`) over local_downset(j), the finite region that certifies the
+row.  On a hereditary path presentation that resolution has length at most
+one, so the row is delta(j,p) - #arrows(p -> j) on j and its arrow
+neighbours; on an incidence presentation the entries are cross-checkable
+against the Mobius function.
 """
 
-from .errors import IntervalFinitenessViolated
-from .lazymatrix import LazyIntMatrix, LazyVector
+from .lazymatrix import DimensionVector, LazyIntMatrix, apply_vector, transpose
 
 
 def path_count(pres, frm, to):
@@ -29,51 +30,34 @@ def path_count(pres, frm, to):
 def cartan_matrix(pres):
     return LazyIntMatrix(
         lambda i, j: pres.path_count(j, i),
-        row_support=pres.ancestors,
-        col_support=pres.descendants,
+        row_rule=pres.paths_into,
+        col_rule=pres.paths_from,
         name="c",
     )
 
 
 def cartan_inverse(pres):
-    if pres.kind == "quiver":
-        def entry(j, p):
-            val = 1 if j == p else 0
-            for src, mult in pres.in_arcs(j):
-                if src == p:
-                    val -= mult
-            return val
-
-        def row_rule(j):
-            return {j} | {src for src, _ in pres.in_arcs(j)}
-
-        def col_rule(p):
-            return {p} | {tgt for tgt, _ in pres.out_arcs(p)}
-
-        return LazyIntMatrix(entry, row_support=row_rule, col_support=col_rule, name="c^-1")
-
+    """Row j is {p: alternating Ext sum} over local_downset(j), zeros dropped,
+    and column p gathers the entries of the rows over local_upset(p).  An
+    entry is 1 on the diagonal and 0 where p cannot reach j, with nothing
+    resolved; any other entry is read off row j."""
     from . import resolutions
 
+    def row(j):
+        terms = {p: resolutions.ext_alternating_sum(pres, p, j) for p in pres.local_downset(j)}
+        return {p: v for p, v in terms.items() if v}
+
+    def col(p):
+        terms = {j: entry(j, p) for j in pres.local_upset(p)}
+        return {j: v for j, v in terms.items() if v}
+
     def entry(j, p):
-        return resolutions.ext_alternating_sum(pres, p, j)
+        if j == p:
+            return 1
+        return inverse.row(j).get(p, 0) if pres.could_reach(p, j) else 0
 
-    def row_rule(j):
-        s = pres.local_downset(j)
-        if s is None:
-            raise IntervalFinitenessViolated(
-                f"no finite support certificate for inverse row {pres.display(j)}"
-            )
-        return s
-
-    def col_rule(p):
-        s = pres.local_upset(p)
-        if s is None:
-            raise IntervalFinitenessViolated(
-                f"no finite support certificate for inverse column {pres.display(p)}"
-            )
-        return s
-
-    return LazyIntMatrix(entry, row_support=row_rule, col_support=col_rule, name="c^-1")
+    inverse = LazyIntMatrix(entry, row_rule=row, col_rule=col, name="c^-1")
+    return inverse
 
 
 class CartanPair:
@@ -91,14 +75,13 @@ def cartan_pair(pres):
 
 def dim_injective(pres, a, side="left"):
     """dim E(a) (side "left": row a of the Cartan matrix) or dim of the
-    opposite-side injective (side "right": column a)."""
+    opposite-side injective (side "right": column a), as e_a . c or
+    e_a . c^tr."""
     c = cartan_matrix(pres)
     side = side.lower()
-    if side == "left":
-        return LazyVector(lambda j: c.entry(a, j), support=c.row_support(a))
-    if side == "right":
-        return LazyVector(lambda i: c.entry(i, a), support=c.col_support(a))
-    raise ValueError("side must be 'left' or 'right'")
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    return apply_vector(DimensionVector.unit(a), c if side == "left" else transpose(c))
 
 
 def classify_finiteness(pres, sample):

@@ -39,8 +39,6 @@ def _window(pres, args):
 def _emit_matrix(pres, matrix, win, fmt, out):
     """Print matrix on win x win; tsv and json-lines print the rows of one
     `evaluate_window`, so nothing is printed when an entry raises."""
-    if fmt not in ("tsv", "json-lines"):
-        raise CoxError(f"unsupported format {fmt!r} for matrix output")
     window = lazymatrix.evaluate_window(matrix, win, win)
     if fmt == "tsv":
         out.write(window.to_tsv())
@@ -50,17 +48,13 @@ def _emit_matrix(pres, matrix, win, fmt, out):
         out.write(json.dumps({"row": pres.display(v), "entries": entries}) + "\n")
 
 
-def _add_common(sub, window=True):
+def _add_common(sub, window=True, formats=None):
     sub.add_argument("--family", help="built-in family, e.g. a-infinity, garland:2")
     sub.add_argument("--file", help="presentation file path")
     if window:
         sub.add_argument("--window", help="window spec: a..b or comma list")
-    sub.add_argument(
-        "--format",
-        default="tsv",
-        choices=["tsv", "dot", "json-lines"],
-        help="output format where applicable",
-    )
+    if formats:
+        sub.add_argument("--format", default="tsv", choices=formats, help="output format")
 
 
 def build_parser():
@@ -73,10 +67,10 @@ def build_parser():
 
     for name in ("cartan", "inverse"):
         sub = subs.add_parser(name, help=f"print the {name} matrix on a window")
-        _add_common(sub)
+        _add_common(sub, formats=["tsv", "json-lines"])
 
     sub = subs.add_parser("coxeter", help="print a Coxeter matrix on a window")
-    _add_common(sub)
+    _add_common(sub, formats=["tsv", "json-lines"])
     sub.add_argument("--direction", default="forward", choices=["forward", "inverse"])
 
     sub = subs.add_parser("apply", help="apply a Coxeter transformation to a vector")
@@ -109,7 +103,7 @@ def build_parser():
     )
 
     sub = subs.add_parser("knit", help="knit a translation-quiver fragment")
-    _add_common(sub, window=False)
+    _add_common(sub, window=False, formats=["tsv", "dot"])
     sub.add_argument("--steps", type=int, required=True)
     sub.add_argument("--section", help="injective section window: a..b or list")
     sub.add_argument(

@@ -7,13 +7,13 @@ column-finite, the inner product x . c^{-tr} of a finitely supported x is
 again finitely supported, which is what makes the outer product a finite sum
 even when the Cartan matrix itself has infinite columns.
 
-The inner product is computed eagerly as a scatter: each x_i is spread over
-the certified row support of the inverse factor, which is exactly the
-certificate that makes the product finite, so only entries that certificate
-allows are evaluated and the cost is linear in the size of the result.  The
-outer product stays lazy and is evaluated only on the coordinates a caller
-asks for.  The transposes of both Cartan matrices are built once per
-operator, so their entry memos survive from one vector to the next.
+The inner product is computed eagerly as a scatter: the sparse sum of the
+certified rows of the inverse factor over x, which are exactly the lines
+that make the product finite, so the cost is linear in the size of the
+result.  The outer product stays lazy and is evaluated only on the
+coordinates a caller asks for.  The transposes of both Cartan matrices are
+built once per operator, so their line memos survive from one vector to the
+next.
 
 Vectors with infinite support (dimension vectors of opposite-side injectives,
 say) enter as formal generator combinations and are transformed by linearity.
@@ -23,10 +23,10 @@ from .errors import NotInDomain, NotInSubgroup, UndefinedProduct
 from .lazymatrix import (
     DimensionVector,
     LazyVector,
-    _support_union,
     apply_vector,
     multiply,
     negate,
+    spread,
     transpose,
 )
 
@@ -45,28 +45,14 @@ class GeneratorCombination:
         self.side = side
         self.coeffs = {a: int(c) for a, c in dict(coeffs).items() if c != 0}
 
-    def realize(self, cartan):
-        """Evaluate to a LazyVector using the Cartan matrix rows/columns."""
-        coeffs = self.coeffs
-        if self.side == "injectives":
-            entry = lambda j: sum(c * cartan.entry(a, j) for a, c in coeffs.items())
-            return LazyVector(entry, support=_support_union(coeffs, cartan.row_support))
-        entry = lambda j: sum(c * cartan.entry(j, a) for a, c in coeffs.items())
-        return LazyVector(entry, support=_support_union(coeffs, cartan.col_support))
-
 
 def _scatter(x, m):
-    """x . m for a finitely supported x: each x_i is spread over the
-    certified row support of m, so the sum is exact and touches only the
-    entries that certificate allows."""
-    acc = {}
-    for i, xi in x.items():
-        row = m.row_support(i)
-        if row is None:
-            raise UndefinedProduct("vector support not certified finite")
-        for j in row:
-            acc[j] = acc.get(j, 0) + xi * m.entry(i, j)
-    return DimensionVector(acc)
+    """x . m for a finitely supported x: the sparse sum of the certified rows
+    of m over x, so it is exact and reads nothing else."""
+    line = spread(x, m.row)
+    if line is None:
+        raise UndefinedProduct("vector support not certified finite")
+    return DimensionVector(line)
 
 
 class CoxeterOperator:
@@ -113,17 +99,15 @@ class CoxeterOperator:
         return apply_vector(-_scatter(x, self.cinv), self.c_tr)
 
     def _apply_generators(self, combo, direction):
-        c = self.c
-        coeffs = combo.coeffs
+        # a combination of injective rows is x . c, of columns x . c^tr
+        x = DimensionVector(combo.coeffs)
         if direction == "forward" and combo.side == "op-injectives":
             # op-injective generators map to negated injective rows
-            image = GeneratorCombination("injectives", {a: -v for a, v in coeffs.items()})
-            return image.realize(c)
+            return apply_vector(-x, self.c)
         if direction == "inverse" and combo.side == "injectives":
-            image = GeneratorCombination("op-injectives", {a: -v for a, v in coeffs.items()})
-            return image.realize(c)
+            return apply_vector(-x, self.c_tr)
         # other side: realize first (needs finite support), then transform
-        realized = combo.realize(c)
+        realized = apply_vector(x, self.c if combo.side == "injectives" else self.c_tr)
         if realized.support is None:
             raise NotInDomain(
                 f"generator combination on side {combo.side!r} has uncertified "

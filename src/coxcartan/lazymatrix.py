@@ -1,93 +1,95 @@
 """Lazy integer matrices and vectors over a possibly infinite vertex set.
 
-A LazyIntMatrix is an entry rule plus optional finiteness certificates: a row
-(column) support rule returns, for each index, a finite set outside of which
-the row (column) vanishes.  A missing rule means "not certified", never
-"empty".  Each requested entry of a product must have at least one
-certificate making its defining sum finite, otherwise UndefinedProduct is
-raised; nothing is ever silently truncated.
+A LazyIntMatrix is an entry rule plus optional line rules.  A row (column)
+rule returns a certified sparse line: a dict {index: value} of the row's
+nonzero entries, whose keys certify that the row vanishes everywhere else;
+None means that line is not certified finite, never "empty".  Each line is
+computed once per index and kept; entries are not kept.  Each requested
+entry of a product must have at least one certified line making its
+defining sum finite, otherwise UndefinedProduct is raised; nothing is ever
+silently truncated.
 
-A window of a product a.b is evaluated row by row: when row i of `a` is
-certified finite, row i of the window is the sum over k in a.row_support(i)
-of a[i,k] times row k of `b` on the window's columns, and each such row of
-`b` is read once per window and shared by every output row that meets it.
-That is the same exact sum, under the same certificate, as the entry rule's
-first choice; a row without it is evaluated entry by entry.
+A line of a product a.b is the sparse sum of the factors' lines (row i is
+the sum over row i of `a` of a[i,k] times row k of `b`), and it is None
+when any of those lines is.  A window of a.b is evaluated row by row: row i
+of `a`, when certified, is spread over the rows of `b` on the window's
+columns, each read entry by entry once per window and shared by every
+output row that meets it, so the cost stays bounded by the window; a row
+of `a` that is not certified is evaluated entry by entry.
 
 Multiplication in this setting is not associative, so the API is strictly
 binary: chain products only with explicit grouping.
 """
 
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import UndefinedProduct
 
 
 class LazyIntMatrix:
-    """entry_rule(i, j) -> int plus optional support rules.
+    """entry_rule(i, j) -> int plus optional row and column rules, each
+    returning a certified sparse line or None (see the module docstring)."""
 
-    A support rule may return None for an individual index (that row/column is
-    not certified finite).
-    """
-
-    def __init__(
-        self,
-        entry_rule,
-        row_support=None,
-        col_support=None,
-        name="",
-    ):
+    def __init__(self, entry_rule, row_rule=None, col_rule=None, name=""):
         self._entry = entry_rule
-        self._row_support_rule = row_support
-        self._col_support_rule = col_support
+        self._row_rule = row_rule
+        self._col_rule = col_rule
         self.name = name
         self.factors = None
-        self._memo = {}
-        self._supports = {}
+        self._lines = {}
 
     def entry(self, i, j):
-        val = self._memo.get((i, j))
-        if val is None:
-            val = self._memo[i, j] = int(self._entry(i, j))
-        return val
+        return int(self._entry(i, j))
+
+    def row(self, i):
+        """Row i as {j: nonzero value}, or None; shared, so read only."""
+        return self._line(self._row_rule, ("row", i))
+
+    def col(self, j):
+        return self._line(self._col_rule, ("col", j))
+
+    def _line(self, rule, key):
+        if rule is not None and key not in self._lines:
+            self._lines[key] = rule(key[1])
+        return self._lines.get(key)
 
     def row_support(self, i):
-        return self._certificate(self._row_support_rule, ("row", i))
+        row = self.row(i)
+        return None if row is None else row.keys()
 
     def col_support(self, j):
-        return self._certificate(self._col_support_rule, ("col", j))
-
-    def _certificate(self, rule, key):
-        # an immutable frozenset, computed once per index and shared
-        if rule is not None and key not in self._supports:
-            s = rule(key[1])
-            self._supports[key] = None if s is None else frozenset(s)
-        return self._supports.get(key)
+        col = self.col(j)
+        return None if col is None else col.keys()
 
     def __repr__(self):
         return f"LazyIntMatrix({self.name or 'anon'})"
 
 
-def _support_union(indices, support):
-    """The union of support(k) over a certified finite set `indices`: None
-    (not certified) when `indices` or any support(k) is None, an empty set
-    when `indices` is empty."""
-    if indices is None:
+def spread(coeffs, line):
+    """The sum of c * line(k) over the items (k, c) of `coeffs`, a certified
+    sparse line, as one with the zero sums dropped; None when `coeffs` or any
+    line(k) is None."""
+    if coeffs is None:
         return None
-    out = set()
-    for k in indices:
-        s = support(k)
-        if s is None:
+    acc = {}
+    for k, c in coeffs.items():
+        ln = line(k)
+        if ln is None:
             return None
-        out |= s
-    return out
+        for j, v in ln.items():
+            acc[j] = acc.get(j, 0) + c * v
+    return {j: v for j, v in acc.items() if v}
+
+
+def _negated(line):
+    return None if line is None else {k: -v for k, v in line.items()}
 
 
 def identity_matrix():
     return LazyIntMatrix(
         lambda i, j: 1 if i == j else 0,
-        row_support=lambda i: {i},
-        col_support=lambda j: {j},
+        row_rule=lambda i: {i: 1},
+        col_rule=lambda j: {j: 1},
         name="E",
     )
 
@@ -95,8 +97,8 @@ def identity_matrix():
 def transpose(m):
     return LazyIntMatrix(
         lambda i, j: m.entry(j, i),
-        row_support=m.col_support,
-        col_support=m.row_support,
+        row_rule=m.col,
+        col_rule=m.row,
         name=f"{m.name}^tr" if m.name else "",
     )
 
@@ -104,8 +106,8 @@ def transpose(m):
 def negate(m):
     return LazyIntMatrix(
         lambda i, j: -m.entry(i, j),
-        row_support=m.row_support,
-        col_support=m.col_support,
+        row_rule=lambda i: _negated(m.row(i)),
+        col_rule=lambda j: _negated(m.col(j)),
         name=f"-{m.name}" if m.name else "",
     )
 
@@ -113,28 +115,28 @@ def negate(m):
 def multiply(a, b):
     """The product a.b with entries (i,j) -> sum_k a[i,k] b[k,j].
 
-    Each entry needs a finite row of `a` or a finite column of `b`; row i of
-    the result is certified when row i of `a` and the rows of `b` it meets
-    are, and likewise for columns.  The result keeps (a, b) as `factors`, so
-    a window of it is read row by row: sum over k in a.row_support(i) of
-    a[i,k] times row k of `b` (see `evaluate_window`).
+    An entry is summed over row i of `a` when that row is certified, else
+    over column j of `b`.  Row i of the result is the sparse sum of the rows
+    of `b` over row i of `a`, and column j that of the columns of `a` over
+    column j of `b`.  The result keeps (a, b) as `factors`, so a window of it
+    is read row by row (see `evaluate_window`).
     """
 
     def entry(i, j):
-        ra = a.row_support(i)
+        ra = a.row(i)
         if ra is not None:
-            return sum(a.entry(i, k) * b.entry(k, j) for k in ra)
-        cb = b.col_support(j)
+            return sum(v * b.entry(k, j) for k, v in ra.items())
+        cb = b.col(j)
         if cb is not None:
-            return sum(a.entry(i, k) * b.entry(k, j) for k in cb)
+            return sum(a.entry(i, k) * v for k, v in cb.items())
         raise UndefinedProduct(
             f"entry ({i!r},{j!r}) of {a!r}.{b!r}: neither row nor column support is finite"
         )
 
     prod = LazyIntMatrix(
         entry,
-        row_support=lambda i: _support_union(a.row_support(i), b.row_support),
-        col_support=lambda j: _support_union(b.col_support(j), a.col_support),
+        row_rule=lambda i: spread(a.row(i), b.row),
+        col_rule=lambda j: spread(b.col(j), a.col),
         name=f"({a.name}.{b.name})" if a.name and b.name else "",
     )
     prod.factors = (a, b)
@@ -178,27 +180,26 @@ def _window_rows(m, rows, cols):
     that reads the row entry by entry.
 
     For a product a.b (`m.factors`) whose row i of `a` is certified, the row
-    is the sum over k in a.row_support(i) of a[i,k] times row k of `b` on
-    cols; row k of `b` is read on every column, even where a[i,k] = 0, and
-    once per call.  So the factor entries read up to each row are those the
-    entry rule reads.  If reading the row raises, the row is read entry by
-    entry instead, so the first error is the one that order meets first.
+    is the sum over that row's items (k, a[i,k]) of a[i,k] times row k of `b`
+    on cols, and row k of `b` is read entry by entry once per call.  The row
+    of `a` holds nonzero entries only, so the factor entries read up to each
+    row are those the entry rule reads.  If reading the row raises, the row
+    is read entry by entry instead, so the first error is the one that order
+    meets first.
     """
     cols = list(cols)
     a, b = m.factors if m.factors and cols else (None, None)
     factor_rows = {}
     for i in rows:
-        ra = None if a is None else a.row_support(i)
+        ra = None if a is None else a.row(i)
         if ra is not None:
             try:
                 out = [0] * len(cols)
-                for k in ra:
-                    aik = a.entry(i, k)
+                for k, aik in ra.items():
                     row = factor_rows.get(k)
                     if row is None:
                         row = factor_rows[k] = [b.entry(k, j) for j in cols]
-                    if aik:
-                        out = [x + aik * y for x, y in zip(out, row)]
+                    out = [x + aik * y for x, y in zip(out, row)]
             except Exception:
                 pass    # read entry by entry below: the error that order meets
             else:
@@ -210,8 +211,9 @@ def _window_rows(m, rows, cols):
 def evaluate_window(m, rows, cols):
     """m on rows x cols.  A product is read row by row when its left factor
     certifies the row (`_window_rows`), otherwise entry by entry through
-    m's entry rule, which uses the right factor's column certificate or
-    raises UndefinedProduct."""
+    m's entry rule, which reads the right factor's certified column or
+    raises UndefinedProduct.  Any other matrix is read entry by entry, so
+    the cost is bounded by the window, not by the lines it crosses."""
     return MatrixWindow(rows, cols, [list(row) for row in _window_rows(m, rows, cols)])
 
 
@@ -316,12 +318,19 @@ def parse_vector_literal(pres, text):
 
 
 class LazyVector:
-    """Integer vector given by an entry rule, with an optional finite support."""
+    """Integer vector given by an entry rule, with an optional finite support:
+    a set, None (not certified), or a rule returning one of those, called
+    on the first read of `support`."""
 
     def __init__(self, entry_rule, support=None):
         self._entry = entry_rule
-        self.support = frozenset(support) if support is not None else None
+        self._support = support
         self._memo = {}
+
+    @cached_property
+    def support(self):
+        s = self._support() if callable(self._support) else self._support
+        return None if s is None else frozenset(s)
 
     @classmethod
     def from_dimension_vector(cls, x):
@@ -341,20 +350,27 @@ class LazyVector:
 def apply_vector(x, m):
     """Row-vector times matrix: (x.m)_j = sum_i x_i m_ij.
 
-    `x` may be a DimensionVector or a LazyVector with certified support;
-    a lazy x without support needs every requested column of m finite.
+    `x` may be a DimensionVector or a LazyVector.  With a certified support,
+    coordinate j is summed over it, and the support of x.m, read when first
+    asked for, is the union of the rows of m over it (None when one of them
+    is not certified).  Without one, coordinate j is summed over the
+    certified column j of m, or raises UndefinedProduct.
     """
     if isinstance(x, DimensionVector):
         x = LazyVector.from_dimension_vector(x)
+    if x.support is None:
+        def entry(j):
+            col = m.col(j)
+            if col is None:
+                raise UndefinedProduct(
+                    f"coordinate {j!r} of vector-matrix product: no finite certificate"
+                )
+            return sum(x.entry(i) * v for i, v in col.items())
 
-    def entry(j):
-        if x.support is not None:
-            return sum(x.entry(i) * m.entry(i, j) for i in x.support)
-        cs = m.col_support(j)
-        if cs is not None:
-            return sum(x.entry(i) * m.entry(i, j) for i in cs)
-        raise UndefinedProduct(
-            f"coordinate {j!r} of vector-matrix product: no finite certificate"
-        )
+        return LazyVector(entry)
 
-    return LazyVector(entry, support=_support_union(x.support, m.row_support))
+    def support():
+        rows = [m.row(i) for i in x.support]
+        return None if None in rows else set().union(*rows)
+
+    return LazyVector(lambda j: sum(x.entry(i) * m.entry(i, j) for i in x.support), support)

@@ -22,9 +22,12 @@ A finite presentation keeps its reachability closure as one int bitmask
 per vertex, built without recursion in topological order (Kahn); order,
 intervals, covers and support certificates read it.  Path counts are facts
 of each class: 0 or 1 wherever at most one path joins two vertices, one
-column per target in reverse Kahn order on a finite quiver.  A finite poset's
-inverse row j lives on [c, j] for the nearest c < j comparable with every
-element below j, when there is one: below c each open interval is a cone.
+column per target in reverse Kahn order on a finite quiver; a Cartan row
+(column) is the counts over the ancestors (descendants), `paths_into`
+(`paths_from`).  An inverse Cartan row j of a path presentation lives on j
+and the tails of its arrows; a finite poset's lives on [c, j] for the
+nearest c < j comparable with every element below j, when there is one:
+below c each open interval is a cone.
 """
 
 import re
@@ -144,6 +147,18 @@ class Presentation:
     def descendants(self, v):
         return None
 
+    def paths_into(self, v):
+        """Row v of the Cartan matrix: {u: path_count(u, v)} over
+        ancestors(v), or None when that is."""
+        anc = self.ancestors(v)
+        return None if anc is None else {u: self.path_count(u, v) for u in anc}
+
+    def paths_from(self, u):
+        """Column u of the Cartan matrix: {v: path_count(u, v)} over
+        descendants(u), or None when that is."""
+        desc = self.descendants(u)
+        return None if desc is None else {v: self.path_count(u, v) for v in desc}
+
     # Posets additionally provide the order itself.
 
     def leq(self, u, v):
@@ -159,11 +174,13 @@ class Presentation:
 
     def local_downset(self, v):
         """Support certificate for row v of the inverse Cartan matrix:
-        a finite superset of {p : entry (v, p) can be nonzero}, or None."""
-        return self.ancestors(v)
+        a finite superset of {p : entry (v, p) can be nonzero}.  This default
+        is v with the tails of its arrows, exact for a path presentation,
+        which is hereditary; posets override it."""
+        return frozenset([v, *(u for u, _ in self.in_arcs(v))])
 
     def local_upset(self, v):
-        return self.descendants(v)
+        return frozenset([v, *(w for w, _ in self.out_arcs(v))])
 
     # -- misc ----------------------------------------------------------------
 

@@ -84,12 +84,8 @@ def _row_terms(pres, j):
             arrows_in = dict(pres.in_arcs(j))
             memo[j] = [{j: 1}, arrows_in] if arrows_in else [{j: 1}]
         else:
-            region = pres.local_downset(j)
-            if region is None:
-                raise IntervalFinitenessViolated(
-                    f"no finite resolution region for {pres.display(j)}"
-                )
-            memo[j] = _resolve_in_region(pres, sorted(region, key=pres.sort_key), j)
+            region = sorted(pres.local_downset(j), key=pres.sort_key)
+            memo[j] = _resolve_in_region(pres, region, j)
     return memo[j]
 
 

@@ -344,3 +344,41 @@ def test_lazy_inverse_matches_dense_inverse_of_walked_cartan(pres):
         for k, j in enumerate(verts):
             assert c.entry(i, j) == dense[r][k]
             assert cinv.entry(i, j) == inv[r][k]
+
+
+def closed_form_inverse_row(pres, j):
+    """Oracle: row j of the inverse Cartan matrix of a path presentation in
+    closed form, delta(j, p) - #arrows(p -> j) (hereditary: the resolution
+    of the simple at j stops after the injectives at the arrows' tails)."""
+    row = {j: 1}
+    for p, mult in pres.in_arcs(j):
+        row[p] = row.get(p, 0) - mult
+    return row
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(family_windows(), shuffled_quivers().map(lambda q: (q, q.vertices()))))
+def test_inverse_lines_match_the_hereditary_closed_form(case):
+    pres, verts = case
+    cinv = cartan_inverse(pres)
+    for j in verts:
+        row = closed_form_inverse_row(pres, j)
+        assert cinv.row(j) == row
+        assert all(cinv.entry(j, p) == row.get(p, 0) for p in verts)
+    for p in verts:
+        expect = {j: -m for j, m in pres.out_arcs(p)}
+        expect[p] = 1
+        assert cinv.col(p) == expect
+        assert cinv.col(p).keys() <= pres.local_upset(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shuffled_quivers())
+def test_cartan_lines_are_the_walked_path_counts(pres):
+    verts = pres.vertices()
+    c = cartan_matrix(pres)
+    for v in verts:
+        into = {u: walk_count(pres, u, v, set(verts)) for u in verts}
+        out = {w: walk_count(pres, v, w, set(verts)) for w in verts}
+        assert c.row(v) == {u: n for u, n in into.items() if n}
+        assert c.col(v) == {w: n for w, n in out.items() if n}

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -595,3 +596,68 @@ def test_resolve_and_verify_take_no_degree_cap():
         ["verify", "--family=garland:1", "--window=0..1", "--suite=euler", "--max-degree=3"],
     ):
         assert invoke(argv) == (2, "")
+
+
+# a valid argv for every command, and the formats each one reads
+COMMAND_ARGVS = {
+    "cartan": ["--family=a-infinity", "--window=0..2"],
+    "inverse": ["--family=a-infinity", "--window=0..2"],
+    "coxeter": ["--family=a-infinity", "--window=0..2"],
+    "apply": ["--family=a-infinity", "--vector=1@0", "--eval=0..2"],
+    "resolve": ["--family=a-infinity", "--vertex=1"],
+    "ext": ["--family=a-infinity", "--from=0", "--to=1"],
+    "tau": ["--family=a-infinity", "--interval=1,2"],
+    "mesh": ["--family=a-infinity", "--interval=1,2"],
+    "knit": ["--family=a-infinity", "--steps=2", "--section=0..3"],
+    "verify": ["--family=a-infinity", "--window=0..2", "--suite=inverse"],
+    "classify": ["--family=a-infinity", "--window=0..2"],
+}
+FORMATS = {"cartan": {"tsv", "json-lines"}, "inverse": {"tsv", "json-lines"},
+           "coxeter": {"tsv", "json-lines"}, "knit": {"tsv", "dot"}}
+
+
+def test_only_the_commands_that_read_format_take_it():
+    assert set(COMMAND_ARGVS) == set(cli._COMMANDS)
+    for command, args in COMMAND_ARGVS.items():
+        code, plain = invoke([command, *args])
+        assert code == 0, command
+        for fmt in ("tsv", "dot", "json-lines"):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code, out = invoke([command, *args, f"--format={fmt}"])
+            if fmt in FORMATS.get(command, ()):
+                assert code == 0 and (out == plain) == (fmt == "tsv"), (command, fmt)
+            else:
+                assert (code, out) == (2, ""), (command, fmt)
+
+
+def test_far_windows_cost_what_the_window_holds():
+    # a window reads its cells, not the Cartan rows that cross it: row
+    # 1000000 of c on a-infinity has a million entries
+    far = ["--family=a-infinity", "--window=1000000..1000010"]
+    argvs = [["cartan", *far], ["inverse", *far],
+             ["coxeter", *far, "--direction=forward"], ["coxeter", *far, "--direction=inverse"]]
+    for argv in argvs:
+        tracemalloc.start()
+        try:
+            code, out = invoke(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(out.splitlines()) == 12, argv
+        assert peak < 5 * 2**20, (argv, peak)
+
+
+def test_far_apply_reads_no_cartan_row():
+    # the support of x.c is read only when asked for, and `apply` asks for
+    # coordinates: no row of c (here 100,001 entries long) is built
+    for direction, expect in (("forward", "1@100001\n"), ("inverse", "0\n")):
+        argv = ["apply", "--family=a-infinity", "--vector=1@100000",
+                f"--direction={direction}", "--eval=100000..100003"]
+        tracemalloc.start()
+        try:
+            code, out = invoke(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, expect)
+        assert peak < 5 * 2**20, (direction, peak)

@@ -22,17 +22,18 @@ from coxcartan import (
 
 
 def dense_matrix(entries, finite=True):
-    """Lazy matrix from a dict (i, j) -> value supported on finitely many keys."""
+    """Lazy matrix from a dict (i, j) -> value supported on finitely many keys;
+    with finite=True its rows and columns are certified sparse lines."""
     rows = {}
     cols = {}
     for (i, j), v in entries.items():
         if v:
-            rows.setdefault(i, set()).add(j)
-            cols.setdefault(j, set()).add(i)
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, {})[i] = v
     return LazyIntMatrix(
         lambda i, j: entries.get((i, j), 0),
-        row_support=(lambda i: rows.get(i, set())) if finite else None,
-        col_support=(lambda j: cols.get(j, set())) if finite else None,
+        (lambda i: rows.get(i, {})) if finite else None,
+        (lambda j: cols.get(j, {})) if finite else None,
     )
 
 
@@ -191,7 +192,7 @@ def test_matrix_window_tsv():
 
 def test_knit_reads_each_inverse_support_once():
     # the Coxeter scatter asks for the same rows of the inverse at every
-    # mesh; the certificates are frozensets, computed once per index
+    # mesh; each line is computed once per index and kept
     from collections import Counter
     from unittest import mock
 
@@ -208,8 +209,8 @@ def test_knit_reads_each_inverse_support_once():
 
     def counted_inverse(pres):
         m = inverse(pres)
-        m._row_support_rule = counted("row", m._row_support_rule)
-        m._col_support_rule = counted("col", m._col_support_rule)
+        m._row_rule = counted("row", m._row_rule)
+        m._col_rule = counted("col", m._col_rule)
         return m
 
     a = make_family("a-infinity")
@@ -269,9 +270,9 @@ def test_product_window_rows_match_entries_and_the_dense_product(case):
 
 
 def test_product_window_without_row_rule_reads_column_certificates():
-    # the left factor certifies no row, so every entry is a column sum
+    # the left factor certifies no line, so every entry is a column sum
     b = dense_matrix({(0, 0): 2, (1, 0): 1, (1, 2): -3, (2, 1): 4})
-    a = LazyIntMatrix(lambda i, j: i + 2 * j - 1, col_support=lambda j: set(range(3)))
+    a = LazyIntMatrix(lambda i, j: i + 2 * j - 1)
     prod = multiply(a, b)
     rows, cols = [0, 1, 2, 3], [0, 1, 2]
     expect = [[sum(a.entry(i, k) * b.entry(k, j) for k in range(3)) for j in cols] for i in rows]
@@ -321,13 +322,13 @@ square = st.dictionaries(
 @settings(max_examples=150, deadline=None)
 @given(square, square, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=2))
 def test_product_window_raises_the_error_the_entry_order_meets_first(left, right, bad):
-    # the left factor certifies all of 0..3, zeros included: a zero a[i,k]
-    # still reads row k of the right factor
+    # every row of the left factor is certified; a row holds its nonzero
+    # entries only, so a zero a[i,k] reads row k of the right factor in
+    # neither order
     win = [0, 1, 2, 3]
 
     def factors():
-        a = LazyIntMatrix(lambda i, k: left.get((i, k), 0), lambda i: win, lambda k: win)
-        return a, raising_factor(right, bad)
+        return dense_matrix(left), raising_factor(right, bad)
 
     assert first_outcome(lambda: evaluate_window(multiply(*factors()), win, win).grid()) == (
         first_outcome(lambda: per_entry_grid(multiply(*factors()), win, win))
@@ -339,10 +340,15 @@ def test_product_window_raises_the_error_the_entry_order_meets_first(left, right
 
 def test_certified_product_window_leaves_the_entry_memo_empty():
     # each row of the forward Coxeter window is spread over rows of c read
-    # once, so no product entry goes through the product's entry memo
+    # once per window: the product keeps no line, and no matrix keeps
+    # entries, only the lines of the left factor's chain
     a = make_family("a-infinity")
     m = CoxeterOperator(cartan_pair(a)).matrix("forward")
     w = a.window("0..159")
     grid = evaluate_window(m, w, w).grid()
-    assert m._memo == {}
+    assert m._lines == {}
+    left, right = m.factors
+    assert right._lines == {}
+    assert {key[0] for key in left._lines} == {"row"} and len(left._lines) == 160
+    assert not any(hasattr(x, "_memo") for x in (m, left, right))
     assert grid[5][4:7] == [0, 0, 1] and grid[159][0] == 0
