@@ -39,7 +39,7 @@ class LazyIntMatrix:
         self._lines = {}
 
     def entry(self, i, j):
-        return int(self._entry(i, j))
+        return self._entry(i, j)
 
     def row(self, i):
         """Row i as {j: nonzero value}, or None; shared, so read only."""
@@ -338,7 +338,7 @@ class LazyVector:
 
     def entry(self, v):
         if v not in self._memo:
-            self._memo[v] = int(self._entry(v))
+            self._memo[v] = self._entry(v)
         return self._memo[v]
 
     def to_dimension_vector(self):

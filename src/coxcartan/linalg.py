@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals, never in floats.
 
-Kernels, solves and ranks eliminate sparse rows {col: value} fraction-free
-in stdlib ints (`echelon`), dividing once per entry read.  Other matrices
-are dense lists of Fraction rows; dense `rref` serves the engine's small
-quotient blocks.  Pivots are deterministic: first column, units first.
+Kernels, solves, ranks and the quotient blocks [B | I] eliminate sparse
+rows {col: value} fraction-free in stdlib ints (`echelon`), dividing once
+per entry read.  Other matrices are dense lists of Fraction rows; dense
+`rref` is left to `rank`, `invert` and `column_space_basis`, the oracles
+the sparse kernel is tested against.  Pivots are deterministic: first
+column, units first.
 """
 
 from fractions import Fraction
@@ -240,7 +242,8 @@ def column_space_basis(a):
 
 
 def _complete_with_standard(cols, n):
-    """One elimination of [B | I], B the n x k matrix with columns `cols`.
+    """One sparse elimination (`echelon`) of [B | I], B the n x k matrix with
+    columns `cols`.
 
     Returns (r, std, cinv): the rank r of B, the standard basis vectors (by
     index) that complete B's pivot columns, a greedily chosen maximal
@@ -249,9 +252,11 @@ def _complete_with_standard(cols, n):
     order, so the reduced matrix is [C^-1 B | C^-1].
     """
     k = len(cols)
-    red, pivots = rref(hstack([columns_matrix(cols, n), identity(n)]))
-    std = [p - k for p in pivots if p >= k]
-    return n - len(std), std, [row[k:] for row in red]
+    rows = [{c: col[i] for c, col in enumerate(cols)} | {k + i: 1} for i in range(n)]
+    order, reduced = echelon(rows)
+    std = [p - k for p in order if p >= k]
+    cinv = [[Fraction(reduced[p].get(k + i, 0), reduced[p][p]) for i in range(n)] for p in order]
+    return n - len(std), std, cinv
 
 
 def _unit_columns(indices, n):

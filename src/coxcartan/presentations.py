@@ -4,7 +4,10 @@ A presentation stands in for the coalgebra: a path presentation is a locally
 finite acyclic quiver, an incidence presentation an intervally finite poset.
 Built-in infinite families answer neighbourhood/order queries in closed form;
 arbitrary user input is finite only, so interval-finiteness never has to be
-guessed.
+guessed.  The two linear chains are one class, with or without a start.  A
+garland vertex lies on one integer level, L+1 levels per block with the
+junctions on multiples of L+1, and u < v exactly when u's level is below
+v's; its arcs, intervals, cut regions and ranges are runs of levels.
 
 Conventions fixed here and relied on everywhere else:
   * each presentation carries a total display order on its vertices
@@ -76,10 +79,14 @@ class Window:
 
 
 def _int_or_str(tok):
+    """The int that `tok` spells, blanks aside, when that is its only
+    spelling, else `tok`: "01", "+1" and "1_0" stay names, so two declared
+    vertices never merge into one."""
     try:
-        return int(tok)
+        n = int(tok)
     except ValueError:
         return tok
+    return n if str(n) == tok.strip() else tok
 
 
 class Presentation:
@@ -497,51 +504,37 @@ class FinitePoset(_FinitePresentation):
 
 
 class AInfinityQuiver(Presentation):
-    """The one-way infinite linear quiver 0 -> 1 -> 2 -> ..."""
+    """The linear quiver start -> start+1 -> start+2 -> ...: one-way
+    infinite from `start` = 0, two-way infinite when `start` is None."""
 
     kind = "quiver"
     family = "a-infinity"
     cartan_finiteness = (True, False)
     linear = True
+    start = 0
 
     def has_vertex(self, v):
-        return isinstance(v, int) and v >= 0
+        return isinstance(v, int) and (self.start is None or v >= self.start)
 
     def out_arcs(self, v):
         return [(v + 1, 1)]
 
     def in_arcs(self, v):
-        return [(v - 1, 1)] if v > 0 else []
+        return [(v - 1, 1)] if self.start is None or v > self.start else []
 
     def could_reach(self, u, v):
         return u <= v
 
     def ancestors(self, v):
-        return frozenset(range(0, v + 1))
-
-    def descendants(self, v):
-        return None
+        return None if self.start is None else frozenset(range(self.start, v + 1))
 
 
-class ZAInfinityQuiver(Presentation):
+class ZAInfinityQuiver(AInfinityQuiver):
     """The two-way infinite linear quiver ... -> -1 -> 0 -> 1 -> ..."""
 
-    kind = "quiver"
     family = "z-a-infinity"
     cartan_finiteness = (False, False)
-    linear = True
-
-    def has_vertex(self, v):
-        return isinstance(v, int)
-
-    def out_arcs(self, v):
-        return [(v + 1, 1)]
-
-    def in_arcs(self, v):
-        return [(v - 1, 1)]
-
-    def could_reach(self, u, v):
-        return u <= v
+    start = None
 
 
 class DInfinityQuiver(Presentation):
@@ -598,9 +591,9 @@ class GarlandFamily(Presentation):
     Block m sits between junction m and junction m+1 and consists of two
     parallel chains of `length` vertices each, fully crossed level to level.
     Vertex ids: ("j", m) for junctions, ("g", m, i, s) for interior level i
-    (1-based) with s = 0 top, s = 1 bottom.  Junctions are comparable to
-    everything around them, which cuts every long interval; top/bottom at the
-    same level are the only incomparable pairs.
+    (1-based) with s = 0 top, s = 1 bottom; vertex ("g", m, i, s) lies on
+    level m*(L+1) + i and ("j", m) on m*(L+1).  Top and bottom of a level are
+    the only incomparable pairs, so each junction cuts every long interval.
     """
 
     kind = "poset"
@@ -611,6 +604,7 @@ class GarlandFamily(Presentation):
             raise PresentationError("garland length must be >= 1")
         self.length = length
         self.family = f"garland:{length}"
+        self._period = length + 1
 
     def has_vertex(self, v):
         if isinstance(v, tuple):
@@ -621,12 +615,20 @@ class GarlandFamily(Presentation):
                 return isinstance(m, int) and 1 <= i <= self.length and s in (0, 1)
         return False
 
-    def _pos(self, v):
-        return (v[1], 0) if v[0] == "j" else (v[1], v[2])
+    def _level(self, v):
+        return v[1] * self._period + (0 if v[0] == "j" else v[2])
+
+    def _at(self, n):
+        """The vertices on level n, in display order."""
+        m, i = divmod(n, self._period)
+        return [("j", m)] if i == 0 else [("g", m, i, 0), ("g", m, i, 1)]
+
+    def _levels(self, lo, hi):
+        """The vertices on levels lo..hi, in display order."""
+        return [v for n in range(lo, hi + 1) for v in self._at(n)]
 
     def sort_key(self, v):
-        m, i = self._pos(v)
-        return (m, i, 0 if v[0] == "j" else 1 + v[3])
+        return (self._level(v), 0 if v[0] == "j" else 1 + v[3])
 
     def display(self, v):
         if v[0] == "j":
@@ -646,87 +648,39 @@ class GarlandFamily(Presentation):
         return v
 
     def out_arcs(self, v):
-        L = self.length
-        if v[0] == "j":
-            m = v[1]
-            return [(("g", m, 1, 0), 1), (("g", m, 1, 1), 1)]
-        _, m, i, s = v
-        if i == L:
-            return [(("j", m + 1), 1)]
-        return [(("g", m, i + 1, 0), 1), (("g", m, i + 1, 1), 1)]
+        return [(w, 1) for w in self._at(self._level(v) + 1)]
 
     def in_arcs(self, v):
-        L = self.length
-        if v[0] == "j":
-            m = v[1]
-            return [(("g", m - 1, L, 0), 1), (("g", m - 1, L, 1), 1)]
-        _, m, i, s = v
-        if i == 1:
-            return [(("j", m), 1)]
-        return [(("g", m, i - 1, 0), 1), (("g", m, i - 1, 1), 1)]
+        return [(w, 1) for w in self._at(self._level(v) - 1)]
 
     def leq(self, u, v):
-        if u == v:
-            return True
-        return self._pos(u) < self._pos(v)
-
-    def _positions_between(self, pu, pv):
-        out = []
-        m, i = pu
-        while (m, i) <= pv:
-            out.append((m, i))
-            if i == self.length:
-                m, i = m + 1, 0
-            else:
-                i += 1
-        return out
-
-    def _at_pos(self, pos):
-        m, i = pos
-        if i == 0:
-            return [("j", m)]
-        return [("g", m, i, 0), ("g", m, i, 1)]
+        return u == v or self._level(u) < self._level(v)
 
     def interval(self, u, v):
-        if not self.leq(u, v):
-            return []
         if u == v:
             return [u]
-        pu, pv = self._pos(u), self._pos(v)
-        out = []
-        for pos in self._positions_between(pu, pv):
-            for z in self._at_pos(pos):
-                if self.leq(u, z) and self.leq(z, v):
-                    out.append(z)
-        return sorted(out, key=self.sort_key)
+        lu, lv = self._level(u), self._level(v)
+        return [u, *self._levels(lu + 1, lv - 1), v] if lu < lv else []
 
     def linear_extension(self, elements):
-        # display order lists positions in order, and leq compares positions
+        # display order lists levels in order, and the order compares levels
         return sorted(elements, key=self.sort_key)
 
     def local_downset(self, v):
-        # nearest junction at or below v cuts every longer interval
-        if v[0] == "j":
-            anchor = ("j", v[1] - 1)
-        else:
-            anchor = ("j", v[1])
-        return frozenset(self.interval(anchor, v))
+        # up from the nearest junction strictly below v
+        n = self._level(v)
+        return frozenset([*self._levels((n - 1) // self._period * self._period, n - 1), v])
 
     def local_upset(self, v):
-        # nearest junction at or above v: junction m+1 in both cases
-        anchor = ("j", v[1] + 1)
-        return frozenset(self.interval(v, anchor))
+        # up to the nearest junction strictly above v
+        n = self._level(v)
+        return frozenset([v, *self._levels(n + 1, (n // self._period + 1) * self._period)])
 
     def _range_vertices(self, lo, hi):
         # integer range means junctions lo..hi and every block between
         if hi < lo:
             raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
-        out = [("j", lo)]
-        for m in range(lo, hi):
-            for i in range(1, self.length + 1):
-                out.extend([("g", m, i, 0), ("g", m, i, 1)])
-            out.append(("j", m + 1))
-        return out
+        return self._levels(lo * self._period, hi * self._period)
 
 
 class HasseQuiverView(_View):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from coxcartan import (
     CoxeterOperator,
     DimensionVector,
     LazyIntMatrix,
+    LazyVector,
     UndefinedProduct,
     apply_vector,
     cartan_matrix,
@@ -139,6 +142,13 @@ def test_apply_vector_with_finite_support():
     # row 0 of the Cartan matrix is the unit vector at 0
     assert out.entry(0) == 1 and out.entry(1) == 0
     assert out.support == frozenset({0})
+
+
+def test_entries_are_read_back_without_truncation():
+    # an entry is the rule's own value: int() would read 1/2 as 0
+    half = Fraction(1, 2)
+    assert LazyIntMatrix(lambda i, j: half).entry(0, 0) == half
+    assert LazyVector(lambda v: half).entry(0) == half
 
 
 def test_apply_vector_zero():

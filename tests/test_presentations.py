@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coxcartan import (
+    AInfinityQuiver,
     EmptyWindow,
     FinitePoset,
     FiniteQuiver,
+    GarlandFamily,
     PresentationError,
     UnknownVertex,
     check_local_boundedness,
     emit_presentation,
+    garland_block_poset,
     hasse_quiver,
     make_family,
     neighbors,
@@ -49,6 +52,14 @@ def test_parse_poset_cycle_rejected():
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(PresentationError, match="line 2"):
         parse_presentation("kind quiver\narrow 0\n")
+
+
+def test_integer_spellings_name_distinct_vertices():
+    # only "1" spells the int 1: "01", "+1" and "1_0" are names of their own
+    q = parse_presentation("kind quiver\nvertex 01\nvertex 1\narrow 01 1\narrow +1 1_0\n")
+    assert q.vertices() == ["01", 1, "+1", "1_0"]
+    assert q.out_arcs("01") == [(1, 1)] and q.out_arcs("+1") == [("1_0", 1)]
+    assert parse_presentation("kind poset\ncover -3 0\n").vertices() == [-3, 0]
 
 
 def test_comments_and_blank_lines():
@@ -224,6 +235,72 @@ def test_garland_order_and_intervals():
     assert not g.leq(t, b) and not g.leq(b, t)
     assert g.interval(j0, j1) == [j0, t, b, j1]
     assert g.interval(j1, j0) == []
+
+
+def _garland_name(v):
+    """The name in `garland_block_poset` of a vertex of blocks 0.. of the family."""
+    if v[0] == "j":
+        return f"j{v[1]}"
+    _, m, i, s = v
+    return f"g{m + 1}.{i}{'tb'[s]}"
+
+
+@given(st.integers(1, 3), st.data())
+def test_garland_family_matches_the_finite_block_poset(length, data):
+    # blocks 0..3 of the family against the bitmask closure of four blocks;
+    # a cut region is compared where its junction lies inside both
+    g, f = GarlandFamily(length), garland_block_poset([length] * 4)
+    verts = list(g.window("0..4"))
+    assert [_garland_name(v) for v in verts] == f.vertices()
+    u, v = data.draw(st.sampled_from(verts)), data.draw(st.sampled_from(verts))
+    nu, nv = _garland_name(u), _garland_name(v)
+    assert g.leq(u, v) == f.leq(nu, nv)
+    assert [_garland_name(z) for z in g.interval(u, v)] == f.interval(nu, nv)
+    if u != ("j", 4):
+        assert [(_garland_name(w), k) for w, k in g.out_arcs(u)] == f.out_arcs(nu)
+        assert {_garland_name(z) for z in g.local_upset(u)} == f._cut(nu, f._up, f._down)
+    if u != ("j", 0):
+        assert [(_garland_name(w), k) for w, k in g.in_arcs(u)] == f.in_arcs(nu)
+        assert {_garland_name(z) for z in g.local_downset(u)} == f._cut(nu, f._down, f._up)
+    elements = data.draw(st.lists(st.sampled_from(verts), unique=True))
+    assert [_garland_name(z) for z in g.linear_extension(elements)] == f.linear_extension(
+        [_garland_name(z) for z in elements]
+    )
+
+
+def test_garland_order_facts_are_level_ranges():
+    # intervals and cut regions are read off levels, never by comparing
+    g = make_family("garland", 2)
+    verts = list(g.window("-1..1"))
+    with mock.patch.object(GarlandFamily, "leq") as leq:
+        for u in verts:
+            g.local_downset(u)
+            g.local_upset(u)
+            for v in verts:
+                g.interval(u, v)
+        g._range_vertices(-1, 2)
+    leq.assert_not_called()
+
+
+def test_linear_chains_at_and_below_their_start():
+    a, z = make_family("a-infinity"), make_family("z-a-infinity")
+    assert isinstance(z, AInfinityQuiver) and (a.start, z.start) == (0, None)
+    assert (a.cartan_finiteness, z.cartan_finiteness) == ((True, False), (False, False))
+    assert [a.has_vertex(v) for v in (-1, 0, 1)] == [False, True, True]
+    assert all(z.has_vertex(v) for v in (-7, -1, 0, 1))
+    assert (a.in_arcs(0), a.in_arcs(1), a.out_arcs(0)) == ([], [(0, 1)], [(1, 1)])
+    assert (z.in_arcs(0), z.in_arcs(-6), z.out_arcs(-1)) == ([(-1, 1)], [(-7, 1)], [(0, 1)])
+    assert a.ancestors(0) == {0} and a.ancestors(3) == {0, 1, 2, 3}
+    assert z.ancestors(0) is None and z.paths_into(0) is None
+    assert a.descendants(0) is None and z.descendants(-3) is None
+    assert a.local_downset(0) == {0} and z.local_downset(0) == {-1, 0}
+    assert a.opposite().local_upset(0) == {0} and z.opposite().local_upset(0) == {-1, 0}
+    assert list(a.window("-3..1")) == [0, 1] and list(z.window("-2..0")) == [-2, -1, 0]
+    assert z.could_reach(-5, -2) and not a.could_reach(2, 1)
+    with pytest.raises(UnknownVertex):
+        a.parse_token("-1")
+    with pytest.raises(EmptyWindow):
+        a.window("-3..-1")
 
 
 def test_garland_degrees_match_block_picture():
