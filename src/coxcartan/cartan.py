@@ -5,8 +5,9 @@ Cartan matrix counts directed paths j -> i (for posets: 1 when j <= i), so row
 i is the dimension vector of the indecomposable injective at i and column j is
 the dimension vector of the opposite-side injective at j.  Each count is a
 fact of the presentation's class (`Presentation.path_count`), and so are the
-certified rows and columns (`paths_into`, `paths_from`), so no walk, memo or
-budget lives here.
+certified rows and columns (`paths_into`, `paths_from`) and the bulk counts
+that a window reads a line of (`counts_into`, `counts_from`), so no walk,
+memo or budget lives here.
 
 The inverse is the canonical one built from minimal injective resolutions of
 the simples, with one rule for both kinds of presentation: row j holds the
@@ -33,6 +34,8 @@ def cartan_matrix(pres):
         row_rule=pres.paths_into,
         col_rule=pres.paths_from,
         name="c",
+        row_on=pres.counts_into,
+        col_on=pres.counts_from,
     )
 
 
@@ -40,7 +43,8 @@ def cartan_inverse(pres):
     """Row j is {p: alternating Ext sum} over local_downset(j), zeros dropped,
     and column p gathers the entries of the rows over local_upset(p).  An
     entry is 1 on the diagonal and 0 where p cannot reach j, with nothing
-    resolved; any other entry is read off row j."""
+    resolved; any other entry is read off row j.  A window of row j reads
+    row j once, and only when some p != j in it can reach j."""
     from . import resolutions
 
     def row(j):
@@ -56,7 +60,13 @@ def cartan_inverse(pres):
             return 1
         return inverse.row(j).get(p, 0) if pres.could_reach(p, j) else 0
 
-    inverse = LazyIntMatrix(entry, row_rule=row, col_rule=col, name="c^-1")
+    def row_on(j, cols):
+        # row j lives on local_downset(j), whose elements all reach j
+        reached = any(p != j and pres.could_reach(p, j) for p in cols)
+        line = inverse.row(j) if reached else {}
+        return [1 if p == j else line.get(p, 0) for p in cols]
+
+    inverse = LazyIntMatrix(entry, row_rule=row, col_rule=col, name="c^-1", row_on=row_on)
     return inverse
 
 

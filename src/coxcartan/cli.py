@@ -302,6 +302,7 @@ def _suite_tau(pres, win, out):
         raise PresentationError("tau suite needs a path presentation")
     if pres.linear:
         ints = [v for v in win if isinstance(v, int)]
+        op = coxeter.CoxeterOperator(cartan.cartan_pair(pres))
         checked = 0
         for lo in ints:
             for hi in ints:
@@ -310,7 +311,7 @@ def _suite_tau(pres, win, out):
                 if not pres.has_vertex(lo - 1):
                     continue  # projective end: translate vanishes
                 module = interval_comodule(pres, lo, hi)
-                result = artranslate.verify_translate_formula(module)
+                result = artranslate.verify_translate_formula(module, op)
                 if not result["holds"]:
                     out.write(f"FAIL: translate formula at interval [{lo},{hi}]\n")
                     return 1

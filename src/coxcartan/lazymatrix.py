@@ -1,45 +1,71 @@
 """Lazy integer matrices and vectors over a possibly infinite vertex set.
 
-A LazyIntMatrix is an entry rule plus optional line rules.  A row (column)
-rule returns a certified sparse line: a dict {index: value} of the row's
-nonzero entries, whose keys certify that the row vanishes everywhere else;
-None means that line is not certified finite, never "empty".  Each line is
-computed once per index and kept; entries are not kept.  Each requested
-entry of a product must have at least one certified line making its
-defining sum finite, otherwise UndefinedProduct is raised; nothing is ever
-silently truncated.
+A LazyIntMatrix is an entry rule plus optional line rules and window-line
+reads.  A row (column) rule returns a certified sparse line: a dict {index:
+value} of the row's nonzero entries, whose keys certify that the row
+vanishes everywhere else; None means that line is not certified finite,
+never "empty".  Each line is computed once per index and kept; entries are
+not kept.  Each requested entry of a product must have at least one
+certified line making its defining sum finite, otherwise UndefinedProduct
+is raised; nothing is ever silently truncated.
+
+A window-line read `row_on(i, cols)` (`col_on(j, rows)`) returns the
+entries of row i (column j) on the given indices as a list, in order, in
+one call; it reads no certified line that the entry rule would not read,
+so its cost stays bounded by the window.  Without one it reads the entry
+rule cell by cell.  A window of a matrix that is not a product is read one
+row at a time through `row_on`, and so is each row of the right factor of
+a product window.
 
 A line of a product a.b is the sparse sum of the factors' lines (row i is
 the sum over row i of `a` of a[i,k] times row k of `b`), and it is None
 when any of those lines is.  A window of a.b is evaluated row by row: row i
 of `a`, when certified, is spread over the rows of `b` on the window's
-columns, each read entry by entry once per window and shared by every
-output row that meets it, so the cost stays bounded by the window; a row
-of `a` that is not certified is evaluated entry by entry.
+columns, each read once per window and shared by every output row that
+meets it; a row of `a` that is not certified is evaluated entry by entry,
+lazily, and so is any row whose bulk read raises, so the first error and
+the first counterexample are those that the entry order meets first.
 
 Multiplication in this setting is not associative, so the API is strictly
 binary: chain products only with explicit grouping.
 """
 
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
+from operator import mul
 
 from .errors import UndefinedProduct
 
 
 class LazyIntMatrix:
     """entry_rule(i, j) -> int plus optional row and column rules, each
-    returning a certified sparse line or None (see the module docstring)."""
+    returning a certified sparse line or None, and optional window-line
+    reads row_on(i, cols) and col_on(j, rows) (see the module docstring)."""
 
-    def __init__(self, entry_rule, row_rule=None, col_rule=None, name=""):
+    def __init__(self, entry_rule, row_rule=None, col_rule=None, name="",
+                 row_on=None, col_on=None):
         self._entry = entry_rule
         self._row_rule = row_rule
         self._col_rule = col_rule
+        self._row_on = row_on
+        self._col_on = col_on
         self.name = name
         self.factors = None
         self._lines = {}
 
     def entry(self, i, j):
         return self._entry(i, j)
+
+    def row_on(self, i, cols):
+        """[entry(i, j) for j in cols] in one read."""
+        if self._row_on is not None:
+            return self._row_on(i, cols)
+        return [self._entry(i, j) for j in cols]
+
+    def col_on(self, j, rows):
+        """[entry(i, j) for i in rows] in one read."""
+        if self._col_on is not None:
+            return self._col_on(j, rows)
+        return [self._entry(i, j) for i in rows]
 
     def row(self, i):
         """Row i as {j: nonzero value}, or None; shared, so read only."""
@@ -85,6 +111,10 @@ def _negated(line):
     return None if line is None else {k: -v for k, v in line.items()}
 
 
+def _negated_on(read):
+    return lambda index, on: [-v for v in read(index, on)]
+
+
 def identity_matrix():
     return LazyIntMatrix(
         lambda i, j: 1 if i == j else 0,
@@ -100,6 +130,8 @@ def transpose(m):
         row_rule=m.col,
         col_rule=m.row,
         name=f"{m.name}^tr" if m.name else "",
+        row_on=m.col_on,
+        col_on=m.row_on,
     )
 
 
@@ -109,6 +141,8 @@ def negate(m):
         row_rule=lambda i: _negated(m.row(i)),
         col_rule=lambda j: _negated(m.col(j)),
         name=f"-{m.name}" if m.name else "",
+        row_on=_negated_on(m.row_on),
+        col_on=_negated_on(m.col_on),
     )
 
 
@@ -179,27 +213,33 @@ def _window_rows(m, rows, cols):
     """Row i of m on cols for each i of rows in turn: a list, or an iterator
     that reads the row entry by entry.
 
-    For a product a.b (`m.factors`) whose row i of `a` is certified, the row
-    is the sum over that row's items (k, a[i,k]) of a[i,k] times row k of `b`
-    on cols, and row k of `b` is read entry by entry once per call.  The row
-    of `a` holds nonzero entries only, so the factor entries read up to each
-    row are those the entry rule reads.  If reading the row raises, the row
-    is read entry by entry instead, so the first error is the one that order
-    meets first.
+    A matrix that is not a product is read through `m.row_on`.  For a
+    product a.b (`m.factors`) whose row i of `a` is certified, the row is
+    the sum over that row's items (k, a[i,k]) of a[i,k] times row k of `b`
+    on cols, read as `b.row_on(k, cols)` once per call.  The row of `a`
+    holds nonzero entries only, so the factor rows read up to each row are
+    those the entry rule reads.  If reading the row raises, the row is read
+    entry by entry instead, so the first error is the one that order meets
+    first.
     """
     cols = list(cols)
     a, b = m.factors if m.factors and cols else (None, None)
     factor_rows = {}
+
+    def product_row(ra):
+        out = [0] * len(cols)
+        for k, aik in ra.items():
+            row = factor_rows.get(k)
+            if row is None:
+                row = factor_rows[k] = b.row_on(k, cols)
+            out = [x + aik * y for x, y in zip(out, row)]
+        return out
+
     for i in rows:
         ra = None if a is None else a.row(i)
-        if ra is not None:
+        if a is None or ra is not None:
             try:
-                out = [0] * len(cols)
-                for k, aik in ra.items():
-                    row = factor_rows.get(k)
-                    if row is None:
-                        row = factor_rows[k] = [b.entry(k, j) for j in cols]
-                    out = [x + aik * y for x, y in zip(out, row)]
+                out = m.row_on(i, cols) if a is None else product_row(ra)
             except Exception:
                 pass    # read entry by entry below: the error that order meets
             else:
@@ -212,8 +252,9 @@ def evaluate_window(m, rows, cols):
     """m on rows x cols.  A product is read row by row when its left factor
     certifies the row (`_window_rows`), otherwise entry by entry through
     m's entry rule, which reads the right factor's certified column or
-    raises UndefinedProduct.  Any other matrix is read entry by entry, so
-    the cost is bounded by the window, not by the lines it crosses."""
+    raises UndefinedProduct.  Any other matrix is read one row at a time
+    through its window-line read, so the cost is bounded by the window, not
+    by the lines it crosses."""
     return MatrixWindow(rows, cols, [list(row) for row in _window_rows(m, rows, cols)])
 
 
@@ -351,10 +392,11 @@ def apply_vector(x, m):
     """Row-vector times matrix: (x.m)_j = sum_i x_i m_ij.
 
     `x` may be a DimensionVector or a LazyVector.  With a certified support,
-    coordinate j is summed over it, and the support of x.m, read when first
-    asked for, is the union of the rows of m over it (None when one of them
-    is not certified).  Without one, coordinate j is summed over the
-    certified column j of m, or raises UndefinedProduct.
+    coordinate j is read as one `m.col_on(j, support)` against x's values,
+    which are read once, at the first coordinate; the support of x.m, read
+    when first asked for, is the union of the rows of m over it (None when
+    one of them is not certified).  Without one, coordinate j is summed over
+    the certified column j of m, or raises UndefinedProduct.
     """
     if isinstance(x, DimensionVector):
         x = LazyVector.from_dimension_vector(x)
@@ -369,8 +411,14 @@ def apply_vector(x, m):
 
         return LazyVector(entry)
 
-    def support():
-        rows = [m.row(i) for i in x.support]
-        return None if None in rows else set().union(*rows)
+    rows = list(x.support)
 
-    return LazyVector(lambda j: sum(x.entry(i) * m.entry(i, j) for i in x.support), support)
+    @cache
+    def values():
+        return [x.entry(i) for i in rows]
+
+    def support():
+        lines = [m.row(i) for i in rows]
+        return None if None in lines else set().union(*lines)
+
+    return LazyVector(lambda j: sum(map(mul, values(), m.col_on(j, rows))), support)

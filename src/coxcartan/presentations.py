@@ -27,8 +27,12 @@ intervals, covers and support certificates read it.  Path counts are facts
 of each class: 0 or 1 wherever at most one path joins two vertices, one
 column per target in reverse Kahn order on a finite quiver; a Cartan row
 (column) is the counts over the ancestors (descendants), `paths_into`
-(`paths_from`).  An inverse Cartan row j of a path presentation lives on j
-and the tails of its arrows; a finite poset's lives on [c, j] for the
+(`paths_from`).  So are the bulk counts that a matrix window reads one line
+of, `counts_into(v, frms)` and `counts_from(u, tos)`: the base class loops
+`path_count`, the linear chains and d-infinity compare in place, a finite
+quiver's `counts_into(v, ...)` reads the kept column of v, and the opposite
+view swaps the two.  An inverse Cartan row j of a path presentation lives on
+j and the tails of its arrows; a finite poset's lives on [c, j] for the
 nearest c < j comparable with every element below j, when there is one:
 below c each open interval is a cone.
 """
@@ -147,6 +151,15 @@ class Presentation:
         z-a-infinity and d-infinity."""
         return 1 if u == v or self.could_reach(u, v) else 0
 
+    def counts_into(self, v, frms):
+        """[path_count(u, v) for u in frms] in one read; a class with a
+        faster rule overrides it."""
+        return [self.path_count(u, v) for u in frms]
+
+    def counts_from(self, u, tos):
+        """[path_count(u, v) for v in tos] in one read."""
+        return [self.path_count(u, v) for v in tos]
+
     def ancestors(self, v):
         """frozenset {u : path u -> v exists}, or None when infinite/uncertified."""
         return None
@@ -158,13 +171,13 @@ class Presentation:
         """Row v of the Cartan matrix: {u: path_count(u, v)} over
         ancestors(v), or None when that is."""
         anc = self.ancestors(v)
-        return None if anc is None else {u: self.path_count(u, v) for u in anc}
+        return None if anc is None else dict(zip(anc, self.counts_into(v, anc)))
 
     def paths_from(self, u):
         """Column u of the Cartan matrix: {v: path_count(u, v)} over
         descendants(u), or None when that is."""
         desc = self.descendants(u)
-        return None if desc is None else {v: self.path_count(u, v) for v in desc}
+        return None if desc is None else dict(zip(desc, self.counts_from(u, desc)))
 
     # Posets additionally provide the order itself.
 
@@ -292,6 +305,12 @@ class OppositePresentation(_View):
 
     def path_count(self, u, v):
         return self.base.path_count(v, u)
+
+    def counts_into(self, v, frms):
+        return self.base.counts_from(v, frms)
+
+    def counts_from(self, u, tos):
+        return self.base.counts_into(u, tos)
 
     def ancestors(self, v):
         return self.base.descendants(v)
@@ -438,8 +457,15 @@ class FiniteQuiver(_FinitePresentation):
         return u == v or bool(self._up.get(u, 0) & self._bit.get(v, 0))
 
     def path_count(self, u, v):
-        """Read off the kept column of v: the counts w -> v of its ancestors,
-        each the sum over w's arrows, in one pass in reverse Kahn order."""
+        return self._column(v).get(u, 0)
+
+    def counts_into(self, v, frms):
+        col = self._column(v)
+        return [col.get(u, 0) for u in frms]
+
+    def _column(self, v):
+        """The kept column of v: the counts w -> v of its ancestors w, each
+        the sum over w's arrows, in one pass in reverse Kahn order."""
         columns = self.memo("columns")
         if v not in columns:
             down, col = self._down.get(v, 0), {v: 1}
@@ -447,7 +473,7 @@ class FiniteQuiver(_FinitePresentation):
                 if w != v and down & self._bit[w]:
                     col[w] = sum(m * col.get(x, 0) for x, m in self._out[w])
             columns[v] = col
-        return columns[v].get(u, 0)
+        return columns[v]
 
 
 class FinitePoset(_FinitePresentation):
@@ -525,6 +551,14 @@ class AInfinityQuiver(Presentation):
     def could_reach(self, u, v):
         return u <= v
 
+    # could_reach's rule, inline: a call per cell makes the cartan and
+    # coxeter windows of the path families 5-30 % slower
+    def counts_into(self, v, frms):
+        return [1 if u <= v else 0 for u in frms]
+
+    def counts_from(self, u, tos):
+        return [1 if u <= v else 0 for v in tos]
+
     def ancestors(self, v):
         return None if self.start is None else frozenset(range(self.start, v + 1))
 
@@ -565,11 +599,14 @@ class DInfinityQuiver(Presentation):
         return [(v - 1, 1)]
 
     def could_reach(self, u, v):
-        if u == v:
-            return True
-        if v in (-1, 0):
-            return u == 1
-        return 1 <= u <= v
+        return u == v or (u == 1 if v in (-1, 0) else 1 <= u <= v)
+
+    # could_reach's rule, inline as on the linear chains
+    def counts_into(self, v, frms):
+        return [1 if u == v or (u == 1 if v in (-1, 0) else 1 <= u <= v) else 0 for u in frms]
+
+    def counts_from(self, u, tos):
+        return [1 if u == v or (u == 1 if v in (-1, 0) else 1 <= u <= v) else 0 for v in tos]
 
     def ancestors(self, v):
         if v in (-1, 0):
@@ -607,13 +644,12 @@ class GarlandFamily(Presentation):
         self._period = length + 1
 
     def has_vertex(self, v):
-        if isinstance(v, tuple):
-            if v[0] == "j" and isinstance(v[1], int):
-                return len(v) == 2
-            if v[0] == "g" and len(v) == 4:
-                _, m, i, s = v
-                return isinstance(m, int) and 1 <= i <= self.length and s in (0, 1)
-        return False
+        # exact ints only: True == 1 and 1.0 == 1 would name vertices _at never lists
+        if not isinstance(v, tuple) or not all(type(x) is int for x in v[1:]):
+            return False
+        if len(v) == 2:
+            return v[0] == "j"
+        return len(v) == 4 and v[0] == "g" and 1 <= v[2] <= self.length and v[3] in (0, 1)
 
     def _level(self, v):
         return v[1] * self._period + (0 if v[0] == "j" else v[2])

@@ -142,6 +142,16 @@ def test_verify_tau_copresents_each_module_once():
     assert mt.call_count == 36
 
 
+def test_verify_tau_builds_one_coxeter_operator():
+    # the intervals of one window share the operator and its line memos
+    from coxcartan import coxeter
+
+    with mock.patch.object(coxeter, "CoxeterOperator", wraps=coxeter.CoxeterOperator) as op:
+        code, out = invoke(["verify", "--family=z-a-infinity", "--window=0..5", "--suite=tau"])
+    assert (code, out) == (0, "OK: translate formula holds for 21 interval modules\n")
+    assert op.call_count == 1
+
+
 def test_tau_names_an_infinite_transpose_kernel(capsys):
     # the flipped E1 at the fork vertex 1 is infinite and the flipped E0 at a
     # leg finite, so the kernel is infinite: no window could hold it
@@ -645,6 +655,37 @@ def test_far_windows_cost_what_the_window_holds():
             tracemalloc.stop()
         assert code == 0 and len(out.splitlines()) == 12, argv
         assert peak < 5 * 2**20, (argv, peak)
+
+
+def test_far_windows_cost_what_the_window_holds_on_every_path_family():
+    for family in ("d-infinity", "z-a-infinity"):
+        far = [f"--family={family}", "--window=1000000..1000010"]
+        argvs = [["cartan", *far], ["inverse", *far],
+                 ["coxeter", *far, "--direction=forward"],
+                 ["coxeter", *far, "--direction=inverse"]]
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                code, out = invoke(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and len(out.splitlines()) == 12, argv
+            assert peak < 5 * 2**20, (argv, peak)
+
+
+def test_cartan_and_inverse_windows_call_no_entry_rule():
+    # each window row is one bulk read of its line: path counts compared in
+    # place, the inverse row read off its certified local row
+    from coxcartan.lazymatrix import LazyIntMatrix
+
+    expect = {"cartan": "1\t1\t1\t0", "inverse": "0\t-1\t1\t0"}
+    for command, row in expect.items():
+        with mock.patch.object(LazyIntMatrix, "entry", autospec=True,
+                               side_effect=LazyIntMatrix.entry) as entry:
+            code, out = invoke([command, "--family=a-infinity", "--window=0..40"])
+        assert code == 0 and out.splitlines()[3].endswith(row + "\t0" * 37), command
+        assert entry.call_count == 0, command
 
 
 def test_far_apply_reads_no_cartan_row():

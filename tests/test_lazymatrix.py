@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coxcartan import (
     CoxeterOperator,
@@ -234,6 +234,16 @@ def per_entry_grid(m, rows, cols):
     return [[m.entry(i, j) for j in cols] for i in rows]
 
 
+def draw_file_presentation(draw, source):
+    """A random --file quiver or poset (`source`) on vertices 0..n-1, n <= 7."""
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    word = "arrow" if source == "quiver" else "cover"
+    lines = [f"kind {source}"] + [f"vertex {i}" for i in range(n)]
+    lines += [f"{word} {min(u, v)} {max(u, v)}" for u, v in pairs if u != v]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
 @st.composite
 def coxeter_windows(draw):
     """(presentation, window, direction): a random --file quiver or poset of
@@ -244,12 +254,8 @@ def coxeter_windows(draw):
         lo = draw(st.integers(0, 8))    # vertex 0 on: every family has it
         spec = f"{lo}..{lo + draw(st.integers(0, 9))}"
     else:
-        n = draw(st.integers(1, 7))
-        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
-        word = "arrow" if source == "quiver" else "cover"
-        lines = [f"kind {source}"] + [f"vertex {i}" for i in range(n)]
-        lines += [f"{word} {min(u, v)} {max(u, v)}" for u, v in pairs if u != v]
-        pres = parse_presentation("\n".join(lines) + "\n")
+        pres = draw_file_presentation(draw, source)
+        n = len(pres.vertices())
         spec = ",".join(str(v) for v in draw(
             st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
     return pres, pres.window(spec), draw(st.sampled_from(["forward", "inverse"]))
@@ -277,6 +283,61 @@ def test_product_window_rows_match_entries_and_the_dense_product(case):
     if pres.is_finite:
         dense = dense_coxeter(pres, direction)
         assert grid == [[dense(i, j) for j in w] for i in w]
+
+
+@st.composite
+def line_cases(draw):
+    """(presentation, rows, cols): a path family, a garland or a random
+    --file quiver or poset, or the opposite of one, with two lists of at
+    most six of its vertices in any order."""
+    source = draw(st.sampled_from(["family", "garland", "quiver", "poset"]))
+    if source == "family":
+        pres = make_family(draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"])))
+        lo = draw(st.integers(0, 6))
+        pool = [v for v in range(lo - 2, lo + 8) if pres.has_vertex(v)]
+    elif source == "garland":
+        pres = make_family("garland", draw(st.integers(1, 3)))
+        lo = draw(st.integers(-2, 2))
+        pool = pres.window(f"{lo}..{lo + 1}").vertices
+    else:
+        pres = draw_file_presentation(draw, source)
+        pool = pres.vertices()
+    if draw(st.booleans()):
+        pres = pres.opposite()
+    lines = st.lists(st.sampled_from(pool), max_size=6, unique=True)
+    return pres, draw(lines), draw(lines)
+
+
+def whole_family_line(name, lo, opposite):
+    """Eight consecutive vertices of a path family from lo, as rows and in
+    reverse as columns: every cell where the reachability rule changes."""
+    pres = make_family(name)
+    vertices = list(range(lo, lo + 8))
+    return pres.opposite() if opposite else pres, vertices, vertices[::-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_cases())
+@example(whole_family_line("a-infinity", 0, False))
+@example(whole_family_line("a-infinity", 0, True))
+@example(whole_family_line("z-a-infinity", -3, False))
+@example(whole_family_line("z-a-infinity", -3, True))
+@example(whole_family_line("d-infinity", -1, False))
+@example(whole_family_line("d-infinity", -1, True))
+def test_window_line_reads_match_the_entry_rule(case):
+    # c, c^-1, their transposes and negations and both Coxeter products:
+    # a bulk read of a line on some indices is the entries read one by one
+    pres, rows, cols = case
+    pair = cartan_pair(pres)
+    op = CoxeterOperator(pair)
+    base = [pair.cartan, pair.inverse]
+    matrices = [*base, *map(transpose, base), *map(negate, base),
+                op.matrix("forward"), op.matrix("inverse")]
+    for m in matrices:
+        grid = per_entry_grid(m, rows, cols)
+        assert [m.row_on(i, cols) for i in rows] == grid
+        assert [m.col_on(j, rows) for j in cols] == [[m.entry(i, j) for i in rows] for j in cols]
+        assert evaluate_window(m, rows, cols).grid() == grid
 
 
 def test_product_window_without_row_rule_reads_column_certificates():

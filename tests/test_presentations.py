@@ -320,6 +320,23 @@ def test_garland_parse_tokens():
         g.parse_token("g2.9t")
 
 
+def test_garland_vertices_are_exactly_those_on_some_level():
+    # a vertex id is well formed, with exact int block, level and side, or
+    # it is no vertex; every vertex is listed on its level
+    g = make_family("garland", 2)
+    good = [("j", 0), ("j", -3), ("g", 0, 1, 0), ("g", -1, 2, 1)]
+    bad = [(), ("j",), ("g",), ("g", 0, 1), ("j", 1, 2), ("j", True), ("j", 1.0),
+           ("g", 0, 1.5, 0), ("g", 0, True, 0), ("g", True, 1, 0), ("g", 0, 1, True),
+           ("g", 0, 3, 0), ("g", 0, 1, 2), ("x", 1), "j0", 0]
+    assert all(g.has_vertex(v) for v in good)
+    assert not any(g.has_vertex(v) for v in bad)
+    for v in good:
+        assert v in g._at(g._level(v))
+    for v in bad:
+        with pytest.raises(UnknownVertex):
+            g.window([v])
+
+
 def test_finite_presentations_build_on_a_long_chain():
     # the closure is built in topological order, not by recursion
     n = 1000
