@@ -567,9 +567,8 @@ def verify_translate_formula(module, coxeter_op=None):
     rhs = coxeter_op.apply(module.dim_vector(), "forward")
     coords = set(lhs.support) | set(module.dim_vector().support)
     coords = grow_window(pres, sorted(coords, key=pres.sort_key), 2)
-    holds = all(rhs.entry(v) == lhs[v] for v in coords)
     rhs_dim = DimensionVector({v: rhs.entry(v) for v in coords})
-    return {"holds": holds, "lhs": lhs, "rhs": rhs_dim}
+    return {"holds": all(rhs_dim[v] == lhs[v] for v in coords), "lhs": lhs, "rhs": rhs_dim}
 
 
 def nakayama_dim(formal):

@@ -263,26 +263,22 @@ def _suite_inverse(pres, win, out):
     if not ok:
         out.write(f"FAIL: right inverse identity at {ce}\n")
         return 1
-    op = coxeter.CoxeterOperator(pair)
-    for a in win:
-        if not op.verify_generator_identities(a, win):
-            out.write(f"FAIL: injective-row identity at {pres.display(a)}\n")
-            return 1
     out.write("OK: left and right inverse identities hold on window\n")
     return 0
 
 
 def _suite_coxeter(pres, win, out):
     op = coxeter.CoxeterOperator(cartan.cartan_pair(pres))
-    for a in win:
-        if not op.verify_generator_identities(a, win):
-            out.write(f"FAIL: generator identity at {pres.display(a)}\n")
-            return 1
+    ok, a = op.verify_generator_identities(win)
+    if not ok:
+        out.write(f"FAIL: generator identity at {pres.display(a)}\n")
+        return 1
+    fwd = op.matrix("forward")
     for a in win:
         x = lazymatrix.DimensionVector.unit(a)
-        fwd = op.apply(x, "forward")
-        if fwd.support is not None:
-            mid = lazymatrix.DimensionVector({v: fwd.entry(v) for v in fwd.support})
+        row = fwd.row(a)    # Phi(e_a), None when no Cartan row certifies it
+        if row is not None:
+            mid = lazymatrix.DimensionVector(row)
         else:
             # Phi(e_a) = sum_b y_b dim E(b) with y = -(e_a . c^{-tr}) finite
             mid = coxeter.GeneratorCombination(

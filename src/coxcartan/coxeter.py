@@ -17,6 +17,9 @@ next.
 
 Vectors with infinite support (dimension vectors of opposite-side injectives,
 say) enter as formal generator combinations and are transformed by linearity.
+The identities at the generators are checked a window at a time, as the
+identity cells of the two products of c^{-1} with c (see
+`verify_generator_identities`), not one coordinate at a time.
 """
 
 from .errors import NotInDomain, NotInSubgroup, UndefinedProduct
@@ -24,6 +27,7 @@ from .lazymatrix import (
     DimensionVector,
     LazyVector,
     apply_vector,
+    evaluate_window,
     multiply,
     negate,
     spread,
@@ -115,37 +119,32 @@ class CoxeterOperator:
             )
         return self.apply(realized.to_dimension_vector(), direction)
 
-    def verify_generator_identities(self, a, eval_window):
-        """Check the two defining identities at the generator a on a window.
+    def verify_generator_identities(self, eval_window):
+        """Check the two defining identities at every generator of a window.
 
         Forward must send the op-injective dimension vector at a to minus the
         injective one, inverse the other way round.  Both reduce to the inner
-        products (dim of op-injective at a) . c^{-tr} = e_a and
-        (dim E(a)) . c^{-1} = e_a, whose coordinates are finite sums thanks to
-        the row/column certificates of the inverse; those sums are evaluated
-        exactly (never truncated), coordinate by coordinate on the window.
+        products (dim of op-injective at a) . c^{-tr} = e_a, column a of
+        c^{-1}.c, and (dim E(a)) . c^{-1} = e_a, row a of c.c^{-1} and so
+        column a of c^{-tr}.c^tr; with those pinned to e_a the outer products
+        are minus the Cartan row or column at a by construction.  Over the
+        window the identities are the cells of c^{-1}.c and c^{-tr}.c^tr on
+        win x win, each product evaluated once, row by row: the rows of the
+        left factors are the certified rows and columns of c^{-1}, so every
+        cell is an exact finite sum, never truncated, and no Cartan line is
+        built.  Returns (ok, a) with a the first generator in window order at
+        which either identity fails, or (True, None).
         """
-        c, cinv = self.c, self.cinv
         win = list(eval_window)
-        op_inj = LazyVector(lambda i: c.entry(i, a))          # column a of c
-        inner_fwd = apply_vector(op_inj, self.cinv_tr)
-        for j in win:
-            if inner_fwd.entry(j) != (1 if j == a else 0):
-                return False
-        inj = LazyVector(lambda i: c.entry(a, i))             # row a of c
-        inner_inv = apply_vector(inj, cinv)
-        for j in win:
-            if inner_inv.entry(j) != (1 if j == a else 0):
-                return False
-        # with the inner products pinned to e_a, the outer products are minus
-        # the Cartan row/column at a by construction; spot-check them
-        fwd = self._apply_generators(
-            GeneratorCombination("op-injectives", {a: 1}), "forward"
-        )
-        for j in win:
-            if fwd.entry(j) != -c.entry(a, j):
-                return False
-        return True
+        columns = [
+            zip(*evaluate_window(multiply(inv, car), win, win).data)
+            for inv, car in ((self.cinv, self.c), (self.cinv_tr, self.c_tr))
+        ]
+        for a, left, right in zip(win, *columns):
+            unit = tuple(1 if j == a else 0 for j in win)
+            if left != unit or right != unit:
+                return False, a
+        return True, None
 
     def decompose_in_generators(self, x, side="injectives"):
         """Write the finitely supported x over the injective generators.

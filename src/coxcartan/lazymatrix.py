@@ -30,7 +30,7 @@ Multiplication in this setting is not associative, so the API is strictly
 binary: chain products only with explicit grouping.
 """
 
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from operator import mul
 
 from .errors import UndefinedProduct
@@ -361,26 +361,20 @@ def parse_vector_literal(pres, text):
 class LazyVector:
     """Integer vector given by an entry rule, with an optional finite support:
     a set, None (not certified), or a rule returning one of those, called
-    on the first read of `support`."""
+    on the first read of `support`.  Entries are not kept: each read runs
+    the rule."""
 
     def __init__(self, entry_rule, support=None):
         self._entry = entry_rule
         self._support = support
-        self._memo = {}
 
     @cached_property
     def support(self):
         s = self._support() if callable(self._support) else self._support
         return None if s is None else frozenset(s)
 
-    @classmethod
-    def from_dimension_vector(cls, x):
-        return cls(lambda v: x[v], support=x.support)
-
     def entry(self, v):
-        if v not in self._memo:
-            self._memo[v] = self._entry(v)
-        return self._memo[v]
+        return self._entry(v)
 
     def to_dimension_vector(self):
         if self.support is None:
@@ -391,34 +385,20 @@ class LazyVector:
 def apply_vector(x, m):
     """Row-vector times matrix: (x.m)_j = sum_i x_i m_ij.
 
-    `x` may be a DimensionVector or a LazyVector.  With a certified support,
-    coordinate j is read as one `m.col_on(j, support)` against x's values,
-    which are read once, at the first coordinate; the support of x.m, read
-    when first asked for, is the union of the rows of m over it (None when
-    one of them is not certified).  Without one, coordinate j is summed over
-    the certified column j of m, or raises UndefinedProduct.
+    `x` is a DimensionVector, or a LazyVector whose certified support makes
+    every coordinate a finite sum; it is read once, here, and one without
+    that certificate raises UndefinedProduct.  Coordinate j is one
+    `m.col_on(j, support)` against x's values; the support of x.m, read
+    when first asked for, is the union of the rows of m over x's support
+    (None when one of them is not certified).
     """
-    if isinstance(x, DimensionVector):
-        x = LazyVector.from_dimension_vector(x)
-    if x.support is None:
-        def entry(j):
-            col = m.col(j)
-            if col is None:
-                raise UndefinedProduct(
-                    f"coordinate {j!r} of vector-matrix product: no finite certificate"
-                )
-            return sum(x.entry(i) * v for i, v in col.items())
-
-        return LazyVector(entry)
-
+    if isinstance(x, LazyVector):
+        x = x.to_dimension_vector()
     rows = list(x.support)
-
-    @cache
-    def values():
-        return [x.entry(i) for i in rows]
+    values = [x[i] for i in rows]
 
     def support():
         lines = [m.row(i) for i in rows]
         return None if None in lines else set().union(*lines)
 
-    return LazyVector(lambda j: sum(map(mul, values(), m.col_on(j, rows))), support)
+    return LazyVector(lambda j: sum(map(mul, values, m.col_on(j, rows))), support)

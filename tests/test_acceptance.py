@@ -153,9 +153,7 @@ def both_inverse_identities(pres, win):
     assert ok_l, (pres.family, ce)
     ok_r, ce = verify_identity_on_window(pair.cartan, pair.inverse, win)
     assert ok_r, (pres.family, ce)
-    op = CoxeterOperator(pair)
-    for a in win:
-        assert op.verify_generator_identities(a, win), (pres.family, a)
+    assert CoxeterOperator(pair).verify_generator_identities(win) == (True, None), pres.family
 
 
 def test_criterion_04_inverse_identities():

@@ -152,6 +152,24 @@ def test_verify_tau_builds_one_coxeter_operator():
     assert op.call_count == 1
 
 
+def test_inverse_and_coxeter_suites_read_no_matrix_entry():
+    # both suites read whole windows of the two products of c^-1 with c and
+    # certified lines; the inverse suite builds no Coxeter operator at all
+    from coxcartan import coxeter, lazymatrix
+
+    entry = lazymatrix.LazyIntMatrix.entry
+    for family, window in (("a-infinity", "0..19"), ("d-infinity", "-1..18")):
+        for suite, operators in (("inverse", 0), ("coxeter", 1)):
+            with mock.patch.object(
+                lazymatrix.LazyIntMatrix, "entry", autospec=True, side_effect=entry
+            ) as entries, mock.patch.object(
+                coxeter, "CoxeterOperator", wraps=coxeter.CoxeterOperator
+            ) as op:
+                code, _ = invoke(["verify", f"--family={family}", f"--window={window}",
+                                  f"--suite={suite}"])
+            assert (code, entries.call_count, op.call_count) == (0, 0, operators)
+
+
 def test_tau_names_an_infinite_transpose_kernel(capsys):
     # the flipped E1 at the fork vertex 1 is infinite and the flipped E0 at a
     # leg finite, so the kernel is infinite: no window could hold it

@@ -1,3 +1,6 @@
+import io
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,7 @@ from coxcartan import (
     CoxeterOperator,
     DimensionVector,
     GeneratorCombination,
+    LazyIntMatrix,
     NotInSubgroup,
     cartan_pair,
     evaluate_window,
@@ -118,13 +122,114 @@ def test_round_trip():
 
 
 def test_generator_identities():
-    a = make_family("a-infinity")
-    assert operator(a).verify_generator_identities(0, a.window("0..10"))
-    assert operator(a).verify_generator_identities(3, a.window("0..10"))
-    d = make_family("d-infinity")
-    assert operator(d).verify_generator_identities(1, d.window("-1..6"))
-    z = make_family("z-a-infinity")
-    assert operator(z).verify_generator_identities(0, z.window("-5..5"))
+    for fam, spec in (("a-infinity", "0..10"), ("d-infinity", "-1..6"), ("z-a-infinity", "-5..5")):
+        p = make_family(fam)
+        assert operator(p).verify_generator_identities(p.window(spec)) == (True, None)
+
+
+def first_failing_generator(op, win):
+    """The identities read one generator and one coordinate at a time: for
+    each a in window order, coordinate j of (dim of op-injective at a) .
+    c^{-tr} is summed over the certified row j of c^{-1}, and coordinate j
+    of (dim E(a)) . c^{-1} over its certified column j, each term a Cartan
+    entry."""
+    c, cinv = op.c, op.cinv
+    for a in win:
+        for j in win:
+            if sum(v * c.entry(i, a) for i, v in cinv.row(j).items()) != (1 if j == a else 0):
+                return a
+        for j in win:
+            if sum(c.entry(a, i) * v for i, v in cinv.col(j).items()) != (1 if j == a else 0):
+                return a
+    return None
+
+
+def with_wrong_cell(m, i0, j0, delta):
+    """m with delta added to entry (i0, j0), in its entry rule and in its
+    certified row and column alike."""
+
+    def bumped(line, k):
+        out = dict(line)
+        out[k] = out.get(k, 0) + delta
+        return {key: v for key, v in out.items() if v}
+
+    return LazyIntMatrix(
+        lambda i, j: m.entry(i, j) + (delta if (i, j) == (i0, j0) else 0),
+        row_rule=lambda i: bumped(m.row(i), j0) if i == i0 else m.row(i),
+        col_rule=lambda j: bumped(m.col(j), i0) if j == j0 else m.col(j),
+        name=m.name,
+    )
+
+
+@st.composite
+def generator_windows(draw):
+    """(presentation, window, wrong cell or None): a path family or its
+    opposite on a window of up to 10 vertices, or a random --file quiver of
+    at most 7 vertices on a random sub-window."""
+    if draw(st.booleans()):
+        pres = make_family(draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"])))
+        if draw(st.booleans()):
+            pres = pres.opposite()
+        lo = draw(st.integers(0, 8))
+        win = list(pres.window(f"{lo}..{lo + draw(st.integers(0, 9))}"))
+    else:
+        n = draw(st.integers(1, 7))
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+        lines = ["kind quiver"] + [f"vertex {i}" for i in range(n)]
+        lines += [f"arrow {min(u, v)} {max(u, v)}" for u, v in pairs if u != v]
+        pres = parse_presentation("\n".join(lines) + "\n")
+        win = draw(st.lists(st.sampled_from(list(pres.vertices())), min_size=1, unique=True))
+    cell = None
+    if draw(st.booleans()):
+        cell = (draw(st.sampled_from(win)), draw(st.sampled_from(win)),
+                draw(st.sampled_from([-2, -1, 1, 2])))
+    return pres, win, cell
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_windows())
+def test_window_generator_identities_match_the_coordinate_reading(case):
+    pres, win, cell = case
+    pair = cartan_pair(pres)
+    if cell is not None:
+        pair.inverse = with_wrong_cell(pair.inverse, *cell)
+    found = CoxeterOperator(pair).verify_generator_identities(win)
+    expected = first_failing_generator(CoxeterOperator(pair), win)
+    assert found == (expected is None, expected)
+    # a wrong cell inside the window breaks column j0 of c^-1.c at row i0
+    assert (cell is None) == (expected is None)
+
+
+def test_generator_identity_failure_names_the_first_generator():
+    # on the opposite chain a wrong inverse cell (1, 4) breaks row 0 of
+    # c.c^-1 before column 4 of c^-1.c: the right identity names generator 0
+    pres = make_family("a-infinity").opposite()
+    pair = cartan_pair(pres)
+    pair.inverse = with_wrong_cell(pair.inverse, 1, 4, 1)
+    win = list(pres.window("0..5"))
+    assert CoxeterOperator(pair).verify_generator_identities(win) == (False, 0)
+    assert first_failing_generator(CoxeterOperator(pair), win) == 0
+
+
+@pytest.mark.parametrize("family, window, cell, coxeter_line, inverse_line", [
+    ("d-infinity", "-1..5", (2, 4, -1),
+     "FAIL: generator identity at 1\n", "FAIL: left inverse identity at (2, 1, -1)\n"),
+    ("z-a-infinity", "-3..3", (0, 1, 1),
+     "FAIL: generator identity at -3\n", "FAIL: left inverse identity at (0, -3, 1)\n"),
+])
+def test_verify_failure_lines_with_a_wrong_inverse_cell(
+    family, window, cell, coxeter_line, inverse_line
+):
+    from coxcartan import cartan, cli
+
+    inverse = cartan.cartan_inverse
+    wrong = lambda pres: with_wrong_cell(inverse(pres), *cell)   # noqa: E731
+    for suite, line in (("coxeter", coxeter_line), ("inverse", inverse_line)):
+        buf = io.StringIO()
+        with mock.patch.object(cartan, "cartan_inverse", wrong):
+            code = cli.run(["verify", f"--family={family}", f"--window={window}",
+                            f"--suite={suite}"], out=buf)
+        assert (code, buf.getvalue()) == (1, line)
 
 
 def test_generator_combination_forward():

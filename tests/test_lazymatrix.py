@@ -151,6 +151,14 @@ def test_entries_are_read_back_without_truncation():
     assert LazyVector(lambda v: half).entry(0) == half
 
 
+def test_apply_vector_needs_a_certified_support():
+    c = cartan_matrix(make_family("a-infinity"))
+    with pytest.raises(UndefinedProduct):
+        apply_vector(LazyVector(lambda v: 1), c)
+    out = apply_vector(LazyVector(lambda v: 2, support={0, 1}), c)
+    assert [out.entry(j) for j in range(3)] == [4, 2, 0]
+
+
 def test_apply_vector_zero():
     a = make_family("a-infinity")
     out = apply_vector(DimensionVector(), cartan_matrix(a))
