@@ -259,7 +259,9 @@ def _suite_inverse(pres, win, out):
     if not ok:
         out.write(f"FAIL: left inverse identity at {ce}\n")
         return 1
-    ok, ce = lazymatrix.verify_identity_on_window(pair.cartan, pair.inverse, win)
+    # c.c^-1 read through its transpose: the rows of c^-tr are the certified
+    # columns of c^-1, where c's rows may be long or not certified
+    ok, ce = lazymatrix.verify_identity_on_window(pair.cartan, pair.inverse, win, transposed=True)
     if not ok:
         out.write(f"FAIL: right inverse identity at {ce}\n")
         return 1

@@ -258,16 +258,22 @@ def evaluate_window(m, rows, cols):
     return MatrixWindow(rows, cols, [list(row) for row in _window_rows(m, rows, cols)])
 
 
-def verify_identity_on_window(a, b, win):
+def verify_identity_on_window(a, b, win, transposed=False):
     """Check that (a.b) agrees with the identity on win x win.
 
     Entries of the product are full lazy sums over the whole index set, not
-    truncated to the window, so a True answer is exact.  Returns
-    (ok, counterexample) where the counterexample is the first (i, j, value)
-    in row-major order, or None.
+    truncated to the window, so a True answer is exact.  `transposed` reads
+    a.b as the window of its transpose b^tr.a^tr, whose left factor's rows
+    are the columns of b, whole before any cell is compared.  Returns (ok,
+    counterexample) where the counterexample is the first (i, j, value) of
+    a.b in row-major order, or None.
     """
     win = list(win)
-    for i, row in zip(win, _window_rows(multiply(a, b), win, win)):
+    if transposed:
+        rows = zip(*_window_rows(multiply(transpose(b), transpose(a)), win, win))
+    else:
+        rows = _window_rows(multiply(a, b), win, win)
+    for i, row in zip(win, rows):
         for j, val in zip(win, row):
             if val != (1 if i == j else 0):
                 return False, (i, j, val)

@@ -7,7 +7,11 @@ arbitrary user input is finite only, so interval-finiteness never has to be
 guessed.  The two linear chains are one class, with or without a start.  A
 garland vertex lies on one integer level, L+1 levels per block with the
 junctions on multiples of L+1, and u < v exactly when u's level is below
-v's; its arcs, intervals, cut regions and ranges are runs of levels.
+v's; its arcs, intervals, cut regions and ranges are runs of levels.  So
+every level-preserving bijection is an automorphism: shifting all blocks by
+one, and swapping top and bottom on every level.  A class names the
+automorphisms it knows through `orbit(v)`, a representative of v's orbit
+with a move onto v; a garland's representatives lie in block 0, on top.
 
 Conventions fixed here and relied on everywhere else:
   * each presentation carries a total display order on its vertices
@@ -202,6 +206,12 @@ class Presentation:
     def local_upset(self, v):
         return frozenset([v, *(w for w, _ in self.out_arcs(v))])
 
+    def orbit(self, v):
+        """(r, move): the representative r of v's orbit under the known
+        automorphisms of the presentation, and one of them, `move`, with
+        move(r) == v; move is None when r is v.  This default knows none."""
+        return v, None
+
     # -- misc ----------------------------------------------------------------
 
     def memo(self, name):
@@ -279,6 +289,10 @@ class _View(Presentation):
 
     def vertices(self):
         return self.base.vertices()
+
+    def orbit(self, v):
+        # an automorphism of the base is one of every view of it
+        return self.base.orbit(v)
 
     def _range_vertices(self, lo, hi):
         return self.base._range_vertices(lo, hi)
@@ -711,6 +725,21 @@ class GarlandFamily(Presentation):
         # up to the nearest junction strictly above v
         n = self._level(v)
         return frozenset([v, *self._levels(n + 1, (n // self._period + 1) * self._period)])
+
+    def orbit(self, v):
+        """The block-0 vertex on v's level in the block, top for an interior
+        level, and the move that shifts every block by v's block index and,
+        when v is a bottom vertex, swaps top and bottom on every level."""
+        shift, flip = v[1], (0 if v[0] == "j" else v[3])
+        if not shift and not flip:
+            return v, None
+
+        def move(p):
+            if p[0] == "j":
+                return ("j", p[1] + shift)
+            return ("g", p[1] + shift, p[2], p[3] ^ flip)
+
+        return (("j", 0) if v[0] == "j" else ("g", 0, v[2], 0)), move
 
     def _range_vertices(self, lo, hi):
         # integer range means junctions lo..hi and every block between

@@ -1,18 +1,22 @@
 """Minimal injective resolutions of simples, Ext dimensions, Mobius oracle.
 
-Each simple is resolved once (`_row_terms`), and Ext, the resolution tables
-and the rows of the inverse Cartan matrix all read that one resolution: the
-multiplicity of the injective at p in degree m of the resolution of the
-simple at j is dim Ext^m between the simples at p and j.  Path presentations
-are hereditary, so their resolutions have length at most one and are written
-down in closed form.  On incidence presentations that Ext localizes to the
-finite closed interval [p, j] (Cibils, J. Pure Appl. Algebra 56, 1989), and
-the simple at j is resolved over local_downset(j), a finite convex region
-holding [p, j] for every p whose Ext can be nonzero, by the socle -> envelope
--> cokernel engine of module `comodules`, with its thin incidence injectives,
-in exact rational linear algebra, until the cokernel is zero: there is no
-degree cap, since Ext^m between simples vanishes above the length of the
-longest chain between them (see `_resolve_in_region`).
+One simple per orbit of the presentation's automorphisms is resolved
+(`_row_terms`), and Ext, the resolution tables and the rows of the inverse
+Cartan matrix all read that one resolution, moved onto every other simple of
+the orbit by the automorphism that `Presentation.orbit` names (on a garland,
+shift the blocks and swap top and bottom; elsewhere each orbit is one
+simple): the multiplicity of the injective at p in degree m of the
+resolution of the simple at j is dim Ext^m between the simples at p and j.
+Path presentations are hereditary, so their resolutions have length at most
+one and are written down in closed form.  On incidence presentations that
+Ext localizes to the finite closed interval [p, j] (Cibils, J. Pure Appl.
+Algebra 56, 1989), and the simple at j is resolved over local_downset(j), a
+finite convex region holding [p, j] for every p whose Ext can be nonzero, by
+the socle -> envelope -> cokernel engine of module `comodules`, with its
+thin incidence injectives, in exact rational linear algebra, until the
+cokernel is zero: there is no degree cap, since Ext^m between simples
+vanishes above the length of the longest chain between them (see
+`_resolve_in_region`).
 
 Two independent cross-oracles are provided for incidence presentations:
   * the classical Mobius recursion, whose values must match the alternating
@@ -28,8 +32,9 @@ Two independent cross-oracles are provided for incidence presentations:
 Memos live on the presentation (`Presentation.memo`): the rows of the
 resolutions under "rows", the order complexes with their ranks under
 "complex", the Mobius values under "mobius".  An opposite view keeps its
-memos on its base, so each simple is resolved once per side however many
-views are built, and every memo is freed with its presentation.
+memos on its base, so each orbit is resolved once per side however many
+views are built, and every memo is freed with its presentation.  The two
+cross-oracles keep their own memos and never move a value along an orbit.
 """
 
 from dataclasses import dataclass, field
@@ -77,15 +82,21 @@ def _row_terms(pres, j):
     tails of the arrows into j.  A poset's simple is resolved by the engine
     over local_downset(j): that region is convex and holds [p, j] for every p
     whose Ext can be nonzero, and for p below its cut point the open interval
-    (p, j) is a cone, so every Ext there is 0."""
+    (p, j) is a cone, so every Ext there is 0.  Only the representative r of
+    j's orbit (`pres.orbit`) is resolved: an automorphism moving r to j moves
+    the resolution at r onto the one at j, term by term."""
     memo = pres.memo("rows")
     if j not in memo:
         if pres.kind == "quiver":
             arrows_in = dict(pres.in_arcs(j))
             memo[j] = [{j: 1}, arrows_in] if arrows_in else [{j: 1}]
         else:
-            region = sorted(pres.local_downset(j), key=pres.sort_key)
-            memo[j] = _resolve_in_region(pres, region, j)
+            r, move = pres.orbit(j)
+            if move is None:
+                region = sorted(pres.local_downset(j), key=pres.sort_key)
+                memo[j] = _resolve_in_region(pres, region, j)
+            else:
+                memo[j] = [{move(p): m for p, m in t.items()} for t in _row_terms(pres, r)]
     return memo[j]
 
 

@@ -170,6 +170,21 @@ def test_inverse_and_coxeter_suites_read_no_matrix_entry():
             assert (code, entries.call_count, op.call_count) == (0, 0, operators)
 
 
+def test_inverse_suite_reads_no_entry_without_certified_cartan_rows():
+    # z-a-infinity certifies no Cartan row, so c.c^-1 is read through the
+    # certified columns of c^-1 (1,200 entry reads row by row)
+    from coxcartan import lazymatrix
+
+    entry = lazymatrix.LazyIntMatrix.entry
+    with mock.patch.object(
+        lazymatrix.LazyIntMatrix, "entry", autospec=True, side_effect=entry
+    ) as entries:
+        code, out = invoke(["verify", "--suite=inverse", "--family=z-a-infinity",
+                            "--window=0..19"])
+    assert (code, out) == (0, "OK: left and right inverse identities hold on window\n")
+    assert entries.call_count == 0
+
+
 def test_tau_names_an_infinite_transpose_kernel(capsys):
     # the flipped E1 at the fork vertex 1 is infinite and the flipped E0 at a
     # leg finite, so the kernel is infinite: no window could hold it

@@ -232,6 +232,40 @@ def test_verify_failure_lines_with_a_wrong_inverse_cell(
         assert (code, buf.getvalue()) == (1, line)
 
 
+@pytest.mark.parametrize("family, window, cells, line", [
+    # one wrong cell below the diagonal, then one above, in a row of the window
+    ("a-infinity", "0..5", [(4, 2, 1)], "left inverse identity at (4, 0, 1)"),
+    ("a-infinity", "0..5", [(1, 4, 1)], "left inverse identity at (1, 0, 1)"),
+    ("z-a-infinity", "-3..3", [(2, -1, -1)], "left inverse identity at (2, -3, -1)"),
+    ("z-a-infinity", "-3..3", [(-2, 1, 2)], "left inverse identity at (-2, -3, 2)"),
+    # in a row outside the window, where only c.c^-1 sees it
+    ("a-infinity", "0,1,4", [(3, 1, 1)], "right inverse identity at (4, 1, 1)"),
+    ("a-infinity", "2,5", [(0, 5, -1)], "right inverse identity at (2, 5, -1)"),
+    ("d-infinity", "-1,0,3,4,5", [(2, 0, 1)], "right inverse identity at (3, 0, 1)"),
+    # c.c^-1 fails at (-1, 5) and at (3, 3): row-major order names (-1, 5)
+    ("d-infinity", "-1,0,3,4,5", [(1, 5, 1), (2, 3, 1)],
+     "right inverse identity at (-1, 5, 1)"),
+    ("garland:1", "g0.1t,j1", [(("g", 0, 1, 1), ("g", 0, 1, 0), 1)],
+     "right inverse identity at (('j', 1), ('g', 0, 1, 0), 1)"),
+])
+def test_inverse_suite_names_the_first_failing_cell(family, window, cells, line):
+    from coxcartan import cartan, cli
+
+    inverse = cartan.cartan_inverse
+
+    def wrong(pres):
+        m = inverse(pres)
+        for cell in cells:
+            m = with_wrong_cell(m, *cell)
+        return m
+
+    buf = io.StringIO()
+    with mock.patch.object(cartan, "cartan_inverse", wrong):
+        code = cli.run(["verify", f"--family={family}", f"--window={window}",
+                        "--suite=inverse"], out=buf)
+    assert (code, buf.getvalue()) == (1, f"FAIL: {line}\n")
+
+
 def test_generator_combination_forward():
     a = make_family("a-infinity")
     op = operator(a)

@@ -415,6 +415,12 @@ def test_product_window_raises_the_error_the_entry_order_meets_first(left, right
     assert first_outcome(lambda: verify_identity_on_window(*factors(), win)) == first_outcome(
         lambda: entrywise_verify(multiply(*factors()), win)
     )
+    # read through the transpose, the counterexample is still a.b's first
+    # in row-major order
+    a, b = dense_matrix(left), dense_matrix(right)
+    assert verify_identity_on_window(a, b, win, transposed=True) == entrywise_verify(
+        multiply(a, b), win
+    )
 
 
 def test_certified_product_window_leaves_the_entry_memo_empty():

@@ -337,6 +337,43 @@ def test_garland_vertices_are_exactly_those_on_some_level():
             g.window([v])
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_garland_orbit_moves_are_automorphisms_of_the_cut_regions(length):
+    # the representative is the block-0 top vertex on v's level in the
+    # block; its move carries both cut regions of r onto those of v, one to
+    # one, keeping the order and the arcs, and the opposite view agrees
+    g = GarlandFamily(length)
+    for v in g.window("-3..4"):
+        r, move = g.orbit(v)
+        op_r, op_move = g.opposite().orbit(v)
+        assert op_r == r and (op_move is None) == (move is None)
+        assert r[1] == 0 and (r[0] == "j" or r[3] == 0)
+        assert g._level(r) % (length + 1) == g._level(v) % (length + 1)
+        assert g.orbit(r) == (r, None)
+        if move is None:
+            assert r == v
+            continue
+        assert move(r) == v
+        for cut in (g.local_downset, g.local_upset):
+            region = list(cut(r))
+            moved = [move(p) for p in region]
+            assert len(set(moved)) == len(region) and set(moved) == cut(v)
+            assert [op_move(p) for p in region] == moved
+            for p in region:
+                for q in region:
+                    assert g.leq(p, q) == g.leq(move(p), move(q))
+                for arcs in (g.out_arcs, g.in_arcs):
+                    assert sorted((move(w), k) for w, k in arcs(p)) == sorted(arcs(move(p)))
+
+
+def test_only_garlands_know_automorphisms():
+    pres = [make_family(f) for f in ("a-infinity", "z-a-infinity", "d-infinity")]
+    pres += [garland_block_poset([1, 1]), parse_presentation(DIAMOND)]
+    for p in pres:
+        for v in (p.vertices() if p.is_finite else range(3)):
+            assert p.orbit(v) == p.opposite().orbit(v) == (v, None)
+
+
 def test_finite_presentations_build_on_a_long_chain():
     # the closure is built in topological order, not by recursion
     n = 1000

@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 
 from coxcartan import (
+    GarlandFamily,
     IntervalFinitenessViolated,
     cartan_inverse,
     check_sharp_euler,
@@ -330,17 +331,18 @@ def test_garland_inverse_window_resolves_each_row_once():
     with mock.patch.object(resolutions, "_resolve_in_region", counted):
         code = run(["inverse", "--family=garland:2", "--window=0..8"], out=io.StringIO())
     assert code == 0
-    # at most one resolution per row of the 41-vertex window; resolving one
-    # interval per entry took 804
-    assert len(resolved) <= 41
+    # one resolution per orbit of the 41 rows, j0, g0.1t and g0.2t: the rest
+    # are moved there by block shifts and top-bottom swaps; resolving one row
+    # per vertex took 41, one interval per entry 804
+    assert len(resolved) <= 3
     assert len(set(resolved)) == len(resolved)
 
 
 def test_euler_suite_resolves_each_simple_once_per_side():
     # Ext, the symmetry check and both sides' resolution tables read one
-    # resolution per simple and side; one per interval took 1374
+    # resolution per orbit and side, L + 1 orbits on garland:L; one per
+    # simple and side took 74, one per interval 1374
     g = make_family("garland", 4)
-    win = list(g.window("0..4"))
     with mock.patch.object(
         resolutions, "_resolve_in_region", wraps=resolutions._resolve_in_region
     ) as engine:
@@ -350,7 +352,40 @@ def test_euler_suite_resolves_each_simple_once_per_side():
         0, "OK: sampled simples have finite socle-finite resolutions, Ext symmetric\n"
     )
     resolved = [(type(call.args[0]).__name__, call.args[2]) for call in engine.call_args_list]
-    assert len(set(resolved)) == len(resolved) == 2 * len(win)
+    assert len(set(resolved)) == len(resolved) == 2 * (g.length + 1)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_moved_resolutions_match_the_engine(length):
+    # every row read off its orbit's representative equals the engine run
+    # on the row's own cut region, on both sides, in blocks -3..3
+    g = make_family("garland", length)
+    for pres in (g, g.opposite()):
+        for j in g.window("-3..4"):
+            region = sorted(pres.local_downset(j), key=pres.sort_key)
+            assert resolutions._row_terms(pres, j) == resolutions._resolve_in_region(
+                pres, region, j
+            ), (pres, j)
+
+
+def test_mobius_suite_checks_moved_rows_on_negative_blocks():
+    # the Mobius and order-complex oracles never move a value along an
+    # orbit, so they check each moved row of the inverse independently
+    g = make_family("garland", 3)
+    verts = list(g.window("-2..-1"))
+    with mock.patch.object(GarlandFamily, "orbit", side_effect=AssertionError):
+        for p in verts:
+            for j in verts:
+                mobius(g, p, j)
+                for m in resolutions.ext_degrees(g, p, j):
+                    ext_dim(g, p, j, m, method="complex")
+    for window in ("-2..-1", "-1..0", "g-2.3b,j-1,g-1.1t,g-1.2b,g-1.3t,j0,g0.1b"):
+        out = io.StringIO()
+        code = run(["verify", "--suite=mobius", "--family=garland:3", f"--window={window}"],
+                   out=out)
+        assert (code, out.getvalue()) == (
+            0, "OK: resolution, Mobius and order-complex oracles agree on window\n"
+        ), window
 
 
 def test_opposite_view_is_shared_so_each_simple_resolves_once():
