@@ -5,11 +5,10 @@ translate is the classical one: take a minimal injective copresentation
 0 -> M -> E0 -> E1, flip it through the duality into the opposite-side
 injectives (symbolically: reverse paths), and take the kernel there.  The
 copresentation is two steps of the socle -> envelope -> cokernel engine of
-module `comodules`, with its path-basis injectives, that also resolves simples
-of incidence presentations.  Windows enter only when injectives are
-materialised, and each window is exact, never a guess.  The copresentation
-works on the convex closure of T = supp M plus its in-neighbours (every
-vertex on a path between two of T).  soc(E0/M) lies in T: a socle class at
+module `comodules`, with its path-basis injectives.  Windows enter only
+when injectives are materialised, and each window is exact, never a guess.
+The copresentation works on the convex closure of T = supp M plus its
+in-neighbours (every vertex on a path between two of T).  soc(E0/M) lies in T: a socle class at
 v outside supp M is some x != 0 in E0(v) outside soc E0 = soc M, so an
 arrow v -> w maps it into M.  No arrow leaves the window for a u with
 E0(u) != 0, since such a u reaches soc M; so the socle of the cokernel on

@@ -1,25 +1,20 @@
 """Finite-dimensional comodules as representations over the rationals, and
-the one socle -> envelope -> cokernel engine.
+the socle -> envelope -> cokernel engine of path presentations.
 
 A Comodule assigns a Q-vector space to each vertex of a presentation and a
 matrix to each arc inside its support; arcs leaving the support are the zero
 map.  Over an incidence presentation the arcs are the covers, so a comodule
 is a representation of the Hasse quiver with commutativity relations.
 
-Minimal injective resolutions of simples (module `resolutions`) and minimal
-injective copresentations (module `artranslate`) both repeat one step on a
-finite window: take the socle, embed into its injective envelope
-(`envelope`), pass to the cokernel (`cokernel`).  The injective model is the
-only part that depends on the kind of presentation; MaterializedInjective
-chooses it:
-  * path presentations: the injective at a has basis, at vertex v, the
-    directed paths v -> a; an arrow strips itself off the front of a path and
-    kills everything else.  Its dimension vector is the Cartan row at a and
-    its socle the simple at a,
-  * incidence presentations: the injective at a is thin on the down-set of a
-    and a cover u -> w maps the basis element at u to the one at w when
-    w <= a.  Paths are never enumerated here; each basis element carries one
-    saturated chain to a, used only to transport socle functionals.
+Minimal injective copresentations (module `artranslate`) repeat one step on
+a finite window of a path presentation: take the socle, embed into its
+injective envelope (`envelope`), pass to the cokernel (`cokernel`).  The
+injective at a (MaterializedInjective) has basis, at vertex v, the directed
+paths v -> a; an arrow strips itself off the front of a path and kills
+everything else.  Its dimension vector is the Cartan row at a and its socle
+the simple at a.  A poset's injectives are thin, so module `resolutions`
+resolves its simples on the labels of their summands and never builds a
+Comodule.
 
 Morphisms between finite direct sums of injectives of path presentations are
 carried around symbolically: the hom space from the injective at j to the one
@@ -323,54 +318,22 @@ def path_basis(formal, v):
 
 
 class MaterializedInjective:
-    """A formal injective realised on a window, in the model of its kind.
+    """A formal injective of a path presentation realised on a window.
 
-    basis[v] lists (summand index, route) pairs, a route being a path from v
-    to the socle vertex of the summand: every such path in the path model,
-    the chain that always takes the first cover below the socle vertex in the
-    thin incidence model (whose window must be convex).  A path-model arrow
-    strips itself off the front of a route; a thin-model cover u -> w sends
-    the basis element of a summand at u to its one at w when w lies below the
-    socle vertex.
+    basis[v] lists (summand index, route) pairs, a route being one of the
+    paths from v to the socle vertex of the summand; an arrow strips itself
+    off the front of a route and kills every route it does not start.  A
+    poset's injectives are thin, and module `resolutions` keeps them as
+    labels instead.
     """
 
     def __init__(self, formal, window):
         pres = formal.pres
         self.formal = formal
         self.window = sorted(window, key=pres.sort_key)
-        socles = formal.summands
-        if pres.kind == "poset":
-            chains = {}
-
-            def chain(v, a):
-                # follow first covers up to a known chain, then memoize the
-                # chain of every vertex passed, nearest to a first
-                passed = []
-                while (v, a) not in chains and v != a:
-                    arrow = next(x for x in arrows_from(pres, v) if pres.leq(x[1], a))
-                    passed.append((v, arrow))
-                    v = arrow[1]
-                tail = chains.setdefault((v, a), ())
-                for u, arrow in reversed(passed):
-                    tail = chains[u, a] = (arrow,) + tail
-                return tail
-
-            def items_at(v):
-                return [(si, chain(v, a)) for si, a in enumerate(socles) if pres.leq(v, a)]
-
-            def image(arrow, si, route):
-                w = arrow[1]
-                return (si, chain(w, socles[si])) if pres.leq(w, socles[si]) else None
-        else:
-            def items_at(v):
-                return path_basis(formal, v)
-
-            def image(arrow, si, route):
-                return (si, route[1:]) if route and route[0] == arrow else None
-
         self.basis = {}
         for v in self.window:
-            items = items_at(v)
+            items = path_basis(formal, v)
             if items:
                 self.basis[v] = items
         self.offset = {
@@ -385,9 +348,8 @@ class MaterializedInjective:
                     continue
                 mat = linalg.zeros(dims[w], dims[v])
                 for col, (si, p) in enumerate(self.basis[v]):
-                    row = self.offset[w].get(image(arrow, si, p))
-                    if row is not None:
-                        mat[row][col] = F1
+                    if p and p[0] == arrow:
+                        mat[self.offset[w][si, p[1:]]][col] = F1
                 maps[arrow] = mat
         self.comodule = Comodule(pres, dims, maps)
 

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals, never in floats.
 
-Kernels, solves, ranks and the quotient blocks [B | I] eliminate sparse
-rows {col: value} fraction-free in stdlib ints (`echelon`), dividing once
-per entry read.  Other matrices are dense lists of Fraction rows; dense
-`rref` is left to `rank`, `invert` and `column_space_basis`, the oracles
-the sparse kernel is tested against.  Pivots are deterministic: first
+Kernels, solves, ranks, independence tests and the quotient blocks [B | I]
+eliminate sparse rows {col: value} fraction-free in stdlib ints (`echelon`),
+dividing once per entry read.  Other matrices are dense lists of Fraction
+rows; dense `rref` is left to `rank`, `invert` and `column_space_basis`, the
+oracles the sparse kernel is tested against.  Pivots are deterministic: first
 column, units first.
 """
 
@@ -127,17 +127,24 @@ def _forward(rows, lead_of=min):
     2001).  Rows are reduced in place; kept ones are primitive, lead > 0."""
     pivots = {}
     for row in rows:
-        while row:
-            lead = lead_of(row)
-            piv = pivots.get(lead)
-            if piv is None or (piv[lead] != 1 and abs(row[lead]) == 1):
-                pivots[lead] = _primitive(row, row[lead] < 0)
-                if piv is None:
-                    break
-                row = piv
-            else:
-                row = _reduce(row, piv, lead)
+        _insert(pivots, row, lead_of)
     return pivots
+
+
+def _insert(pivots, row, lead_of=min):
+    """Reduce `row` into the echelon form `pivots` as `_forward` does; True
+    when it adds a pivot, that is when `row` is not in their span."""
+    while row:
+        lead = lead_of(row)
+        piv = pivots.get(lead)
+        if piv is None or (piv[lead] != 1 and abs(row[lead]) == 1):
+            pivots[lead] = _primitive(row, row[lead] < 0)
+            if piv is None:
+                return True
+            row = piv
+        else:
+            row = _reduce(row, piv, lead)
+    return False
 
 
 def _primitive(row, negate=False):
@@ -181,6 +188,13 @@ def echelon(rows):
                 row = _reduce(row, pivots[q], q)
             pivots[p] = _primitive(row)
     return order, pivots
+
+
+def independent_rows(span, rows):
+    """The sparse rows of `rows` (in order) that lie outside the span of the
+    sparse rows `span` and of the rows before them."""
+    pivots = _forward(map(_integer_row, span))
+    return [row for row in rows if _insert(pivots, _integer_row(row))]
 
 
 def kernel_basis(rows, ncols):

@@ -11,12 +11,23 @@ Path presentations are hereditary, so their resolutions have length at most
 one and are written down in closed form.  On incidence presentations that
 Ext localizes to the finite closed interval [p, j] (Cibils, J. Pure Appl.
 Algebra 56, 1989), and the simple at j is resolved over local_downset(j), a
-finite convex region holding [p, j] for every p whose Ext can be nonzero, by
-the socle -> envelope -> cokernel engine of module `comodules`, with its
-thin incidence injectives, in exact rational linear algebra, until the
-cokernel is zero: there is no degree cap, since Ext^m between simples
-vanishes above the length of the longest chain between them (see
+finite convex region holding [p, j] for every p whose Ext can be nonzero,
+until the cokernel is zero: there is no degree cap, since Ext^m between
+simples vanishes above the length of the longest chain between them (see
 `_resolve_in_region`).
+
+The incidence engine never builds a comodule.  Every injective E(b) of a
+poset is thin on the down-set of b and Hom(M, E(b)) is M(b)*, so a term of
+the resolution is the list of its summands' labels and the rest is kept as
+functionals: for each v of the region, a basis A_v of the dual of the
+current cokernel Q at v, as sparse rows over the summands above v.  The
+socle of Q is the kernel of its maps to the covers, so its dual at v is
+A_v modulo the functionals of the covers read at v (the top of the dual
+representation); each row of A_v outside that span gives one summand E(v)
+of the next term, and is the map into it.  The next cokernel's dual at u is
+the left kernel of those maps restricted to the summands above u, and their
+rank there must equal len(A_u): the envelope of Q is injective, else the
+engine is at fault.  All of it is sparse exact elimination (`linalg`).
 
 Two independent cross-oracles are provided for incidence presentations:
   * the classical Mobius recursion, whose values must match the alternating
@@ -37,37 +48,82 @@ views are built, and every memo is freed with its presentation.  The two
 cross-oracles keep their own memos and never move a value along an orbit.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg
-from .comodules import cokernel, envelope, node_budget, simple_comodule
+from .comodules import node_budget
 from .errors import IntervalFinitenessViolated, UnknownVertex
 
 
 def _resolve_in_region(pres, region, j):
     """Multiplicity dicts (element -> int) of the minimal injective resolution
-    of the simple at j over `region`, a finite convex set of elements.
+    of the simple at j over `region`, a finite convex set of elements listed
+    in display order, each dict keyed in region order.
 
-    Convexity makes the covers between region elements global covers, so the
-    region's functor category is that of comodules supported on it.  The
-    resolution ends before degree len(region): its degree-m term at p is
+    ann[v] holds the functionals on the current term at v, sparse rows
+    {summand index: coefficient}, that vanish on the previous term's image:
+    the dual of the cokernel at v (see the module docstring).  E^0 = E(j)
+    has ann[v] = [e_0] for v < j.  Convexity makes the covers between
+    region elements global covers, so the region's functor category is that
+    of comodules supported on it.
+
+    The resolution ends before degree len(region): its degree-m term at p is
     dim Ext^m between the simples at p and j, the reduced cohomology of the
     order complex of the open interval (p, j) in degree m - 2 (Cibils,
     J. Pure Appl. Algebra 56, 1989), which vanishes unless a chain
     p < ... < j of m + 1 elements lies in the region.  A cokernel still
     nonzero after len(region) steps is therefore a defect."""
-    cur = simple_comodule(pres, j)
-    terms = []
-    for _ in range(len(region) + 1):
-        if cur.is_zero():
+    ann = {v: [{0: 1}] for v in region if v != j and pres.leq(v, j)}
+    terms = [{j: 1}]
+    for _ in range(len(region)):
+        if not ann:
             return terms
-        formal, inj, embed = envelope(cur, region)
-        terms.append(formal.multiplicities())
-        cur, _ = cokernel(inj.comodule, embed, region)
+        socle = _socle(pres, region, ann)
+        terms.append(dict(Counter(b for b, _ in socle)))
+        ann = _annihilators(pres, region, socle, ann)
     raise AssertionError(
         f"resolution of simple at {pres.display(j)} still nonzero at degree "
         f"{len(region)} over a region of {len(region)} elements"
     )
+
+
+def _socle(pres, region, ann):
+    """[(label, functional)] of the envelope of the cokernel whose dual at v
+    is spanned by ann[v], in region order: a row of ann[v] outside the span
+    of the covers' rows (read at v with the same coefficients) and of the
+    rows before it gives one summand E(v), and is the map into it."""
+    socle = []
+    for v in region:
+        rows = ann.get(v)
+        if rows:
+            above = [a for w, _ in pres.out_arcs(v) for a in ann.get(w, ())]
+            socle.extend((v, a) for a in linalg.independent_rows(above, rows))
+    return socle
+
+
+def _annihilators(pres, region, socle, ann):
+    """The next ann: at u, the left kernel of the functionals of the
+    `socle` summands above u, keyed by summand.  Their rank must equal
+    len(ann[u]), or the envelope does not embed the cokernel.  Both depend
+    only on the set of summands above u, so each set is eliminated once."""
+    found, out = {}, {}
+    for u in region:
+        above = tuple(k for k, (b, _) in enumerate(socle) if pres.leq(u, b))
+        if above not in found:
+            cols = {}
+            for t, k in enumerate(above):
+                for i, x in socle[k][1].items():
+                    cols.setdefault(i, {})[t] = x
+            kernel = linalg.kernel_basis(list(cols.values()), len(above))
+            rows = [{above[t]: x for t, x in enumerate(vec) if x} for vec in kernel]
+            found[above] = (len(above) - len(kernel), rows)
+        rank, rows = found[above]
+        if rank != len(ann.get(u, ())):
+            raise AssertionError(f"envelope embedding not injective at {pres.display(u)}")
+        if rows:
+            out[u] = rows
+    return out
 
 
 # ---------------------------------------------------------------------------

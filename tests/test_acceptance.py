@@ -373,7 +373,6 @@ def test_criterion_12_order_complex_oracle_on_a_long_garland_interval():
     g = garland_block_poset([2, 2, 2])
     degrees = range(len(g.interval("j0", "j3")))
     with mock.patch.object(comodules, "envelope", wraps=comodules.envelope) as envelope, \
-            mock.patch.object(resolutions, "envelope", envelope), \
             mock.patch.object(resolutions, "_resolve_in_region",
                               wraps=resolutions._resolve_in_region) as engine, \
             mock.patch.object(linalg, "rref", side_effect=AssertionError("dense rref")):

@@ -1,6 +1,7 @@
 """Property tests on random finite posets and quivers against oracles that do
-not share the code under test: the socle -> envelope -> cokernel engine, and
-the lazy Coxeter action against dense inversion of the whole Cartan matrix."""
+not share the code under test: the resolution engines (labels on posets,
+socle -> envelope -> cokernel on quivers), and the lazy Coxeter action
+against dense inversion of the whole Cartan matrix."""
 
 from fractions import Fraction
 from unittest import mock
@@ -15,6 +16,7 @@ from coxcartan import (
     cartan_inverse,
     cartan_matrix,
     ext_dim,
+    garland_block_poset,
     min_inj_copresentation,
     mobius,
     parse_presentation,
@@ -39,6 +41,9 @@ def finite_presentations(draw, kind):
 
 @settings(max_examples=30, deadline=None)
 @given(finite_presentations("poset"))
+@example(parse_presentation(  # Ext^2 = 2 between 0 and 4: a socle of dimension 2
+    "kind poset\n" + "".join(f"cover 0 {a}\ncover {a} 4\n" for a in (1, 2, 3))
+))
 def test_poset_resolutions_match_independent_oracles(p):
     for pres in (p, p.opposite()):
         verts = pres.vertices()
@@ -141,6 +146,40 @@ def test_inverse_rows_match_per_interval_resolutions(p):
                     assert not any(reference), (i, j)
                 euler = sum((-1) ** m * d for m, d in enumerate(reference))
                 assert resolutions.ext_alternating_sum(pres, i, j) == euler, (i, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_garland_seq_resolutions_match_independent_oracles(lengths):
+    # a block of four levels gives a resolution of length 5 with two
+    # summands in most degrees, longer and wider than on the random posets
+    # above; the order complex is asked only inside local_downset(j), one
+    # block, where the open intervals stay small
+    p = garland_block_poset(lengths)
+    for pres in (p, p.opposite()):
+        verts = pres.vertices()
+        degrees = range(len(verts) + 1)
+        pairs = [(i, j) for j in verts for i in verts if pres.leq(i, j)]
+        with mock.patch.object(
+            resolutions, "_resolve_in_region", side_effect=AssertionError("engine used")
+        ):
+            mu = {(i, j): mobius(pres, i, j) for i, j in pairs}
+            cx = {
+                (i, j): [ext_dim(pres, i, j, m, method="complex") for m in degrees]
+                for i, j in pairs
+                if i in pres.local_downset(j)
+            }
+        for j in verts:
+            terms = resolutions._row_terms(pres, j)
+            assert set().union(*terms) <= pres.local_downset(j), j
+            for i in verts:
+                if (i, j) not in mu:
+                    continue
+                row = [t.get(i, 0) for t in terms]
+                if (i, j) in cx:
+                    assert row + [0] * (len(degrees) - len(row)) == cx[i, j], (i, j)
+                euler = sum((-1) ** m * d for m, d in enumerate(row))
+                assert euler == mu[i, j], (i, j)
 
 
 @settings(max_examples=40, deadline=None)

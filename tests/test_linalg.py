@@ -1,8 +1,8 @@
 """The quotient helpers of `linalg` against the three-elimination formula they
 replace: independent columns by one elimination, the standard complement by a
 second, and the inverse of the completed basis by a third.  The sparse
-integer rank against the dense Fraction rank, and the sparse echelon form
-and kernel basis against dense `rref`."""
+integer rank against the dense Fraction rank, and the sparse echelon form,
+kernel basis and independence test against dense `rref`."""
 
 from fractions import Fraction
 
@@ -226,6 +226,11 @@ def test_sparse_echelon_matches_dense_rref(data):
             assert linalg.mat_eq(linalg.mat_mul(grid, x), b)
         assert linalg.solve_matrix(grid, [[F1] for _ in grid]) == reference_solve(
             grid, [[F1] for _ in grid], cols)
+    # past the first two rows, a row is independent of those and of the
+    # rows before it when it raises the dense rank
+    kept = [sparse[i] for i in range(2, rows)
+            if linalg.rank(grid[:i + 1]) > linalg.rank(grid[:i])]
+    assert linalg.independent_rows(sparse[:2], sparse[2:]) == kept
 
 
 def test_sparse_echelon_of_empty_shapes():

@@ -8,6 +8,7 @@ from coxcartan import (
     IntervalFinitenessViolated,
     cartan_inverse,
     check_sharp_euler,
+    comodules,
     ext_alternating_sum,
     ext_dim,
     garland_block_poset,
@@ -307,17 +308,72 @@ def test_inverse_entries_cut_by_a_junction_are_zero():
 
 def test_a_resolution_that_outlasts_its_region_is_a_defect(capsys):
     # no resolution over a region of n elements reaches degree n, so a
-    # cokernel that never vanishes can only come from a broken engine
-    def stuck(inj, embed, region):
-        return resolutions.simple_comodule(inj.pres, region[-1]), None
+    # cokernel that never vanishes can only come from a broken engine: this
+    # one keeps a one-dimensional cokernel at the top of the region
+    def stuck(pres, region, socle, ann):
+        return {region[-1]: [{0: 1}]}
 
-    with mock.patch.object(resolutions, "cokernel", stuck):
+    with mock.patch.object(resolutions, "_annihilators", stuck):
         code = run(["resolve", "--family=garland-seq:1", "--vertex=j1"], out=io.StringIO())
     assert code == 3
     assert capsys.readouterr().err == (
         "internal error: AssertionError: resolution of simple at j1 still nonzero "
         "at degree 4 over a region of 4 elements\n"
     )
+
+
+def test_a_cokernel_that_does_not_embed_is_a_defect(capsys):
+    # the envelope of the first cokernel of S(j1) on garland-seq:1 is
+    # E(g1.1t) + E(g1.1b); a zero functional for E(g1.1t) leaves the
+    # cokernel's line at g1.1t with no image, which the rank check catches
+    real = resolutions._socle
+
+    def corrupted(pres, region, ann):
+        socle = real(pres, region, ann)
+        return [(socle[0][0], {})] + socle[1:]
+
+    with mock.patch.object(resolutions, "_socle", corrupted):
+        code = run(["resolve", "--family=garland-seq:1", "--vertex=j1"], out=io.StringIO())
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: AssertionError: envelope embedding not injective at g1.1t\n"
+    )
+
+
+POSET_COMMANDS = [
+    (["resolve", "--family=garland-seq:1,2", "--vertex=j2"],
+     "degree\tvertex\tmultiplicity\n0\tj2\t1\n1\tg2.2t\t1\n1\tg2.2b\t1\n"
+     "2\tg2.1t\t1\n2\tg2.1b\t1\n3\tj1\t1\n"),
+    (["resolve", "--family=garland:3", "--vertex=g1.2b", "--side=right"],
+     "degree\tvertex\tmultiplicity\n0\tg1.2b\t1\n1\tg1.3t\t1\n1\tg1.3b\t1\n2\tj2\t1\n"),
+    (["ext", "--family=garland-seq:1,2", "--from=j1", "--to=j2", "--max-degree=4"],
+     "m\tdim\n0\t0\n1\t0\n2\t0\n3\t1\n4\t0\n"),
+    (["ext", "--family=garland:3", "--from=g0.1t", "--to=j1"],
+     "m\tdim\n0\t0\n1\t0\n2\t0\n3\t1\n4\t0\n5\t0\n6\t0\n"),
+    (["inverse", "--family=garland-seq:1,2", "--window=j0,g2.1t,j2"],
+     "\tj0\tg2.1t\tj2\nj0\t1\t0\t0\ng2.1t\t0\t1\t0\nj2\t0\t1\t1\n"),
+    (["inverse", "--family=garland:3", "--window=j0,g0.2t,j1"],
+     "\tj0\tg0.2t\tj1\nj0\t1\t0\t0\ng0.2t\t1\t1\t0\nj1\t1\t1\t1\n"),
+    (["verify", "--suite=euler", "--family=garland-seq:1,2", "--window=j0,j2"],
+     "OK: sampled simples have finite socle-finite resolutions, Ext symmetric\n"),
+    (["verify", "--suite=euler", "--family=garland:3", "--window=0..1"],
+     "OK: sampled simples have finite socle-finite resolutions, Ext symmetric\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", POSET_COMMANDS,
+    ids=[f"{argv[0]}{i}" for i, (argv, _) in enumerate(POSET_COMMANDS)],
+)
+def test_poset_resolutions_build_no_injective(argv, expected):
+    # a poset's injectives are thin: its resolutions keep them as labels and
+    # never materialise one, nor take an envelope
+    with mock.patch.object(
+        comodules.MaterializedInjective, "__init__", side_effect=AssertionError("materialized")
+    ), mock.patch.object(comodules, "envelope", side_effect=AssertionError("envelope")):
+        out = io.StringIO()
+        code = run(argv, out=out)
+    assert (code, out.getvalue()) == (0, expected)
 
 
 def test_garland_inverse_window_resolves_each_row_once():
