@@ -3,10 +3,14 @@
 Everything here works for hereditary path presentations.  The pipeline for a
 translate is the classical one: take a minimal injective copresentation
 0 -> M -> E0 -> E1, flip it through the duality into the opposite-side
-injectives (symbolically: reverse paths), and take the kernel there.  The
-copresentation is two steps of the socle -> envelope -> cokernel engine of
-module `comodules`, with its path-basis injectives.  Windows enter only
-when injectives are materialised, and each window is exact, never a guess.
+injectives (symbolically: same coefficients, reversed paths), and take the
+kernel there.  The copresentation is two steps of the socle -> envelope ->
+cokernel engine of module `comodules`.  A thin presentation (the tree
+families a-infinity, z-a-infinity and d-infinity) runs it on the labels of
+the summands, and its map E0 -> E1 is one sparse scalar matrix
+(LabelMorphism); finite quivers and Hasse-quiver views materialise
+path-basis injectives (InjectiveMorphism).  Windows enter only when a
+morphism is read at a vertex, and each window is exact, never a guess.
 The copresentation works on the convex closure of T = supp M plus its
 in-neighbours (every vertex on a path between two of T).  soc(E0/M) lies in T: a socle class at
 v outside supp M is some x != 0 in E0(v) outside soc E0 = soc M, so an
@@ -25,8 +29,11 @@ The formula dim tau N = Phi(dim N) needs Hom(C, DN) = 0, which
 `certify_no_inj_hom` decides exactly at the socle: path coalgebras are
 hereditary, so the image of a nonzero map from an injective into a finite M
 is a finite injective, and it contains some E(k) with k a socle vertex of M.
-Hom(C, M) = 0 thus holds exactly when no such E(k) embeds in M; each
-candidate E(k) is materialised whole, on ancestors(k), never on a window.
+Hom(C, M) = 0 thus holds exactly when no such E(k) embeds in M.  A
+candidate E(k) fits only when ancestors(k) lies in supp M, which a walk up
+the in-arcs from k decides without listing ancestors(k); it is then built
+whole on them, never on a window, and on a thin presentation it is 1 at
+each of them with every map 1.
 
 Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
 dimension vector is obtained from mesh additivity (sum of the middle minus the
@@ -42,15 +49,16 @@ section rather than as a disagreement.
 """
 
 from bisect import insort
-from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from . import linalg
 from .cartan import cartan_pair, path_count
 from .comodules import (
+    F1,
     Comodule,
     FormalInjective,
     InjectiveMorphism,
+    LabelMorphism,
     MaterializedInjective,
     arrows_from,
     cokernel,
@@ -58,9 +66,12 @@ from .comodules import (
     envelope,
     hom_basis,
     interval_comodule,
+    label_annihilators,
+    label_envelope,
+    label_kernel,
+    label_socle,
     materialized_kernel,
     node_budget,
-    path_basis,
     zero_comodule,
 )
 from .coxeter import CoxeterOperator
@@ -93,12 +104,13 @@ def grow_window(pres, verts, steps):
     return sorted(chain.from_iterable(islice(layers, steps + 1)), key=pres.sort_key)
 
 
-@dataclass
 class InjCopresentation:
-    e0: FormalInjective
-    e1: FormalInjective
-    map: InjectiveMorphism        # symbolic E0 -> E1
-    exact_at_e1: bool             # E0/M -> E1 is onto on the window
+    """0 -> M -> e0 -> e1 with `map` the symbolic E0 -> E1 (a LabelMorphism
+    on a thin presentation, else an InjectiveMorphism); `exact_at_e1` says
+    that E0/M -> E1 is onto on the window."""
+
+    def __init__(self, e0, e1, map, exact_at_e1):
+        self.e0, self.e1, self.map, self.exact_at_e1 = e0, e1, map, exact_at_e1
 
 
 def min_inj_copresentation(module):
@@ -106,8 +118,9 @@ def min_inj_copresentation(module):
     comodule over a hereditary path presentation.
 
     E0 is the injective envelope of soc M, E1 the envelope of soc(E0/M); the
-    connecting map is returned symbolically in the path basis.  Both are
-    computed on one exact window (see the module docstring).
+    connecting map is returned symbolically, on labels over a thin
+    presentation and in the path basis otherwise.  Both are computed on one
+    exact window (see the module docstring).
     """
     pres = module.pres
     if pres.kind != "quiver":
@@ -123,6 +136,8 @@ def min_inj_copresentation(module):
     # the convex closure of heads: forward from them, through the vertices
     # that can still reach one of them
     window = sorted(chain.from_iterable(_layers(heads, onward)), key=pres.sort_key)
+    if pres.thin:
+        return _label_copresentation(module, window)
     e0_formal, e0_mat, iota = envelope(module, window)
     quotient, projs = cokernel(e0_mat.comodule, iota, window)
     e1_formal, e1_mat, embed2 = envelope(quotient, window)
@@ -153,21 +168,55 @@ def min_inj_copresentation(module):
     return InjCopresentation(e0_formal, e1_formal, gmor, exact)
 
 
+def _label_copresentation(module, window):
+    """The copresentation of `min_inj_copresentation` over a thin
+    presentation: the dual of E0/M from `label_envelope`, one label socle
+    step for E1, whose functionals are the map E0 -> E1, and the next
+    annihilators, empty exactly when E0/M -> E1 is onto on the window."""
+    pres = module.pres
+    labels, ann = label_envelope(module, window)
+    socle = label_socle(pres, window, ann)
+    onto = not label_annihilators(pres, window, socle, ann)
+    e0 = FormalInjective(pres, [(a, 1) for a in labels])
+    e1 = FormalInjective(pres, [(b, 1) for b, _ in socle])
+    coeffs = {(ti, si): x for ti, (_, row) in enumerate(socle) for si, x in row.items()}
+    return InjCopresentation(e0, e1, LabelMorphism(e0, e1, coeffs), onto)
+
+
+def _ancestors_inside(pres, k, dims):
+    """ancestors(k), walked up the in-arcs from k, when all of them lie in
+    `dims`; None as soon as one does not."""
+    found, todo = {k}, [k]
+    while todo:
+        for u, _ in pres.in_arcs(todo.pop()):
+            if u not in dims:
+                return None
+            if u not in found:
+                found.add(u)
+                todo.append(u)
+    return found
+
+
 def certify_no_inj_hom(module):
     """True when no injective maps nonzero into the finite comodule `module`
     over a path presentation (exact; see the module docstring).  Only the
     E(k), k in its socle, that fit inside it are tested: finite, with support
-    ancestors(k) in supp M and dimensions at most those of M."""
+    ancestors(k) in supp M and dimensions at most those of M.  On a thin
+    presentation E(k) is 1 at each vertex of its support, with every map 1."""
     pres = module.pres
     socdim, _ = module.socle()
     for k in socdim.support:
-        sup = pres.ancestors(k)
-        if sup is None or not all(
-            v in module.dims and path_count(pres, v, k) <= module.dim(v) for v in sup
-        ):
+        sup = _ancestors_inside(pres, k, module.dims)
+        if sup is None:
             continue
-        inj = MaterializedInjective(FormalInjective(pres, [(k, 1)]), sup)
-        if hom_basis(inj.comodule, module):
+        if pres.thin:
+            maps = {(u, w, 0): [[F1]] for u in sup for w, _ in pres.out_arcs(u) if w in sup}
+            inj = Comodule(pres, dict.fromkeys(sup, 1), maps)
+        elif all(path_count(pres, v, k) <= module.dim(v) for v in sup):
+            inj = MaterializedInjective(FormalInjective(pres, [(k, 1)]), sup).comodule
+        else:
+            continue
+        if hom_basis(inj, module):
             return False
     return True
 
@@ -187,16 +236,21 @@ def transpose_tr(module):
 def _flipped_kernel(nabla_g):
     """ker(nabla E1 -> nabla E0), walked in layers by arrow distance to the
     socle vertices of nabla E1 and stopped at the first layer where it is
-    zero (see the module docstring)."""
+    zero (see the module docstring).  Equal matrices are eliminated once: on
+    labels the matrix at v depends only on the summands holding v."""
     src, dst = nabla_g.source, nabla_g.target
     op = src.pres
-    infinite = [a for a in src.summands if op.ancestors(a) is None]
+    # with every Cartan row finite every injective is finite: no ancestor
+    # set is built
+    infinite = [] if op.cartan_finiteness[0] else [
+        a for a in src.summands if op.ancestors(a) is None
+    ]
     if infinite and all(op.ancestors(j) is not None for j in dst.summands):
         raise InfiniteDimensional(
             f"transpose kernel is infinite-dimensional: the flipped E1 = {src!r} "
             f"is infinite at {op.display(infinite[0])} and the flipped E0 = {dst!r} finite"
         )
-    budget, walked, bases = node_budget(), 0, {}
+    budget, walked, bases, kernels = node_budget(), 0, {}, {}
     for layer in _layers(src.summands, lambda v: [w for w, _ in op.in_arcs(v)]):
         walked += len(layer)
         if walked > budget:
@@ -205,14 +259,17 @@ def _flipped_kernel(nabla_g):
             )
         found = {}
         for v in layer:
-            cols = path_basis(src, v)
-            mat = nabla_g.matrix(cols, {item: r for r, item in enumerate(path_basis(dst, v))})
-            basis = linalg.nullspace(mat) if mat else linalg.identity(len(cols))
-            if basis:
-                found[v] = basis
+            cols, mat = nabla_g.at(v)
+            key = (len(cols), tuple(map(tuple, mat)))
+            if key not in kernels:
+                kernels[key] = linalg.nullspace(mat) if mat else linalg.identity(len(cols))
+            if kernels[key]:
+                found[v] = kernels[key]
         if not found:
             break
         bases.update(found)
+    if op.thin:
+        return label_kernel(src, bases)
     return materialized_kernel(MaterializedInjective(src, bases).comodule, bases)
 
 
@@ -253,11 +310,11 @@ def tau(module, direction="tau-minus"):
     raise ValueError("direction must be 'tau' or 'tau-minus'")
 
 
-@dataclass
 class MeshSequence:
-    left: Comodule
-    middle: list
-    right: Comodule
+    """0 -> left -> sum of middle -> right -> 0."""
+
+    def __init__(self, left, middle, right):
+        self.left, self.middle, self.right = left, middle, right
 
     def additivity_holds(self):
         total = self.left.dim_vector() + self.right.dim_vector()
@@ -337,21 +394,19 @@ def almost_split_mesh(module, direction="ending-at"):
 # knitting
 
 
-@dataclass
 class KnitNode:
-    node_id: str
-    dim: DimensionVector
-    label: str = None
+    def __init__(self, node_id, dim, label=None):
+        self.node_id, self.dim, self.label = node_id, dim, label
 
 
-@dataclass
 class KnitFragment:
-    presentation: object
-    nodes: list = field(default_factory=list)
-    arrows: list = field(default_factory=list)      # (src_id, dst_id, mult)
-    tau_links: list = field(default_factory=list)   # (end_id, translate_id)
-    meshes: list = field(default_factory=list)      # (end_id, [middle ids], translate_id)
-    by_id: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, presentation):
+        self.presentation = presentation
+        self.nodes = []
+        self.arrows = []        # (src_id, dst_id, mult)
+        self.tau_links = []     # (end_id, translate_id)
+        self.meshes = []        # (end_id, [middle ids], translate_id)
+        self.by_id = {}
 
     def add_node(self, dim, label):
         node = KnitNode(f"n{len(self.nodes)}", dim, label)

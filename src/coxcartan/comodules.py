@@ -1,27 +1,41 @@
 """Finite-dimensional comodules as representations over the rationals, and
-the socle -> envelope -> cokernel engine of path presentations.
+the socle -> envelope -> cokernel engine of injective copresentations and
+resolutions.
 
 A Comodule assigns a Q-vector space to each vertex of a presentation and a
 matrix to each arc inside its support; arcs leaving the support are the zero
 map.  Over an incidence presentation the arcs are the covers, so a comodule
 is a representation of the Hasse quiver with commutativity relations.
 
-Minimal injective copresentations (module `artranslate`) repeat one step on
-a finite window of a path presentation: take the socle, embed into its
-injective envelope (`envelope`), pass to the cokernel (`cokernel`).  The
+The engine repeats one step on a finite convex window: take the socle, embed
+into its injective envelope, pass to the cokernel.  It has two models, and
+each presentation runs one of them (`Presentation.thin`).
+
+On a thin presentation (every poset, and the tree families a-infinity,
+z-a-infinity and d-infinity) at most one path joins two vertices, so the
+injective E(a) is 1 at each v that reaches a and 0 elsewhere, every map 1,
+and Hom(M, E(a)) is M(a)*.  A sum of injectives is then the list of its
+summands' labels, and a cokernel is kept by its dual: at each v a basis of
+functionals, sparse rows over the summands holding v.  `label_envelope`
+embeds a comodule, pulling each socle functional back along the one path to
+its label; `label_socle` reads the envelope of a cokernel off the top of its
+dual, and `label_annihilators` passes to the next cokernel.  A morphism
+between sums of injectives is one sparse scalar matrix (LabelMorphism),
+whose matrix at v is the submatrix of the summands holding v.  Module
+`resolutions` resolves a poset's simples this way, and module `artranslate`
+copresents comodules of the tree families.
+
+Finite quivers and Hasse-quiver views keep path-basis injectives: the
 injective at a (MaterializedInjective) has basis, at vertex v, the directed
 paths v -> a; an arrow strips itself off the front of a path and kills
 everything else.  Its dimension vector is the Cartan row at a and its socle
-the simple at a.  A poset's injectives are thin, so module `resolutions`
-resolves its simples on the labels of their summands and never builds a
-Comodule.
-
-Morphisms between finite direct sums of injectives of path presentations are
-carried around symbolically: the hom space from the injective at j to the one
-at a has as basis the paths a -> j, a path acting by chopping itself off the
-end.  The symbolic form is what makes the duality into the opposite quiver
-exact (it just reverses paths), while windows only enter when a morphism is
-materialised into matrices.
+the simple at a.  `envelope` and `cokernel` materialise each step on the
+window, and a morphism between sums of injectives is carried symbolically
+(InjectiveMorphism): the hom space from the injective at j to the one at a
+has as basis the paths a -> j, a path acting by chopping itself off the
+end.  In both models the symbolic form is what makes the duality into the
+opposite quiver exact (same coefficients, reversed paths), while windows
+only enter when a morphism is read at a vertex.
 """
 
 import os
@@ -300,6 +314,11 @@ class FormalInjective:
         """The corresponding sum of opposite-side injectives (same labels)."""
         return FormalInjective(self.pres.opposite(), [(v, 1) for v in self.summands])
 
+    def holding(self, v):
+        """The indices of the summands whose support holds v: on a thin
+        presentation, its basis at v."""
+        return [i for i, a in enumerate(self.summands) if self.pres.could_reach(v, a)]
+
     def __repr__(self):
         mult = self.multiplicities()
         parts = [
@@ -323,8 +342,7 @@ class MaterializedInjective:
     basis[v] lists (summand index, route) pairs, a route being one of the
     paths from v to the socle vertex of the summand; an arrow strips itself
     off the front of a route and kills every route it does not start.  A
-    poset's injectives are thin, and module `resolutions` keeps them as
-    labels instead.
+    thin presentation keeps its injectives as labels instead.
     """
 
     def __init__(self, formal, window):
@@ -461,6 +479,12 @@ class InjectiveMorphism:
             for v in src_mat.window
         }
 
+    def at(self, v):
+        """(source basis at v, the matrix at v)."""
+        cols = path_basis(self.source, v)
+        rows = path_basis(self.target, v)
+        return cols, self.matrix(cols, {item: r for r, item in enumerate(rows)})
+
     def matrix(self, cols, row_of):
         """The matrix at one vertex, from the source basis `cols` there to the
         target basis indexed by `row_of` (basis item -> row)."""
@@ -493,3 +517,136 @@ def materialized_kernel(mod, bases):
             assert sol is not None, "kernel not arrow-stable"
             maps[arrow] = sol
     return Comodule(mod.pres, dims, maps)
+
+
+# ---------------------------------------------------------------------------
+# thin injectives on labels
+
+def label_envelope(mod, window):
+    """The envelope M -> E0 of a finite comodule over a thin presentation, on
+    labels: (the socle vertices of the summands of E0, the dual of E0/M on
+    `window` as `label_socle` reads it).
+
+    Each socle basis vector at a gives one summand E(a) and a functional phi
+    on M(a) that is 1 on it and 0 on the rest of a basis extending the socle,
+    as `envelope` chooses them.  The embedding at v reads phi along the one
+    path v -> a, so phi is pulled back once, walking back along in-arcs from
+    a inside supp M; its rank at v must be dim M(v).  Equal embeddings are
+    eliminated once.
+    """
+    pres = mod.pres
+    socdim, socbases = mod.socle()
+    labels, pulled = [], []
+    for a in sorted(socdim.support, key=pres.sort_key):
+        _, cinv = linalg.extend_to_basis(socbases[a], mod.dim(a))
+        for phi in cinv[: len(socbases[a])]:
+            labels.append(a)
+            back, todo = {a: phi}, [a]
+            while todo:
+                w = todo.pop()
+                for u, _ in pres.in_arcs(w):
+                    if mod.dim(u):
+                        mat = mod.arrow_map((u, w, 0))
+                        back[u] = [
+                            sum(x * mat[r][c] for r, x in enumerate(back[w]))
+                            for c in range(mod.dim(u))
+                        ]
+                        todo.append(u)
+            pulled.append(back)
+    ann, found = {}, {}
+    for v in window:
+        above = [i for i, a in enumerate(labels) if pres.could_reach(v, a)]
+        rows = tuple(tuple(pulled[i].get(v, ())) for i in above)
+        if rows not in found:
+            found[rows] = linalg.left_kernel([dict(enumerate(row)) for row in rows])
+        rank, kernel = found[rows]
+        if rank != mod.dim(v):
+            raise AssertionError(f"envelope embedding not injective at {pres.display(v)}")
+        if kernel:
+            ann[v] = [{above[t]: x for t, x in row.items()} for row in kernel]
+    return labels, ann
+
+
+def label_socle(pres, region, ann):
+    """[(label, functional)] of the envelope of the cokernel whose dual at v
+    is spanned by ann[v], in region order: a row of ann[v] outside the span
+    of the rows of its out-neighbours (read at v with the same coefficients)
+    and of the rows before it gives one summand E(v), and is the map into
+    it."""
+    socle = []
+    for v in region:
+        rows = ann.get(v)
+        if rows:
+            above = [a for w, _ in pres.out_arcs(v) for a in ann.get(w, ())]
+            socle.extend((v, a) for a in linalg.independent_rows(above, rows))
+    return socle
+
+
+def label_annihilators(pres, region, socle, ann):
+    """The next ann: at u, the left kernel of the functionals of the
+    `socle` summands whose support holds u, keyed by summand.  Their rank
+    must equal len(ann[u]), or the envelope does not embed the cokernel.
+    Both depend only on the set of those summands, so each set is
+    eliminated once."""
+    found, out = {}, {}
+    for u in region:
+        above = tuple(k for k, (b, _) in enumerate(socle) if pres.could_reach(u, b))
+        if above not in found:
+            rank, kernel = linalg.left_kernel([socle[k][1] for k in above])
+            found[above] = (rank, [{above[t]: x for t, x in row.items()} for row in kernel])
+        rank, rows = found[above]
+        if rank != len(ann.get(u, ())):
+            raise AssertionError(f"envelope embedding not injective at {pres.display(u)}")
+        if rows:
+            out[u] = rows
+    return out
+
+
+class LabelMorphism:
+    """Morphism source -> target between formal injectives of a thin
+    presentation.  Hom(E(a), E(b)) is the scalars when b reaches a and zero
+    otherwise, so the morphism is one sparse matrix: coeffs[ti, si] is the
+    scalar from source summand si to target summand ti.  At v it is the
+    submatrix of the summands whose support holds v."""
+
+    def __init__(self, source, target, coeffs):
+        self.source = source
+        self.target = target
+        self.coeffs = {key: c for key, c in coeffs.items() if c}
+
+    def nabla(self):
+        """The dual morphism between the opposite-side injectives: same
+        coefficients, source and target exchanged."""
+        coeffs = {(si, ti): c for (ti, si), c in self.coeffs.items()}
+        return LabelMorphism(self.target.nabla(), self.source.nabla(), coeffs)
+
+    def at(self, v):
+        """(source basis at v, the matrix at v), as `InjectiveMorphism.at`."""
+        cols = self.source.holding(v)
+        coeffs = self.coeffs
+        return cols, [[coeffs.get((ti, si), F0) for si in cols] for ti in self.target.holding(v)]
+
+
+def label_kernel(formal, bases):
+    """The subcomodule of a formal injective of a thin presentation spanned
+    at each v by the columns bases[v] over formal.holding(v), which must be
+    stable under the arrow maps (a kernel).  An arrow v -> w keeps the
+    coordinates of the summands holding w, so its image is a restriction.
+    A system is solved once per pair of basis lists and kept coordinates:
+    vertices with equal matrices share one basis list."""
+    pres, maps, solved = formal.pres, {}, {}
+    held = {v: formal.holding(v) for v in bases}
+    for v, basis in bases.items():
+        pos = {si: i for i, si in enumerate(held[v])}
+        for arrow in arrows_from(pres, v):
+            w = arrow[1]
+            if w in bases:
+                kept = [pos[si] for si in held[w]]
+                key = (id(basis), id(bases[w]), *kept)
+                if key not in solved:
+                    img = [[x[i] for x in basis] for i in kept]
+                    a = linalg.columns_matrix(bases[w], len(kept))
+                    solved[key] = linalg.solve_matrix(a, img)
+                    assert solved[key] is not None, "kernel not arrow-stable"
+                maps[arrow] = solved[key]
+    return Comodule(pres, {v: len(b) for v, b in bases.items()}, maps)

@@ -211,6 +211,17 @@ def kernel_basis(rows, ncols):
     return list(basis.values())
 
 
+def left_kernel(rows):
+    """(rank, basis) of the sparse rows {col: value}: the basis spans the
+    combinations of them that vanish, as sparse rows {row index: value}."""
+    cols = {}
+    for t, row in enumerate(rows):
+        for c, x in row.items():
+            cols.setdefault(c, {})[t] = x
+    kernel = kernel_basis(list(cols.values()), len(rows))
+    return len(rows) - len(kernel), [{t: x for t, x in enumerate(vec) if x} for vec in kernel]
+
+
 def nullspace(a):
     """Basis of the right kernel {x : a x = 0}, returned as a list of columns."""
     return kernel_basis([dict(enumerate(row)) for row in a], shape(a)[1])

@@ -108,6 +108,10 @@ class Presentation:
     # a linear quiver on consecutive integers, where interval modules and
     # their meshes have closed forms
     linear = False
+    # at most one path joins two vertices, so every indecomposable injective
+    # has dimension <= 1 at each vertex and is kept by its label (module
+    # `comodules`)
+    thin = False
 
     # -- vertex bookkeeping ------------------------------------------------
 
@@ -306,6 +310,7 @@ class OppositePresentation(_View):
     def __init__(self, base):
         super().__init__(base)
         self.kind = base.kind
+        self.thin = base.thin
         self.cartan_finiteness = base.cartan_finiteness[::-1]
 
     def out_arcs(self, v):
@@ -498,6 +503,7 @@ class FinitePoset(_FinitePresentation):
     """
 
     kind = "poset"
+    thin = True
     cycle_message = "cover {} {} violates strict order (cycle)"
 
     def __init__(self, elements, relations):
@@ -551,6 +557,7 @@ class AInfinityQuiver(Presentation):
     family = "a-infinity"
     cartan_finiteness = (True, False)
     linear = True
+    thin = True
     start = 0
 
     def has_vertex(self, v):
@@ -594,6 +601,7 @@ class DInfinityQuiver(Presentation):
     kind = "quiver"
     family = "d-infinity"
     cartan_finiteness = (True, False)
+    thin = True
 
     def has_vertex(self, v):
         return isinstance(v, int) and v >= -1
@@ -649,6 +657,7 @@ class GarlandFamily(Presentation):
 
     kind = "poset"
     cartan_finiteness = (False, False)
+    thin = True
 
     def __init__(self, length):
         if length < 1:

@@ -27,7 +27,10 @@ representation); each row of A_v outside that span gives one summand E(v)
 of the next term, and is the map into it.  The next cokernel's dual at u is
 the left kernel of those maps restricted to the summands above u, and their
 rank there must equal len(A_u): the envelope of Q is injective, else the
-engine is at fault.  All of it is sparse exact elimination (`linalg`).
+engine is at fault.  All of it is sparse exact elimination (`linalg`),
+done by the label steps of module `comodules` (`label_socle`,
+`label_annihilators`), which the copresentations of the tree families
+share.
 
 Two independent cross-oracles are provided for incidence presentations:
   * the classical Mobius recursion, whose values must match the alternating
@@ -49,10 +52,9 @@ cross-oracles keep their own memos and never move a value along an orbit.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import linalg
-from .comodules import node_budget
+from .comodules import label_annihilators, label_socle, node_budget
 from .errors import IntervalFinitenessViolated, UnknownVertex
 
 
@@ -79,51 +81,13 @@ def _resolve_in_region(pres, region, j):
     for _ in range(len(region)):
         if not ann:
             return terms
-        socle = _socle(pres, region, ann)
+        socle = label_socle(pres, region, ann)
         terms.append(dict(Counter(b for b, _ in socle)))
-        ann = _annihilators(pres, region, socle, ann)
+        ann = label_annihilators(pres, region, socle, ann)
     raise AssertionError(
         f"resolution of simple at {pres.display(j)} still nonzero at degree "
         f"{len(region)} over a region of {len(region)} elements"
     )
-
-
-def _socle(pres, region, ann):
-    """[(label, functional)] of the envelope of the cokernel whose dual at v
-    is spanned by ann[v], in region order: a row of ann[v] outside the span
-    of the covers' rows (read at v with the same coefficients) and of the
-    rows before it gives one summand E(v), and is the map into it."""
-    socle = []
-    for v in region:
-        rows = ann.get(v)
-        if rows:
-            above = [a for w, _ in pres.out_arcs(v) for a in ann.get(w, ())]
-            socle.extend((v, a) for a in linalg.independent_rows(above, rows))
-    return socle
-
-
-def _annihilators(pres, region, socle, ann):
-    """The next ann: at u, the left kernel of the functionals of the
-    `socle` summands above u, keyed by summand.  Their rank must equal
-    len(ann[u]), or the envelope does not embed the cokernel.  Both depend
-    only on the set of summands above u, so each set is eliminated once."""
-    found, out = {}, {}
-    for u in region:
-        above = tuple(k for k, (b, _) in enumerate(socle) if pres.leq(u, b))
-        if above not in found:
-            cols = {}
-            for t, k in enumerate(above):
-                for i, x in socle[k][1].items():
-                    cols.setdefault(i, {})[t] = x
-            kernel = linalg.kernel_basis(list(cols.values()), len(above))
-            rows = [{above[t]: x for t, x in enumerate(vec) if x} for vec in kernel]
-            found[above] = (len(above) - len(kernel), rows)
-        rank, rows = found[above]
-        if rank != len(ann.get(u, ())):
-            raise AssertionError(f"envelope embedding not injective at {pres.display(u)}")
-        if rows:
-            out[u] = rows
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +132,12 @@ def _interval_terms(pres, src, tgt):
     return [t.get(src, 0) for t in _row_terms(pres, tgt)]
 
 
-@dataclass
 class ResolutionSummary:
-    simple: object
-    side: str
-    terms: list
+    """The per-degree multiplicity dicts `terms` of the minimal injective
+    resolution of the simple at `simple` on `side`."""
+
+    def __init__(self, simple, side, terms):
+        self.simple, self.side, self.terms = simple, side, terms
 
     def length(self):
         return len(self.terms) - 1
@@ -341,13 +306,13 @@ def inj_dim_simple(pres, j):
     return minimal_injective_resolution(pres, j).length()
 
 
-@dataclass
 class SharpEulerReport:
-    computable: bool
-    left_sharp: bool
-    right_sharp: bool
-    symmetric: bool
-    failures: list = field(default_factory=list)
+    """The verdicts of `check_sharp_euler`, with one message per failure."""
+
+    def __init__(self, computable, left_sharp, right_sharp, symmetric, failures):
+        self.computable, self.left_sharp = computable, left_sharp
+        self.right_sharp, self.symmetric = right_sharp, symmetric
+        self.failures = failures
 
     @property
     def ok(self):

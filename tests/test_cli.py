@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -735,3 +736,123 @@ def test_far_apply_reads_no_cartan_row():
             tracemalloc.stop()
         assert (code, out) == (0, expect)
         assert peak < 5 * 2**20, (direction, peak)
+
+
+def translate_corpus():
+    """tau both ways, verify tau and mesh on the three path families, with
+    the refusals among them: intervals that leave the family or cross the
+    fork of d-infinity, meshes off the linear chains, windows whose
+    knitting reaches the edge of its section, malformed intervals."""
+    starts = {"a-infinity": 0, "z-a-infinity": -3, "d-infinity": -1}
+    for fam, s in starts.items():
+        for direction in ("tau", "tau-minus"):
+            for lo in range(s, s + 7):
+                for hi in [*range(lo - 1, lo + 6), lo + 12, lo + 30]:
+                    yield ["tau", f"--family={fam}", f"--interval={lo},{hi}",
+                           f"--direction={direction}"]
+        for lo in (s, s + 2, 5):
+            for n in (1, 3, 6):
+                yield ["verify", f"--family={fam}", f"--window={lo}..{lo + n - 1}", "--suite=tau"]
+        for direction in ("ending-at", "starting-from"):
+            for lo, hi in ((0, 0), (1, 3), (2, 2), (-1, 1), (3, 20)):
+                yield ["mesh", f"--family={fam}", f"--interval={lo},{hi}",
+                       f"--direction={direction}"]
+    yield ["tau", "--family=garland:2", "--interval=1,2"]
+    yield ["verify", "--family=garland:1", "--window=0..1", "--suite=tau"]
+    yield ["tau", "--family=a-infinity", "--interval=x,2"]
+    yield ["tau", "--family=a-infinity", "--interval=1"]
+
+
+def test_translate_corpus_output_is_unchanged():
+    # one digest over argv, exit code, stdout and stderr of every command,
+    # recorded when the three families still ran the path-basis engine
+    digest = hashlib.sha256()
+    count = 0
+    for argv in translate_corpus():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(argv)
+        digest.update(json.dumps([argv, code, out, err.getvalue()]).encode())
+        count += 1
+    assert count == 439
+    assert digest.hexdigest() == (
+        "6debbd90aaa69adf4580934248dcd17052dde38f70fb5b5e1251a9018f1cc147"
+    )
+
+
+PATH_FAMILY_TRANSLATES = [
+    (["tau", "--family=a-infinity", "--interval=2,5", "--direction=tau"], 0, "1@3,1@4,1@5,1@6\n"),
+    (["tau", "--family=a-infinity", "--interval=2,5", "--direction=tau-minus"], 0,
+     "1@1,1@2,1@3,1@4\n"),
+    (["tau", "--family=a-infinity", "--interval=0,3", "--direction=tau-minus"], 0, "0\n"),
+    (["tau", "--family=z-a-infinity", "--interval=-3,1", "--direction=tau"], 0,
+     "1@-2,1@-1,1@0,1@1,1@2\n"),
+    (["tau", "--family=z-a-infinity", "--interval=-3,1", "--direction=tau-minus"], 0,
+     "1@-4,1@-3,1@-2,1@-1,1@0\n"),
+    (["tau", "--family=d-infinity", "--interval=2,4", "--direction=tau"], 0, "1@3,1@4,1@5\n"),
+    (["tau", "--family=d-infinity", "--interval=2,4", "--direction=tau-minus"], 0,
+     "1@-1,1@0,1@1,1@2,1@3\n"),
+    (["tau", "--family=d-infinity", "--interval=1,1", "--direction=tau"], 0,
+     "1@-1,1@0,2@1,1@2\n"),
+    (["tau", "--family=d-infinity", "--interval=-1,-1", "--direction=tau-minus"], 2, ""),
+    (["verify", "--family=a-infinity", "--window=0..6", "--suite=tau"], 0,
+     "OK: translate formula holds for 21 interval modules\n"),
+    (["verify", "--family=z-a-infinity", "--window=-3..2", "--suite=tau"], 0,
+     "OK: translate formula holds for 21 interval modules\n"),
+    (["verify", "--family=d-infinity", "--window=-1..6", "--suite=tau"], 0,
+     "OK: knitting completed 4 coherent meshes\n"),
+    (["mesh", "--family=a-infinity", "--interval=1,3", "--direction=ending-at"], 0,
+     "0 -> 1@2,1@3,1@4 -> 1@1,1@2,1@3,1@4 + 1@2,1@3 -> 1@1,1@2,1@3 -> 0\n"),
+    (["mesh", "--family=z-a-infinity", "--interval=-2,2", "--direction=starting-from"], 0,
+     "0 -> 1@-2,1@-1,1@0,1@1,1@2 -> 1@-3,1@-2,1@-1,1@0,1@1,1@2 + 1@-2,1@-1,1@0,1@1 "
+     "-> 1@-3,1@-2,1@-1,1@0,1@1 -> 0\n"),
+]
+
+
+def test_path_family_translates_build_no_path_basis_injective(capsys):
+    # the three tree families are thin: their copresentations, certificates
+    # and transpose kernels run on labels and never enumerate a path
+    from coxcartan import artranslate, comodules
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("path model used")
+
+    with contextlib.ExitStack() as stack:
+        for owner, name in [
+            (comodules.MaterializedInjective, "__init__"),
+            (comodules.InjectiveMorphism, "materialize"),
+            *((mod, name) for mod in (comodules, artranslate)
+              for name in ("envelope", "cokernel", "enumerate_paths")),
+        ]:
+            stack.enter_context(mock.patch.object(owner, name, refuse))
+        for argv, code, out in PATH_FAMILY_TRANSLATES:
+            assert invoke(argv) == (code, out), argv
+    assert capsys.readouterr().err == (
+        "error: transpose kernel is infinite-dimensional: the flipped E1 = E(1) is "
+        "infinite at 1 and the flipped E0 = E(-1) finite\n"
+    )
+
+
+def test_far_translates_cost_what_the_near_ones_cost():
+    # tau and tau-minus of I[n, n+5] on the tree families: neither the
+    # E(k) fit test nor the infinite-kernel refusal builds an ancestor set,
+    # so n = 10**6 peaks within a small factor of n = 10
+    def traced(argv):
+        tracemalloc.start()
+        try:
+            code, out = invoke(argv)
+            return code, out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for family in ("a-infinity", "d-infinity"):
+        for direction, shift in (("tau", 1), ("tau-minus", -1)):
+            peaks = []
+            for n in (10, 10**6):
+                argv = ["tau", f"--family={family}", f"--interval={n},{n + 5}",
+                        f"--direction={direction}"]
+                code, out, peak = traced(argv)
+                shifted = ",".join(f"1@{v + shift}" for v in range(n, n + 6))
+                assert (code, out) == (0, shifted + "\n"), argv
+                peaks.append(peak)
+            assert peaks[1] < 3 * peaks[0] + 2**16, (family, direction, peaks)

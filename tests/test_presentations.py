@@ -514,3 +514,17 @@ def test_emit_views_of_families_raise():
     for name, arg in (("a-infinity", None), ("garland", 2)):
         fam = make_family(name, arg)
         assert parse_presentation(emit_presentation(fam)).family == fam.family
+
+
+def test_thin_is_a_fact_of_the_class_and_its_opposite():
+    # at most one path joins two vertices: every poset and the tree
+    # families; a file quiver (here a tree, too) and a Hasse-quiver view
+    # keep path-basis injectives
+    thin = [make_family(name) for name in ("a-infinity", "z-a-infinity", "d-infinity")]
+    thin += [make_family("garland", 2), garland_block_poset([1, 2])]
+    plain = [parse_presentation("kind quiver\narrow 0 1\n"),
+             hasse_quiver(make_family("garland", 2))]
+    for pres in thin:
+        assert pres.thin and pres.opposite().thin, pres.family
+    for pres in plain:
+        assert not pres.thin and not pres.opposite().thin

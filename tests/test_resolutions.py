@@ -313,7 +313,7 @@ def test_a_resolution_that_outlasts_its_region_is_a_defect(capsys):
     def stuck(pres, region, socle, ann):
         return {region[-1]: [{0: 1}]}
 
-    with mock.patch.object(resolutions, "_annihilators", stuck):
+    with mock.patch.object(resolutions, "label_annihilators", stuck):
         code = run(["resolve", "--family=garland-seq:1", "--vertex=j1"], out=io.StringIO())
     assert code == 3
     assert capsys.readouterr().err == (
@@ -326,13 +326,13 @@ def test_a_cokernel_that_does_not_embed_is_a_defect(capsys):
     # the envelope of the first cokernel of S(j1) on garland-seq:1 is
     # E(g1.1t) + E(g1.1b); a zero functional for E(g1.1t) leaves the
     # cokernel's line at g1.1t with no image, which the rank check catches
-    real = resolutions._socle
+    real = resolutions.label_socle
 
     def corrupted(pres, region, ann):
         socle = real(pres, region, ann)
         return [(socle[0][0], {})] + socle[1:]
 
-    with mock.patch.object(resolutions, "_socle", corrupted):
+    with mock.patch.object(resolutions, "label_socle", corrupted):
         code = run(["resolve", "--family=garland-seq:1", "--vertex=j1"], out=io.StringIO())
     assert code == 3
     assert capsys.readouterr().err == (

@@ -10,7 +10,8 @@ everywhere.
 
 The copresentation and the transpose kernel, each computed on its own exact
 window, are compared on finite quivers with the same constructions run on
-the whole quiver."""
+the whole quiver.  On the tree families, which run on injective labels, they
+are compared with the path model on a finite copy of a window."""
 
 from fractions import Fraction
 
@@ -237,3 +238,79 @@ def test_copresentation_window_holds_every_route():
     e0, e1, e0_mat, e1_mat, g = whole_quiver_copresentation(module)
     assert cop.e1.summands == e1.summands == [0, 3]
     assert cop.map.materialize(e0_mat, e1_mat) == g
+
+
+FAMILY_STARTS = {"a-infinity": 0, "z-a-infinity": None, "d-infinity": -1}
+
+
+@st.composite
+def family_window_modules(draw):
+    """(module over a tree family or its opposite, the same module over a
+    FiniteQuiver copy of a window, the frontier of that window).
+
+    The module lives on a range of 1-4 vertices, with dimensions 0-2 and
+    integer maps.  The window reaches two arcs past that range, and down to
+    the start of a family that has one: every injective there is finite
+    below, and the transpose kernel, where finite, lies inside the window.
+    The frontier is the window's vertices with an arc leaving it; beyond
+    every label, where the kernel is constant."""
+    name = draw(st.sampled_from(sorted(FAMILY_STARTS)))
+    family, start = make_family(name), FAMILY_STARTS[name]
+    lo = draw(st.integers(-3 if start is None else start, 5))
+    inner = list(range(lo, lo + draw(st.integers(1, 4))))
+    verts = list(range(lo - 2 if start is None else start, inner[-1] + 3))
+    arrows = [(u, w) for u in verts for w, _ in family.out_arcs(u) if w in verts]
+    copy = parse_presentation(
+        "kind quiver\n" + "".join(f"vertex {v}\n" for v in verts)
+        + "".join(f"arrow {u} {w}\n" for u, w in arrows)
+    )
+    if draw(st.booleans()):
+        family, copy = family.opposite(), copy.opposite()
+    dims = {v: draw(st.integers(0, 2)) for v in inner}
+    maps = {}
+    for u in inner:
+        for arrow in arrows_from(family, u):
+            rows, cols = dims.get(arrow[1], 0), dims[u]
+            if rows and cols:
+                entries = st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols)
+                flat = draw(entries)
+                maps[arrow] = [
+                    [Fraction(flat[r * cols + c]) for c in range(cols)] for r in range(rows)
+                ]
+    frontier = [
+        v for v in verts
+        if any(w not in verts for w, _ in family.out_arcs(v) + family.in_arcs(v))
+    ]
+    return Comodule(family, dims, maps), Comodule(copy, dims, maps), verts, frontier
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_window_modules())
+def test_label_engine_matches_the_path_model_on_a_window_copy(case):
+    # the family runs on labels, the FiniteQuiver copy on path-basis
+    # injectives; an infinite kernel on the family, refused outright or by
+    # the node budget, shows on the copy as a kernel reaching its frontier
+    from unittest import mock
+
+    from coxcartan import InfiniteDimensional, IntervalFinitenessViolated, artranslate
+
+    module, copy, verts, frontier = case
+    assert module.pres.thin and not copy.pres.thin
+    cops = min_inj_copresentation(module), min_inj_copresentation(copy)
+    assert cops[0].e0.summands == cops[1].e0.summands
+    assert cops[0].e1.summands == cops[1].e1.summands
+    assert cops[0].exact_at_e1 and cops[1].exact_at_e1
+    for cop in cops:
+        for v in verts:
+            cols, g = cop.map.at(v)
+            assert len(cols) - (linalg.rank(g) if g else 0) == module.dim(v), v
+    assert certify_no_inj_hom(module) == certify_no_inj_hom(copy)
+    _, kernel = transpose_tr(copy)
+    with mock.patch.object(artranslate, "node_budget", return_value=3 * len(verts)):
+        try:
+            dims = transpose_tr(module)[1].dims
+        except (InfiniteDimensional, IntervalFinitenessViolated):
+            dims = None
+    assert (dims is None) == any(kernel.dim(v) for v in frontier)
+    if dims is not None:
+        assert dims == kernel.dims
