@@ -113,14 +113,15 @@ class InjCopresentation:
         self.e0, self.e1, self.map, self.exact_at_e1 = e0, e1, map, exact_at_e1
 
 
-def min_inj_copresentation(module):
+def min_inj_copresentation(module, socle=None):
     """Minimal injective copresentation 0 -> M -> E0 -> E1 of a finite
     comodule over a hereditary path presentation.
 
     E0 is the injective envelope of soc M, E1 the envelope of soc(E0/M); the
     connecting map is returned symbolically, on labels over a thin
     presentation and in the path basis otherwise.  Both are computed on one
-    exact window (see the module docstring).
+    exact window (see the module docstring).  `socle` is `module.socle()`
+    when the caller has it already.
     """
     pres = module.pres
     if pres.kind != "quiver":
@@ -137,8 +138,8 @@ def min_inj_copresentation(module):
     # that can still reach one of them
     window = sorted(chain.from_iterable(_layers(heads, onward)), key=pres.sort_key)
     if pres.thin:
-        return _label_copresentation(module, window)
-    e0_formal, e0_mat, iota = envelope(module, window)
+        return _label_copresentation(module, window, socle)
+    e0_formal, e0_mat, iota = envelope(module, window, socle)
     quotient, projs = cokernel(e0_mat.comodule, iota, window)
     e1_formal, e1_mat, embed2 = envelope(quotient, window)
     # concrete composite g = (Q -> E1) o (E0 -> Q)
@@ -168,18 +169,18 @@ def min_inj_copresentation(module):
     return InjCopresentation(e0_formal, e1_formal, gmor, exact)
 
 
-def _label_copresentation(module, window):
+def _label_copresentation(module, window, socle):
     """The copresentation of `min_inj_copresentation` over a thin
     presentation: the dual of E0/M from `label_envelope`, one label socle
     step for E1, whose functionals are the map E0 -> E1, and the next
     annihilators, empty exactly when E0/M -> E1 is onto on the window."""
     pres = module.pres
-    labels, ann = label_envelope(module, window)
-    socle = label_socle(pres, window, ann)
-    onto = not label_annihilators(pres, window, socle, ann)
+    labels, ann = label_envelope(module, window, socle)
+    step = label_socle(pres, window, ann)
+    onto = not label_annihilators(pres, window, step, ann)
     e0 = FormalInjective(pres, [(a, 1) for a in labels])
-    e1 = FormalInjective(pres, [(b, 1) for b, _ in socle])
-    coeffs = {(ti, si): x for ti, (_, row) in enumerate(socle) for si, x in row.items()}
+    e1 = FormalInjective(pres, [(b, 1) for b, _ in step])
+    coeffs = {(ti, si): x for ti, (_, row) in enumerate(step) for si, x in row.items()}
     return InjCopresentation(e0, e1, LabelMorphism(e0, e1, coeffs), onto)
 
 
@@ -197,14 +198,15 @@ def _ancestors_inside(pres, k, dims):
     return found
 
 
-def certify_no_inj_hom(module):
+def certify_no_inj_hom(module, socle=None):
     """True when no injective maps nonzero into the finite comodule `module`
     over a path presentation (exact; see the module docstring).  Only the
     E(k), k in its socle, that fit inside it are tested: finite, with support
     ancestors(k) in supp M and dimensions at most those of M.  On a thin
-    presentation E(k) is 1 at each vertex of its support, with every map 1."""
+    presentation E(k) is 1 at each vertex of its support, with every map 1.
+    `socle` is `module.socle()` when the caller has it already."""
     pres = module.pres
-    socdim, _ = module.socle()
+    socdim, _ = module.socle() if socle is None else socle
     for k in socdim.support:
         sup = _ancestors_inside(pres, k, module.dims)
         if sup is None:
@@ -229,7 +231,8 @@ def transpose_tr(module):
     kernel comodule).  The vector is dim of flipped E1 minus dim of flipped
     E0 when no injective maps into the module, the kernel's dims otherwise.
     """
-    _, lazy, kernel = _transpose_attempt(module, certify_no_inj_hom(module))
+    socle = module.socle()
+    _, lazy, kernel = _transpose_attempt(module, certify_no_inj_hom(module, socle), socle)
     return lazy, kernel
 
 
@@ -273,11 +276,12 @@ def _flipped_kernel(nabla_g):
     return materialized_kernel(MaterializedInjective(src, bases).comodule, bases)
 
 
-def _transpose_attempt(module, certified):
+def _transpose_attempt(module, certified, socle):
     """(copresentation, lazy dims, kernel) of the transpose of `module`;
-    `certified` says that no injective maps into it."""
+    `certified` says that no injective maps into it, and `socle` is
+    `module.socle()`."""
     pres = module.pres
-    copres = min_inj_copresentation(module)
+    copres = min_inj_copresentation(module, socle)
     if copres.e1.is_zero():
         return copres, LazyVector(lambda v: 0, support=frozenset()), zero_comodule(pres.opposite())
     kernel = _flipped_kernel(copres.map.nabla())   # over op: nabla E1 -> nabla E0
@@ -610,9 +614,10 @@ def verify_translate_formula(module, coxeter_op=None):
     if coxeter_op is None:
         coxeter_op = CoxeterOperator(cartan_pair(pres))
     dual = module.dual()
-    if not certify_no_inj_hom(dual):
+    socle = dual.socle()
+    if not certify_no_inj_hom(dual, socle):
         raise HomCNotZero("dual module receives an injective map")
-    copres, _, translate = _transpose_attempt(dual, True)
+    copres, _, translate = _transpose_attempt(dual, True, socle)
     if copres.e1.is_zero():
         raise HypothesisViolated("module is projective; translate vanishes")
     if not copres.exact_at_e1:

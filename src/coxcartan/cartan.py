@@ -7,7 +7,9 @@ the dimension vector of the opposite-side injective at j.  Each count is a
 fact of the presentation's class (`Presentation.path_count`), and so are the
 certified rows and columns (`paths_into`, `paths_from`) and the bulk counts
 that a window reads a line of (`counts_into`, `counts_from`), so no walk,
-memo or budget lives here.
+memo or budget lives here.  A window row of the inverse is its certified
+line, at most in-degree + 1 entries on a path presentation, scattered into
+a row of zeros at the positions that it holds.
 
 The inverse is the canonical one built from minimal injective resolutions of
 the simples, with one rule for both kinds of presentation: row j holds the
@@ -18,6 +20,8 @@ one, so the row is delta(j,p) - #arrows(p -> j) on j and its arrow
 neighbours; on an incidence presentation the entries are cross-checkable
 against the Mobius function.
 """
+
+from itertools import compress, count
 
 from .lazymatrix import DimensionVector, LazyIntMatrix, apply_vector, transpose
 
@@ -61,10 +65,14 @@ def cartan_inverse(pres):
         return inverse.row(j).get(p, 0) if pres.could_reach(p, j) else 0
 
     def row_on(j, cols):
-        # row j lives on local_downset(j), whose elements all reach j
+        # row j lives on local_downset(j), whose elements all reach j; its
+        # line is scattered onto the positions of cols that it holds
         reached = any(p != j and pres.could_reach(p, j) for p in cols)
-        line = inverse.row(j) if reached else {}
-        return [1 if p == j else line.get(p, 0) for p in cols]
+        line = {**inverse.row(j), j: 1} if reached else {j: 1}
+        out = [0] * len(cols)
+        for n in compress(count(), map(line.__contains__, cols)):
+            out[n] = line[cols[n]]
+        return out
 
     inverse = LazyIntMatrix(entry, row_rule=row, col_rule=col, name="c^-1", row_on=row_on)
     return inverse

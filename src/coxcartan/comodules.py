@@ -372,21 +372,21 @@ class MaterializedInjective:
         self.comodule = Comodule(pres, dims, maps)
 
 
-def envelope(mod, window):
+def envelope(mod, window, socle=None):
     """Minimal injective envelope of `mod`, materialised on `window`.
 
     Returns (formal injective, materialisation, per-vertex embedding rows).
     Each socle basis vector at a gives one summand E(a) and a functional on
     the space at a that is 1 on it and 0 on the rest of a basis extending the
     socle; the embedding row of a basis element is that functional pulled
-    back along its route.
+    back along its route.  `socle` is `mod.socle()` when the caller has it.
     """
     pres = mod.pres
     wset = set(window)
     for v in mod.support:
         if v not in wset:
             raise WindowInsufficient(f"support vertex {pres.display(v)} outside window")
-    socdim, socbases = mod.socle()
+    socdim, socbases = mod.socle() if socle is None else socle
     socles, functionals = [], []
     for a in sorted(socdim.support, key=pres.sort_key):
         basis = socbases[a]
@@ -522,7 +522,7 @@ def materialized_kernel(mod, bases):
 # ---------------------------------------------------------------------------
 # thin injectives on labels
 
-def label_envelope(mod, window):
+def label_envelope(mod, window, socle=None):
     """The envelope M -> E0 of a finite comodule over a thin presentation, on
     labels: (the socle vertices of the summands of E0, the dual of E0/M on
     `window` as `label_socle` reads it).
@@ -532,10 +532,10 @@ def label_envelope(mod, window):
     as `envelope` chooses them.  The embedding at v reads phi along the one
     path v -> a, so phi is pulled back once, walking back along in-arcs from
     a inside supp M; its rank at v must be dim M(v).  Equal embeddings are
-    eliminated once.
+    eliminated once.  `socle` is `mod.socle()` when the caller has it.
     """
     pres = mod.pres
-    socdim, socbases = mod.socle()
+    socdim, socbases = mod.socle() if socle is None else socle
     labels, pulled = [], []
     for a in sorted(socdim.support, key=pres.sort_key):
         _, cinv = linalg.extend_to_basis(socbases[a], mod.dim(a))

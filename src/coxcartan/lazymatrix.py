@@ -22,16 +22,22 @@ the sum over row i of `a` of a[i,k] times row k of `b`), and it is None
 when any of those lines is.  A window of a.b is evaluated row by row: row i
 of `a`, when certified, is spread over the rows of `b` on the window's
 columns, each read once per window and shared by every output row that
-meets it; a row of `a` that is not certified is evaluated entry by entry,
-lazily, and so is any row whose bulk read raises, so the first error and
-the first counterexample are those that the entry order meets first.
+meets it; the output row starts as its first factor row, times a[i,k], and
+each further one is added to it in one elementwise pass.  A row of `a`
+that is not certified is evaluated entry by entry, lazily, and so is any
+row whose bulk read raises, so the first error and the first
+counterexample are those that the entry order meets first.
+
+A window prints as TSV from a row of "0" cells per row, with str called
+only at the row's nonzero positions.
 
 Multiplication in this setting is not associative, so the API is strictly
 binary: chain products only with explicit grouping.
 """
 
 from functools import cached_property, partial
-from operator import mul
+from itertools import compress, count, repeat
+from operator import add, mul, neg
 
 from .errors import UndefinedProduct
 
@@ -202,10 +208,16 @@ class MatrixWindow:
         return [row[:] for row in self.data]
 
     def to_tsv(self):
-        pres = self.rows.presentation
-        lines = ["\t" + "\t".join(pres.display(c) for c in self.cols)]
+        """Tab-separated, with a header row and a label column; each row is
+        a copy of a row of "0" cells with str written at its nonzeros only."""
+        display = self.rows.presentation.display
+        zeros = ["0"] * len(self.cols)
+        lines = ["\t" + "\t".join(map(display, self.cols))]
         for v, row in zip(self.rows, self.data):
-            lines.append(pres.display(v) + "\t" + "\t".join(map(str, row)))
+            cells = zeros[:]
+            for n in compress(count(), row):
+                cells[n] = str(row[n])
+            lines.append(display(v) + "\t" + "\t".join(cells))
         return "\n".join(lines) + "\n"
 
 
@@ -227,13 +239,15 @@ def _window_rows(m, rows, cols):
     factor_rows = {}
 
     def product_row(ra):
-        out = [0] * len(cols)
+        out = None
         for k, aik in ra.items():
             row = factor_rows.get(k)
             if row is None:
                 row = factor_rows[k] = b.row_on(k, cols)
-            out = [x + aik * y for x, y in zip(out, row)]
-        return out
+            if aik != 1:
+                row = map(neg, row) if aik == -1 else map(mul, repeat(aik), row)
+            out = list(row if out is None else map(add, out, row))
+        return [0] * len(cols) if out is None else out
 
     for i in rows:
         ra = None if a is None else a.row(i)
@@ -281,14 +295,19 @@ def verify_identity_on_window(a, b, win, transposed=False):
 
 
 class DimensionVector:
-    """Finitely supported integer vector indexed by vertices."""
+    """Finitely supported integer vector indexed by vertices.  Integral
+    entries of any numeric type are kept as ints; a non-integral one raises
+    ValueError rather than being truncated."""
 
     def __init__(self, entries=None):
         self._d = {}
         if entries:
             for v, c in dict(entries).items():
                 if c != 0:
-                    self._d[v] = int(c)
+                    n = int(c)
+                    if n != c:
+                        raise ValueError(f"non-integral entry {c!r} at {v!r}")
+                    self._d[v] = n
 
     @classmethod
     def unit(cls, v):

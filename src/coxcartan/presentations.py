@@ -28,22 +28,25 @@ is cached on the base.
 A finite presentation keeps its reachability closure as one int bitmask
 per vertex, built without recursion in topological order (Kahn); order,
 intervals, covers and support certificates read it.  Path counts are facts
-of each class: 0 or 1 wherever at most one path joins two vertices, one
-column per target in reverse Kahn order on a finite quiver; a Cartan row
-(column) is the counts over the ancestors (descendants), `paths_into`
-(`paths_from`).  So are the bulk counts that a matrix window reads one line
-of, `counts_into(v, frms)` and `counts_from(u, tos)`: the base class loops
+of each class: 0 or 1 wherever at most one path joins two vertices; a
+finite quiver keeps the column of each target it is asked about, the sum
+of its in-neighbours' kept columns or else one pass over its ancestors in
+reverse Kahn order, and builds no other.  A Cartan row (column) is the
+counts over the ancestors (descendants), `paths_into` (`paths_from`).  So
+are the bulk counts that a matrix window reads one line of,
+`counts_into(v, frms)` and `counts_from(u, tos)`: the base class loops
 `path_count`, the linear chains and d-infinity compare in place, a finite
-quiver's `counts_into(v, ...)` reads the kept column of v, and the opposite
-view swaps the two.  An inverse Cartan row j of a path presentation lives on
-j and the tails of its arrows; a finite poset's lives on [c, j] for the
-nearest c < j comparable with every element below j, when there is one:
-below c each open interval is a cone.
+quiver reads its kept columns (of v, or entry u of each column of tos) with
+no Python call per cell, and the opposite view swaps the two.  An inverse
+Cartan row j of a path presentation lives on j and the tails of its arrows;
+a finite poset's lives on [c, j] for the nearest c < j comparable with
+every element below j, when there is one: below c each open interval is a
+cone.
 """
 
 import re
 from collections import Counter
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import EmptyWindow, PresentationError, UnknownVertex
 
@@ -479,20 +482,37 @@ class FiniteQuiver(_FinitePresentation):
         return self._column(v).get(u, 0)
 
     def counts_into(self, v, frms):
-        col = self._column(v)
-        return [col.get(u, 0) for u in frms]
+        return list(map(self._column(v).get, frms, repeat(0)))
+
+    def counts_from(self, u, tos):
+        # the kept columns of tos, once they all are, without a call per cell
+        columns = self.memo("columns")
+        try:
+            cols = list(map(columns.__getitem__, tos))
+        except KeyError:
+            cols = list(map(self._column, tos))
+        return list(map(dict.get, cols, repeat(u), repeat(0)))
 
     def _column(self, v):
-        """The kept column of v: the counts w -> v of its ancestors w, each
-        the sum over w's arrows, in one pass in reverse Kahn order."""
+        """The kept column of v: {w: number of paths w -> v} over v's
+        ancestors w.  When every in-neighbour x of v has its column kept, it
+        is their sum, each times the arrows x -> v; otherwise each ancestor's
+        count is the sum over its arrows, one pass over the ancestors alone
+        in reverse Kahn order.  So only the columns asked for are built."""
         columns = self.memo("columns")
-        if v not in columns:
-            down, col = self._down.get(v, 0), {v: 1}
-            for w in reversed(self._topo):
-                if w != v and down & self._bit[w]:
+        col = columns.get(v)
+        if col is None:
+            col, ins = {v: 1}, self._in.get(v, ())
+            if all(x in columns for x, _ in ins):
+                for x, m in ins:
+                    for w, n in columns[x].items():
+                        col[w] = col.get(w, 0) + m * n
+            else:
+                for w in sorted(self._members(self._down[v] ^ self._bit[v]),
+                                key=self._topo_index.__getitem__, reverse=True):
                     col[w] = sum(m * col.get(x, 0) for x, m in self._out[w])
             columns[v] = col
-        return columns[v]
+        return col
 
 
 class FinitePoset(_FinitePresentation):

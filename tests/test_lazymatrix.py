@@ -184,6 +184,19 @@ def test_dimension_vector_arithmetic():
     assert x.scale(3)[1] == 6
 
 
+def test_dimension_vectors_refuse_to_truncate():
+    # int() would read 1/2 as 0 and 2.7 as 2, leaving a zero vector with a
+    # nonempty support
+    for bad in ({0: Fraction(1, 2), 1: 2.7}, {0: 2.7}, {0: Fraction(-1, 3)}):
+        with pytest.raises(ValueError, match="non-integral"):
+            DimensionVector(bad)
+    x = DimensionVector({0: Fraction(4, 2), 1: 3.0, 2: Fraction(0), 3: -1})
+    assert list(x.items()) == [(0, 2), (1, 3), (3, -1)]
+    assert all(type(c) is int for _, c in x.items())
+    assert x.support == frozenset({0, 1, 3}) and not x.is_zero()
+    assert DimensionVector({0: Fraction(0), 1: 0.0}).is_zero()
+
+
 def test_concurrent_readers_see_pure_cache():
     from concurrent.futures import ThreadPoolExecutor
 
