@@ -36,11 +36,18 @@ whole on them, never on a window, and on a thin presentation it is 1 at
 each of them with every map 1.
 
 Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
-dimension vector is obtained from mesh additivity (sum of the middle minus the
-end) and is cross-checked against the Coxeter transformation at every step, so
+dimension vector tau is obtained from mesh additivity (sum of the middle minus
+the end) and is checked against the Coxeter transformation at every step, so
 an unsound seed section fails loudly rather than producing a wrong picture.
-The check stays independent: Phi is applied to the end's own dimension vector,
-never assembled from the Phi values of earlier meshes.  Nodes are indexed by
+The check is exact, on every vertex: Phi(end) = -(end.c^-tr).c equals tau
+exactly when tau.c^-1 = -(end.c^-tr), since c^-1 is a two-sided inverse
+whose rows and columns are finite, so every sum on the way is finite.  Both
+sides are short certified vectors, each one spread of a node's own dimension
+vector over the rows or the columns of c^-1, so the cost of a mesh is that of
+its output.  The check stays independent: it never combines the Phi values
+or inner vectors of earlier meshes.  Only a failed mesh reads Phi(end),
+through `CoxeterOperator.apply`, to name the first vertex on the supports
+grown by one arc where the two differ.  Nodes are indexed by
 id, and a node enters a ready queue, ordered by creation, once its last
 out-neighbour is meshed; the next mesh ends at the oldest ready node, so the
 cost of a knitting is linear in its output.  A failed mesh at a seed injective
@@ -85,7 +92,7 @@ from .errors import (
     PresentationError,
     UnknownVertex,
 )
-from .lazymatrix import DimensionVector, LazyVector
+from .lazymatrix import DimensionVector, LazyVector, spread
 
 
 def _layers(start, neighbours):
@@ -334,9 +341,8 @@ def _interval_span(dim):
     supp = dim.support
     if not supp or any(not isinstance(v, int) for v in supp):
         return None
-    supp = sorted(supp)
-    lo, hi = supp[0], supp[-1]
-    if supp != list(range(lo, hi + 1)) or any(dim[v] != 1 for v in supp):
+    lo, hi = min(supp), max(supp)
+    if hi - lo + 1 != len(supp) or any(c != 1 for _, c in dim.items()):
         return None
     return lo, hi
 
@@ -500,6 +506,23 @@ def _section_edge(pres, window):
     return edge
 
 
+def _disagreement(pres, coxeter_op, end, tdim):
+    """The message for a mesh whose translate `tdim` is not Phi(end): the
+    first vertex, on the supports of both grown by one arc, where they
+    differ, read through `CoxeterOperator.apply`."""
+    phi = coxeter_op.apply(end.dim, "forward")
+    for v in grow_window(pres, tdim.support | end.dim.support, 1):
+        if phi.entry(v) != tdim[v]:
+            return (
+                f"mesh at {end.node_id}: additivity and Coxeter disagree "
+                f"at {pres.display(v)} ({tdim[v]} vs {phi.entry(v)})"
+            )
+    return (
+        f"mesh at {end.node_id}: additivity and Coxeter disagree beyond the "
+        "supports of its end and translate grown by one arc"
+    )
+
+
 def knit_component(pres, seed, steps):
     """Knit `steps` meshes starting from a seed section.
 
@@ -507,12 +530,19 @@ def knit_component(pres, seed, steps):
     nodes a list of (label, DimensionVector) and arrows index pairs into it.
     A node is ready once every out-neighbour inside the fragment has been
     meshed, and the oldest ready node is meshed next; its translate gets the
-    additivity value (middle minus end), which must agree with the Coxeter
-    transformation coordinatewise or the knitting aborts.
+    additivity value (middle minus end), which must be the Coxeter image of
+    the end, checked exactly as tau.c^-1 = -(end.c^-tr) (see the module
+    docstring), or the knitting aborts with KnittingStuck.  Its message
+    names the first vertex on the supports grown by one arc where the two
+    differ, "additivity and Coxeter disagree at v (tau vs Phi)"; when none
+    of them does, it says that they disagree "beyond the supports of its end
+    and translate grown by one arc".  At a seed injective with an arc
+    leaving the section either message gives way to the edge of the section.
     """
     if pres.kind != "quiver":
         raise PresentationError("knitting needs a path presentation")
     coxeter_op = CoxeterOperator(cartan_pair(pres))
+    cinv = coxeter_op.cinv
     frag = KnitFragment(pres)
     in_of = {}
     pending = {}        # node id -> out-arrows to nodes not yet meshed
@@ -575,14 +605,10 @@ def knit_component(pres, seed, steps):
             raise stuck(
                 end.node_id, f"mesh at {end.node_id} has no valid translate (projective end?)"
             )
-        phi = coxeter_op.apply(end.dim, "forward")
-        for v in grow_window(pres, tdim.support | end.dim.support, 1):
-            if phi.entry(v) != tdim[v]:
-                raise stuck(
-                    end.node_id,
-                    f"mesh at {end.node_id}: additivity and Coxeter disagree "
-                    f"at {pres.display(v)} ({tdim[v]} vs {phi.entry(v)})",
-                )
+        # Phi(end) = -(end.c^-tr).c is tdim exactly when tdim.c^-1 = -(end.c^-tr)
+        inner = spread(end.dim, cinv.col)
+        if inner is None or spread(tdim, cinv.row) != {v: -c for v, c in inner.items()}:
+            raise stuck(end.node_id, _disagreement(pres, coxeter_op, end, tdim))
         span = _interval_span(tdim) if pres.linear else None
         tid = add_node(tdim, f"I[{span[0]},{span[1]}]" if span else None)
         for src, mult in in_of[end.node_id]:

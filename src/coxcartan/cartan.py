@@ -12,15 +12,18 @@ line, at most in-degree + 1 entries on a path presentation, scattered into
 a row of zeros at the positions that it holds.
 
 The inverse is the canonical one built from minimal injective resolutions of
-the simples, with one rule for both kinds of presentation: row j holds the
-alternating sums of the resolution multiplicities of the simple at j (module
-`resolutions`) over local_downset(j), the finite region that certifies the
-row.  On a hereditary path presentation that resolution has length at most
-one, so the row is delta(j,p) - #arrows(p -> j) on j and its arrow
-neighbours; on an incidence presentation the entries are cross-checkable
-against the Mobius function.
+the simples, with one rule for both kinds of presentation: row j is the
+alternating sum of the terms of the one resolution of the simple at j
+(`resolutions.alternating_row`), read whole, not entry by entry, and its keys
+lie in local_downset(j), the finite region that certifies the row.  An entry
+is the same sum at one p (`resolutions.ext_alternating_sum`).  On a
+hereditary path presentation that resolution has length at most one, so the
+row is delta(j,p) - #arrows(p -> j) on j and its arrow neighbours; on an
+incidence presentation the entries are cross-checkable against the Mobius
+function.
 """
 
+from functools import partial
 from itertools import compress, count
 
 from .lazymatrix import DimensionVector, LazyIntMatrix, apply_vector, transpose
@@ -45,24 +48,20 @@ def cartan_matrix(pres):
 
 def cartan_inverse(pres):
     """Row j is {p: alternating Ext sum} over local_downset(j), zeros dropped,
-    and column p gathers the entries of the rows over local_upset(p).  An
-    entry is 1 on the diagonal and 0 where p cannot reach j, with nothing
-    resolved; any other entry is read off row j.  A window of row j reads
-    row j once, and only when some p != j in it can reach j."""
+    read off the one resolution of the simple at j
+    (`resolutions.alternating_row`), and column p gathers the entries over
+    local_upset(p).  Entry (j, p) is `resolutions.ext_alternating_sum`: 1 on
+    the diagonal and 0 where p cannot reach j, with nothing resolved, and
+    otherwise read off row j.  A window of row j reads row j once, and only
+    when some p != j in it can reach j."""
     from . import resolutions
-
-    def row(j):
-        terms = {p: resolutions.ext_alternating_sum(pres, p, j) for p in pres.local_downset(j)}
-        return {p: v for p, v in terms.items() if v}
 
     def col(p):
         terms = {j: entry(j, p) for j in pres.local_upset(p)}
         return {j: v for j, v in terms.items() if v}
 
     def entry(j, p):
-        if j == p:
-            return 1
-        return inverse.row(j).get(p, 0) if pres.could_reach(p, j) else 0
+        return resolutions.ext_alternating_sum(pres, p, j)
 
     def row_on(j, cols):
         # row j lives on local_downset(j), whose elements all reach j; its
@@ -74,6 +73,7 @@ def cartan_inverse(pres):
             out[n] = line[cols[n]]
         return out
 
+    row = partial(resolutions.alternating_row, pres)
     inverse = LazyIntMatrix(entry, row_rule=row, col_rule=col, name="c^-1", row_on=row_on)
     return inverse
 

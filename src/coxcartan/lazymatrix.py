@@ -75,10 +75,16 @@ class LazyIntMatrix:
 
     def row(self, i):
         """Row i as {j: nonzero value}, or None; shared, so read only."""
-        return self._line(self._row_rule, ("row", i))
+        try:
+            return self._lines["row", i]
+        except KeyError:
+            return self._line(self._row_rule, ("row", i))
 
     def col(self, j):
-        return self._line(self._col_rule, ("col", j))
+        try:
+            return self._lines["col", j]
+        except KeyError:
+            return self._line(self._col_rule, ("col", j))
 
     def _line(self, rule, key):
         if rule is not None and key not in self._lines:
@@ -104,12 +110,13 @@ def spread(coeffs, line):
     if coeffs is None:
         return None
     acc = {}
+    get = acc.get
     for k, c in coeffs.items():
         ln = line(k)
         if ln is None:
             return None
         for j, v in ln.items():
-            acc[j] = acc.get(j, 0) + c * v
+            acc[j] = get(j, 0) + c * v
     return {j: v for j, v in acc.items() if v}
 
 
@@ -358,8 +365,8 @@ class DimensionVector:
     def sparse_str(self, pres):
         if not self._d:
             return "0"
-        items = sorted(self._d.items(), key=lambda p: pres.sort_key(p[0]))
-        return ",".join(f"{c}@{pres.display(v)}" for v, c in items)
+        d, display = self._d, pres.display
+        return ",".join(f"{d[v]}@{display(v)}" for v in sorted(d, key=pres.sort_key))
 
     def __repr__(self):
         return "DimensionVector(%r)" % (self._d,)

@@ -406,15 +406,13 @@ class _FinitePresentation(Presentation):
 
     def _store_arcs(self, arcs):
         """Keep (neighbour, multiplicity) lists in display order for `arcs`,
-        a list of (src, dst) pairs with repeats."""
-        out, into = {}, {}
-        for s, t in arcs:
-            out.setdefault(s, Counter())[t] += 1
-            into.setdefault(t, Counter())[s] += 1
-        self._out, self._in = (
-            {v: sorted(c.items(), key=lambda p: self._order[p[0]]) for v, c in d.items()}
-            for d in (out, into)
-        )
+        a list of (src, dst) pairs with repeats: the counted arcs are sorted
+        once per direction by the neighbour's place and dealt out in turn."""
+        counts = Counter(arcs)
+        self._out, self._in = {}, {}
+        for lists, end in ((self._out, 0), (self._in, 1)):
+            for arc in sorted(counts, key=lambda a: self._order[a[1 - end]]):
+                lists.setdefault(arc[end], []).append((arc[1 - end], counts[arc]))
 
     def _members(self, mask):
         """The vertices whose bits are set in mask, in display order."""

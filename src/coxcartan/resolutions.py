@@ -2,10 +2,10 @@
 
 One simple per orbit of the presentation's automorphisms is resolved
 (`_row_terms`), and Ext, the resolution tables and the rows of the inverse
-Cartan matrix all read that one resolution, moved onto every other simple of
-the orbit by the automorphism that `Presentation.orbit` names (on a garland,
-shift the blocks and swap top and bottom; elsewhere each orbit is one
-simple): the multiplicity of the injective at p in degree m of the
+Cartan matrix (`alternating_row`) all read that one resolution, moved onto
+every other simple of the orbit by the automorphism that `Presentation.orbit`
+names (on a garland, shift the blocks and swap top and bottom; elsewhere each
+orbit is one simple): the multiplicity of the injective at p in degree m of the
 resolution of the simple at j is dim Ext^m between the simples at p and j.
 Path presentations are hereditary, so their resolutions have length at most
 one and are written down in closed form.  On incidence presentations that
@@ -44,9 +44,9 @@ Two independent cross-oracles are provided for incidence presentations:
     once.  The oracle calls neither the engine nor the Mobius recursion.
 
 Memos live on the presentation (`Presentation.memo`): the rows of the
-resolutions under "rows", the order complexes with their ranks under
-"complex", the Mobius values under "mobius".  An opposite view keeps its
-memos on its base, so each orbit is resolved once per side however many
+resolutions under "rows" and their alternating sums under "alternating", the
+order complexes with their ranks under "complex", the Mobius values under
+"mobius".  An opposite view keeps its memos on its base, so each orbit is resolved once per side however many
 views are built, and every memo is freed with its presentation.  The two
 cross-oracles keep their own memos and never move a value along an orbit.
 """
@@ -175,13 +175,33 @@ def ext_dim(pres, src, tgt, m, method="resolution"):
     return _reduced_cohomology_dim(pres, open_part, m - 2)
 
 
+def alternating_row(pres, j):
+    """{p: sum over m of (-1)^m dim Ext^m(simple at p, simple at j)}, zeros
+    dropped: the alternating sum of the terms of the one resolution of the
+    simple at j (`_row_terms`), row j of the inverse Cartan matrix, kept in
+    `pres.memo("alternating")` and so read only.  Its keys lie in
+    local_downset(j), where that resolution lives."""
+    memo = pres.memo("alternating")
+    if j not in memo:
+        row = {}
+        for m, term in enumerate(_row_terms(pres, j)):
+            sign = -1 if m % 2 else 1
+            for p, d in term.items():
+                row[p] = row.get(p, 0) + sign * d
+        memo[j] = {p: v for p, v in row.items() if v}
+    return memo[j]
+
+
 def ext_alternating_sum(pres, p, j):
     """Sum over m of (-1)^m dim Ext^m(simple at p, simple at j): the (j, p)
-    entry of the inverse Cartan matrix of an incidence presentation, read off
-    the same per-degree list as `ext_dim`.  An entry with p <= j outside
-    local_downset(j) is the zero that the row's support certificate promises.
+    entry of the inverse Cartan matrix, read off `alternating_row`; p == j
+    gives 1 and a p that cannot reach j gives 0 without resolving anything.
+    An entry with p <= j outside local_downset(j) is the zero that the row's
+    support certificate promises.
     """
-    return sum((-1) ** m * d for m, d in enumerate(_interval_terms(pres, p, j)))
+    if p == j or not pres.could_reach(p, j):
+        return int(p == j)
+    return alternating_row(pres, j).get(p, 0)
 
 
 def _chains_of(elements, leq):

@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
+import json
+import random
+import re
 import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coxcartan import (
     Comodule,
@@ -17,6 +23,7 @@ from coxcartan import (
     direct_sum,
     find_isomorphism,
     hom_basis,
+    interval_column_seed,
     interval_comodule,
     knit_component,
     make_family,
@@ -494,3 +501,174 @@ def test_transpose_kernel_walk_charges_one_budget_unit_per_vertex():
     with mock.patch.object(artranslate, "node_budget", return_value=8):
         with pytest.raises(IntervalFinitenessViolated, match="COX_NODE_BUDGET 8"):
             tau(module, "tau-minus")
+
+
+def _quiver40():
+    """A seeded random acyclic quiver on 0..39: each vertex has one or two
+    arrows in from the six below it."""
+    rng = random.Random(40)
+    arrows = [
+        (rng.randrange(max(0, v - 6), v), v)
+        for v in range(1, 40) for _ in range(rng.choice((1, 1, 2)))
+    ]
+    return "kind quiver\n" + "".join(f"vertex {v}\n" for v in range(40)) + "".join(
+        f"arrow {u} {v}\n" for u, v in arrows
+    )
+
+
+KNIT_FILES = {"kronecker.txt": "kind quiver\narrow 0 1\narrow 0 1\n", "quiver40.txt": _quiver40()}
+
+
+def knit_corpus():
+    """knit in both formats from injective sections and seed columns on the
+    three path families, the Kronecker quiver and a 40-vertex --file quiver,
+    and verify tau on d-infinity windows: knittings that complete, that reach
+    the edge of their section (exit 2), whose seed column makes additivity
+    and Coxeter disagree, or that meet a projective end."""
+    sections = {"a-infinity": (0, 2), "z-a-infinity": (-3,), "d-infinity": (-1, 0, 1)}
+    for fmt in ("tsv", "dot"):
+        for fam, bases in sections.items():
+            for base in bases:
+                tops = (3, 8, 25, 45) if base == bases[0] else (8,)
+                for top in tops:
+                    for steps in (1, 4, 9, 20, 40):
+                        yield ["knit", f"--family={fam}", f"--section={base}..{base + top}",
+                               f"--steps={steps}", f"--format={fmt}"]
+            for lo in (-1, 0, 2):
+                for n in (0, 3, 15):
+                    for steps in (2, 7, 15):
+                        yield ["knit", f"--family={fam}", f"--seed-column={lo}..{lo + n}",
+                               f"--steps={steps}", f"--format={fmt}"]
+        for steps in (1, 4, 12, 30):
+            yield ["knit", "--file=kronecker.txt", "--section=0..1", f"--steps={steps}",
+                   f"--format={fmt}"]
+        for section, steps in (("0..39", 10), ("0..39", 40), ("5..39", 6), ("0..20", 15)):
+            yield ["knit", "--file=quiver40.txt", f"--section={section}", f"--steps={steps}",
+                   f"--format={fmt}"]
+        yield ["knit", "--file=quiver40.txt", "--seed-column=0..6", "--steps=4", f"--format={fmt}"]
+    for lo in (-1, 0, 1, 3):
+        for n in (2, 4, 6, 9):
+            yield ["verify", "--family=d-infinity", f"--window={lo}..{lo + n - 1}", "--suite=tau"]
+    yield ["knit", "--family=a-infinity", "--steps=3"]
+    yield ["knit", "--family=garland:1", "--section=0..1", "--steps=2"]
+
+
+def test_knit_corpus_output_is_unchanged(tmp_path, monkeypatch):
+    # one digest over argv, exit code, stdout and stderr of every command,
+    # recorded while each mesh still compared Phi on a window of its supports
+    from coxcartan.cli import run
+
+    monkeypatch.chdir(tmp_path)
+    for name, text in KNIT_FILES.items():
+        (tmp_path / name).write_text(text)
+    digest = hashlib.sha256()
+    count = 0
+    for argv in knit_corpus():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv, out=out)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+        count += 1
+    assert count == 348
+    assert digest.hexdigest() == (
+        "104a803308fd7777e5c03386bfa62ef6a4057942466bf1ab7a6a02056fdb49ea"
+    )
+
+
+def _knit_until_stuck(pres, seed, steps):
+    """(fragment of the meshes completed, the KnittingStuck message or None)."""
+    from coxcartan import KnittingStuck
+
+    try:
+        return knit_component(pres, seed, steps), None
+    except KnittingStuck as exc:
+        done = 0
+        while True:     # the meshes before the failing one complete
+            try:
+                knit_component(pres, seed, done + 1)
+            except KnittingStuck:
+                return knit_component(pres, seed, done), str(exc)
+            done += 1
+
+
+@st.composite
+def perturbed_columns(draw):
+    # a column of intervals [lo, m] on a path family with one node moved by
+    # +-1 at one vertex of its support or next to it, or left as it is
+    name = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
+    pres = make_family(name)
+    lo = draw(st.integers({"a-infinity": 0, "d-infinity": -1}.get(name, -4), 4))
+    hi = lo + draw(st.integers(1, 7))
+    nodes, arrows = interval_column_seed(pres, lo, list(range(lo, hi + 1)))
+    if draw(st.integers(0, 3)):
+        k = draw(st.integers(0, len(nodes) - 1))
+        label, dim = nodes[k]
+        v = draw(st.integers(lo - 1, lo + k + 1))
+        if pres.has_vertex(v):
+            nodes[k] = (label, dim + DimensionVector({v: draw(st.sampled_from([-1, 1]))}))
+    return pres, ("explicit", nodes, arrows), draw(st.integers(1, 2 * (hi - lo)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_columns())
+def test_knit_check_agrees_with_the_coxeter_transformation(case):
+    # every completed mesh has Phi(end), read through CoxeterOperator.apply,
+    # equal to its translate on their supports grown by three arcs, and a
+    # disagreement names a vertex where the two differ, with both values
+    from coxcartan import CoxeterOperator, cartan_pair
+    from coxcartan.artranslate import grow_window
+
+    pres, seed, steps = case
+    op = CoxeterOperator(cartan_pair(pres))
+    frag, message = _knit_until_stuck(pres, seed, steps)
+    for end_id, _, tid in frag.meshes:
+        end, translate = frag.node(end_id).dim, frag.node(tid).dim
+        phi = op.apply(end, "forward")
+        for v in grow_window(pres, end.support | translate.support, 3):
+            assert phi.entry(v) == translate[v], (end_id, v)
+    if message is None or "disagree" not in message:
+        return
+    found = re.fullmatch(r"mesh at (n\d+): additivity and Coxeter disagree at (\S+) "
+                         r"\((-?\d+) vs (-?\d+)\)", message)
+    assert found, message
+    end = frag.node(found[1]).dim
+    tdim = -end
+    for src, dst, mult in frag.arrows:
+        if dst == found[1]:
+            tdim = tdim + frag.node(src).dim.scale(mult)
+    v = pres.parse_token(found[2])
+    assert (tdim[v], op.apply(end, "forward").entry(v)) == (int(found[3]), int(found[4]))
+    assert found[3] != found[4]
+
+
+@pytest.mark.parametrize("family, lo", [("a-infinity", 0), ("d-infinity", -1)])
+def test_knit_evaluates_no_coxeter_image(family, lo):
+    # each mesh checks tau.c^-1 = -end.c^-tr, two spreads of certified
+    # lines: Phi is never applied and no window is grown
+    from coxcartan import CoxeterOperator, artranslate
+
+    pres = make_family(family)
+    with mock.patch.object(CoxeterOperator, "apply", autospec=True,
+                           side_effect=CoxeterOperator.apply) as apply, \
+            mock.patch.object(artranslate, "grow_window", wraps=artranslate.grow_window) as grow:
+        frag = knit_component(pres, ("injectives", list(pres.window(f"{lo}..162"))), 160)
+    assert len(frag.meshes) == 160
+    assert apply.call_count == 0 and grow.call_count == 0
+
+
+def test_knit_disagreement_with_no_vertex_in_the_grown_window():
+    # the identity is exact, so a mesh can fail it with no differing vertex
+    # on the supports grown by one arc; it is refused with its own message
+    from coxcartan import KnittingStuck, artranslate
+
+    d = make_family("d-infinity")
+    seed = ("explicit", *interval_column_seed(d, 0, [0, 1, 2, 3]))
+    with pytest.raises(KnittingStuck, match=r"^mesh at n0: additivity and Coxeter disagree at 0 "):
+        knit_component(d, seed, 2)
+    with mock.patch.object(artranslate, "grow_window", return_value=[]):
+        with pytest.raises(KnittingStuck) as stuck:
+            knit_component(d, seed, 2)
+    assert str(stuck.value) == (
+        "mesh at n0: additivity and Coxeter disagree beyond the supports of "
+        "its end and translate grown by one arc"
+    )
