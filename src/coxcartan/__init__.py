@@ -16,7 +16,6 @@ from .artranslate import (
     interval_column_seed,
     knit_component,
     min_inj_copresentation,
-    nakayama_dim,
     tau,
     transpose_tr,
     verify_translate_formula,
@@ -27,7 +26,6 @@ from .cartan import (
     cartan_matrix,
     cartan_pair,
     classify_finiteness,
-    dim_injective,
     path_count,
 )
 from .comodules import (
@@ -37,7 +35,6 @@ from .comodules import (
     find_isomorphism,
     hom_basis,
     interval_comodule,
-    simple_comodule,
     zero_comodule,
 )
 from .coxeter import CoxeterOperator, GeneratorCombination
@@ -51,7 +48,6 @@ from .errors import (
     KnittingStuck,
     NotInDomain,
     NotInKnittedRegion,
-    NotInSubgroup,
     PresentationError,
     UndefinedProduct,
     UnknownVertex,
@@ -64,7 +60,6 @@ from .lazymatrix import (
     MatrixWindow,
     apply_vector,
     evaluate_window,
-    identity_matrix,
     multiply,
     negate,
     parse_vector_literal,
@@ -80,11 +75,8 @@ from .presentations import (
     Window,
     ZAInfinityQuiver,
     check_local_boundedness,
-    emit_presentation,
     garland_block_poset,
-    hasse_quiver,
     make_family,
-    neighbors,
     parse_family_flag,
     parse_presentation,
 )
@@ -94,7 +86,6 @@ from .resolutions import (
     check_sharp_euler,
     ext_alternating_sum,
     ext_dim,
-    ext_table,
     inj_dim_simple,
     minimal_injective_resolution,
     mobius,

@@ -8,9 +8,9 @@ kernel there.  The copresentation is two steps of the socle -> envelope ->
 cokernel engine of module `comodules`.  A thin presentation (the tree
 families a-infinity, z-a-infinity and d-infinity) runs it on the labels of
 the summands, and its map E0 -> E1 is one sparse scalar matrix
-(LabelMorphism); finite quivers and Hasse-quiver views materialise
-path-basis injectives (InjectiveMorphism).  Windows enter only when a
-morphism is read at a vertex, and each window is exact, never a guess.
+(LabelMorphism); finite quivers materialise path-basis injectives
+(InjectiveMorphism).  Windows enter only when a morphism is read at a
+vertex, and each window is exact, never a guess.
 The copresentation works on the convex closure of T = supp M plus its
 in-neighbours (every vertex on a path between two of T).  soc(E0/M) lies in T: a socle class at
 v outside supp M is some x != 0 in E0(v) outside soc E0 = soc M, so an
@@ -39,20 +39,19 @@ Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
 dimension vector tau is obtained from mesh additivity (sum of the middle minus
 the end) and is checked against the Coxeter transformation at every step, so
 an unsound seed section fails loudly rather than producing a wrong picture.
-The check is exact, on every vertex: Phi(end) = -(end.c^-tr).c equals tau
-exactly when tau.c^-1 = -(end.c^-tr), since c^-1 is a two-sided inverse
-whose rows and columns are finite, so every sum on the way is finite.  Both
-sides are short certified vectors, each one spread of a node's own dimension
-vector over the rows or the columns of c^-1, so the cost of a mesh is that of
-its output.  The check stays independent: it never combines the Phi values
-or inner vectors of earlier meshes.  Only a failed mesh reads Phi(end),
-through `CoxeterOperator.apply`, to name the first vertex on the supports
-grown by one arc where the two differ.  Nodes are indexed by
-id, and a node enters a ready queue, ordered by creation, once its last
-out-neighbour is meshed; the next mesh ends at the oldest ready node, so the
-cost of a knitting is linear in its output.  A failed mesh at a seed injective
-E(j) with a quiver arc leaving the seed section is reported as the edge of the
-section rather than as a disagreement.
+The check is `CoxeterOperator.sends`, the identity tau.c^-1 = -(end.c^-tr),
+which holds exactly when Phi(end) = tau on every vertex; both sides are one
+spread of a node's own dimension vector over the rows or the columns of
+c^-1, so the cost of a mesh is that of its output, and nothing of earlier
+meshes is reused.  Only a failed mesh reads Phi(end), through
+`CoxeterOperator.apply`, to name the first vertex on the supports grown by
+one arc where the two differ.  `verify_translate_formula` compares the
+translate of a module with Phi of its dimension vector through the same
+identity.  Nodes are indexed by id, and a node enters a ready queue, ordered
+by creation, once its last out-neighbour is meshed; the next mesh ends at
+the oldest ready node, so the cost of a knitting is linear in its output.  A
+failed mesh at a seed injective E(j) with a quiver arc leaving the seed
+section is reported as the edge of the section rather than as a disagreement.
 """
 
 from bisect import insort
@@ -92,7 +91,7 @@ from .errors import (
     PresentationError,
     UnknownVertex,
 )
-from .lazymatrix import DimensionVector, LazyVector, spread
+from .lazymatrix import DimensionVector, LazyVector
 
 
 def _layers(start, neighbours):
@@ -531,18 +530,17 @@ def knit_component(pres, seed, steps):
     A node is ready once every out-neighbour inside the fragment has been
     meshed, and the oldest ready node is meshed next; its translate gets the
     additivity value (middle minus end), which must be the Coxeter image of
-    the end, checked exactly as tau.c^-1 = -(end.c^-tr) (see the module
-    docstring), or the knitting aborts with KnittingStuck.  Its message
-    names the first vertex on the supports grown by one arc where the two
-    differ, "additivity and Coxeter disagree at v (tau vs Phi)"; when none
-    of them does, it says that they disagree "beyond the supports of its end
-    and translate grown by one arc".  At a seed injective with an arc
-    leaving the section either message gives way to the edge of the section.
+    the end, checked exactly by `CoxeterOperator.sends`, or the knitting
+    aborts with KnittingStuck.  Its message names the first vertex on the
+    supports grown by one arc where the two differ, "additivity and Coxeter
+    disagree at v (tau vs Phi)"; when none of them does, it says that they
+    disagree "beyond the supports of its end and translate grown by one
+    arc".  At a seed injective with an arc leaving the section either
+    message gives way to the edge of the section.
     """
     if pres.kind != "quiver":
         raise PresentationError("knitting needs a path presentation")
     coxeter_op = CoxeterOperator(cartan_pair(pres))
-    cinv = coxeter_op.cinv
     frag = KnitFragment(pres)
     in_of = {}
     pending = {}        # node id -> out-arrows to nodes not yet meshed
@@ -605,9 +603,7 @@ def knit_component(pres, seed, steps):
             raise stuck(
                 end.node_id, f"mesh at {end.node_id} has no valid translate (projective end?)"
             )
-        # Phi(end) = -(end.c^-tr).c is tdim exactly when tdim.c^-1 = -(end.c^-tr)
-        inner = spread(end.dim, cinv.col)
-        if inner is None or spread(tdim, cinv.row) != {v: -c for v, c in inner.items()}:
+        if not coxeter_op.sends(end.dim, tdim):
             raise stuck(end.node_id, _disagreement(pres, coxeter_op, end, tdim))
         span = _interval_span(tdim) if pres.linear else None
         tid = add_node(tdim, f"I[{span[0]},{span[1]}]" if span else None)
@@ -623,7 +619,7 @@ def knit_component(pres, seed, steps):
 
 
 # ---------------------------------------------------------------------------
-# the translate / Coxeter comparison and the Nakayama dimension
+# the translate / Coxeter comparison
 
 
 def verify_translate_formula(module, coxeter_op=None):
@@ -632,7 +628,9 @@ def verify_translate_formula(module, coxeter_op=None):
 
     Hypotheses are certified, never assumed: the dual module must admit no
     maps from injectives and its copresentation must stop after one step.
-    Both sides are compared on their supports grown by two arrows.
+    The two sides are compared exactly, on every vertex, through
+    `CoxeterOperator.sends`, which reads only lines of c^-1.  Returns
+    {"holds": bool, "lhs": dim of the translate}.
     """
     pres = module.pres
     if pres.kind != "quiver":
@@ -649,23 +647,4 @@ def verify_translate_formula(module, coxeter_op=None):
     if not copres.exact_at_e1:
         raise HypothesisViolated("injective dimension of the dual exceeds one")
     lhs = translate.dim_vector()
-    rhs = coxeter_op.apply(module.dim_vector(), "forward")
-    coords = set(lhs.support) | set(module.dim_vector().support)
-    coords = grow_window(pres, sorted(coords, key=pres.sort_key), 2)
-    rhs_dim = DimensionVector({v: rhs.entry(v) for v in coords})
-    return {"holds": all(rhs_dim[v] == lhs[v] for v in coords), "lhs": lhs, "rhs": rhs_dim}
-
-
-def nakayama_dim(formal):
-    """Dimension vector of the Nakayama image of a formal injective: the sum
-    of the opposite-side injective dimension vectors of its summands."""
-    pres = formal.pres
-    total = DimensionVector()
-    for a in formal.summands:
-        desc = pres.descendants(a)
-        if desc is None:
-            raise InfiniteDimensional(
-                f"opposite injective at {pres.display(a)} is infinite-dimensional"
-            )
-        total = total + DimensionVector({v: path_count(pres, a, v) for v in desc})
-    return total
+    return {"holds": coxeter_op.sends(module.dim_vector(), lhs), "lhs": lhs}

@@ -26,7 +26,7 @@ function.
 from functools import partial
 from itertools import compress, count
 
-from .lazymatrix import DimensionVector, LazyIntMatrix, apply_vector, transpose
+from .lazymatrix import LazyIntMatrix
 
 
 def path_count(pres, frm, to):
@@ -89,17 +89,6 @@ class CartanPair:
 
 def cartan_pair(pres):
     return CartanPair(pres)
-
-
-def dim_injective(pres, a, side="left"):
-    """dim E(a) (side "left": row a of the Cartan matrix) or dim of the
-    opposite-side injective (side "right": column a), as e_a . c or
-    e_a . c^tr."""
-    c = cartan_matrix(pres)
-    side = side.lower()
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    return apply_vector(DimensionVector.unit(a), c if side == "left" else transpose(c))
 
 
 def classify_finiteness(pres, sample):

@@ -25,12 +25,12 @@ whose matrix at v is the submatrix of the summands holding v.  Module
 `resolutions` resolves a poset's simples this way, and module `artranslate`
 copresents comodules of the tree families.
 
-Finite quivers and Hasse-quiver views keep path-basis injectives: the
-injective at a (MaterializedInjective) has basis, at vertex v, the directed
-paths v -> a; an arrow strips itself off the front of a path and kills
-everything else.  Its dimension vector is the Cartan row at a and its socle
-the simple at a.  `envelope` and `cokernel` materialise each step on the
-window, and a morphism between sums of injectives is carried symbolically
+Finite quivers keep path-basis injectives: the injective at a
+(MaterializedInjective) has basis, at vertex v, the directed paths v -> a;
+an arrow strips itself off the front of a path and kills everything else.
+Its dimension vector is the Cartan row at a and its socle the simple at a.
+`envelope` and `cokernel` materialise each step on the window, and a
+morphism between sums of injectives is carried symbolically
 (InjectiveMorphism): the hom space from the injective at j to the one at a
 has as basis the paths a -> j, a path acting by chopping itself off the
 end.  In both models the symbolic form is what makes the duality into the
@@ -178,10 +178,6 @@ class Comodule:
 
 def zero_comodule(pres):
     return Comodule(pres, {})
-
-
-def simple_comodule(pres, v):
-    return Comodule(pres, {v: 1})
 
 
 def interval_comodule(pres, lo, hi):

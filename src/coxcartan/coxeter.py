@@ -11,9 +11,11 @@ The inner product is computed eagerly as a scatter: the sparse sum of the
 certified rows of the inverse factor over x, which are exactly the lines
 that make the product finite, so the cost is linear in the size of the
 result.  The outer product stays lazy and is evaluated only on the
-coordinates a caller asks for.  The transposes of both Cartan matrices are
-built once per operator, so their line memos survive from one vector to the
-next.
+coordinates a caller asks for.  Whether Phi sends x to a given finitely
+supported y is decided without forming Phi(x), exactly and on every vertex,
+from the lines of c^{-1} alone (`sends`).  The transposes of both Cartan
+matrices are built once per operator, so their line memos survive from one
+vector to the next.
 
 Vectors with infinite support (dimension vectors of opposite-side injectives,
 say) enter as formal generator combinations and are transformed by linearity.
@@ -22,7 +24,7 @@ identity cells of the two products of c^{-1} with c (see
 `verify_generator_identities`), not one coordinate at a time.
 """
 
-from .errors import NotInDomain, NotInSubgroup, UndefinedProduct
+from .errors import NotInDomain, UndefinedProduct
 from .lazymatrix import (
     DimensionVector,
     LazyVector,
@@ -119,6 +121,28 @@ class CoxeterOperator:
             )
         return self.apply(realized.to_dimension_vector(), direction)
 
+    def sends(self, x, y):
+        """True exactly when Phi(x) = y on every vertex, for finitely
+        supported x and y; False also when a line of c^{-1} it reads is not
+        certified.
+
+        It checks y.c^{-1} = -(x.c^{-tr}): the spread of y over the rows of
+        c^{-1} against the negated spread of x over its columns, two short
+        certified vectors, with Phi(x) itself never formed.  Write u for
+        x.c^{-tr}, so Phi(x) = -u.c.  Both c.c^{-1} and c^{-1}.c are the
+        identity, and every sum below is finite, since x, y and u are
+        finitely supported and every row and column of c^{-1} is finite.
+        If Phi(x) = y, coordinate j of y.c^{-1} is the sum over k in column
+        j of c^{-1} and over i in supp u of -u_i c_ik c^{-1}_kj; exchanging
+        the two finite sums gives -(u.(c.c^{-1}))_j = -u_j.  If y.c^{-1} =
+        -u, coordinate i of Phi(x) = (y.c^{-1}).c is the sum over j in supp
+        y and over k in row j of c^{-1} of y_j c^{-1}_jk c_ki, which is
+        (y.(c^{-1}.c))_i = y_i.  So the identity holds exactly when Phi(x)
+        and y agree at every vertex, however far from their supports.
+        """
+        inner = spread(x, self.cinv.col)
+        return inner is not None and spread(y, self.cinv.row) == {v: -c for v, c in inner.items()}
+
     def verify_generator_identities(self, eval_window):
         """Check the two defining identities at every generator of a window.
 
@@ -145,36 +169,3 @@ class CoxeterOperator:
             if left != unit or right != unit:
                 return False, a
         return True, None
-
-    def decompose_in_generators(self, x, side="injectives"):
-        """Write the finitely supported x over the injective generators.
-
-        side "injectives": coefficients lambda with x = sum lambda_a dim E(a);
-        side "op-injectives": over the opposite-side injective dimensions.
-        Accepts iff the candidate coefficient vector is finitely supported and
-        reproduces x exactly on every certified coordinate.
-        """
-        if not isinstance(x, DimensionVector):
-            raise NotInDomain("decompose expects a finitely supported vector")
-        side = side.lower()
-        if side == "injectives":
-            inv_mat, back_mat = self.cinv, self.c
-        elif side == "op-injectives":
-            inv_mat, back_mat = self.cinv_tr, self.c_tr
-        else:
-            raise ValueError("side must be 'injectives' or 'op-injectives'")
-        try:
-            coeffs = _scatter(x, inv_mat)
-        except UndefinedProduct:
-            raise NotInSubgroup("coefficient support not certified finite") from None
-        back = apply_vector(coeffs, back_mat)
-        check = set(x.support)
-        if back.support is not None:
-            check |= set(back.support)
-        for j in sorted(check, key=self.presentation.sort_key):
-            if back.entry(j) != x[j]:
-                raise NotInSubgroup(
-                    f"residual at {self.presentation.display(j)}: "
-                    f"{back.entry(j)} != {x[j]}"
-                )
-        return dict(coeffs.items())

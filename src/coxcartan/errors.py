@@ -41,10 +41,6 @@ class HomCNotZero(HypothesisViolated):
     """The no-injective-hom certificate failed, so the transpose shortcut is invalid."""
 
 
-class NotInSubgroup(CoxError):
-    """Vector does not decompose over the requested generator family."""
-
-
 class NotInDomain(CoxError):
     """Vector given neither finitely supported nor as a generator combination."""
 

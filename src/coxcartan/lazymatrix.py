@@ -128,15 +128,6 @@ def _negated_on(read):
     return lambda index, on: [-v for v in read(index, on)]
 
 
-def identity_matrix():
-    return LazyIntMatrix(
-        lambda i, j: 1 if i == j else 0,
-        row_rule=lambda i: {i: 1},
-        col_rule=lambda j: {j: 1},
-        name="E",
-    )
-
-
 def transpose(m):
     return LazyIntMatrix(
         lambda i, j: m.entry(j, i),

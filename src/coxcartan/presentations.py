@@ -20,10 +20,9 @@ Conventions fixed here and relied on everywhere else:
   * the opposite presentation reverses arcs/order but keeps the display order.
 
 Memos keyed on a presentation live on it (`Presentation.memo`) and die with
-it.  Views (the opposite, the Hasse quiver of an infinite poset) are values:
-two views of one kind over one base are equal, and a view keeps its memos on
-the base under its prefix, so every copy of a view shares them and no view
-is cached on the base.
+it.  The opposite is a value: two opposites of one base are equal, and an
+opposite keeps its memos on the base under the prefix "op", so every copy
+shares them and none is cached on the base.
 
 A finite presentation keeps its reachability closure as one int bitmask
 per vertex, built without recursion in topological order (Kahn); order,
@@ -262,16 +261,18 @@ class Presentation:
         return out
 
 
-class _View(Presentation):
-    """A presentation read through `base`: same vertices, display order and
-    vertex tokens.  Views of one type over one base are equal and share the
-    memos kept on the base under the view's prefix."""
+class OppositePresentation(Presentation):
+    """Arc- and order-reversed view of `base`, with its vertices, display
+    order and vertex tokens.  Two opposites of one base are equal and share
+    the memos kept on the base under the prefix "op"."""
 
     def __init__(self, base):
         self.base = base
-        self.family = f"{self.prefix}:{base.family}" if base.family else None
+        self.family = f"op:{base.family}" if base.family else None
         self.is_finite = base.is_finite
-        self.cartan_finiteness = base.cartan_finiteness
+        self.kind = base.kind
+        self.thin = base.thin
+        self.cartan_finiteness = base.cartan_finiteness[::-1]
 
     def __eq__(self, other):
         return type(self) is type(other) and self.base == other.base
@@ -280,7 +281,7 @@ class _View(Presentation):
         return hash((type(self), self.base))
 
     def memo(self, name):
-        return self.base.memo((self.prefix, name))
+        return self.base.memo(("op", name))
 
     def has_vertex(self, v):
         return self.base.has_vertex(v)
@@ -298,23 +299,11 @@ class _View(Presentation):
         return self.base.vertices()
 
     def orbit(self, v):
-        # an automorphism of the base is one of every view of it
+        # an automorphism of the base is one of its opposite
         return self.base.orbit(v)
 
     def _range_vertices(self, lo, hi):
         return self.base._range_vertices(lo, hi)
-
-
-class OppositePresentation(_View):
-    """Arc- and order-reversed view of a presentation; same display order."""
-
-    prefix = "op"
-
-    def __init__(self, base):
-        super().__init__(base)
-        self.kind = base.kind
-        self.thin = base.thin
-        self.cartan_finiteness = base.cartan_finiteness[::-1]
 
     def out_arcs(self, v):
         return self.base.in_arcs(v)
@@ -775,43 +764,6 @@ class GarlandFamily(Presentation):
         return self._levels(lo * self._period, hi * self._period)
 
 
-class HasseQuiverView(_View):
-    """The Hasse diagram of an incidence presentation, viewed as a quiver."""
-
-    kind = "quiver"
-    prefix = "hasse"
-
-    def __init__(self, poset):
-        if poset.kind != "poset":
-            raise PresentationError("hasse_quiver expects an incidence presentation")
-        super().__init__(poset)
-
-    def out_arcs(self, v):
-        return self.base.out_arcs(v)
-
-    def in_arcs(self, v):
-        return self.base.in_arcs(v)
-
-    def could_reach(self, u, v):
-        return self.base.leq(u, v)
-
-    def path_count(self, u, v):
-        """The maximal chains of [u, v], counted in one pass over a linear
-        extension: a chain up to z extends one up to a cover below z."""
-        if u == v:
-            return 1
-        chains = {u: 1}
-        for z in self.base.linear_extension(self.base.interval(u, v))[1:]:
-            chains[z] = sum(chains.get(y, 0) * m for y, m in self.base.in_arcs(z))
-        return chains.get(v, 0)
-
-    def ancestors(self, v):
-        return self.base.ancestors(v)
-
-    def descendants(self, v):
-        return self.base.descendants(v)
-
-
 def garland_block_poset(lengths):
     """Finite poset: garland blocks of the given lengths glued in a row.
 
@@ -926,51 +878,6 @@ def parse_presentation(text):
     if arrows:
         raise PresentationError("'arrow' lines are not allowed in a poset")
     return FinitePoset(vertices, covers)
-
-
-def emit_presentation(pres):
-    """Serialize a finite presentation, a view of one, or a built-in family
-    back to the file format; a view of a family has none."""
-    if isinstance(pres, _View) and pres.family:
-        raise PresentationError(f"the view {pres.family} has no file form")
-    if pres.family:
-        return f"family {pres.family.replace(':', ' ')}\n"
-    lines = [f"kind {pres.kind}"]
-    for v in pres.vertices():
-        lines.append(f"vertex {pres.display(v)}")
-    if isinstance(pres, FiniteQuiver):
-        arcs = pres.arrow_list
-    else:
-        arcs = [(v, w) for v in pres.vertices() for w, m in pres.out_arcs(v) for _ in range(m)]
-    directive = "arrow" if pres.kind == "quiver" else "cover"
-    for s, t in arcs:
-        lines.append(f"{directive} {pres.display(s)} {pres.display(t)}")
-    return "\n".join(lines) + "\n"
-
-
-def neighbors(pres, v, direction):
-    """(vertex, multiplicity) pairs adjacent to v; direction "in" or "out"."""
-    if not pres.has_vertex(v):
-        raise UnknownVertex(f"unknown vertex {v!r}")
-    d = direction.lower()
-    if d == "out":
-        return pres.out_arcs(v)
-    if d == "in":
-        return pres.in_arcs(v)
-    raise ValueError("direction must be 'in' or 'out'")
-
-
-def hasse_quiver(pres):
-    """The quiver of cover relations lo -> hi of an incidence presentation."""
-    if pres.kind != "poset":
-        raise PresentationError("hasse_quiver expects an incidence presentation")
-    if pres.is_finite:
-        arrows = []
-        for v in pres.vertices():
-            for w, _ in pres.out_arcs(v):
-                arrows.append((v, w))
-        return FiniteQuiver(pres.vertices(), arrows)
-    return HasseQuiverView(pres)
 
 
 def check_local_boundedness(pres, win):

@@ -287,18 +287,6 @@ def ext_degrees(pres, src, tgt):
     return range(2) if pres.kind == "quiver" else range(len(pres.interval(src, tgt)))
 
 
-def ext_table(pres, sample):
-    """Dense table {(src, tgt, m): dim Ext^m} over sampled vertices."""
-    table = {}
-    for src in sample:
-        for tgt in sample:
-            for m in ext_degrees(pres, src, tgt):
-                val = ext_dim(pres, src, tgt, m)
-                if val:
-                    table[(src, tgt, m)] = val
-    return table
-
-
 def mobius(pres, lo, hi):
     """Classical Mobius recursion on an incidence presentation, run as one
     pass over [lo, hi] in a linear extension: mu(lo, z) is minus the sum of

@@ -13,10 +13,8 @@ from hypothesis import given, settings, strategies as st
 from coxcartan import (
     Comodule,
     DimensionVector,
-    FormalInjective,
     HomCNotZero,
     HypothesisViolated,
-    InfiniteDimensional,
     NotInKnittedRegion,
     almost_split_mesh,
     certify_no_inj_hom,
@@ -28,9 +26,7 @@ from coxcartan import (
     knit_component,
     make_family,
     min_inj_copresentation,
-    nakayama_dim,
     parse_presentation,
-    simple_comodule,
     tau,
     transpose_tr,
     verify_translate_formula,
@@ -65,7 +61,7 @@ def test_socle_of_direct_sum():
 
 def test_socle_idempotent():
     a = make_family("a-infinity")
-    m = direct_sum([interval_comodule(a, 0, 2), simple_comodule(a, 1)])
+    m = direct_sum([interval_comodule(a, 0, 2), Comodule(a, {1: 1})])
     soc, bases = m.socle()
     # build the semisimple module on the socle and take its socle again
     semis = Comodule(m.pres, dict(soc.items()))
@@ -83,7 +79,7 @@ def test_copresentation_interval():
 
 def test_copresentation_simple():
     a = make_family("a-infinity")
-    cop = min_inj_copresentation(simple_comodule(a, 1))
+    cop = min_inj_copresentation(Comodule(a, {1: 1}))
     assert cop.e0.multiplicities() == {1: 1}
     assert cop.e1.multiplicities() == {0: 1}
 
@@ -148,7 +144,7 @@ def test_random_quiver_simple_translates_match_coxeter():
             if not q.out_arcs(j):
                 continue  # projective simple
             try:
-                result = verify_translate_formula(simple_comodule(q, j), op)
+                result = verify_translate_formula(Comodule(q, {j: 1}), op)
             except HypothesisViolated:
                 continue
             assert result["holds"], (text, j)
@@ -173,8 +169,8 @@ def test_certify_no_inj_hom():
     assert not certify_no_inj_hom(interval_comodule(a, 0, 2))  # injective itself
     a2 = parse_presentation(A2)
     # the injective at 1 surjects onto the simple at 0
-    assert not certify_no_inj_hom(simple_comodule(a2, 0))
-    assert certify_no_inj_hom(simple_comodule(a2, 1))
+    assert not certify_no_inj_hom(Comodule(a2, {0: 1}))
+    assert certify_no_inj_hom(Comodule(a2, {1: 1}))
 
 
 def test_transpose_interval():
@@ -195,7 +191,7 @@ def test_transpose_of_injective_vanishes():
 
 def test_transpose_simple_over_a2():
     a2 = parse_presentation(A2)
-    _, kernel = transpose_tr(simple_comodule(a2, 1))
+    _, kernel = transpose_tr(Comodule(a2, {1: 1}))
     assert kernel.dim_vector() == DimensionVector({0: 1})
     assert kernel.pres.kind == "quiver"
 
@@ -204,7 +200,7 @@ def test_transpose_kronecker_parallel_arrows():
     # two parallel arrows force multi-path symbolic blocks; the transpose
     # dimensions must match the inverse-Coxeter image of the simple
     k = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
-    lazy, kernel = transpose_tr(simple_comodule(k, 1))
+    lazy, kernel = transpose_tr(Comodule(k, {1: 1}))
     assert kernel.dim_vector() == DimensionVector({0: 2, 1: 3})
     from coxcartan import CoxeterOperator, cartan_pair
 
@@ -297,7 +293,7 @@ def test_mesh_refuses_injective_start():
 def test_mesh_not_interval():
     d = make_family("d-infinity")
     with pytest.raises(NotInKnittedRegion):
-        almost_split_mesh(simple_comodule(d, 1), "ending-at")
+        almost_split_mesh(Comodule(d, {1: 1}), "ending-at")
 
 
 def test_translate_formula_intervals():
@@ -313,7 +309,7 @@ def test_translate_formula_rejects_projective():
     # the simple at 1 is projective over A2: its dual is injective, so the
     # Hom(C, DN) = 0 certificate fails before any copresentation is made
     with pytest.raises(HomCNotZero):
-        verify_translate_formula(simple_comodule(a2, 1))
+        verify_translate_formula(Comodule(a2, {1: 1}))
 
 
 def test_knit_a_infinity_figure_fragment():
@@ -425,7 +421,7 @@ def test_tau_minus_d_infinity_simple():
     # independent cross-check: the inverse Coxeter row at 2 of the forked
     # family is (1,1,1,0,...), and the comodule route must land on it
     d = make_family("d-infinity")
-    t = tau(simple_comodule(d, 2), "tau-minus")
+    t = tau(Comodule(d, {2: 1}), "tau-minus")
     assert t.dim_vector() == DimensionVector({-1: 1, 0: 1, 1: 1})
 
 
@@ -451,22 +447,7 @@ def test_translate_formula_kronecker_regular():
 
 def test_tau_of_projective_simple_kronecker():
     k = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
-    assert tau(simple_comodule(k, 1), "tau").is_zero()
-
-
-def test_nakayama_dims():
-    a2 = parse_presentation(A2)
-    nu = nakayama_dim(FormalInjective(a2, [(0, 1)]))
-    assert nu == DimensionVector({0: 1, 1: 1})
-    a3 = parse_presentation(A3)
-    assert nakayama_dim(FormalInjective(a3, [(1, 1)])) == DimensionVector({1: 1, 2: 1})
-    assert nakayama_dim(FormalInjective(a3, [])).is_zero()
-
-
-def test_nakayama_rejects_infinite():
-    a = make_family("a-infinity")
-    with pytest.raises(InfiniteDimensional):
-        nakayama_dim(FormalInjective(a, [(0, 1)]))
+    assert tau(Comodule(k, {1: 1}), "tau").is_zero()
 
 
 def test_comodule_engine_walks_a_long_chain_without_recursion():
@@ -671,4 +652,88 @@ def test_knit_disagreement_with_no_vertex_in_the_grown_window():
     assert str(stuck.value) == (
         "mesh at n0: additivity and Coxeter disagree beyond the supports of "
         "its end and translate grown by one arc"
+    )
+
+
+def test_translate_formula_sees_a_discrepancy_far_from_both_supports():
+    # column 5 of c^-1 gains +1 at -40, so Phi(dim I[3,7]) moves only at the
+    # vertices up to -40, far from the supports of I[3,7] and its translate;
+    # the exact identity still reads it
+    from coxcartan import CoxeterOperator, LazyIntMatrix, cartan_pair
+    from coxcartan.artranslate import grow_window
+
+    z = make_family("z-a-infinity")
+    module = interval_comodule(z, 3, 7)
+    pair = cartan_pair(z)
+    inverse = pair.inverse
+
+    def col(p):
+        line = dict(inverse.col(p))
+        if p == 5:
+            line[-40] = line.get(-40, 0) + 1
+        return line
+
+    assert verify_translate_formula(module, CoxeterOperator(pair))["holds"]
+    pair.inverse = LazyIntMatrix(inverse.entry, row_rule=inverse.row, col_rule=col,
+                                 name="c^-1", row_on=inverse.row_on)
+    op = CoxeterOperator(pair)
+    result = verify_translate_formula(module, op)
+    assert not result["holds"]
+    lhs, phi = result["lhs"], op.apply(module.dim_vector(), "forward")
+    near = grow_window(z, lhs.support | module.dim_vector().support, 2)
+    assert all(phi.entry(v) == lhs[v] for v in near)
+    assert phi.entry(-40) != lhs[-40]
+
+
+def test_passing_tau_suite_evaluates_no_coxeter_image():
+    # each interval is checked by CoxeterOperator.sends: Phi is never
+    # applied and no window is grown
+    from coxcartan import CoxeterOperator, artranslate
+    from coxcartan.cli import run
+
+    with mock.patch.object(CoxeterOperator, "apply", autospec=True,
+                           side_effect=CoxeterOperator.apply) as apply, \
+            mock.patch.object(artranslate, "grow_window", wraps=artranslate.grow_window) as grow:
+        for argv, checked in ((["--family=a-infinity", "--window=0..12"], 78),
+                              (["--family=z-a-infinity", "--window=-6..6"], 91)):
+            out = io.StringIO()
+            assert run(["verify", *argv, "--suite=tau"], out=out) == 0
+            assert out.getvalue() == f"OK: translate formula holds for {checked} interval modules\n"
+    assert apply.call_count == 0 and grow.call_count == 0
+
+
+def tau_suite_corpus():
+    """verify --suite=tau on windows of the three path families: near, far
+    and comma windows of the linear ones, d-infinity windows that knit or
+    reach the edge of their section, and windows that are input errors."""
+    windows = {
+        "a-infinity": [f"{lo}..{lo + n}" for lo in (0, 1, 4, 50, 1000) for n in (0, 1, 2, 4, 7, 12)]
+        + ["0..20", "0,2,5", "3,1", "-1..3", "5..3"],
+        "z-a-infinity": [f"{lo}..{lo + n}" for lo in (-20, -3, 0, 7, 500) for n in (0, 1, 2, 4, 7, 12)]
+        + ["-10..10", "-4,0,4", "2..2", "5..3", "x..2"],
+        "d-infinity": [f"{lo}..{lo + n}" for lo in (-1, 0, 1, 2, 5) for n in (1, 2, 3, 5, 8)]
+        + ["-1..12", "-1,0,1,2", "-2..3", "3..1"],
+    }
+    for fam, wins in windows.items():
+        for win in wins:
+            yield ["verify", f"--family={fam}", f"--window={win}", "--suite=tau"]
+
+
+def test_tau_suite_corpus_output_is_unchanged():
+    # one digest over argv, exit code, stdout and stderr of every command,
+    # recorded while the suite still compared Phi on the supports grown by
+    # two arcs
+    from coxcartan.cli import run
+
+    digest = hashlib.sha256()
+    count = 0
+    for argv in tau_suite_corpus():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv, out=out)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+        count += 1
+    assert count == 99
+    assert digest.hexdigest() == (
+        "68ab6b6eef88624f98dbbdd676305bb448d1ffd6885a77e92baca4eb7a8c78d6"
     )

@@ -4,13 +4,13 @@ import tracemalloc
 from hypothesis import given, settings, strategies as st
 
 from coxcartan import (
+    DimensionVector,
+    apply_vector,
     cartan_inverse,
     cartan_matrix,
     cartan_pair,
     classify_finiteness,
-    dim_injective,
     evaluate_window,
-    hasse_quiver,
     make_family,
     parse_family_flag,
     parse_presentation,
@@ -86,7 +86,7 @@ def test_path_counts_on_a_family_keep_no_memory():
 
 def test_path_count_of_a_vertex_to_itself_is_one_even_unknown():
     q = parse_presentation("kind quiver\narrow 0 1\n")
-    for pres in (q, q.opposite(), make_family("d-infinity"), hasse_quiver(make_family("garland", 1))):
+    for pres in (q, q.opposite(), make_family("d-infinity")):
         assert path_count(pres, "x", "x") == 1
 
 
@@ -189,18 +189,6 @@ def test_classify_garland_neither():
     assert rep["row_finite"] is False and rep["col_finite"] is False
 
 
-def test_dim_injective_sides():
-    a = make_family("a-infinity")
-    left = dim_injective(a, 3, "left")
-    assert left.support == frozenset({0, 1, 2, 3})
-    assert [left.entry(v) for v in range(5)] == [1, 1, 1, 1, 0]
-    right = dim_injective(a, 0, "right")
-    assert right.support is None
-    assert [right.entry(v) for v in range(4)] == [1, 1, 1, 1]
-    d = make_family("d-infinity")
-    assert dim_injective(d, 1, "left").support == frozenset({1})
-
-
 def test_opposite_cartan_is_transpose():
     for text in (
         "kind quiver\narrow 0 1\narrow 1 2\narrow 0 2\n",
@@ -212,8 +200,6 @@ def test_opposite_cartan_is_transpose():
         for i in p.vertices():
             for j in p.vertices():
                 assert cop.entry(i, j) == c.entry(j, i)
-
-
 
 
 @st.composite
@@ -271,7 +257,7 @@ def test_cartan_row_against_dim_injective():
     c = cartan_matrix(d)
     for _ in range(5):
         a = rng.randint(-1, 6)
-        vec = dim_injective(d, a, "left")
+        vec = apply_vector(DimensionVector.unit(a), c)
         for j in range(-1, 8):
             assert vec.entry(j) == c.entry(a, j)
 
@@ -286,18 +272,12 @@ def walk_count(pres, u, v, verts):
 
 @st.composite
 def family_windows(draw):
-    # integer windows of the path families and junction windows of the
-    # garland Hasse views are convex: every path between two of their
-    # vertices stays inside
-    name = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity", "garland:1", "garland:2"]))
+    # integer windows of the path families are convex: every path between
+    # two of their vertices stays inside
+    name = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
     pres = parse_family_flag(name)
-    if pres.kind == "poset":
-        pres = hasse_quiver(pres)
-        lo = draw(st.integers(-2, 2))
-        hi = lo + draw(st.integers(0, 2))
-    else:
-        lo = draw(st.integers({"a-infinity": 0, "d-infinity": -1}.get(name, -5), 5))
-        hi = lo + draw(st.integers(0, 8))
+    lo = draw(st.integers({"a-infinity": 0, "d-infinity": -1}.get(name, -5), 5))
+    hi = lo + draw(st.integers(0, 8))
     if draw(st.booleans()):
         pres = pres.opposite()
     return pres, list(pres.window(f"{lo}..{hi}"))

@@ -9,7 +9,6 @@ from coxcartan import (
     DimensionVector,
     GeneratorCombination,
     LazyIntMatrix,
-    NotInSubgroup,
     cartan_pair,
     evaluate_window,
     make_family,
@@ -296,48 +295,6 @@ def test_opposite_family_cartan_transpose():
                 assert cop.entry(i, j) == c.entry(j, i)
 
 
-def test_decompose_unit_vector():
-    a = make_family("a-infinity")
-    op = operator(a)
-    coeffs = op.decompose_in_generators(DimensionVector.unit(3), "injectives")
-    assert coeffs == {3: 1, 2: -1}
-
-
-def test_decompose_injective_row_and_linearity():
-    a = make_family("a-infinity")
-    op = operator(a)
-    row5 = DimensionVector({v: 1 for v in range(6)})
-    assert op.decompose_in_generators(row5, "injectives") == {5: 1}
-    row2 = DimensionVector({v: 1 for v in range(3)})
-    row7 = DimensionVector({v: 1 for v in range(8)})
-    mix = row2 + row7.scale(2)
-    assert op.decompose_in_generators(mix, "injectives") == {2: 1, 7: 2}
-
-
-def test_decompose_op_injectives_side():
-    # over a finite quiver both sides decompose; column vectors are the
-    # op-injective dimension vectors
-    q = parse_presentation("kind quiver\narrow 0 1\narrow 1 2\n")
-    op = operator(q)
-    col0 = DimensionVector({0: 1, 1: 1, 2: 1})
-    assert op.decompose_in_generators(col0, "op-injectives") == {0: 1}
-
-
-def test_decompose_kronecker_unimodular():
-    # the Kronecker Cartan matrix is unimodular, so unit vectors decompose on
-    # both sides with integer coefficients
-    k = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
-    op = operator(k)
-    assert op.decompose_in_generators(DimensionVector.unit(0), "op-injectives") == {
-        0: 1,
-        1: -2,
-    }
-    assert op.decompose_in_generators(DimensionVector.unit(1), "injectives") == {
-        1: 1,
-        0: -2,
-    }
-
-
 def test_apply_rejects_unsupported_lazy_vector():
     from coxcartan import LazyVector, NotInDomain
 
@@ -345,16 +302,6 @@ def test_apply_rejects_unsupported_lazy_vector():
     op = operator(a)
     with pytest.raises(NotInDomain):
         op.apply(LazyVector(lambda v: 1), "forward")
-
-
-def test_decompose_residual_guard():
-    # doctor the pair with a wrong inverse: the residual check must refuse
-    k = parse_presentation("kind quiver\narrow 0 1\n")
-    pair = cartan_pair(k)
-    pair.inverse = pair.cartan
-    op = CoxeterOperator(pair)
-    with pytest.raises(NotInSubgroup):
-        op.decompose_in_generators(DimensionVector.unit(1), "injectives")
 
 
 def test_apply_without_row_certificate_raises():
@@ -369,5 +316,40 @@ def test_apply_without_row_certificate_raises():
     for direction in ("forward", "inverse"):
         with pytest.raises(UndefinedProduct):
             op.apply(DimensionVector.unit(0), direction)
-    with pytest.raises(NotInSubgroup):
-        op.decompose_in_generators(DimensionVector.unit(0), "injectives")
+    # nor does the exact Phi-image check read the missing line as empty
+    assert not op.sends(DimensionVector.unit(0), DimensionVector())
+
+
+@st.composite
+def phi_images(draw):
+    # a finitely supported x on a random acyclic --file quiver with parallel
+    # arrows, on a-infinity or on d-infinity, where Phi(x) has a certified
+    # support, so apply reads it whole
+    kind = draw(st.sampled_from(["quiver", "a-infinity", "d-infinity"]))
+    if kind == "quiver":
+        n = draw(st.integers(1, 7))
+        arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] < e[1]), max_size=12))
+        pres = parse_presentation("kind quiver\n" + "".join(f"vertex {v}\n" for v in range(n))
+                                  + "".join(f"arrow {u} {v}\n" for u, v in arrows))
+        verts = pres.vertices()
+        if draw(st.booleans()):
+            pres = pres.opposite()
+    else:
+        pres = make_family(kind)
+        verts = list(range(-1 if kind == "d-infinity" else 0, 9))
+    x = DimensionVector(draw(st.dictionaries(st.sampled_from(verts), st.integers(-3, 3),
+                                             max_size=4)))
+    return pres, verts, x, draw(st.sampled_from(verts)), draw(st.sampled_from([-1, 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(phi_images())
+def test_sends_is_the_phi_image_on_every_vertex(case):
+    # sends reads only lines of c^-1; apply forms Phi(x) through c, so the
+    # two are independent reads of the same transformation
+    pres, verts, x, v, delta = case
+    op = operator(pres)
+    phi = op.apply(x, "forward").to_dimension_vector()
+    assert op.sends(x, phi)
+    assert not op.sends(x, phi + DimensionVector({v: delta}))

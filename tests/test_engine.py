@@ -9,6 +9,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from coxcartan import (
+    Comodule,
     CoxeterOperator,
     DimensionVector,
     FormalInjective,
@@ -21,7 +22,6 @@ from coxcartan import (
     mobius,
     parse_presentation,
     path_count,
-    simple_comodule,
 )
 from coxcartan import linalg, resolutions
 from coxcartan.comodules import MaterializedInjective
@@ -116,7 +116,7 @@ def test_quiver_copresentations_of_simples_and_injectives(q):
     verts = q.vertices()
     for a in verts:
         injective = MaterializedInjective(FormalInjective(q, [(a, 1)]), verts).comodule
-        for module in (simple_comodule(q, a), injective):
+        for module in (Comodule(q, {a: 1}), injective):
             cop = min_inj_copresentation(module)
             for v in verts:
                 e0 = sum(path_count(q, v, s) for s in cop.e0.summands)

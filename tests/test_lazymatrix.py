@@ -13,7 +13,6 @@ from coxcartan import (
     cartan_matrix,
     cartan_pair,
     evaluate_window,
-    identity_matrix,
     make_family,
     multiply,
     negate,
@@ -22,6 +21,16 @@ from coxcartan import (
     transpose,
     verify_identity_on_window,
 )
+
+
+def identity_matrix():
+    """The identity as a lazy matrix with certified unit lines."""
+    return LazyIntMatrix(
+        lambda i, j: 1 if i == j else 0,
+        row_rule=lambda i: {i: 1},
+        col_rule=lambda j: {j: 1},
+        name="E",
+    )
 
 
 def dense_matrix(entries, finite=True):

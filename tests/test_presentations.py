@@ -13,14 +13,10 @@ from coxcartan import (
     PresentationError,
     UnknownVertex,
     check_local_boundedness,
-    emit_presentation,
     garland_block_poset,
-    hasse_quiver,
     make_family,
-    neighbors,
     parse_presentation,
 )
-from coxcartan.presentations import HasseQuiverView
 
 DIAMOND = "kind poset\ncover a b\ncover a c\ncover b d\ncover c d\n"
 
@@ -69,51 +65,46 @@ def test_comments_and_blank_lines():
 
 def test_neighbors_d_infinity():
     d = make_family("d-infinity")
-    assert neighbors(d, 1, "out") == [(-1, 1), (0, 1), (2, 1)]
-    assert neighbors(d, 1, "in") == []
+    assert d.out_arcs(1) == [(-1, 1), (0, 1), (2, 1)]
+    assert d.in_arcs(1) == []
 
 
 def test_neighbors_a_infinity_source():
     a = make_family("a-infinity")
-    assert neighbors(a, 0, "in") == []
+    assert a.in_arcs(0) == []
 
 
 def test_neighbors_kronecker_multiplicity():
     k = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
-    assert neighbors(k, 1, "in") == [(0, 2)]
+    assert k.in_arcs(1) == [(0, 2)]
 
 
-def test_neighbors_unknown_vertex():
-    a = make_family("a-infinity")
-    with pytest.raises(UnknownVertex):
-        neighbors(a, -3, "out")
+def hasse_arrows(poset):
+    """The arcs of a finite poset, its covers lo -> hi: its Hasse diagram."""
+    return [(u, w) for u in poset.vertices() for w, _ in poset.out_arcs(u)]
 
 
 def test_hasse_chain():
     p = parse_presentation("kind poset\ncover a b\ncover b c\n")
-    q = hasse_quiver(p)
-    assert q.kind == "quiver"
-    assert q.arrow_list == [("a", "b"), ("b", "c")]
+    assert hasse_arrows(p) == [("a", "b"), ("b", "c")]
 
 
 def test_hasse_diamond():
     p = parse_presentation("kind poset\ncover a b\ncover a c\ncover b d\ncover c d\n")
-    q = hasse_quiver(p)
-    assert sorted(q.arrow_list) == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    assert sorted(hasse_arrows(p)) == [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
 
 
 def test_hasse_drops_redundant_relation():
     # a<b<c declared together with the implied a<c: covers are recomputed
     p = parse_presentation("kind poset\ncover a b\ncover b c\ncover a c\n")
-    q = hasse_quiver(p)
-    assert sorted(q.arrow_list) == [("a", "b"), ("b", "c")]
+    assert sorted(hasse_arrows(p)) == [("a", "b"), ("b", "c")]
 
 
 def test_hasse_of_garland_family_is_lazy():
+    # the covers of an infinite garland are read off its levels
     g = make_family("garland", 1)
-    q = hasse_quiver(g)
     j0 = ("j", 0)
-    assert q.out_arcs(j0) == [(("g", 0, 1, 0), 1), (("g", 0, 1, 1), 1)]
+    assert g.out_arcs(j0) == [(("g", 0, 1, 0), 1), (("g", 0, 1, 1), 1)]
 
 
 def test_windows():
@@ -158,51 +149,13 @@ def test_local_boundedness_witnesses():
     assert rep["witnesses"][-1] == (1, 0)
 
 
-def test_emit_parse_round_trip_finite():
-    text = "kind quiver\nvertex 0\nvertex 1\nvertex 2\narrow 0 1\narrow 0 1\narrow 1 2\n"
-    p = parse_presentation(text)
-    again = parse_presentation(emit_presentation(p))
-    assert again.vertices() == p.vertices()
-    assert again.arrow_list == p.arrow_list
-
-
-def test_emit_parse_round_trip_poset():
-    p = parse_presentation("kind poset\ncover a b\ncover a c\ncover b d\ncover c d\n")
-    again = parse_presentation(emit_presentation(p))
-    assert again.vertices() == p.vertices()
-    assert {(u, w) for u in again.vertices() for w, _ in again.out_arcs(u)} == {
-        (u, w) for u in p.vertices() for w, _ in p.out_arcs(u)
-    }
-
-
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ).filter(lambda e: e[0] < e[1]),
-            max_size=10,
-        ).map(lambda edges: (n, edges))
-    )
-)
-def test_round_trip_random_quivers(data):
-    n, edges = data
-    lines = ["kind quiver"] + [f"vertex {i}" for i in range(n)]
-    lines += [f"arrow {u} {v}" for u, v in edges]
-    p = parse_presentation("\n".join(lines))
-    again = parse_presentation(emit_presentation(p))
-    assert again.vertices() == p.vertices()
-    assert again.arrow_list == p.arrow_list
-
-
 @given(st.integers(min_value=1, max_value=8))
 def test_hasse_chain_arrow_count(n):
     lines = ["kind poset"] + [f"cover v{i} v{i+1}" for i in range(n - 1)]
     if n == 1:
         lines.append("vertex v0")
     p = parse_presentation("\n".join(lines))
-    assert len(hasse_quiver(p).arrow_list) == n - 1
+    assert len(hasse_arrows(p)) == n - 1
 
 
 def test_opposite_flips_arcs_and_order():
@@ -221,10 +174,6 @@ def test_views_are_values_that_keep_their_memos_on_the_base():
     op.memo("rows")["j1"] = [{"j1": 1}]
     assert again.memo("rows") is op.memo("rows")
     assert g.memo("rows") == {}
-    hasse = hasse_quiver(g)
-    assert hasse != op and hasse.memo("rows") == {}
-    assert hasse.memo("rows") is not op.memo("rows")
-    assert hasse.opposite().memo("rows") is not op.memo("rows")
 
 
 def test_garland_order_and_intervals():
@@ -384,7 +333,7 @@ def test_finite_presentations_build_on_a_long_chain():
         assert not pres.could_reach(n - 1, 0)
         assert len(pres.descendants(0)) == n
         assert len(pres.ancestors(n - 1)) == n
-    assert len(hasse_quiver(poset).arrow_list) == n - 1
+    assert len(hasse_arrows(poset)) == n - 1
 
 
 def _reach_by_search(n, pairs):
@@ -494,36 +443,12 @@ def test_parse_token_on_integer_labelled_presentations():
                 assert pres.parse_token(tok) == want, (pres, tok)
 
 
-def test_emit_views_of_finite_presentations_parse_back():
-    quiver = parse_presentation("kind quiver\narrow a b\narrow a b\narrow b c\narrow a c\n")
-    poset = parse_presentation(DIAMOND)
-    for view in (quiver.opposite(), poset.opposite(), HasseQuiverView(poset)):
-        again = parse_presentation(emit_presentation(view))
-        assert again.kind == view.kind
-        assert again.vertices() == view.vertices()
-        for v in view.vertices():
-            assert again.out_arcs(v) == view.out_arcs(v)
-            assert again.in_arcs(v) == view.in_arcs(v)
-    assert parse_presentation(emit_presentation(poset.opposite())).leq("d", "a")
-
-
-def test_emit_views_of_families_raise():
-    for view in (make_family("a-infinity").opposite(), hasse_quiver(make_family("garland", 2))):
-        with pytest.raises(PresentationError, match="no file form"):
-            emit_presentation(view)
-    for name, arg in (("a-infinity", None), ("garland", 2)):
-        fam = make_family(name, arg)
-        assert parse_presentation(emit_presentation(fam)).family == fam.family
-
-
 def test_thin_is_a_fact_of_the_class_and_its_opposite():
     # at most one path joins two vertices: every poset and the tree
-    # families; a file quiver (here a tree, too) and a Hasse-quiver view
-    # keep path-basis injectives
+    # families; a file quiver (here a tree, too) keeps path-basis injectives
     thin = [make_family(name) for name in ("a-infinity", "z-a-infinity", "d-infinity")]
     thin += [make_family("garland", 2), garland_block_poset([1, 2])]
-    plain = [parse_presentation("kind quiver\narrow 0 1\n"),
-             hasse_quiver(make_family("garland", 2))]
+    plain = [parse_presentation("kind quiver\narrow 0 1\n")]
     for pres in thin:
         assert pres.thin and pres.opposite().thin, pres.family
     for pres in plain:

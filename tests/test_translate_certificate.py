@@ -27,7 +27,6 @@ from coxcartan import (
     make_family,
     min_inj_copresentation,
     parse_presentation,
-    simple_comodule,
     transpose_tr,
 )
 from coxcartan.artranslate import grow_window
@@ -101,7 +100,7 @@ def test_modules_with_an_injective_summand_are_never_certified(q):
             assert not certify_no_inj_hom(injective), a
             assert not windowed_reference(injective), a
             for b in verts:
-                module = direct_sum([simple_comodule(pres, b), injective])
+                module = direct_sum([Comodule(pres, {b: 1}), injective])
                 assert not certify_no_inj_hom(module), (a, b)
 
 
@@ -202,7 +201,7 @@ def quiver_modules(draw):
         return module
     a = draw(st.sampled_from(pres.vertices()))
     if kind == "simple":
-        return simple_comodule(pres, a)
+        return Comodule(pres, {a: 1})
     return MaterializedInjective(FormalInjective(pres, [(a, 1)]), pres.vertices()).comodule
 
 
@@ -233,7 +232,7 @@ def test_copresentation_window_holds_every_route():
     q = parse_presentation("kind quiver\n" + "".join(
         f"arrow {u} {v}\n" for u, v in ((0, 4), (0, 1), (1, 2), (2, 3), (3, 4))
     ))
-    module = simple_comodule(q, 4)
+    module = Comodule(q, {4: 1})
     cop = min_inj_copresentation(module)
     e0, e1, e0_mat, e1_mat, g = whole_quiver_copresentation(module)
     assert cop.e1.summands == e1.summands == [0, 3]
