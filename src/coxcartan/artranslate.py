@@ -60,7 +60,6 @@ from itertools import chain, islice
 from . import linalg
 from .cartan import cartan_pair, path_count
 from .comodules import (
-    F1,
     Comodule,
     FormalInjective,
     InjectiveMorphism,
@@ -218,7 +217,7 @@ def certify_no_inj_hom(module, socle=None):
         if sup is None:
             continue
         if pres.thin:
-            maps = {(u, w, 0): [[F1]] for u in sup for w, _ in pres.out_arcs(u) if w in sup}
+            maps = {(u, w, 0): [[1]] for u in sup for w, _ in pres.out_arcs(u) if w in sup}
             inj = Comodule(pres, dict.fromkeys(sup, 1), maps)
         elif all(path_count(pres, v, k) <= module.dim(v) for v in sup):
             inj = MaterializedInjective(FormalInjective(pres, [(k, 1)]), sup).comodule
@@ -337,13 +336,12 @@ class MeshSequence:
 def _interval_span(dim):
     """(lo, hi) when the dimension vector is 1 on the consecutive integers
     lo..hi and 0 elsewhere, else None."""
-    supp = dim.support
-    if not supp or any(not isinstance(v, int) for v in supp):
+    items = dim.items()
+    supp = [v for v, c in items if c == 1 and isinstance(v, int)]
+    if not supp or len(supp) != len(items):
         return None
     lo, hi = min(supp), max(supp)
-    if hi - lo + 1 != len(supp) or any(c != 1 for _, c in dim.items()):
-        return None
-    return lo, hi
+    return (lo, hi) if hi - lo + 1 == len(supp) else None
 
 
 def interval_bounds(module):
@@ -455,18 +453,18 @@ class KnitFragment:
 
 
 def injective_section_seed(pres, window):
-    """Seed nodes E(j) for j in the window, with the arrows induced by the
-    quiver: an arrow k -> j induces an irreducible map E(j) -> E(k)."""
+    """Seed nodes E(j) for j in the window, dim E(j) being the Cartan row
+    `paths_into(j)`, with the arrows induced by the quiver: an arrow k -> j
+    induces an irreducible map E(j) -> E(k)."""
     nodes = []
     for j in window:
-        sup = pres.ancestors(j)
-        if sup is None:
+        row = pres.paths_into(j)
+        if row is None:
             raise KnittingStuck(
                 f"injective at {pres.display(j)} is infinite-dimensional; "
                 "seed the knitting explicitly"
             )
-        dim = DimensionVector({v: path_count(pres, v, j) for v in sup})
-        nodes.append((f"E({pres.display(j)})", dim))
+        nodes.append((f"E({pres.display(j)})", DimensionVector(row)))
     arrows = []
     wset = {j: idx for idx, j in enumerate(window)}
     for j in window:

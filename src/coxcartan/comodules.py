@@ -4,12 +4,16 @@ resolutions.
 
 A Comodule assigns a Q-vector space to each vertex of a presentation and a
 matrix to each arc inside its support; arcs leaving the support are the zero
-map.  Over an incidence presentation the arcs are the covers, so a comodule
-is a representation of the Hasse quiver with commutativity relations.
+map.  As in module `linalg`, an integral entry is an int and a Fraction
+appears only where a denominator does.  Over an incidence presentation the
+arcs are the covers, so a comodule is a representation of the Hasse quiver
+with commutativity relations.
 
 The engine repeats one step on a finite convex window: take the socle, embed
-into its injective envelope, pass to the cokernel.  It has two models, and
-each presentation runs one of them (`Presentation.thin`).
+into its injective envelope, pass to the cokernel.  The socle at a vertex
+whose space is a line is read off its out-maps, with no elimination.  The
+engine has two models, and each presentation runs one of them
+(`Presentation.thin`).
 
 On a thin presentation (every poset, and the tree families a-infinity,
 z-a-infinity and d-infinity) at most one path joins two vertices, so the
@@ -39,14 +43,10 @@ only enter when a morphism is read at a vertex.
 """
 
 import os
-from fractions import Fraction
 
 from . import linalg
 from .errors import IntervalFinitenessViolated, PresentationError, WindowInsufficient
 from .lazymatrix import DimensionVector
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -158,10 +158,16 @@ class Comodule:
     def socle(self):
         """(dimension vector, per-vertex column bases) of the largest
         semisimple subcomodule: at v, the intersection of the kernels of all
-        arrow maps out of v."""
-        bases = {}
+        arrow maps out of v.  On a line that is the whole line when every map
+        out of v is zero and nothing otherwise, read with no elimination."""
+        bases, maps = {}, self.maps
         for v in self.support:
-            mats = [self.arrow_map(a) for a in arrows_from(self.pres, v) if self.dim(a[1])]
+            out = arrows_from(self.pres, v)
+            if self.dims[v] == 1:
+                if not any(x for a in out for (x,) in maps.get(a, ())):
+                    bases[v] = [[1]]
+                continue
+            mats = [self.arrow_map(a) for a in out if self.dim(a[1])]
             basis = linalg.intersect_kernels(mats, self.dim(v))
             if basis:
                 bases[v] = basis
@@ -195,7 +201,7 @@ def interval_comodule(pres, lo, hi):
         arrows = [a for a in arrows_from(pres, v) if a[1] == v + 1]
         if len(arrows) != 1:
             raise PresentationError("interval modules need a single arrow per step")
-        maps[arrows[0]] = [[F1]]
+        maps[arrows[0]] = [[1]]
     return Comodule(pres, dims, maps)
 
 
@@ -363,7 +369,7 @@ class MaterializedInjective:
                 mat = linalg.zeros(dims[w], dims[v])
                 for col, (si, p) in enumerate(self.basis[v]):
                     if p and p[0] == arrow:
-                        mat[self.offset[w][si, p[1:]]][col] = F1
+                        mat[self.offset[w][si, p[1:]]][col] = 1
                 maps[arrow] = mat
         self.comodule = Comodule(pres, dims, maps)
 
@@ -408,7 +414,7 @@ def envelope(mod, window, socle=None):
             if any(x != 0 for x in after):
                 row = linalg.mat_mul([after], mod.arrow_map(route[i]))[0]
             else:
-                row = [F0] * mod.dim(route[i][0])
+                row = [0] * mod.dim(route[i][0])
             pulled[si, route[i:]] = row
         return pulled[si, route]
 
@@ -455,7 +461,7 @@ class InjectiveMorphism:
         self.source = source
         self.target = target
         self.blocks = {
-            key: {p: Fraction(c) for p, c in blk.items() if c != 0}
+            key: {p: c for p, c in blk.items() if c != 0}
             for key, blk in blocks.items()
             if any(c != 0 for c in blk.values())
         }
@@ -620,7 +626,7 @@ class LabelMorphism:
         """(source basis at v, the matrix at v), as `InjectiveMorphism.at`."""
         cols = self.source.holding(v)
         coeffs = self.coeffs
-        return cols, [[coeffs.get((ti, si), F0) for si in cols] for ti in self.target.holding(v)]
+        return cols, [[coeffs.get((ti, si), 0) for si in cols] for ti in self.target.holding(v)]
 
 
 def label_kernel(formal, bases):

@@ -126,9 +126,9 @@ class CoxeterOperator:
         supported x and y; False also when a line of c^{-1} it reads is not
         certified.
 
-        It checks y.c^{-1} = -(x.c^{-tr}): the spread of y over the rows of
-        c^{-1} against the negated spread of x over its columns, two short
-        certified vectors, with Phi(x) itself never formed.  Write u for
+        It checks y.c^{-1} = -(x.c^{-tr}): the spread of x over the columns
+        of c^{-1} and of y over its rows, added into one short certified
+        vector that must vanish, with Phi(x) itself never formed.  Write u for
         x.c^{-tr}, so Phi(x) = -u.c.  Both c.c^{-1} and c^{-1}.c are the
         identity, and every sum below is finite, since x, y and u are
         finitely supported and every row and column of c^{-1} is finite.
@@ -140,8 +140,16 @@ class CoxeterOperator:
         (y.(c^{-1}.c))_i = y_i.  So the identity holds exactly when Phi(x)
         and y agree at every vertex, however far from their supports.
         """
-        inner = spread(x, self.cinv.col)
-        return inner is not None and spread(y, self.cinv.row) == {v: -c for v, c in inner.items()}
+        acc = {}
+        get = acc.get
+        for vec, line in ((x, self.cinv.col), (y, self.cinv.row)):
+            for k, c in vec.items():
+                ln = line(k)
+                if ln is None:
+                    return False
+                for j, v in ln.items():
+                    acc[j] = get(j, 0) + c * v
+        return not any(acc.values())
 
     def verify_generator_identities(self, eval_window):
         """Check the two defining identities at every generator of a window.

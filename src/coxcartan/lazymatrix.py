@@ -56,7 +56,8 @@ class LazyIntMatrix:
         self._col_on = col_on
         self.name = name
         self.factors = None
-        self._lines = {}
+        self._rows = {}
+        self._cols = {}
 
     def entry(self, i, j):
         return self._entry(i, j)
@@ -76,20 +77,21 @@ class LazyIntMatrix:
     def row(self, i):
         """Row i as {j: nonzero value}, or None; shared, so read only."""
         try:
-            return self._lines["row", i]
+            return self._rows[i]
         except KeyError:
-            return self._line(self._row_rule, ("row", i))
+            if self._row_rule is None:
+                return None
+            line = self._rows[i] = self._row_rule(i)
+            return line
 
     def col(self, j):
         try:
-            return self._lines["col", j]
+            return self._cols[j]
         except KeyError:
-            return self._line(self._col_rule, ("col", j))
-
-    def _line(self, rule, key):
-        if rule is not None and key not in self._lines:
-            self._lines[key] = rule(key[1])
-        return self._lines.get(key)
+            if self._col_rule is None:
+                return None
+            line = self._cols[j] = self._col_rule(j)
+            return line
 
     def row_support(self, i):
         row = self.row(i)
@@ -301,7 +303,10 @@ class DimensionVector:
         self._d = {}
         if entries:
             for v, c in dict(entries).items():
-                if c != 0:
+                if type(c) is int:
+                    if c:
+                        self._d[v] = c
+                elif c != 0:
                     n = int(c)
                     if n != c:
                         raise ValueError(f"non-integral entry {c!r} at {v!r}")

@@ -2,27 +2,29 @@
 
 Kernels, solves, ranks, independence tests and the quotient blocks [B | I]
 eliminate sparse rows {col: value} fraction-free in stdlib ints (`echelon`),
-dividing once per entry read.  Other matrices are dense lists of Fraction
-rows; dense `rref` is left to `rank`, `invert` and `column_space_basis`, the
-oracles the sparse kernel is tested against.  Pivots are deterministic: first
-column, units first.
+dividing once per entry read.  Other matrices are dense lists of rows.  An
+integral value is an int and a Fraction appears only where a denominator
+does: zeros and identities are ints, and a read-off quotient is `a // b`
+when b divides a (`_quotient`).  Dense `rref`, whose pivot inverse is the
+one true division, is left to `rank`, `invert` and `column_space_basis`, the
+oracles the sparse kernel is tested against.  Pivots are deterministic:
+first column, units first.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
 def zeros(rows, cols):
-    return [[F0] * cols for _ in range(rows)]
+    return [[0] * cols for _ in range(rows)]
 
 
 def identity(n):
     m = zeros(n, n)
     for i in range(n):
-        m[i][i] = F1
+        m[i][i] = 1
     return m
 
 
@@ -114,7 +116,10 @@ def rank(a):
 
 
 def _integer_row(row):
-    """`row` without its zeros, times the lcm of its entries' denominators."""
+    """`row` without its zeros, times the lcm of its entries' denominators;
+    a row of ints only loses its zeros."""
+    if all(type(x) is int for x in row.values()):
+        return {c: x for c, x in row.items() if x}
     den = lcm(*[x.denominator for x in row.values()])
     return {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
 
@@ -169,6 +174,12 @@ def _reduce(row, piv, col):
     return row
 
 
+def _quotient(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def sparse_rank(columns):
     """Rank over Q of the integer matrix with columns {row: int}, eliminated
     as rows from the last row up: +-1 boundary maps fill in far less so."""
@@ -207,7 +218,7 @@ def kernel_basis(rows, ncols):
     for p in order:
         for c, v in reduced[p].items():
             if c != p:
-                basis[c][p] = Fraction(-v, reduced[p][p])
+                basis[c][p] = _quotient(-v, reduced[p][p])
     return list(basis.values())
 
 
@@ -247,7 +258,7 @@ def solve_matrix(a, b):
         return None
     x = zeros(ca, cb)
     for p in order:
-        x[p] = [Fraction(reduced[p].get(ca + j, 0), reduced[p][p]) for j in range(cb)]
+        x[p] = [_quotient(reduced[p].get(ca + j, 0), reduced[p][p]) for j in range(cb)]
     return x
 
 
@@ -280,12 +291,12 @@ def _complete_with_standard(cols, n):
     rows = [{c: col[i] for c, col in enumerate(cols)} | {k + i: 1} for i in range(n)]
     order, reduced = echelon(rows)
     std = [p - k for p in order if p >= k]
-    cinv = [[Fraction(reduced[p].get(k + i, 0), reduced[p][p]) for i in range(n)] for p in order]
+    cinv = [[_quotient(reduced[p].get(k + i, 0), reduced[p][p]) for i in range(n)] for p in order]
     return n - len(std), std, cinv
 
 
 def _unit_columns(indices, n):
-    return [[F1 if i == s else F0 for i in range(n)] for s in indices]
+    return [[1 if i == s else 0 for i in range(n)] for s in indices]
 
 
 def complement_projection(basis_cols, n):

@@ -568,7 +568,8 @@ class AInfinityQuiver(Presentation):
     start = 0
 
     def has_vertex(self, v):
-        return isinstance(v, int) and (self.start is None or v >= self.start)
+        # exact ints only: True == 1 would name a vertex displayed as True
+        return type(v) is int and (self.start is None or v >= self.start)
 
     def out_arcs(self, v):
         return [(v + 1, 1)]
@@ -611,7 +612,7 @@ class DInfinityQuiver(Presentation):
     thin = True
 
     def has_vertex(self, v):
-        return isinstance(v, int) and v >= -1
+        return type(v) is int and v >= -1
 
     def out_arcs(self, v):
         if v == 1:

@@ -1,7 +1,9 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import coxcartan
+from coxcartan import linalg
 
 SRC = Path(coxcartan.__file__).parent
 
@@ -43,3 +45,21 @@ def test_every_export_has_a_caller():
     assert unused == []
     # a KEEP entry goes once its item calls the name, or the name goes
     assert set(KEEP) <= set(exported_names()) and not set(KEEP) & used
+
+
+def test_no_true_division_outside_fractions():
+    # a float enters through `/` alone; the one kept is rref's pivot
+    # inverse, a Fraction because F1 is
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # breadth first, so an inner def overwrites its outer one
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        found += [(path.name, owner.get(id(node)), ast.unparse(node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert found == [("linalg.py", "rref", "F1 / m[r][c]")]
+    assert type(linalg.F1) is Fraction and linalg.F1 == 1

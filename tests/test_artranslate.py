@@ -702,6 +702,18 @@ def test_passing_tau_suite_evaluates_no_coxeter_image():
     assert apply.call_count == 0 and grow.call_count == 0
 
 
+def test_wide_tau_suite_intersects_no_kernels():
+    # every socle the suite reads sits on lines, each read off its out-maps
+    from coxcartan import linalg
+    from coxcartan.cli import run
+
+    out = io.StringIO()
+    with mock.patch.object(linalg, "intersect_kernels", wraps=linalg.intersect_kernels) as meet:
+        assert run(["verify", "--family=a-infinity", "--window=0..60", "--suite=tau"], out=out) == 0
+    assert out.getvalue() == "OK: translate formula holds for 1830 interval modules\n"
+    assert meet.call_count == 0
+
+
 def tau_suite_corpus():
     """verify --suite=tau on windows of the three path families: near, far
     and comma windows of the linear ones, d-infinity windows that knit or

@@ -453,9 +453,9 @@ def test_certified_product_window_leaves_the_entry_memo_empty():
     m = CoxeterOperator(cartan_pair(a)).matrix("forward")
     w = a.window("0..159")
     grid = evaluate_window(m, w, w).grid()
-    assert m._lines == {}
+    assert m._rows == m._cols == {}
     left, right = m.factors
-    assert right._lines == {}
-    assert {key[0] for key in left._lines} == {"row"} and len(left._lines) == 160
+    assert right._rows == right._cols == {}
+    assert len(left._rows) == 160 and left._cols == {}
     assert not any(hasattr(x, "_memo") for x in (m, left, right))
     assert grid[5][4:7] == [0, 0, 1] and grid[159][0] == 0

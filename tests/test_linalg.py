@@ -213,7 +213,6 @@ def test_sparse_echelon_matches_dense_rref(data):
     ]
     kernel = linalg.kernel_basis(sparse, cols)
     assert kernel == reference_kernel(grid, cols)
-    assert all(isinstance(x, Fraction) for v in kernel for x in v)
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in grid for v in kernel)
     if rows:
         assert linalg.nullspace(grid) == kernel
@@ -231,6 +230,51 @@ def test_sparse_echelon_matches_dense_rref(data):
     kept = [sparse[i] for i in range(2, rows)
             if linalg.rank(grid[:i + 1]) > linalg.rank(grid[:i])]
     assert linalg.independent_rows(sparse[:2], sparse[2:]) == kept
+
+
+def int_where_integral(rows):
+    """No float, and each entry an int exactly when it is integral."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_matrices())
+def test_results_are_ints_exactly_where_integral(data):
+    # the input keeps the contract too: ints where integral, else Fractions
+    rows, cols, grid = data
+    grid = [[x.numerator if x.denominator == 1 else x for x in row] for row in grid]
+    assert int_where_integral(grid)
+    kernel = linalg.kernel_basis([dict(enumerate(row)) for row in grid], cols)
+    assert kernel == reference_kernel(grid, cols)
+    assert linalg.intersect_kernels([grid], cols) == kernel
+    results = [kernel, linalg.intersect_kernels([], cols)]
+    if rows:
+        assert linalg.nullspace(grid) == kernel
+        b = [row[:2] + [1] for row in grid]
+        x = linalg.solve_matrix(grid, b)
+        assert x == reference_solve(grid, b, cols)
+        results += [x or []]
+    # the columns of grid span a subspace of Q^rows; its pivot columns are
+    # independent
+    columns = linalg.matrix_columns(grid)
+    quotient = linalg.complement_projection(columns, rows)
+    assert quotient == reference_complement_projection(columns, rows)
+    kept = [columns[p] for p in linalg.column_space_basis(grid)] if columns else []
+    basis = linalg.extend_to_basis(kept, rows)
+    assert basis == reference_extend_to_basis(kept, rows)
+    assert all(int_where_integral(out) for out in [*results, *quotient, *basis])
+
+
+def test_integer_rows_reduce_as_their_fractions_do():
+    # an all-int row only loses its zeros; written as Fractions it scales
+    # to the same integer row
+    rows = [{0: 2, 1: 0, 2: -4, 3: 6}, {1: 3, 3: 9}, {0: 1, 1: 3, 2: -2, 3: 12, 4: 0}]
+    as_fractions = [{c: Fraction(x) for c, x in row.items()} for row in rows]
+    assert linalg._integer_row(rows[0]) == {0: 2, 2: -4, 3: 6}
+    assert linalg.echelon(rows) == linalg.echelon(as_fractions) == (
+        [0, 1], {0: {0: 1, 2: -2, 3: 3}, 1: {1: 1, 3: 3}})
+    assert all(type(v) is int for row in linalg.echelon(rows)[1].values() for v in row.values())
 
 
 def test_sparse_echelon_of_empty_shapes():

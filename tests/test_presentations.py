@@ -252,6 +252,17 @@ def test_linear_chains_at_and_below_their_start():
         a.window("-3..-1")
 
 
+@pytest.mark.parametrize("family", ["a-infinity", "z-a-infinity", "d-infinity"])
+def test_chain_families_take_exact_ints_only(family):
+    # True == 1 and 1.0 == 1, but neither names a vertex
+    p = make_family(family)
+    assert p.has_vertex(1) and p.has_vertex(2)
+    assert not any(p.has_vertex(v) for v in (True, False, 1.0, 2.0, "1", None))
+    with pytest.raises(UnknownVertex):
+        p.window([True, 2])
+    assert list(p.window([2, 1])) == [1, 2]
+
+
 def test_garland_degrees_match_block_picture():
     g = make_family("garland", 2)
     rep = check_local_boundedness(g, g.window("0..1"))
