@@ -556,6 +556,68 @@ def test_knit_corpus_output_is_unchanged(tmp_path, monkeypatch):
     )
 
 
+def _file_quiver(seed):
+    """A seeded random acyclic quiver on 0..n-1: the chain i -> i+1, some of
+    its arrows doubled, and skips u -> v (v > u + 1), some of them doubled,
+    so that many paths join two vertices."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 10)
+    arrows = [(i, i + 1) for i in range(n - 1)]
+    arrows += [(i, i + 1) for i in rng.sample(range(n - 1), rng.randint(0, 2))]
+    for _ in range(rng.randint(1, n)):
+        u = rng.randrange(n - 2)
+        v = rng.randint(u + 2, min(n - 1, u + 4))
+        arrows += [(u, v)] * rng.choice((1, 1, 2))
+    rng.shuffle(arrows)
+    return n, "kind quiver\n" + "".join(f"vertex {v}\n" for v in range(n)) + "".join(
+        f"arrow {u} {v}\n" for u, v in arrows
+    )
+
+
+FILE_QUIVERS = {f"q{seed}.txt": _file_quiver(seed) for seed in range(12)}
+
+
+def file_translate_corpus():
+    """tau both ways on the intervals of twelve random --file quivers with
+    parallel arrows, verify tau and knit on their windows: translates, and
+    the refusals among them (an interval across a doubled arrow, a knitting
+    that reaches the edge of its section)."""
+    for name, (n, _) in FILE_QUIVERS.items():
+        src = f"--file={name}"
+        for direction in ("tau", "tau-minus"):
+            for lo in range(n):
+                for hi in (lo, lo + 1, lo + 3, n - 1):
+                    if hi < n:
+                        yield ["tau", src, f"--interval={lo},{hi}", f"--direction={direction}"]
+        for lo, hi in ((0, n - 1), (0, 3), (2, n - 1), (1, 4)):
+            yield ["verify", src, f"--window={lo}..{hi}", "--suite=tau"]
+        for section in (f"0..{n - 1}", f"2..{n - 1}", "0..3"):
+            for steps in (1, 5, 12):
+                yield ["knit", src, f"--section={section}", f"--steps={steps}"]
+
+
+def test_file_translate_corpus_output_is_unchanged(tmp_path, monkeypatch):
+    # one digest over argv, exit code, stdout and stderr of every command,
+    # recorded while --file quivers still ran the path-tuple model
+    from coxcartan.cli import run
+
+    monkeypatch.chdir(tmp_path)
+    for name, (_, text) in FILE_QUIVERS.items():
+        (tmp_path / name).write_text(text)
+    digest = hashlib.sha256()
+    count = 0
+    for argv in file_translate_corpus():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv, out=out)
+        digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
+        count += 1
+    assert count == 756
+    assert digest.hexdigest() == (
+        "1a78be873c2ce51c93735b92712186f9c0159ef330ad79eddc6f652c0fafc622"
+    )
+
+
 def _knit_until_stuck(pres, seed, steps):
     """(fragment of the meshes completed, the KnittingStuck message or None)."""
     from coxcartan import KnittingStuck
