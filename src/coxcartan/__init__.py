@@ -51,7 +51,6 @@ from .errors import (
     PresentationError,
     UndefinedProduct,
     UnknownVertex,
-    WindowInsufficient,
 )
 from .lazymatrix import (
     DimensionVector,

@@ -5,12 +5,10 @@ translate is the classical one: take a minimal injective copresentation
 0 -> M -> E0 -> E1, flip it through the duality into the opposite-side
 injectives (symbolically: same coefficients, reversed paths), and take the
 kernel there.  The copresentation is two steps of the socle -> envelope ->
-cokernel engine of module `comodules`.  A thin presentation (the tree
-families a-infinity, z-a-infinity and d-infinity) runs it on the labels of
-the summands, and its map E0 -> E1 is one sparse scalar matrix
-(LabelMorphism); finite quivers materialise path-basis injectives
-(InjectiveMorphism).  Windows enter only when a morphism is read at a
-vertex, and each window is exact, never a guess.
+cokernel engine of module `comodules`, on the labels of the summands with
+coordinates by path index, and its map E0 -> E1 is one functional per
+summand of E1 (InjectiveMorphism).  Windows enter only when a morphism is
+read at a vertex, and each window is exact, never a guess.
 The copresentation works on the convex closure of T = supp M plus its
 in-neighbours (every vertex on a path between two of T).  soc(E0/M) lies in T: a socle class at
 v outside supp M is some x != 0 in E0(v) outside soc E0 = soc M, so an
@@ -20,10 +18,11 @@ the window and every route of the envelopes are exact.  The transpose
 kernel K, a subcomodule of the flipped E1, is walked in layers by arrow
 distance to the socle vertices of the flipped E1.  A nonzero element of K
 has a chain of nonzero arrow images down to layer 0, one layer at most per
-arrow, so K vanishes beyond the first layer where it is zero.  A vertex
-walked costs one unit of COX_NODE_BUDGET.  A flipped E1 that is
-infinite-dimensional over a finite flipped E0 makes K infinite-dimensional;
-InfiniteDimensional says so.
+arrow, so K vanishes beyond the first layer where it is zero.  Its basis at
+a vertex is in reduced echelon form, so its arrow maps are read off the
+pivots (`materialized_kernel`).  A vertex walked costs one unit of
+COX_NODE_BUDGET.  A flipped E1 that is infinite-dimensional over a finite
+flipped E0 makes K infinite-dimensional; InfiniteDimensional says so.
 
 The formula dim tau N = Phi(dim N) needs Hom(C, DN) = 0, which
 `certify_no_inj_hom` decides exactly at the socle: path coalgebras are
@@ -32,8 +31,7 @@ is a finite injective, and it contains some E(k) with k a socle vertex of M.
 Hom(C, M) = 0 thus holds exactly when no such E(k) embeds in M.  A
 candidate E(k) fits only when ancestors(k) lies in supp M, which a walk up
 the in-arcs from k decides without listing ancestors(k); it is then built
-whole on them, never on a window, and on a thin presentation it is 1 at
-each of them with every map 1.
+whole on them (MaterializedInjective), never on a window.
 
 Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
 dimension vector tau is obtained from mesh additivity (sum of the middle minus
@@ -60,20 +58,15 @@ from itertools import chain, islice
 from . import linalg
 from .cartan import cartan_pair, path_count
 from .comodules import (
-    Comodule,
     FormalInjective,
     InjectiveMorphism,
-    LabelMorphism,
     MaterializedInjective,
+    _layers,
     arrows_from,
-    cokernel,
-    enumerate_paths,
-    envelope,
     hom_basis,
     interval_comodule,
     label_annihilators,
     label_envelope,
-    label_kernel,
     label_socle,
     materialized_kernel,
     node_budget,
@@ -93,16 +86,6 @@ from .errors import (
 from .lazymatrix import DimensionVector, LazyVector
 
 
-def _layers(start, neighbours):
-    """Breadth-first layers: the vertices of `start`, then at each step the
-    vertices first reached along `neighbours`."""
-    seen, layer = set(), list(dict.fromkeys(start))
-    while layer:
-        seen.update(layer)
-        yield layer
-        layer = [w for w in dict.fromkeys(w for v in layer for w in neighbours(v)) if w not in seen]
-
-
 def grow_window(pres, verts, steps):
     """`verts` and every vertex within `steps` arcs of them, either way."""
     layers = _layers(verts, lambda v: [w for w, _ in pres.out_arcs(v) + pres.in_arcs(v)])
@@ -110,9 +93,9 @@ def grow_window(pres, verts, steps):
 
 
 class InjCopresentation:
-    """0 -> M -> e0 -> e1 with `map` the symbolic E0 -> E1 (a LabelMorphism
-    on a thin presentation, else an InjectiveMorphism); `exact_at_e1` says
-    that E0/M -> E1 is onto on the window."""
+    """0 -> M -> e0 -> e1 with `map` the symbolic E0 -> E1 (an
+    InjectiveMorphism); `exact_at_e1` says that E0/M -> E1 is onto on the
+    window."""
 
     def __init__(self, e0, e1, map, exact_at_e1):
         self.e0, self.e1, self.map, self.exact_at_e1 = e0, e1, map, exact_at_e1
@@ -122,11 +105,12 @@ def min_inj_copresentation(module, socle=None):
     """Minimal injective copresentation 0 -> M -> E0 -> E1 of a finite
     comodule over a hereditary path presentation.
 
-    E0 is the injective envelope of soc M, E1 the envelope of soc(E0/M); the
-    connecting map is returned symbolically, on labels over a thin
-    presentation and in the path basis otherwise.  Both are computed on one
-    exact window (see the module docstring).  `socle` is `module.socle()`
-    when the caller has it already.
+    E0 is the injective envelope of soc M, E1 the envelope of soc(E0/M),
+    both on labels: the dual of E0/M from `label_envelope`, one label socle
+    step for E1, whose functionals are the map E0 -> E1, and the next
+    annihilators, empty exactly when E0/M -> E1 is onto on the window.  All
+    of it is computed on one exact window (see the module docstring).
+    `socle` is `module.socle()` when the caller has it already.
     """
     pres = module.pres
     if pres.kind != "quiver":
@@ -142,51 +126,11 @@ def min_inj_copresentation(module, socle=None):
     # the convex closure of heads: forward from them, through the vertices
     # that can still reach one of them
     window = sorted(chain.from_iterable(_layers(heads, onward)), key=pres.sort_key)
-    if pres.thin:
-        return _label_copresentation(module, window, socle)
-    e0_formal, e0_mat, iota = envelope(module, window, socle)
-    quotient, projs = cokernel(e0_mat.comodule, iota, window)
-    e1_formal, e1_mat, embed2 = envelope(quotient, window)
-    # concrete composite g = (Q -> E1) o (E0 -> Q)
-    gmats = {
-        v: linalg.mat_mul(embed2[v], projs[v]) if projs[v]
-        else linalg.zeros(len(embed2[v]), e0_mat.comodule.dim(v))
-        for v in window
-    }
-    # exactness beyond E1 (hereditary: the cokernel of M -> E0 is injective,
-    # so the envelope embedding must already be onto) checked numerically
-    exact = all(linalg.rank(embed2[v]) == e1_mat.comodule.dim(v) for v in e1_mat.basis)
-    # the symbolic path coefficients of g, read at the socle vertex a of
-    # each E1 summand; InjectiveMorphism drops the zero ones
-    blocks = {
-        (ti, si): {
-            pi: gmats[a][e1_mat.offset[a][ti, ()]][e0_mat.offset[a][si, pi]]
-            for pi in enumerate_paths(pres, a, j)
-        }
-        for ti, a in enumerate(e1_formal.summands)
-        for si, j in enumerate(e0_formal.summands)
-    }
-    gmor = InjectiveMorphism(e0_formal, e1_formal, blocks)
-    check = gmor.materialize(e0_mat, e1_mat)
-    for v in window:
-        if not linalg.mat_eq(check[v], gmats[v]):
-            raise AssertionError("symbolic copresentation map disagrees with matrices")
-    return InjCopresentation(e0_formal, e1_formal, gmor, exact)
-
-
-def _label_copresentation(module, window, socle):
-    """The copresentation of `min_inj_copresentation` over a thin
-    presentation: the dual of E0/M from `label_envelope`, one label socle
-    step for E1, whose functionals are the map E0 -> E1, and the next
-    annihilators, empty exactly when E0/M -> E1 is onto on the window."""
-    pres = module.pres
-    labels, ann = label_envelope(module, window, socle)
-    step = label_socle(pres, window, ann)
-    onto = not label_annihilators(pres, window, step, ann)
-    e0 = FormalInjective(pres, [(a, 1) for a in labels])
+    e0, ann = label_envelope(module, window, socle)
+    step = label_socle(e0, window, ann)
     e1 = FormalInjective(pres, [(b, 1) for b, _ in step])
-    coeffs = {(ti, si): x for ti, (_, row) in enumerate(step) for si, x in row.items()}
-    return InjCopresentation(e0, e1, LabelMorphism(e0, e1, coeffs), onto)
+    g = InjectiveMorphism(e0, e1, [row for _, row in step])
+    return InjCopresentation(e0, e1, g, not label_annihilators(g, window, ann))
 
 
 def _ancestors_inside(pres, k, dims):
@@ -207,24 +151,18 @@ def certify_no_inj_hom(module, socle=None):
     """True when no injective maps nonzero into the finite comodule `module`
     over a path presentation (exact; see the module docstring).  Only the
     E(k), k in its socle, that fit inside it are tested: finite, with support
-    ancestors(k) in supp M and dimensions at most those of M.  On a thin
-    presentation E(k) is 1 at each vertex of its support, with every map 1.
-    `socle` is `module.socle()` when the caller has it already."""
+    ancestors(k) in supp M and dimensions at most those of M.  `socle` is
+    `module.socle()` when the caller has it already."""
     pres = module.pres
     socdim, _ = module.socle() if socle is None else socle
     for k in socdim.support:
         sup = _ancestors_inside(pres, k, module.dims)
         if sup is None:
             continue
-        if pres.thin:
-            maps = {(u, w, 0): [[1]] for u in sup for w, _ in pres.out_arcs(u) if w in sup}
-            inj = Comodule(pres, dict.fromkeys(sup, 1), maps)
-        elif all(path_count(pres, v, k) <= module.dim(v) for v in sup):
-            inj = MaterializedInjective(FormalInjective(pres, [(k, 1)]), sup).comodule
-        else:
-            continue
-        if hom_basis(inj, module):
-            return False
+        inj = FormalInjective(pres, [(k, 1)])
+        if all(inj.counts(v)[0] <= module.dim(v) for v in sup):
+            if hom_basis(MaterializedInjective(inj, sup).comodule, module):
+                return False
     return True
 
 
@@ -244,8 +182,9 @@ def transpose_tr(module):
 def _flipped_kernel(nabla_g):
     """ker(nabla E1 -> nabla E0), walked in layers by arrow distance to the
     socle vertices of nabla E1 and stopped at the first layer where it is
-    zero (see the module docstring).  Equal matrices are eliminated once: on
-    labels the matrix at v depends only on the summands holding v."""
+    zero (see the module docstring).  Where the map is flat its matrix at v
+    depends only on the labels that v reaches, so each set of them is
+    eliminated once."""
     src, dst = nabla_g.source, nabla_g.target
     op = src.pres
     # with every Cartan row finite every injective is finite: no ancestor
@@ -267,18 +206,16 @@ def _flipped_kernel(nabla_g):
             )
         found = {}
         for v in layer:
-            cols, mat = nabla_g.at(v)
-            key = (len(cols), tuple(map(tuple, mat)))
+            (counts, flat), (dst_counts, dst_flat) = src.line(v)[:2], dst.line(v)[:2]
+            key = (tuple(counts), tuple(dst_counts)) if flat and dst_flat else (v,)
             if key not in kernels:
-                kernels[key] = linalg.nullspace(mat) if mat else linalg.identity(len(cols))
+                kernels[key] = linalg.sparse_kernel(nabla_g.materialize(v).values(), src.keys(v))
             if kernels[key]:
                 found[v] = kernels[key]
         if not found:
             break
         bases.update(found)
-    if op.thin:
-        return label_kernel(src, bases)
-    return materialized_kernel(MaterializedInjective(src, bases).comodule, bases)
+    return materialized_kernel(src, bases)
 
 
 def _transpose_attempt(module, certified, socle):

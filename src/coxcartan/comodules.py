@@ -11,41 +11,49 @@ with commutativity relations.
 
 The engine repeats one step on a finite convex window: take the socle, embed
 into its injective envelope, pass to the cokernel.  The socle at a vertex
-whose space is a line is read off its out-maps, with no elimination.  The
-engine has two models, and each presentation runs one of them
-(`Presentation.thin`).
+whose space is a line is read off its out-maps, with no elimination.  One
+engine serves every presentation, on the labels of the injectives.
 
-On a thin presentation (every poset, and the tree families a-infinity,
-z-a-infinity and d-infinity) at most one path joins two vertices, so the
-injective E(a) is 1 at each v that reaches a and 0 elsewhere, every map 1,
-and Hom(M, E(a)) is M(a)*.  A sum of injectives is then the list of its
-summands' labels, and a cokernel is kept by its dual: at each v a basis of
-functionals, sparse rows over the summands holding v.  `label_envelope`
-embeds a comodule, pulling each socle functional back along the one path to
-its label; `label_socle` reads the envelope of a cokernel off the top of its
-dual, and `label_annihilators` passes to the next cokernel.  A morphism
-between sums of injectives is one sparse scalar matrix (LabelMorphism),
-whose matrix at v is the submatrix of the summands holding v.  Module
-`resolutions` resolves a poset's simples this way, and module `artranslate`
-copresents comodules of the tree families.
+Hom(M, E(a)) is M(a)*, and E(a) at v has a basis of the paths v -> a, all
+of them one on a poset (Simson, Colloq. Math. 90, 2001); their number is
+`path_count`.  A finite sum of injectives is the list of its summands'
+labels (FormalInjective), and a coordinate at v is a pair (summand s, index
+i of a path v -> a_s), kept as the int key s + n*i for n summands.  Path
+counts give the index: the paths v -> a that start with an arrow follow
+those that start with the arrows before it, in `arrows_from` order, and
+among them a path is placed as its rest is among the paths from the
+arrow's head.  So the key of a path is its rest's key plus a shift for its
+first arrow (`FormalInjective.shifts`).  `enumerate_paths` lists the paths
+in that order; it is the reference the index is tested against, and no
+query calls it.  Where at most one path joins v to each label (every
+poset, and the tree families a-infinity, z-a-infinity and d-infinity) every
+index and every shift is 0 (`FormalInjective.flat`).  An arrow v -> w of
+E(a) sends the coordinate of each path it starts to that of the path's
+rest and kills the others, so a functional at w pulls back to v by
+shifting its keys.
 
-Finite quivers keep path-basis injectives: the injective at a
-(MaterializedInjective) has basis, at vertex v, the directed paths v -> a;
-an arrow strips itself off the front of a path and kills everything else.
-Its dimension vector is the Cartan row at a and its socle the simple at a.
-`envelope` and `cokernel` materialise each step on the window, and a
-morphism between sums of injectives is carried symbolically
-(InjectiveMorphism): the hom space from the injective at j to the one at a
-has as basis the paths a -> j, a path acting by chopping itself off the
-end.  In both models the symbolic form is what makes the duality into the
-opposite quiver exact (same coefficients, reversed paths), while windows
-only enter when a morphism is read at a vertex.
+A cokernel is kept by its dual: at each v a basis of functionals, sparse
+rows over the keys at v.  `label_envelope` embeds a comodule, pulling each
+socle functional back to the paths into its label arrow by arrow;
+`label_socle` reads the envelope of a cokernel off the top of its dual, and
+`label_annihilators` passes to the next cokernel.  A morphism between sums
+of injectives (InjectiveMorphism) is one functional for each target
+summand, on the source at that summand's label; its matrix at v is pulled
+back arrow by arrow from the labels, and its dual between the
+opposite-side injectives has the same coefficients on reversed paths.  The
+symbolic form is what makes that duality exact, and windows only enter when
+a morphism is read at a vertex.  `materialized_kernel` is the kernel of
+such a morphism as a comodule, and MaterializedInjective realises a sum of
+injectives on a window.  Module `resolutions` resolves a poset's simples
+this way, and module `artranslate` copresents comodules over path
+presentations.
 """
 
 import os
+from itertools import chain
 
 from . import linalg
-from .errors import IntervalFinitenessViolated, PresentationError, WindowInsufficient
+from .errors import IntervalFinitenessViolated, PresentationError
 from .lazymatrix import DimensionVector
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -73,13 +81,10 @@ def reverse_arrow(arrow):
     return (w, u, k)
 
 
-def reverse_path(path):
-    return tuple(reverse_arrow(a) for a in reversed(path))
-
-
 def enumerate_paths(pres, u, v):
-    """All directed paths u -> v as tuples of arrows (deterministic order),
-    memoized on the presentation (`pres.memo("paths")`)."""
+    """All directed paths u -> v as tuples of arrows, in the order of their
+    index (see the module docstring), memoized on the presentation
+    (`pres.memo("paths")`)."""
     memo = pres.memo("paths")
     key = (u, v)
     if key in memo:
@@ -112,7 +117,6 @@ def enumerate_paths(pres, u, v):
             found = [()] if x == v else []
             for arrow in arrows_from(pres, x):
                 found.extend((arrow,) + tail for tail in memo.get((arrow[1], v), ()))
-            found.sort(key=lambda p: (len(p), [pres.sort_key(a[0]) for a in p], [a[2] for a in p]))
             memo[x, v] = found
             stack.pop()
     return memo[key]
@@ -292,16 +296,49 @@ def find_isomorphism(x, y):
 
 
 # ---------------------------------------------------------------------------
-# formal injectives and symbolic morphisms between them
+# injectives on labels, with coordinates by path index
+
+def _layers(start, neighbours):
+    """Breadth-first layers: the vertices of `start`, then at each step the
+    vertices first reached along `neighbours`."""
+    seen, layer = set(), list(dict.fromkeys(start))
+    while layer:
+        seen.update(layer)
+        yield layer
+        layer = [w for w in dict.fromkeys(w for v in layer for w in neighbours(v)) if w not in seen]
+
+
+def _sinks_first(pres, verts):
+    """`verts`, each after every one of them that it has an arc to (Kahn's
+    algorithm on the reversed arcs)."""
+    inside = set(verts)
+    left = {v: len([w for w, _ in pres.out_arcs(v) if w in inside]) for v in inside}
+    order = [v for v, k in left.items() if not k]
+    for w in order:
+        for u, _ in pres.in_arcs(w):
+            if u in left:
+                left[u] -= 1
+                if not left[u]:
+                    order.append(u)
+    return order
+
+
+def _pull(row, shift, n):
+    """The sparse row `row` pulled back along an arrow whose shifts are
+    `shift` (None when they are all 0), n being the number of summands."""
+    return {k + shift[k % n]: x for k, x in row.items()} if shift else row
+
 
 class FormalInjective:
-    """A finite direct sum of indecomposable injectives, by socle vertex."""
+    """A finite direct sum of indecomposable injectives, by socle vertex (its
+    label).  At each vertex it reads once the numbers of paths to the labels
+    and keeps them with their keys and shifts."""
 
     def __init__(self, pres, summands):
         self.pres = pres
-        self.summands = []          # flat list of socle vertices, one per copy
-        for v, mult in summands:
-            self.summands.extend([v] * mult)
+        # flat list of socle vertices, one per copy
+        self.summands = [v for v, mult in summands for _ in range(mult)]
+        self._at = {}               # v -> [counts, flat, keys, shifts]
 
     def multiplicities(self):
         out = {}
@@ -316,10 +353,50 @@ class FormalInjective:
         """The corresponding sum of opposite-side injectives (same labels)."""
         return FormalInjective(self.pres.opposite(), [(v, 1) for v in self.summands])
 
-    def holding(self, v):
-        """The indices of the summands whose support holds v: on a thin
-        presentation, its basis at v."""
-        return [i for i, a in enumerate(self.summands) if self.pres.could_reach(v, a)]
+    def line(self, v):
+        """[counts, flat, keys, shifts] at v, the last two filled in when
+        first asked for."""
+        got = self._at.get(v)
+        if got is None:
+            counts = self.pres.counts_from(v, self.summands)
+            got = self._at[v] = [counts, not counts or max(counts) < 2, None, None]
+        return got
+
+    def counts(self, v):
+        """The number of paths from v to each label: each summand's
+        dimension at v."""
+        return self.line(v)[0]
+
+    def flat(self, v):
+        """True when at most one path joins v to each label: then the keys at
+        v are the summands holding v, and so they are at every vertex that v
+        reaches, which has no more paths to a label than v has."""
+        return self.line(v)[1]
+
+    def keys(self, v):
+        """The keys of the coordinates at v, in order: the basis there."""
+        line = self.line(v)
+        if line[2] is None:
+            counts, n = line[0], len(self.summands)
+            line[2] = [s for s, c in enumerate(counts) if c] if line[1] else [
+                s + n * i for i in range(max(counts)) for s, c in enumerate(counts) if c > i
+            ]
+        return line[2]
+
+    def shifts(self, v):
+        """{arrow out of v: for each label, n times the number of paths from v
+        to it that start with an arrow before this one}: a path's key is its
+        rest's key at the arrow's head plus the arrow's shift.  {} when
+        `flat(v)`, where every shift that meets a key is 0."""
+        line = self.line(v)
+        if line[3] is None:
+            line[3] = {}
+            if not line[1]:
+                n, run = len(self.summands), [0] * len(self.summands)
+                for arrow in arrows_from(self.pres, v):
+                    line[3][arrow] = [n * r for r in run]
+                    run = [r + c for r, c in zip(run, self.counts(arrow[1]))]
+        return line[3]
 
     def __repr__(self):
         mult = self.multiplicities()
@@ -330,325 +407,262 @@ class FormalInjective:
         return " + ".join(parts) if parts else "0"
 
 
-def path_basis(formal, v):
-    """Basis at v of a formal injective of a path presentation: the pairs
-    (summand index, path v -> socle vertex of the summand)."""
-    return [
-        (si, p) for si, a in enumerate(formal.summands) for p in enumerate_paths(formal.pres, v, a)
-    ]
-
-
 class MaterializedInjective:
-    """A formal injective of a path presentation realised on a window.
-
-    basis[v] lists (summand index, route) pairs, a route being one of the
-    paths from v to the socle vertex of the summand; an arrow strips itself
-    off the front of a route and kills every route it does not start.  A
-    thin presentation keeps its injectives as labels instead.
-    """
+    """A formal injective realised on a window as a Comodule: at v its basis
+    is its keys there, and an arrow v -> w sends the coordinate of each path
+    that it starts to that of the path's rest, killing the others.  Its
+    dimension vector is the sum of the Cartan rows of its labels."""
 
     def __init__(self, formal, window):
-        pres = formal.pres
         self.formal = formal
-        self.window = sorted(window, key=pres.sort_key)
-        self.basis = {}
-        for v in self.window:
-            items = path_basis(formal, v)
-            if items:
-                self.basis[v] = items
-        self.offset = {
-            v: {key: i for i, key in enumerate(items)} for v, items in self.basis.items()
-        }
-        dims = {v: len(items) for v, items in self.basis.items()}
+        n = len(formal.summands)
+        keys = {v: formal.keys(v) for v in window}
+        self.keys = {v: k for v, k in keys.items() if k}
         maps = {}
-        for v in self.basis:
-            for arrow in arrows_from(pres, v):
-                w = arrow[1]
-                if w not in self.basis:
-                    continue
-                mat = linalg.zeros(dims[w], dims[v])
-                for col, (si, p) in enumerate(self.basis[v]):
-                    if p and p[0] == arrow:
-                        mat[self.offset[w][si, p[1:]]][col] = 1
-                maps[arrow] = mat
-        self.comodule = Comodule(pres, dims, maps)
+        for v, kv in self.keys.items():
+            pos = {k: c for c, k in enumerate(kv)}
+            shifts = formal.shifts(v)
+            for arrow in arrows_from(formal.pres, v):
+                kw = self.keys.get(arrow[1])
+                if kw:
+                    shift, mat = shifts.get(arrow), linalg.zeros(len(kw), len(kv))
+                    for r, k in enumerate(kw):
+                        mat[r][pos[k + shift[k % n] if shift else k]] = 1
+                    maps[arrow] = mat
+        self.comodule = Comodule(formal.pres, {v: len(k) for v, k in self.keys.items()}, maps)
 
 
-def envelope(mod, window, socle=None):
-    """Minimal injective envelope of `mod`, materialised on `window`.
-
-    Returns (formal injective, materialisation, per-vertex embedding rows).
-    Each socle basis vector at a gives one summand E(a) and a functional on
-    the space at a that is 1 on it and 0 on the rest of a basis extending the
-    socle; the embedding row of a basis element is that functional pulled
-    back along its route.  `socle` is `mod.socle()` when the caller has it.
-    """
-    pres = mod.pres
-    wset = set(window)
-    for v in mod.support:
-        if v not in wset:
-            raise WindowInsufficient(f"support vertex {pres.display(v)} outside window")
-    socdim, socbases = mod.socle() if socle is None else socle
-    socles, functionals = [], []
-    for a in sorted(socdim.support, key=pres.sort_key):
-        basis = socbases[a]
-        _, cinv = linalg.extend_to_basis(basis, mod.dim(a))
-        socles.extend([a] * len(basis))
-        functionals.extend(cinv[: len(basis)])
-    formal = FormalInjective(pres, [(a, 1) for a in socles])
-    inj = MaterializedInjective(formal, window)
-    pulled = {}
-
-    def pullback(si, route):
-        # functional si composed with the maps of `mod` along `route`, from
-        # the longest memoized tail of the route back to its start; a zero
-        # space on the way gives the zero row
-        k = 0
-        while (si, route[k:]) not in pulled:
-            if k == len(route):
-                pulled[si, ()] = functionals[si]
-                break
-            k += 1
-        for i in range(k - 1, -1, -1):
-            after = pulled[si, route[i + 1:]]
-            if any(x != 0 for x in after):
-                row = linalg.mat_mul([after], mod.arrow_map(route[i]))[0]
-            else:
-                row = [0] * mod.dim(route[i][0])
-            pulled[si, route[i:]] = row
-        return pulled[si, route]
-
-    embed = {v: [pullback(si, p) for si, p in inj.basis.get(v, [])] for v in inj.window}
-    for v in mod.support:
-        if linalg.nullspace(embed[v]):
-            raise AssertionError("envelope embedding not injective")
-    return formal, inj, embed
-
-
-def cokernel(mod, image, window):
-    """mod / (pointwise column span of image[v]) on `window`, and the
-    per-vertex projections onto it."""
-    projs, sections, dims = {}, {}, {}
-    for v in window:
-        d = mod.dim(v)
-        if not d:
-            projs[v] = []
-            continue
-        cols = [c for c in linalg.matrix_columns(image.get(v, [])) if any(x != 0 for x in c)]
-        projs[v], sections[v] = linalg.complement_projection(cols, d)
-        if projs[v]:
-            dims[v] = len(projs[v])
-    maps = {}
-    for v in dims:
-        for arrow in arrows_from(mod.pres, v):
-            w = arrow[1]
-            if w in dims:
-                maps[arrow] = linalg.mat_mul(
-                    projs[w], linalg.mat_mul(mod.arrow_map(arrow), sections[v])
-                )
-    return Comodule(mod.pres, dims, maps), projs
+def _reversed_order(pres, b, a):
+    """[for each path b -> a, by index, the index of its reverse among the
+    paths a -> b of the opposite presentation].  There the paths from b into
+    a vertex y are placed first by their last arrow, in `in_arcs` order, and
+    then as their start is among the paths into the arrow's tail.  So the
+    list, in that order, of the index of each path b -> y once extended to
+    a by the path y -> a of index 0 is, arrow by arrow into y, the list of
+    the arrow's tail plus the arrow's shift toward a; at b it is [0]."""
+    ahead = FormalInjective(pres, [(a, 1)])
+    span = chain.from_iterable(_layers([b], lambda v: [
+        w for w, _ in pres.out_arcs(v) if pres.could_reach(w, a)
+    ]))
+    into = {}
+    for y in _sinks_first(pres.opposite(), list(span)):
+        into[y] = [0] if y == b else [
+            f + ahead.shifts(z).get((z, y, k), (0,))[0]
+            for z, mult in pres.in_arcs(y) if z in into
+            for k in range(mult) for f in into[z]
+        ]
+    order = [0] * len(into[a])
+    for back, front in enumerate(into[a]):
+        order[front] = back
+    return order
 
 
 class InjectiveMorphism:
-    """Symbolic morphism source -> target between formal injectives.
+    """Morphism source -> target between formal injectives.  Hom(M, E(b)) is
+    M(b)*, so it is one functional rows[t] for each target summand t with
+    label b: a sparse row over the source's keys at b.  At v the row of the
+    target coordinate of a path p: v -> b is rows[t] pulled back along p."""
 
-    blocks[(ti, si)] maps a path pi from target summand ti's socle vertex to
-    source summand si's socle vertex to its coefficient; pi acts on a path p
-    ending with pi by cutting it off.
-    """
-
-    def __init__(self, source, target, blocks):
-        self.source = source
-        self.target = target
-        self.blocks = {
-            key: {p: c for p, c in blk.items() if c != 0}
-            for key, blk in blocks.items()
-            if any(c != 0 for c in blk.values())
-        }
+    def __init__(self, source, target, rows):
+        self.source, self.target, self.rows = source, target, rows
+        self._at = {}
 
     def nabla(self):
-        """The dual morphism between the opposite-side injectives: same
-        coefficients on reversed paths, source and target exchanged."""
-        blocks = {}
-        for (ti, si), blk in self.blocks.items():
-            blocks[(si, ti)] = {reverse_path(p): c for p, c in blk.items()}
-        return InjectiveMorphism(self.target.nabla(), self.source.nabla(), blocks)
+        """The dual morphism between the opposite-side injectives: the same
+        coefficients on reversed paths, source and target exchanged.  The
+        coefficient of rows[t] at the path b -> a of index i goes to the
+        opposite functional of a's summand, at the index of the reversed
+        path (`_reversed_order`), which is 0 when one path joins b to a."""
+        src, tgt = self.source, self.target
+        n0, n1, orders = len(src.summands), len(tgt.summands), {}
+        rows = [{} for _ in src.summands]
+        for t, (b, row) in enumerate(zip(tgt.summands, self.rows)):
+            counts = src.counts(b)
+            for key, x in row.items():
+                s, i = key % n0, key // n0
+                if counts[s] > 1:
+                    pair = (b, src.summands[s])
+                    if pair not in orders:
+                        orders[pair] = _reversed_order(src.pres, *pair)
+                    i = orders[pair][i]
+                rows[s][t + n1 * i] = x
+        return InjectiveMorphism(tgt.nabla(), src.nabla(), rows)
 
-    def materialize(self, src_mat, tgt_mat):
-        """Per-vertex matrices of the morphism on already-materialised ends."""
-        return {
-            v: self.matrix(src_mat.basis.get(v, []), tgt_mat.offset.get(v, {}))
-            for v in src_mat.window
-        }
+    def flat(self, v):
+        return self.source.flat(v) and self.target.flat(v)
 
-    def at(self, v):
-        """(source basis at v, the matrix at v)."""
-        cols = path_basis(self.source, v)
-        rows = path_basis(self.target, v)
-        return cols, self.matrix(cols, {item: r for r, item in enumerate(rows)})
+    def materialize(self, v):
+        """The matrix at v, {target key at v: its row, a sparse row over the
+        source keys at v}, kept per vertex.  Where both ends are flat
+        (`FormalInjective.flat`) it is rows[t] for the labels that v reaches.
+        Elsewhere it is rows[t] for a label t at v and the rows of each
+        out-neighbour pulled back along each arrow, target and source keys
+        shifted by the arrow's shifts; the out-neighbours that reach a label
+        come first, walked on an explicit stack."""
+        memo, src, tgt = self._at, self.source, self.target
+        got = memo.get(v)
+        if got is not None:
+            return got
+        n0, n1 = len(src.summands), len(tgt.summands)
+        stack = [v]
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+            elif self.flat(x):
+                memo[x] = {t: self.rows[t] for t, c in enumerate(tgt.counts(x)) if c}
+                stack.pop()
+            else:
+                arrows = arrows_from(src.pres, x)
+                todo = [a[1] for a in arrows if a[1] not in memo and any(tgt.counts(a[1]))]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                rows = {t: self.rows[t] for t, b in enumerate(tgt.summands) if b == x}
+                src_shifts, tgt_shifts = src.shifts(x), tgt.shifts(x)
+                for arrow in arrows:
+                    shift = tgt_shifts.get(arrow)
+                    for key, row in memo.get(arrow[1], {}).items():
+                        rows[key + shift[key % n1] if shift else key] = _pull(
+                            row, src_shifts.get(arrow), n0
+                        )
+                memo[x] = rows
+                stack.pop()
+        return memo[v]
 
-    def matrix(self, cols, row_of):
-        """The matrix at one vertex, from the source basis `cols` there to the
-        target basis indexed by `row_of` (basis item -> row)."""
-        mat = linalg.zeros(len(row_of), len(cols))
-        for c, (si, p) in enumerate(cols):
-            for (ti, si2), blk in self.blocks.items():
-                if si2 == si:
-                    for pi, coeff in blk.items():
-                        cut = len(p) - len(pi)
-                        if cut >= 0 and p[cut:] == pi and (ti, p[:cut]) in row_of:
-                            mat[row_of[ti, p[:cut]]][c] += coeff
-        return mat
 
-
-def materialized_kernel(mod, bases):
-    """The subcomodule of `mod` spanned at each vertex v by the columns
-    bases[v], which must be stable under the arrow maps (a kernel)."""
-    dims = {v: len(b) for v, b in bases.items()}
-    maps = {}
-    for v in list(bases):
-        for arrow in arrows_from(mod.pres, v):
-            w = arrow[1]
-            if w not in bases:
+def materialized_kernel(formal, bases):
+    """The subcomodule of a formal injective spanned at each v by bases[v],
+    {pivot key: sparse column}, a basis in reduced echelon form: each column
+    is 1 at its own pivot and 0 at the others (`linalg.sparse_kernel`).  An
+    arrow v -> w sends a column to its image y, the coordinates that the
+    arrow keeps (as in MaterializedInjective).  y's values at the pivots of
+    bases[w] are its coordinates in that basis, and the rest of y must
+    vanish, or the span is not arrow-stable: no solve is needed."""
+    pres, n, maps, found = formal.pres, len(formal.summands), {}, {}
+    for v, basis in bases.items():
+        shifts = formal.shifts(v)
+        for arrow in arrows_from(pres, v):
+            target = bases.get(arrow[1])
+            if target is None:
                 continue
-            amap = mod.arrow_map(arrow)
-            img = linalg.mat_mul(amap, linalg.columns_matrix(bases[v], mod.dim(v)))
-            sol = linalg.solve_matrix(
-                linalg.columns_matrix(bases[w], mod.dim(w)), img
-            )
-            assert sol is not None, "kernel not arrow-stable"
-            maps[arrow] = sol
-    return Comodule(mod.pres, dims, maps)
+            # where v is flat the map depends only on the two bases and the
+            # keys kept, and bases are shared between vertices
+            key = None if shifts else (id(basis), id(target), tuple(formal.keys(arrow[1])))
+            if key in found:
+                maps[arrow] = found[key]
+                continue
+            shift = shifts.get(arrow)
+            kept = {k + shift[k % n] if shift else k: k for k in formal.keys(arrow[1])}
+            row_of = {p: r for r, p in enumerate(target)}
+            mat = linalg.zeros(len(target), len(basis))
+            for c, col in enumerate(basis.values()):
+                image = {kept[k]: x for k, x in col.items() if k in kept}
+                rest = dict(image)
+                for p, x in image.items():
+                    if p in row_of:
+                        mat[row_of[p]][c] = x
+                        for k, z in target[p].items():
+                            rest[k] = rest.get(k, 0) - x * z
+                if any(rest.values()):
+                    raise AssertionError("kernel not arrow-stable")
+            maps[arrow] = mat
+            if key:
+                found[key] = mat
+    return Comodule(pres, {v: len(b) for v, b in bases.items()}, maps)
 
-
-# ---------------------------------------------------------------------------
-# thin injectives on labels
 
 def label_envelope(mod, window, socle=None):
-    """The envelope M -> E0 of a finite comodule over a thin presentation, on
-    labels: (the socle vertices of the summands of E0, the dual of E0/M on
-    `window` as `label_socle` reads it).
+    """The envelope M -> E0 of a finite comodule, on labels: (E0, the dual of
+    E0/M on `window` as `label_socle` reads it).
 
     Each socle basis vector at a gives one summand E(a) and a functional phi
-    on M(a) that is 1 on it and 0 on the rest of a basis extending the socle,
-    as `envelope` chooses them.  The embedding at v reads phi along the one
-    path v -> a, so phi is pulled back once, walking back along in-arcs from
-    a inside supp M; its rank at v must be dim M(v).  Equal embeddings are
-    eliminated once.  `socle` is `mod.socle()` when the caller has it.
+    on M(a) that is 1 on it and 0 on the rest of a basis extending the
+    socle.  The embedding sends m in M(v) to phi(M_p m) at the coordinate of
+    each path p: v -> a, so the row of that coordinate is phi pulled back
+    along p.  The rows at v are those of its out-neighbours in supp M, which
+    come first, pulled back along each arrow; a path that leaves supp M
+    gives the zero row.  Their rank at v must be dim M(v), and equal rows
+    are eliminated once.  `socle` is `mod.socle()` when the caller has it.
     """
     pres = mod.pres
     socdim, socbases = mod.socle() if socle is None else socle
-    labels, pulled = [], []
+    labels, pulled = [], {}
     for a in sorted(socdim.support, key=pres.sort_key):
         _, cinv = linalg.extend_to_basis(socbases[a], mod.dim(a))
         for phi in cinv[: len(socbases[a])]:
+            pulled.setdefault(a, {})[len(labels)] = phi
             labels.append(a)
-            back, todo = {a: phi}, [a]
-            while todo:
-                w = todo.pop()
-                for u, _ in pres.in_arcs(w):
-                    if mod.dim(u):
-                        mat = mod.arrow_map((u, w, 0))
-                        back[u] = [
-                            sum(x * mat[r][c] for r, x in enumerate(back[w]))
-                            for c in range(mod.dim(u))
-                        ]
-                        todo.append(u)
-            pulled.append(back)
+    e0, n = FormalInjective(pres, [(a, 1) for a in labels]), len(labels)
+    for u in _sinks_first(pres, mod.dims):
+        rows, shifts, cols = pulled.setdefault(u, {}), e0.shifts(u), range(mod.dims[u])
+        for arrow in arrows_from(pres, u):
+            if pulled.get(arrow[1]):
+                mat, shift = mod.arrow_map(arrow), shifts.get(arrow)
+                for key, after in pulled[arrow[1]].items():
+                    row = [sum(x * mat[r][c] for r, x in enumerate(after)) for c in cols]
+                    if any(row):
+                        rows[key + shift[key % n] if shift else key] = row
     ann, found = {}, {}
     for v in window:
-        above = [i for i, a in enumerate(labels) if pres.could_reach(v, a)]
-        rows = tuple(tuple(pulled[i].get(v, ())) for i in above)
-        if rows not in found:
-            found[rows] = linalg.left_kernel([dict(enumerate(row)) for row in rows])
-        rank, kernel = found[rows]
+        keys, rows = e0.keys(v), pulled.get(v)
+        vals = tuple(tuple(rows.get(k, ())) for k in keys) if rows else ((),) * len(keys)
+        if vals not in found:
+            found[vals] = linalg.left_kernel([dict(enumerate(row)) for row in vals])
+        rank, kernel = found[vals]
         if rank != mod.dim(v):
             raise AssertionError(f"envelope embedding not injective at {pres.display(v)}")
         if kernel:
-            ann[v] = [{above[t]: x for t, x in row.items()} for row in kernel]
-    return labels, ann
+            ann[v] = [{keys[t]: x for t, x in row.items()} for row in kernel]
+    return e0, ann
 
 
-def label_socle(pres, region, ann):
+def label_socle(inj, region, ann):
     """[(label, functional)] of the envelope of the cokernel whose dual at v
-    is spanned by ann[v], in region order: a row of ann[v] outside the span
-    of the rows of its out-neighbours (read at v with the same coefficients)
-    and of the rows before it gives one summand E(v), and is the map into
-    it."""
+    is spanned by ann[v], rows over the keys of `inj`, in region order: a row
+    of ann[v] outside the span of the rows of its out-neighbours, pulled
+    back along each arrow (as they are where `inj` is flat), and of the rows
+    before it gives one summand E(v), and is the map into it."""
+    pres, n = inj.pres, len(inj.summands)
     socle = []
     for v in region:
         rows = ann.get(v)
         if rows:
-            above = [a for w, _ in pres.out_arcs(v) for a in ann.get(w, ())]
-            socle.extend((v, a) for a in linalg.independent_rows(above, rows))
+            above = [row for w, _ in pres.out_arcs(v) for row in ann.get(w, ())] if inj.flat(v) else [
+                _pull(row, inj.shifts(v)[arrow], n)
+                for arrow in arrows_from(pres, v) for row in ann.get(arrow[1], ())
+            ]
+            socle.extend((v, row) for row in linalg.independent_rows(above, rows))
     return socle
 
 
-def label_annihilators(pres, region, socle, ann):
-    """The next ann: at u, the left kernel of the functionals of the
-    `socle` summands whose support holds u, keyed by summand.  Their rank
-    must equal len(ann[u]), or the envelope does not embed the cokernel.
-    Both depend only on the set of those summands, so each set is
-    eliminated once."""
+def label_annihilators(g, region, ann):
+    """The next ann, for the morphism g from the injective whose cokernel
+    ann[u] is dual to into that cokernel's envelope: at u, the left kernel
+    of the rows of g at u, keyed by target key.  Their rank must equal
+    len(ann[u]), or the envelope does not embed the cokernel.  Where g is
+    flat its rows are those of the labels that u reaches, so each set of
+    them is eliminated once."""
+    src, tgt = g.source, g.target
     found, out = {}, {}
     for u in region:
-        above = tuple(k for k, (b, _) in enumerate(socle) if pres.could_reach(u, b))
-        if above not in found:
-            rank, kernel = linalg.left_kernel([socle[k][1] for k in above])
-            found[above] = (rank, [{above[t]: x for t, x in row.items()} for row in kernel])
-        rank, rows = found[above]
-        if rank != len(ann.get(u, ())):
-            raise AssertionError(f"envelope embedding not injective at {pres.display(u)}")
-        if rows:
-            out[u] = rows
+        counts, flat = tgt.line(u)[:2]
+        if flat and src.line(u)[1]:
+            got = found.get(tuple(counts))
+            if got is None:
+                keys = tuple(t for t, c in enumerate(counts) if c)
+                got = found[tuple(counts)] = _keyed_left_kernel(keys, [g.rows[t] for t in keys])
+        else:
+            rows = g.materialize(u)
+            got = _keyed_left_kernel(tuple(rows), list(rows.values()))
+        if got[0] != len(ann.get(u, ())):
+            raise AssertionError(f"envelope embedding not injective at {src.pres.display(u)}")
+        if got[1]:
+            out[u] = got[1]
     return out
 
 
-class LabelMorphism:
-    """Morphism source -> target between formal injectives of a thin
-    presentation.  Hom(E(a), E(b)) is the scalars when b reaches a and zero
-    otherwise, so the morphism is one sparse matrix: coeffs[ti, si] is the
-    scalar from source summand si to target summand ti.  At v it is the
-    submatrix of the summands whose support holds v."""
-
-    def __init__(self, source, target, coeffs):
-        self.source = source
-        self.target = target
-        self.coeffs = {key: c for key, c in coeffs.items() if c}
-
-    def nabla(self):
-        """The dual morphism between the opposite-side injectives: same
-        coefficients, source and target exchanged."""
-        coeffs = {(si, ti): c for (ti, si), c in self.coeffs.items()}
-        return LabelMorphism(self.target.nabla(), self.source.nabla(), coeffs)
-
-    def at(self, v):
-        """(source basis at v, the matrix at v), as `InjectiveMorphism.at`."""
-        cols = self.source.holding(v)
-        coeffs = self.coeffs
-        return cols, [[coeffs.get((ti, si), 0) for si in cols] for ti in self.target.holding(v)]
-
-
-def label_kernel(formal, bases):
-    """The subcomodule of a formal injective of a thin presentation spanned
-    at each v by the columns bases[v] over formal.holding(v), which must be
-    stable under the arrow maps (a kernel).  An arrow v -> w keeps the
-    coordinates of the summands holding w, so its image is a restriction.
-    A system is solved once per pair of basis lists and kept coordinates:
-    vertices with equal matrices share one basis list."""
-    pres, maps, solved = formal.pres, {}, {}
-    held = {v: formal.holding(v) for v in bases}
-    for v, basis in bases.items():
-        pos = {si: i for i, si in enumerate(held[v])}
-        for arrow in arrows_from(pres, v):
-            w = arrow[1]
-            if w in bases:
-                kept = [pos[si] for si in held[w]]
-                key = (id(basis), id(bases[w]), *kept)
-                if key not in solved:
-                    img = [[x[i] for x in basis] for i in kept]
-                    a = linalg.columns_matrix(bases[w], len(kept))
-                    solved[key] = linalg.solve_matrix(a, img)
-                    assert solved[key] is not None, "kernel not arrow-stable"
-                maps[arrow] = solved[key]
-    return Comodule(pres, {v: len(b) for v, b in bases.items()}, maps)
+def _keyed_left_kernel(keys, rows):
+    """`linalg.left_kernel` of rows, with each kernel row keyed by `keys`."""
+    rank, kernel = linalg.left_kernel(rows)
+    return rank, [{keys[t]: x for t, x in row.items()} for row in kernel]

@@ -29,10 +29,6 @@ class IntervalFinitenessViolated(CoxError):
     transpose kernel walk, or the chains of an order complex."""
 
 
-class WindowInsufficient(CoxError):
-    """A module was handed to the envelope on a window that misses part of its support."""
-
-
 class HypothesisViolated(CoxError):
     """A translate/Coxeter comparison was requested outside its certified hypotheses."""
 

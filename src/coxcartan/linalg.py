@@ -208,18 +208,22 @@ def independent_rows(span, rows):
     return [row for row in rows if _insert(pivots, _integer_row(row))]
 
 
-def kernel_basis(rows, ncols):
-    """Kernel in Q^ncols of sparse rows: a column per free column f, 1 at f, 0 at the others."""
+def sparse_kernel(rows, cols):
+    """The kernel of sparse rows over the columns `cols`, in reduced echelon
+    form: {f: the sparse vector that is 1 at f and 0 at every other free
+    column}, one per free column f, in the order of `cols`."""
     order, reduced = echelon(rows)
-    if len(order) == ncols:
-        return []
-    free = [f for f in range(ncols) if f not in reduced]
-    basis = dict(zip(free, _unit_columns(free, ncols)))
+    basis = {f: {f: 1} for f in cols if f not in reduced}
     for p in order:
         for c, v in reduced[p].items():
             if c != p:
                 basis[c][p] = _quotient(-v, reduced[p][p])
-    return list(basis.values())
+    return basis
+
+
+def kernel_basis(rows, ncols):
+    """Kernel in Q^ncols of sparse rows: a column per free column f, 1 at f, 0 at the others."""
+    return [[vec.get(i, 0) for i in range(ncols)] for vec in sparse_kernel(rows, range(ncols)).values()]
 
 
 def left_kernel(rows):
@@ -229,8 +233,8 @@ def left_kernel(rows):
     for t, row in enumerate(rows):
         for c, x in row.items():
             cols.setdefault(c, {})[t] = x
-    kernel = kernel_basis(list(cols.values()), len(rows))
-    return len(rows) - len(kernel), [{t: x for t, x in enumerate(vec) if x} for vec in kernel]
+    kernel = sparse_kernel(cols.values(), range(len(rows)))
+    return len(rows) - len(kernel), list(kernel.values())
 
 
 def nullspace(a):

@@ -110,10 +110,6 @@ class Presentation:
     # a linear quiver on consecutive integers, where interval modules and
     # their meshes have closed forms
     linear = False
-    # at most one path joins two vertices, so every indecomposable injective
-    # has dimension <= 1 at each vertex and is kept by its label (module
-    # `comodules`)
-    thin = False
 
     # -- vertex bookkeeping ------------------------------------------------
 
@@ -271,7 +267,6 @@ class OppositePresentation(Presentation):
         self.family = f"op:{base.family}" if base.family else None
         self.is_finite = base.is_finite
         self.kind = base.kind
-        self.thin = base.thin
         self.cartan_finiteness = base.cartan_finiteness[::-1]
 
     def __eq__(self, other):
@@ -510,7 +505,6 @@ class FinitePoset(_FinitePresentation):
     """
 
     kind = "poset"
-    thin = True
     cycle_message = "cover {} {} violates strict order (cycle)"
 
     def __init__(self, elements, relations):
@@ -526,6 +520,13 @@ class FinitePoset(_FinitePresentation):
 
     def leq(self, u, v):
         return bool(self._up[u] & self._bit.get(v, 0))
+
+    # leq's rule, inline: the engine reads one line per vertex of a region
+    def counts_into(self, v, frms):
+        return [1 if self._down[v] & self._bit[u] else 0 for u in frms]
+
+    def counts_from(self, u, tos):
+        return [1 if self._up[u] & self._bit[v] else 0 for v in tos]
 
     def interval(self, u, v):
         if not self.leq(u, v):
@@ -564,7 +565,6 @@ class AInfinityQuiver(Presentation):
     family = "a-infinity"
     cartan_finiteness = (True, False)
     linear = True
-    thin = True
     start = 0
 
     def has_vertex(self, v):
@@ -609,7 +609,6 @@ class DInfinityQuiver(Presentation):
     kind = "quiver"
     family = "d-infinity"
     cartan_finiteness = (True, False)
-    thin = True
 
     def has_vertex(self, v):
         return type(v) is int and v >= -1
@@ -665,7 +664,6 @@ class GarlandFamily(Presentation):
 
     kind = "poset"
     cartan_finiteness = (False, False)
-    thin = True
 
     def __init__(self, length):
         if length < 1:
@@ -722,6 +720,14 @@ class GarlandFamily(Presentation):
 
     def leq(self, u, v):
         return u == v or self._level(u) < self._level(v)
+
+    def counts_into(self, v, frms):
+        lv = self._level(v)
+        return [1 if u == v or self._level(u) < lv else 0 for u in frms]
+
+    def counts_from(self, u, tos):
+        lu = self._level(u)
+        return [1 if u == v or lu < self._level(v) else 0 for v in tos]
 
     def interval(self, u, v):
         if u == v:

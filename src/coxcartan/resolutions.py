@@ -29,8 +29,8 @@ the left kernel of those maps restricted to the summands above u, and their
 rank there must equal len(A_u): the envelope of Q is injective, else the
 engine is at fault.  All of it is sparse exact elimination (`linalg`),
 done by the label steps of module `comodules` (`label_socle`,
-`label_annihilators`), which the copresentations of the tree families
-share.
+`label_annihilators`), which the copresentations of every path
+presentation share; on a poset every key is its summand.
 
 Two independent cross-oracles are provided for incidence presentations:
   * the classical Mobius recursion, whose values must match the alternating
@@ -54,7 +54,13 @@ cross-oracles keep their own memos and never move a value along an orbit.
 from collections import Counter
 
 from . import linalg
-from .comodules import label_annihilators, label_socle, node_budget
+from .comodules import (
+    FormalInjective,
+    InjectiveMorphism,
+    label_annihilators,
+    label_socle,
+    node_budget,
+)
 from .errors import IntervalFinitenessViolated, UnknownVertex
 
 
@@ -64,7 +70,8 @@ def _resolve_in_region(pres, region, j):
     in display order, each dict keyed in region order.
 
     ann[v] holds the functionals on the current term at v, sparse rows
-    {summand index: coefficient}, that vanish on the previous term's image:
+    {summand index: coefficient} (its keys, see module `comodules`), that
+    vanish on the previous term's image:
     the dual of the cokernel at v (see the module docstring).  E^0 = E(j)
     has ann[v] = [e_0] for v < j.  Convexity makes the covers between
     region elements global covers, so the region's functor category is that
@@ -76,14 +83,16 @@ def _resolve_in_region(pres, region, j):
     J. Pure Appl. Algebra 56, 1989), which vanishes unless a chain
     p < ... < j of m + 1 elements lies in the region.  A cokernel still
     nonzero after len(region) steps is therefore a defect."""
-    ann = {v: [{0: 1}] for v in region if v != j and pres.leq(v, j)}
-    terms = [{j: 1}]
+    term, terms = FormalInjective(pres, [(j, 1)]), [{j: 1}]
+    ann = {v: [{0: 1}] for v in region if v != j and term.counts(v)[0]}
     for _ in range(len(region)):
         if not ann:
             return terms
-        socle = label_socle(pres, region, ann)
+        socle = label_socle(term, region, ann)
         terms.append(dict(Counter(b for b, _ in socle)))
-        ann = label_annihilators(pres, region, socle, ann)
+        step = InjectiveMorphism(term, FormalInjective(pres, [(b, 1) for b, _ in socle]),
+                                 [row for _, row in socle])
+        ann, term = label_annihilators(step, region, ann), step.target
     raise AssertionError(
         f"resolution of simple at {pres.display(j)} still nonzero at degree "
         f"{len(region)} over a region of {len(region)} elements"

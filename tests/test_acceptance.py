@@ -372,7 +372,8 @@ def test_criterion_12_order_complex_oracle_on_a_long_garland_interval():
     # Fraction elimination on the fresh presentation
     g = garland_block_poset([2, 2, 2])
     degrees = range(len(g.interval("j0", "j3")))
-    with mock.patch.object(comodules, "envelope", wraps=comodules.envelope) as envelope, \
+    with mock.patch.object(comodules, "label_envelope",
+                           wraps=comodules.label_envelope) as envelope, \
             mock.patch.object(resolutions, "_resolve_in_region",
                               wraps=resolutions._resolve_in_region) as engine, \
             mock.patch.object(linalg, "rref", side_effect=AssertionError("dense rref")):

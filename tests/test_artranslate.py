@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -107,7 +108,7 @@ def test_copresentation_minimality_socle_match():
 def test_copresentation_exact_at_e0():
     # ker(g) must equal the image of the embedding M -> E0 pointwise, inside
     # the window and beyond it; the embedding is injective, so that image has
-    # the dims of M.  E0 at v is the summands holding v (the matrix columns)
+    # the dims of M.  E0 at v is its keys there (the matrix columns)
     from coxcartan.artranslate import grow_window
     from coxcartan import linalg
 
@@ -117,8 +118,8 @@ def test_copresentation_exact_at_e0():
     window = grow_window(a, module.support, 3)
     assert window == list(range(8))
     for v in window:
-        cols, g = cop.map.at(v)
-        assert len(cols) - (linalg.rank(g) if g else 0) == module.dim(v), v
+        rank, _ = linalg.left_kernel(list(cop.map.materialize(v).values()))
+        assert len(cop.e0.keys(v)) - rank == module.dim(v), v
 
 
 def test_random_quiver_simple_translates_match_coxeter():
@@ -451,19 +452,31 @@ def test_tau_of_projective_simple_kronecker():
 
 
 def test_comodule_engine_walks_a_long_chain_without_recursion():
-    # every route on a 1500-arrow chain is deeper than the recursion limit
-    from coxcartan.comodules import enumerate_paths, envelope
+    # every path on a 1500-arrow chain is deeper than the recursion limit;
+    # the doubled arrow 0 -> 1 gives two of them from 0 to 1500, so every
+    # pullback from 1500 to 0 runs arrow by arrow through coordinates
+    from coxcartan.comodules import enumerate_paths, label_envelope
     from coxcartan.resolutions import _resolve_in_region
 
     n = 1500
     assert sys.getrecursionlimit() < n
     arrows = "".join(f"arrow {i} {i + 1}\n" for i in range(n))
-    q = parse_presentation("kind quiver\n" + arrows)
+    q = parse_presentation("kind quiver\narrow 0 1\n" + arrows)
     paths = enumerate_paths(q, 0, n)
-    assert [[a[1] for a in p] for p in paths] == [list(range(1, n + 1))]
-    formal, inj, embed = envelope(interval_comodule(q, 0, n), range(n + 1))
-    assert formal.summands == [n]
-    assert all(embed[v] == [[1]] for v in range(n + 1))
+    assert [[a[1:] for a in p] for p in paths] == [[(1, k)] + [(i, 0) for i in range(2, n + 1)]
+                                                   for k in (0, 1)]
+    maps = {(i, i + 1, 0): [[1]] for i in range(n)} | {(0, 1, 1): [[1]]}
+    module = Comodule(q, dict.fromkeys(range(n + 1), 1), maps)
+    e0, ann = label_envelope(module, range(n + 1))
+    assert e0.summands == [n] and e0.keys(0) == [0, 1]
+    assert ann == {0: [{0: -1, 1: 1}]}
+    cop = min_inj_copresentation(module)
+    assert cop.e1.summands == [0] and cop.exact_at_e1
+    # the flipped map read first at the far end walks 1500 vertices deep
+    assert cop.map.nabla().materialize(n) == {0: {0: -1, 1: 1}}
+    assert tau(module, "tau").dim_vector() == DimensionVector({0: 1, 1: 1})
+    far = tau(module, "tau-minus").dim_vector()
+    assert far == DimensionVector({0: 1, **dict.fromkeys(range(1, n), 2), n: 1})
     p = parse_presentation("kind poset\n" + arrows.replace("arrow", "cover"))
     assert _resolve_in_region(p, p.vertices(), n) == [{n: 1}, {n - 1: 1}]
 
@@ -616,6 +629,35 @@ def test_file_translate_corpus_output_is_unchanged(tmp_path, monkeypatch):
     assert digest.hexdigest() == (
         "1a78be873c2ce51c93735b92712186f9c0159ef330ad79eddc6f652c0fafc622"
     )
+
+
+def test_many_paths_cost_what_the_translate_holds(tmp_path, monkeypatch):
+    # on 0..60 with arrows i -> i+1 and i -> i+2 up to 1597 paths join two
+    # vertices, and tau I[10,12] is 1508-dimensional at 0: no path is listed,
+    # no dense product or system is formed, and the traced peak stays under
+    # half of the 219 MB that path-basis injectives took
+    from coxcartan import comodules, linalg
+    from coxcartan.cli import run
+
+    (tmp_path / "skip2.txt").write_text("kind quiver\n" + "".join(
+        f"arrow {i} {j}\n" for i in range(61) for j in (i + 1, i + 2) if j < 61
+    ))
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with mock.patch.object(comodules, "enumerate_paths", wraps=comodules.enumerate_paths) as paths, \
+            mock.patch.object(linalg, "solve_matrix", wraps=linalg.solve_matrix) as solve, \
+            mock.patch.object(linalg, "mat_mul", wraps=linalg.mat_mul) as mul:
+        tracemalloc.start()
+        try:
+            code = run(["tau", "--file=skip2.txt", "--interval=10,12", "--direction=tau"], out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (code, out.getvalue()) == (
+        0, "1508@0,932@1,576@2,356@3,220@4,136@5,84@6,52@7,32@8,20@9,12@10,8@11,5@12,3@13,1@14\n"
+    )
+    assert paths.call_count == solve.call_count == mul.call_count == 0
+    assert peak < 219 * 2**20 // 2, peak
 
 
 def _knit_until_stuck(pres, seed, steps):

@@ -810,19 +810,16 @@ PATH_FAMILY_TRANSLATES = [
 
 
 def test_path_family_translates_build_no_path_basis_injective(capsys):
-    # the three tree families are thin: their copresentations, certificates
-    # and transpose kernels run on labels and never enumerate a path
-    from coxcartan import artranslate, comodules
+    # copresentations, certificates and transpose kernels run on labels:
+    # no query enumerates a path, multiplies matrices or solves a system
+    from coxcartan import comodules, linalg
 
     def refuse(*args, **kwargs):
-        raise AssertionError("path model used")
+        raise AssertionError("path tuples or dense products used")
 
     with contextlib.ExitStack() as stack:
         for owner, name in [
-            (comodules.MaterializedInjective, "__init__"),
-            (comodules.InjectiveMorphism, "materialize"),
-            *((mod, name) for mod in (comodules, artranslate)
-              for name in ("envelope", "cokernel", "enumerate_paths")),
+            (comodules, "enumerate_paths"), (linalg, "mat_mul"), (linalg, "solve_matrix"),
         ]:
             stack.enter_context(mock.patch.object(owner, name, refuse))
         for argv, code, out in PATH_FAMILY_TRANSLATES:

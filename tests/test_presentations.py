@@ -455,12 +455,18 @@ def test_parse_token_on_integer_labelled_presentations():
 
 
 def test_thin_is_a_fact_of_the_class_and_its_opposite():
-    # at most one path joins two vertices: every poset and the tree
-    # families; a file quiver (here a tree, too) keeps path-basis injectives
-    thin = [make_family(name) for name in ("a-infinity", "z-a-infinity", "d-infinity")]
-    thin += [make_family("garland", 2), garland_block_poset([1, 2])]
-    plain = [parse_presentation("kind quiver\narrow 0 1\n")]
-    for pres in thin:
-        assert pres.thin and pres.opposite().thin, pres.family
-    for pres in plain:
-        assert not pres.thin and not pres.opposite().thin
+    # at most one path joins two vertices of a poset or a tree family, on
+    # either side, so every injective there is flat: its keys are its
+    # summands; the Kronecker quiver has two paths 0 -> 1
+    from coxcartan.comodules import FormalInjective
+
+    thin = [(make_family(name), lo) for name, lo in
+            (("a-infinity", 0), ("z-a-infinity", -3), ("d-infinity", -1))]
+    thin += [(make_family("garland", 2), 0), (garland_block_poset([1, 2]), None)]
+    kronecker = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
+    for base, lo in [*thin, (kronecker, None)]:
+        verts = base.vertices() if lo is None else list(base.window(f"{lo}..{lo + 4}"))
+        for pres in (base, base.opposite()):
+            inj = FormalInjective(pres, [(v, 1) for v in verts])
+            flat = [inj.flat(u) and max(pres.counts_from(u, verts)) <= 1 for u in verts]
+            assert all(flat) == (base is not kronecker), (pres.family, flat)

@@ -299,7 +299,7 @@ def test_a_resolution_that_outlasts_its_region_is_a_defect(capsys):
     # no resolution over a region of n elements reaches degree n, so a
     # cokernel that never vanishes can only come from a broken engine: this
     # one keeps a one-dimensional cokernel at the top of the region
-    def stuck(pres, region, socle, ann):
+    def stuck(g, region, ann):
         return {region[-1]: [{0: 1}]}
 
     with mock.patch.object(resolutions, "label_annihilators", stuck):
@@ -317,8 +317,8 @@ def test_a_cokernel_that_does_not_embed_is_a_defect(capsys):
     # cokernel's line at g1.1t with no image, which the rank check catches
     real = resolutions.label_socle
 
-    def corrupted(pres, region, ann):
-        socle = real(pres, region, ann)
+    def corrupted(inj, region, ann):
+        socle = real(inj, region, ann)
         return [(socle[0][0], {})] + socle[1:]
 
     with mock.patch.object(resolutions, "label_socle", corrupted):
@@ -355,11 +355,11 @@ POSET_COMMANDS = [
     ids=[f"{argv[0]}{i}" for i, (argv, _) in enumerate(POSET_COMMANDS)],
 )
 def test_poset_resolutions_build_no_injective(argv, expected):
-    # a poset's injectives are thin: its resolutions keep them as labels and
-    # never materialise one, nor take an envelope
+    # a poset's resolutions keep its injectives as labels: they never
+    # materialise one, nor embed a comodule in its envelope
     with mock.patch.object(
         comodules.MaterializedInjective, "__init__", side_effect=AssertionError("materialized")
-    ), mock.patch.object(comodules, "envelope", side_effect=AssertionError("envelope")):
+    ), mock.patch.object(comodules, "label_envelope", side_effect=AssertionError("envelope")):
         out = io.StringIO()
         code = run(argv, out=out)
     assert (code, out.getvalue()) == (0, expected)
