@@ -61,8 +61,8 @@ from .comodules import (
     FormalInjective,
     InjectiveMorphism,
     MaterializedInjective,
-    _layers,
     arrows_from,
+    bfs_layers,
     hom_basis,
     interval_comodule,
     label_annihilators,
@@ -88,7 +88,7 @@ from .lazymatrix import DimensionVector, LazyVector
 
 def grow_window(pres, verts, steps):
     """`verts` and every vertex within `steps` arcs of them, either way."""
-    layers = _layers(verts, lambda v: [w for w, _ in pres.out_arcs(v) + pres.in_arcs(v)])
+    layers = bfs_layers(verts, lambda v: [w for w, _ in pres.out_arcs(v) + pres.in_arcs(v)])
     return sorted(chain.from_iterable(islice(layers, steps + 1)), key=pres.sort_key)
 
 
@@ -125,7 +125,7 @@ def min_inj_copresentation(module, socle=None):
 
     # the convex closure of heads: forward from them, through the vertices
     # that can still reach one of them
-    window = sorted(chain.from_iterable(_layers(heads, onward)), key=pres.sort_key)
+    window = sorted(chain.from_iterable(bfs_layers(heads, onward)), key=pres.sort_key)
     e0, ann = label_envelope(module, window, socle)
     step = label_socle(e0, window, ann)
     e1 = FormalInjective(pres, [(b, 1) for b, _ in step])
@@ -198,7 +198,7 @@ def _flipped_kernel(nabla_g):
             f"is infinite at {op.display(infinite[0])} and the flipped E0 = {dst!r} finite"
         )
     budget, walked, bases, kernels = node_budget(), 0, {}, {}
-    for layer in _layers(src.summands, lambda v: [w for w, _ in op.in_arcs(v)]):
+    for layer in bfs_layers(src.summands, lambda v: [w for w, _ in op.in_arcs(v)]):
         walked += len(layer)
         if walked > budget:
             raise IntervalFinitenessViolated(
@@ -206,8 +206,7 @@ def _flipped_kernel(nabla_g):
             )
         found = {}
         for v in layer:
-            (counts, flat), (dst_counts, dst_flat) = src.line(v)[:2], dst.line(v)[:2]
-            key = (tuple(counts), tuple(dst_counts)) if flat and dst_flat else (v,)
+            key = (tuple(src.counts(v)), tuple(dst.counts(v))) if nabla_g.flat(v) else (v,)
             if key not in kernels:
                 kernels[key] = linalg.sparse_kernel(nabla_g.materialize(v).values(), src.keys(v))
             if kernels[key]:

@@ -298,7 +298,7 @@ def find_isomorphism(x, y):
 # ---------------------------------------------------------------------------
 # injectives on labels, with coordinates by path index
 
-def _layers(start, neighbours):
+def bfs_layers(start, neighbours):
     """Breadth-first layers: the vertices of `start`, then at each step the
     vertices first reached along `neighbours`."""
     seen, layer = set(), list(dict.fromkeys(start))
@@ -353,7 +353,7 @@ class FormalInjective:
         """The corresponding sum of opposite-side injectives (same labels)."""
         return FormalInjective(self.pres.opposite(), [(v, 1) for v in self.summands])
 
-    def line(self, v):
+    def _line(self, v):
         """[counts, flat, keys, shifts] at v, the last two filled in when
         first asked for."""
         got = self._at.get(v)
@@ -365,21 +365,21 @@ class FormalInjective:
     def counts(self, v):
         """The number of paths from v to each label: each summand's
         dimension at v."""
-        return self.line(v)[0]
+        return self._line(v)[0]
 
     def flat(self, v):
         """True when at most one path joins v to each label: then the keys at
         v are the summands holding v, and so they are at every vertex that v
         reaches, which has no more paths to a label than v has."""
-        return self.line(v)[1]
+        return self._line(v)[1]
 
     def keys(self, v):
         """The keys of the coordinates at v, in order: the basis there."""
-        line = self.line(v)
+        line = self._line(v)
         if line[2] is None:
             counts, n = line[0], len(self.summands)
-            line[2] = [s for s, c in enumerate(counts) if c] if line[1] else [
-                s + n * i for i in range(max(counts)) for s, c in enumerate(counts) if c > i
+            line[2] = [
+                s + n * i for i in range(max(counts, default=0)) for s, c in enumerate(counts) if c > i
             ]
         return line[2]
 
@@ -388,7 +388,7 @@ class FormalInjective:
         to it that start with an arrow before this one}: a path's key is its
         rest's key at the arrow's head plus the arrow's shift.  {} when
         `flat(v)`, where every shift that meets a key is 0."""
-        line = self.line(v)
+        line = self._line(v)
         if line[3] is None:
             line[3] = {}
             if not line[1]:
@@ -441,7 +441,7 @@ def _reversed_order(pres, b, a):
     a by the path y -> a of index 0 is, arrow by arrow into y, the list of
     the arrow's tail plus the arrow's shift toward a; at b it is [0]."""
     ahead = FormalInjective(pres, [(a, 1)])
-    span = chain.from_iterable(_layers([b], lambda v: [
+    span = chain.from_iterable(bfs_layers([b], lambda v: [
         w for w, _ in pres.out_arcs(v) if pres.could_reach(w, a)
     ]))
     into = {}
@@ -489,16 +489,16 @@ class InjectiveMorphism:
         return InjectiveMorphism(tgt.nabla(), src.nabla(), rows)
 
     def flat(self, v):
+        """True when both ends are flat at v: then the matrix at v is rows[t]
+        for the labels that v reaches, and depends only on their counts."""
         return self.source.flat(v) and self.target.flat(v)
 
     def materialize(self, v):
         """The matrix at v, {target key at v: its row, a sparse row over the
-        source keys at v}, kept per vertex.  Where both ends are flat
-        (`FormalInjective.flat`) it is rows[t] for the labels that v reaches.
-        Elsewhere it is rows[t] for a label t at v and the rows of each
-        out-neighbour pulled back along each arrow, target and source keys
-        shifted by the arrow's shifts; the out-neighbours that reach a label
-        come first, walked on an explicit stack."""
+        source keys at v}, kept per vertex: rows[t] for a label t at v and
+        the rows of each out-neighbour pulled back along each arrow, target
+        and source keys shifted by the arrow's shifts; the out-neighbours that
+        reach a label come first, walked on an explicit stack."""
         memo, src, tgt = self._at, self.source, self.target
         got = memo.get(v)
         if got is not None:
@@ -508,9 +508,6 @@ class InjectiveMorphism:
         while stack:
             x = stack[-1]
             if x in memo:
-                stack.pop()
-            elif self.flat(x):
-                memo[x] = {t: self.rows[t] for t, c in enumerate(tgt.counts(x)) if c}
                 stack.pop()
             else:
                 arrows = arrows_from(src.pres, x)
@@ -539,18 +536,12 @@ def materialized_kernel(formal, bases):
     arrow keeps (as in MaterializedInjective).  y's values at the pivots of
     bases[w] are its coordinates in that basis, and the rest of y must
     vanish, or the span is not arrow-stable: no solve is needed."""
-    pres, n, maps, found = formal.pres, len(formal.summands), {}, {}
+    pres, n, maps = formal.pres, len(formal.summands), {}
     for v, basis in bases.items():
         shifts = formal.shifts(v)
         for arrow in arrows_from(pres, v):
             target = bases.get(arrow[1])
             if target is None:
-                continue
-            # where v is flat the map depends only on the two bases and the
-            # keys kept, and bases are shared between vertices
-            key = None if shifts else (id(basis), id(target), tuple(formal.keys(arrow[1])))
-            if key in found:
-                maps[arrow] = found[key]
                 continue
             shift = shifts.get(arrow)
             kept = {k + shift[k % n] if shift else k: k for k in formal.keys(arrow[1])}
@@ -567,8 +558,6 @@ def materialized_kernel(formal, bases):
                 if any(rest.values()):
                     raise AssertionError("kernel not arrow-stable")
             maps[arrow] = mat
-            if key:
-                found[key] = mat
     return Comodule(pres, {v: len(b) for v, b in bases.items()}, maps)
 
 
@@ -621,15 +610,16 @@ def label_socle(inj, region, ann):
     """[(label, functional)] of the envelope of the cokernel whose dual at v
     is spanned by ann[v], rows over the keys of `inj`, in region order: a row
     of ann[v] outside the span of the rows of its out-neighbours, pulled
-    back along each arrow (as they are where `inj` is flat), and of the rows
-    before it gives one summand E(v), and is the map into it."""
+    back along each arrow, and of the rows before it gives one summand E(v),
+    and is the map into it."""
     pres, n = inj.pres, len(inj.summands)
     socle = []
     for v in region:
         rows = ann.get(v)
         if rows:
-            above = [row for w, _ in pres.out_arcs(v) for row in ann.get(w, ())] if inj.flat(v) else [
-                _pull(row, inj.shifts(v)[arrow], n)
+            shifts = inj.shifts(v)
+            above = [
+                _pull(row, shifts.get(arrow), n)
                 for arrow in arrows_from(pres, v) for row in ann.get(arrow[1], ())
             ]
             socle.extend((v, row) for row in linalg.independent_rows(above, rows))
@@ -646,8 +636,8 @@ def label_annihilators(g, region, ann):
     src, tgt = g.source, g.target
     found, out = {}, {}
     for u in region:
-        counts, flat = tgt.line(u)[:2]
-        if flat and src.line(u)[1]:
+        if g.flat(u):
+            counts = tgt.counts(u)
             got = found.get(tuple(counts))
             if got is None:
                 keys = tuple(t for t, c in enumerate(counts) if c)
