@@ -456,7 +456,7 @@ def _disagreement(pres, coxeter_op, end, tdim):
     )
 
 
-def knit_component(pres, seed, steps):
+def knit_component(pres, seed, steps, section_flag="--section"):
     """Knit `steps` meshes starting from a seed section.
 
     seed: either ("injectives", window) or ("explicit", nodes, arrows) with
@@ -470,7 +470,8 @@ def knit_component(pres, seed, steps):
     disagree at v (tau vs Phi)"; when none of them does, it says that they
     disagree "beyond the supports of its end and translate grown by one
     arc".  At a seed injective with an arc leaving the section either
-    message gives way to the edge of the section.
+    message gives way to the edge of the section, which asks to widen the
+    option `section_flag` names.
     """
     if pres.kind != "quiver":
         raise PresentationError("knitting needs a path presentation")
@@ -518,7 +519,7 @@ def knit_component(pres, seed, steps):
             message = (
                 f"mesh at {nid}: knitting reached the edge of its seed section "
                 f"at {frag.node(nid).label}, whose arc {pres.display(a)} -> "
-                f"{pres.display(b)} leaves it; widen --section"
+                f"{pres.display(b)} leaves it; widen {section_flag}"
             )
         return KnittingStuck(message)
 

@@ -316,7 +316,7 @@ def _suite_tau(pres, win, out):
                 checked += 1
         out.write(f"OK: translate formula holds for {checked} interval modules\n")
         return 0
-    frag = artranslate.knit_component(pres, ("injectives", list(win)), 4)
+    frag = artranslate.knit_component(pres, ("injectives", list(win)), 4, section_flag="--window")
     out.write(f"OK: knitting completed {len(frag.tau_links)} coherent meshes\n")
     return 0
 

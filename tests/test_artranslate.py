@@ -549,7 +549,8 @@ def knit_corpus():
 
 def test_knit_corpus_output_is_unchanged(tmp_path, monkeypatch):
     # one digest over argv, exit code, stdout and stderr of every command,
-    # recorded while each mesh still compared Phi on a window of its supports
+    # recorded while each mesh still compared Phi on a window of its supports;
+    # re-recorded when verify's edge-of-section line came to name --window
     from coxcartan.cli import run
 
     monkeypatch.chdir(tmp_path)
@@ -565,7 +566,7 @@ def test_knit_corpus_output_is_unchanged(tmp_path, monkeypatch):
         count += 1
     assert count == 348
     assert digest.hexdigest() == (
-        "104a803308fd7777e5c03386bfa62ef6a4057942466bf1ab7a6a02056fdb49ea"
+        "fd8d53d941300af7ba2e16067b24da471c9d920a8f9cdeb358face0c6b3d34b4"
     )
 
 
@@ -611,7 +612,8 @@ def file_translate_corpus():
 
 def test_file_translate_corpus_output_is_unchanged(tmp_path, monkeypatch):
     # one digest over argv, exit code, stdout and stderr of every command,
-    # recorded while --file quivers still ran the path-tuple model
+    # recorded while --file quivers still ran the path-tuple model;
+    # re-recorded when verify's edge-of-section line came to name --window
     from coxcartan.cli import run
 
     monkeypatch.chdir(tmp_path)
@@ -627,7 +629,7 @@ def test_file_translate_corpus_output_is_unchanged(tmp_path, monkeypatch):
         count += 1
     assert count == 756
     assert digest.hexdigest() == (
-        "1a78be873c2ce51c93735b92712186f9c0159ef330ad79eddc6f652c0fafc622"
+        "c32f3e15c63c4f46a0456e1074479c5a8cf1c572fc3153b3bf86d6d72b746982"
     )
 
 
@@ -838,7 +840,8 @@ def tau_suite_corpus():
 def test_tau_suite_corpus_output_is_unchanged():
     # one digest over argv, exit code, stdout and stderr of every command,
     # recorded while the suite still compared Phi on the supports grown by
-    # two arcs
+    # two arcs; re-recorded when its edge-of-section line came to name
+    # --window
     from coxcartan.cli import run
 
     digest = hashlib.sha256()
@@ -851,5 +854,5 @@ def test_tau_suite_corpus_output_is_unchanged():
         count += 1
     assert count == 99
     assert digest.hexdigest() == (
-        "68ab6b6eef88624f98dbbdd676305bb448d1ffd6885a77e92baca4eb7a8c78d6"
+        "ff056f57b7d083f542dde0581b76478ae4e024c1e3f86a73c276feedf013caa1"
     )

@@ -247,6 +247,13 @@ def test_knit_names_the_edge_of_its_seed_section(capsys):
     )
     code, _ = invoke(["knit", "--family=d-infinity", "--section=-1..4", "--steps=5"])
     assert code == 0
+    # verify takes its section from --window, and says so
+    code, out = invoke(["verify", "--suite=tau", "--family=d-infinity", "--window=0..5"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: mesh at n1: knitting reached the edge of its seed section at "
+        "E(1), whose arc 1 -> -1 leaves it; widen --window\n"
+    )
 
 
 def test_knit_dot():
@@ -765,7 +772,8 @@ def translate_corpus():
 
 def test_translate_corpus_output_is_unchanged():
     # one digest over argv, exit code, stdout and stderr of every command,
-    # recorded when the three families still ran the path-basis engine
+    # recorded when the three families still ran the path-basis engine;
+    # re-recorded when verify's edge-of-section line came to name --window
     digest = hashlib.sha256()
     count = 0
     for argv in translate_corpus():
@@ -776,7 +784,7 @@ def test_translate_corpus_output_is_unchanged():
         count += 1
     assert count == 439
     assert digest.hexdigest() == (
-        "6debbd90aaa69adf4580934248dcd17052dde38f70fb5b5e1251a9018f1cc147"
+        "b0704c5c5c4c2a74fdb2d6c235889ef6eb282220121bfbe533207e1d13eaf9f2"
     )
 
 
