@@ -74,15 +74,21 @@ def corpus_digests(tmp_path):
     (tmp_path / "seeded.txt").write_text(seeded_quiver_text(40, 20230))
     (tmp_path / "ladder.txt").write_text(ladder_text(60, 2))
     (tmp_path / "poset.txt").write_text(POSET_TEXT)
+    return digests_by_command(window_corpus(), tmp_path,
+                              lambda argv: " ".join(argv[:1] + argv[3:]))
+
+
+def digests_by_command(corpus, tmp_path, key):
+    """sha256 over argv, exit code, stdout and stderr of each command of
+    `corpus`, one per key(argv), with --file= read from tmp_path."""
     digests = {}
-    for argv in window_corpus():
+    for argv in corpus:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run([a.replace("--file=", f"--file={tmp_path}/") for a in argv], out=out)
-        key = " ".join(argv[:1] + argv[3:])
-        digests.setdefault(key, hashlib.sha256()).update(
+        digests.setdefault(key(argv), hashlib.sha256()).update(
             json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
-    return {key: h.hexdigest() for key, h in digests.items()}
+    return {k: h.hexdigest() for k, h in digests.items()}
 
 
 def test_window_output_is_unchanged(tmp_path):
@@ -104,6 +110,140 @@ def test_window_output_is_unchanged(tmp_path):
             "1f5ad10b93954a73c8976aad47c3eee73e3d521f14c51eb04bb85c4917e9a104",
         "coxeter --format=json-lines --direction=inverse":
             "32fb44710ff432aaa7b8e66857c4850b81a24bf8ddc0f9fbffab81de53b2c077",
+    }
+
+
+def garland_names(lengths, first, shown):
+    """Displayed vertex names of garland blocks of `lengths` glued in a row
+    from junction `first`, grouped by level, bottom up; the block above
+    junction m is displayed as m + shown."""
+    levels = [[f"j{first}"]]
+    for m, length in enumerate(lengths, start=first):
+        levels += [[f"g{m + shown}.{i}t", f"g{m + shown}.{i}b"] for i in range(1, length + 1)]
+        levels.append([f"j{m + 1}"])
+    return levels
+
+
+def incidence_corpus():
+    """Every command on garland:1..3 and on garland-seq rows of random block
+    lengths, named by their displayed spellings, with the refusals among
+    them: integer ranges on garland-seq, unknown and out-of-range vertices,
+    and a --file naming garland-seq.  Only `random()` is drawn."""
+    rng = random.Random(30)
+    sources = [(f"--family=garland:{n}", garland_names([n] * 2, -1, 0)) for n in (1, 2, 3)]
+    for k in range(5):
+        lengths = [1 + int(rng.random() * 3) for _ in range(1 + k % 3)]
+        sources.append(("--family=garland-seq:" + ",".join(map(str, lengths)),
+                        garland_names(lengths, 0, 1)))
+    sources.append(("--file=seq.txt", garland_names([12], 0, 1)))
+    for source, levels in sources:
+        names = [v for level in levels for v in level]
+        for v in names:
+            for side in ("left", "right"):
+                yield ["resolve", source, f"--vertex={v}", f"--side={side}"]
+        for _ in range(12):
+            u, v = names[int(rng.random() * len(names))], names[int(rng.random() * len(names))]
+            yield ["ext", source, f"--from={u}", f"--to={v}", "--max-degree=5"]
+        top = min(len(levels) - 1, 7)
+        spans = [names[:sum(map(len, levels[:top + 1]))],
+                 [levels[1][-1], levels[0][0], levels[top][0], levels[2][0]]]
+        windows = [",".join(span) for span in spans]
+        if source.startswith("--family=garland:"):
+            windows += ["0..1", "-1..0"]
+        for window in windows:
+            for command in MATRIX_COMMANDS:
+                for fmt in ("tsv", "json-lines"):
+                    yield [command[0], source, f"--window={window}", f"--format={fmt}",
+                           *command[1:]]
+            yield ["classify", source, f"--window={window}"]
+            for suite in ("inverse", "coxeter", "tau", "euler"):
+                yield ["verify", source, f"--window={window}", f"--suite={suite}"]
+        for lo in range(min(len(levels) - 2, 5)):
+            window = ",".join(levels[lo] + levels[lo + 2])
+            yield ["verify", source, f"--window={window}", "--suite=mobius"]
+        for direction in ("forward", "inverse"):
+            vector = f"1@{names[1]},-2@{names[-2]},3@{names[len(names) // 2]}"
+            yield ["apply", source, f"--vector={vector}", f"--direction={direction}",
+                   f"--eval={windows[0]}"]
+        for bad in ("j-1", "g0.1t", f"j{len(levels)}", "g1.9b", "x", "0"):
+            yield ["resolve", source, f"--vertex={bad}"]
+            yield ["ext", source, f"--from={names[0]}", f"--to={bad}"]
+            yield ["inverse", source, f"--window={names[0]},{bad}"]
+            yield ["apply", source, f"--vector=1@{bad}", f"--eval={names[0]}"]
+        for window in ("0..2", "1..0", "-1..3"):
+            yield ["cartan", source, f"--window={window}"]
+            yield ["verify", source, f"--window={window}", "--suite=euler"]
+        yield ["tau", source, f"--interval={names[0]},{names[-1]}"]
+        yield ["knit", source, f"--section={windows[0]}", "--steps=2"]
+
+
+def test_incidence_output_is_unchanged(tmp_path):
+    # recorded while garland-seq was still built as a generic finite poset;
+    # the file's family line reads as garland-seq:12
+    (tmp_path / "seq.txt").write_text("family garland-seq 1 2\n")
+    digests = digests_by_command(incidence_corpus(), tmp_path,
+                                 lambda argv: f"{argv[0]} {argv[1].split(':')[0]}")
+    assert digests == {
+        "resolve --family=garland":
+            "4904f7a9bc1b690d65ed9cc0ba0ddd476362f152685a1294c6dd25956f475e9c",
+        "ext --family=garland":
+            "0c211d54202fc5c2c5589762db5b31dd4b8a0089ec7ef9e996c52f8d1d0e7f29",
+        "cartan --family=garland":
+            "ba92ff96b9eac52153605109571e0b3532e57e7b923d6314e01b0ac59605dc9a",
+        "inverse --family=garland":
+            "98a084ce366448da6686a6b3427cadc0c4c2b054a212e05954b62540fc04554e",
+        "coxeter --family=garland":
+            "1ee0b2dc717a7c5311c044c1a4279561c19ab53674e6cec3d7e31d2b0402f2da",
+        "classify --family=garland":
+            "46dfe9dcb671efe704685a974a49d6867edbdeccc56cbbd04d41fea82c272400",
+        "verify --family=garland":
+            "d5d3c46edd4bb357e8356ef937a278fae6233374e2ef998cd8705b15b9fe7630",
+        "apply --family=garland":
+            "15b559b7afa727438c1f0d71cd6b9646871d11f76ccca14c24c52d2dd688784b",
+        "tau --family=garland":
+            "a5f409a15d0f9ae5f9d5e061478a940ea10d89186a9c94334485044ebfaa0201",
+        "knit --family=garland":
+            "5883e4d72a3503d90e35ddc620365b1973e5fe7898e76b602801663a7dc74cf9",
+        "resolve --family=garland-seq":
+            "67cfc31f738d31dcf3a77f87d9008b1310c37dffc88ee3da62eb733c7ec25ea8",
+        "ext --family=garland-seq":
+            "1b72fd42509062a39686cef21d23dba1f6b977ca193f449d9c4c99e08e80d383",
+        "cartan --family=garland-seq":
+            "98dfeaf8095422877d4ad5d9ed5f741ad9c5f7b6053ac8a811ebd1ce170386ab",
+        "inverse --family=garland-seq":
+            "675c9214e0814c504eafca361e86727a77d91da15132aa8f8d7261f0c675b36f",
+        "coxeter --family=garland-seq":
+            "b1aaab82a2b4df3e92a0a490d636a6037ac37aae546f9affcbf90c0fe2abc3a3",
+        "classify --family=garland-seq":
+            "6ff9e64807406a84906cf9b64dd7ceb23bf2237504c3541768b08168131d32e2",
+        "verify --family=garland-seq":
+            "e937a81f396d48fb267cd28eb6d8496c7a356e5e2f3d0c39659d04ccf0047145",
+        "apply --family=garland-seq":
+            "354c2d7384886c4462a64ebe965277d4c81d82bca79976e9a0e118d365a5b055",
+        "tau --family=garland-seq":
+            "f6e68988fc68a648e017320d1539a86a16e252a36405d4c44d8ce45a0062d4cd",
+        "knit --family=garland-seq":
+            "bafb7e0551b4745ae0fc75d59f0d8522c0221105805dc2c6fb65837b267be45b",
+        "resolve --file=seq.txt":
+            "ffccd3b53220241860ef8ef614de19b50ab444976d169800f43075a23655c195",
+        "ext --file=seq.txt":
+            "6f7683f299ee7494842012084f031e6fc81e67ac304846d535c712246b3bce20",
+        "cartan --file=seq.txt":
+            "9b3119254697458ed8a1fe2b074c0c9ad9e9cb8c58b70be0062537cc65c63dc7",
+        "inverse --file=seq.txt":
+            "c1121c31f01f1e3f6ffac154080d10f64a6113400f8dc56f185aa6f13a41b2c5",
+        "coxeter --file=seq.txt":
+            "3b49464173a883f17292cdc16739f4921dfdaa24adc988e9e4d2a50be95b8d49",
+        "classify --file=seq.txt":
+            "3de458974f9a769947785bc39668de2da021eceeb49fe70711164711fbe104f3",
+        "verify --file=seq.txt":
+            "36adbe5384d3eb5feb27ab63a15c574c3e1ee0d26440bf7145b9e8062a2fd883",
+        "apply --file=seq.txt":
+            "74ae6e8c295e0eca7ce9f6a836e39a68bced7d1637264cac3232f240217352ca",
+        "tau --file=seq.txt":
+            "d7e97aff7703617407e0f8468e0fc8cde3f8b16d87ff5cf4dba7657148e52bf7",
+        "knit --file=seq.txt":
+            "35ba2756127c762fd95582708b98131beb93ae24d0a61e4bcf4df51b852470ca",
     }
 
 
