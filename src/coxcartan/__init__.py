@@ -74,7 +74,6 @@ from .presentations import (
     Window,
     ZAInfinityQuiver,
     check_local_boundedness,
-    garland_block_poset,
     make_family,
     parse_family_flag,
     parse_presentation,

@@ -4,14 +4,16 @@ A presentation stands in for the coalgebra: a path presentation is a locally
 finite acyclic quiver, an incidence presentation an intervally finite poset.
 Built-in infinite families answer neighbourhood/order queries in closed form;
 arbitrary user input is finite only, so interval-finiteness never has to be
-guessed.  The two linear chains are one class, with or without a start.  A
-garland vertex lies on one integer level, L+1 levels per block with the
-junctions on multiples of L+1, and u < v exactly when u's level is below
-v's; its arcs, intervals, cut regions and ranges are runs of levels.  So
-every level-preserving bijection is an automorphism: shifting all blocks by
-one, and swapping top and bottom on every level.  A class names the
-automorphisms it knows through `orbit(v)`, a representative of v's orbit
-with a move onto v; a garland's representatives lie in block 0, on top.
+guessed.  The two linear chains are one class, with or without a start, and
+so are the garlands, a row of blocks glued once (garland-seq) or repeated
+both ways (garland:L).  A garland vertex lies on one integer level, its
+block found by bisecting the junction levels, and u < v exactly when u's
+level is below v's; its arcs, intervals, cut regions and ranges are runs of
+levels.  So every level-preserving bijection is an automorphism: swapping
+top and bottom on every level, and on garland:L shifting all blocks by one.
+A class names the automorphisms it knows through `orbit(v)`, a
+representative of v's orbit with a move onto v; a garland's representatives
+are top vertices, in block 0 on garland:L.
 
 Conventions fixed here and relied on everywhere else:
   * each presentation carries a total display order on its vertices
@@ -24,10 +26,10 @@ it.  The opposite is a value: two opposites of one base are equal, and an
 opposite keeps its memos on the base under the prefix "op", so every copy
 shares them and none is cached on the base.
 
-A finite presentation keeps its reachability closure as one int bitmask
-per vertex, built without recursion in topological order (Kahn); order,
-intervals, covers and support certificates read it.  Path counts are facts
-of each class: 0 or 1 wherever at most one path joins two vertices; a
+A presentation read from a file keeps its reachability closure as one int
+bitmask per vertex, built without recursion in topological order (Kahn);
+order, intervals, covers and support certificates read it.  Path counts are
+facts of each class: 0 or 1 wherever at most one path joins two vertices; a
 finite quiver keeps the column of each target it is asked about, the sum
 of its in-neighbours' kept columns or else one pass over its ancestors in
 reverse Kahn order, and builds no other.  A Cartan row (column) is the
@@ -44,8 +46,9 @@ cone.
 """
 
 import re
+from bisect import bisect_right
 from collections import Counter
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .errors import EmptyWindow, PresentationError, UnknownVertex
 
@@ -648,44 +651,72 @@ class DInfinityQuiver(Presentation):
         return None
 
 
+class _Kept(dict):
+    """The values of `f`, each computed on its first lookup and kept."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        self[key] = value = self.f(key)
+        return value
+
+
 _GARLAND_TOKEN = re.compile(r"j(-?\d+)|g(-?\d+)\.(\d+)([tb])")
 
 
 class GarlandFamily(Presentation):
-    """Bi-infinite chain of identical garland blocks glued at junction vertices.
+    """Garland blocks glued in a row at junction vertices, of the lengths
+    `lengths` once (garland-seq) or repeated both ways when `periodic`
+    (garland:L repeats L).
 
-    Block m sits between junction m and junction m+1 and consists of two
-    parallel chains of `length` vertices each, fully crossed level to level.
-    Vertex ids: ("j", m) for junctions, ("g", m, i, s) for interior level i
-    (1-based) with s = 0 top, s = 1 bottom; vertex ("g", m, i, s) lies on
-    level m*(L+1) + i and ("j", m) on m*(L+1).  Top and bottom of a level are
-    the only incomparable pairs, so each junction cuts every long interval.
+    Block m lies between junctions m and m+1: two parallel chains of
+    lengths[m mod k] vertices, fully crossed level to level.  Vertex ids:
+    ("j", m) for junctions, ("g", m, i, s) for interior level i (1-based) of
+    block m, s = 0 top and s = 1 bottom.  Junction 0 lies on level 0 and each
+    block's levels follow its lower junction's; a level's block is found by
+    bisecting the junction levels.  Top and bottom of a level are the only
+    incomparable pairs, so each junction cuts every long interval.  A glued
+    row ends at its first and last junction and displays its blocks from 1.
     """
 
     kind = "poset"
-    cartan_finiteness = (False, False)
 
-    def __init__(self, length):
-        if length < 1:
-            raise PresentationError("garland length must be >= 1")
-        self.length = length
-        self.family = f"garland:{length}"
-        self._period = length + 1
+    def __init__(self, lengths, periodic=False):
+        self.lengths, self.periodic = tuple(lengths), periodic
+        self.is_finite = not periodic
+        self.cartan_finiteness = (not periodic,) * 2
+        name = "garland" if periodic else "garland-seq"
+        self.family = f"{name}:{','.join(map(str, self.lengths))}"
+        self._shown = 0 if periodic else 1      # the number block 0 displays
+        k = self._k = len(self.lengths)
+        # the levels of junctions 0..k-1, and how many levels one period has
+        junctions = self._junctions = [0, *accumulate(x + 1 for x in self.lengths[:-1])]
+        span = self._span = sum(self.lengths) + k
+
+        def level(v):
+            q, r = divmod(v[1], k)
+            return q * span + junctions[r] + (0 if v[0] == "j" else v[2])
+
+        # kept per vertex, as every order fact compares levels; `level` holds
+        # no reference to self, so a query frees its presentation at once
+        self._level = _Kept(level).__getitem__
 
     def has_vertex(self, v):
-        # exact ints only: True == 1 and 1.0 == 1 would name vertices _at never lists
-        if not isinstance(v, tuple) or not all(type(x) is int for x in v[1:]):
-            return False
-        if len(v) == 2:
-            return v[0] == "j"
-        return len(v) == 4 and v[0] == "g" and 1 <= v[2] <= self.length and v[3] in (0, 1)
-
-    def _level(self, v):
-        return v[1] * self._period + (0 if v[0] == "j" else v[2])
+        # a well-formed id with exact ints (True == 1 and 1.0 == 1 would name
+        # vertices _at never lists), listed on the level it names
+        return (isinstance(v, tuple) and len(v) in (2, 4)
+                and v[0] == ("j" if len(v) == 2 else "g")
+                and all(type(x) is int for x in v[1:]) and v in self._at(self._level(v)))
 
     def _at(self, n):
-        """The vertices on level n, in display order."""
-        m, i = divmod(n, self._period)
+        """The vertices on level n, in display order: junction m when it is
+        level i = 0 of block m, else level i of block m."""
+        if not (self.periodic or 0 <= n <= self._span):
+            return []
+        q, rem = divmod(n, self._span)
+        r = bisect_right(self._junctions, rem) - 1
+        m, i = q * self._k + r, rem - self._junctions[r]
         return [("j", m)] if i == 0 else [("g", m, i, 0), ("g", m, i, 1)]
 
     def _levels(self, lo, hi):
@@ -699,18 +730,20 @@ class GarlandFamily(Presentation):
         if v[0] == "j":
             return f"j{v[1]}"
         _, m, i, s = v
-        return f"g{m}.{i}{'t' if s == 0 else 'b'}"
+        return f"g{m + self._shown}.{i}{'t' if s == 0 else 'b'}"
 
     def parse_token(self, tok):
-        m = _GARLAND_TOKEN.fullmatch(tok.strip())
-        if not m:
-            raise UnknownVertex(f"unknown vertex {tok}")
-        if m.group(1) is not None:
-            return ("j", int(m.group(1)))
-        v = ("g", int(m.group(2)), int(m.group(3)), 0 if m.group(4) == "t" else 1)
-        if not self.has_vertex(v):
-            raise UnknownVertex(f"unknown vertex {tok}")
-        return v
+        """The vertex that `tok` is the display of, verbatim."""
+        m = _GARLAND_TOKEN.fullmatch(tok)
+        if m:
+            j, b, i, s = m.groups()
+            v = ("j", int(j)) if j else ("g", int(b) - self._shown, int(i), "tb".index(s))
+            if self.has_vertex(v) and self.display(v) == tok:
+                return v
+        raise UnknownVertex(f"unknown vertex {tok}")
+
+    def vertices(self):
+        return super().vertices() if self.periodic else self._levels(0, self._span)
 
     def out_arcs(self, v):
         return [(w, 1) for w in self._at(self._level(v) + 1)]
@@ -729,6 +762,14 @@ class GarlandFamily(Presentation):
         lu = self._level(u)
         return [1 if u == v or lu < self._level(v) else 0 for v in tos]
 
+    def ancestors(self, v):
+        # on a glued row the levels below v's, down to its first junction
+        return None if self.periodic else frozenset([*self._levels(0, self._level(v) - 1), v])
+
+    def descendants(self, v):
+        n = self._level(v)
+        return None if self.periodic else frozenset([v, *self._levels(n + 1, self._span)])
+
     def interval(self, u, v):
         if u == v:
             return [u]
@@ -741,19 +782,20 @@ class GarlandFamily(Presentation):
 
     def local_downset(self, v):
         # up from the nearest junction strictly below v
-        n = self._level(v)
-        return frozenset([*self._levels((n - 1) // self._period * self._period, n - 1), v])
+        lo = self._level(("j", v[1] - (v[0] == "j")))
+        return frozenset([*self._levels(lo, self._level(v) - 1), v])
 
     def local_upset(self, v):
         # up to the nearest junction strictly above v
-        n = self._level(v)
-        return frozenset([v, *self._levels(n + 1, (n // self._period + 1) * self._period)])
+        return frozenset([v, *self._levels(self._level(v) + 1, self._level(("j", v[1] + 1)))])
 
     def orbit(self, v):
-        """The block-0 vertex on v's level in the block, top for an interior
-        level, and the move that shifts every block by v's block index and,
-        when v is a bottom vertex, swaps top and bottom on every level."""
-        shift, flip = v[1], (0 if v[0] == "j" else v[3])
+        """The vertex on v's level in blocks 0..k-1, top for an interior
+        level, and the move that shifts every block by the whole periods
+        between them and, when v is a bottom vertex, swaps top and bottom on
+        every level.  A glued row is one period: only the swap moves it."""
+        shift = v[1] - v[1] % self._k if self.periodic else 0
+        flip = 0 if v[0] == "j" else v[3]
         if not shift and not flip:
             return v, None
 
@@ -762,38 +804,14 @@ class GarlandFamily(Presentation):
                 return ("j", p[1] + shift)
             return ("g", p[1] + shift, p[2], p[3] ^ flip)
 
-        return (("j", 0) if v[0] == "j" else ("g", 0, v[2], 0)), move
+        return (("j", v[1] - shift) if v[0] == "j" else ("g", v[1] - shift, v[2], 0)), move
 
     def _range_vertices(self, lo, hi):
-        # integer range means junctions lo..hi and every block between
-        if hi < lo:
+        # an integer range means junctions lo..hi and every block between;
+        # a glued row's windows name their vertices
+        if hi < lo or not self.periodic:
             raise EmptyWindow(f"range {lo}..{hi} contains no vertices")
-        return self._levels(lo * self._period, hi * self._period)
-
-
-def garland_block_poset(lengths):
-    """Finite poset: garland blocks of the given lengths glued in a row.
-
-    Junctions are named j0..jk; block i (1-based, length lengths[i-1]) lies
-    between j(i-1) and j(i), with interior vertices named g<i>.<level><t|b>.
-    """
-    elements = ["j0"]
-    relations = []
-    for bi, L in enumerate(lengths, start=1):
-        lo = f"j{bi - 1}"
-        hi = f"j{bi}"
-        prev = [lo]
-        for lev in range(1, L + 1):
-            cur = [f"g{bi}.{lev}t", f"g{bi}.{lev}b"]
-            elements.extend(cur)
-            for p in prev:
-                for c in cur:
-                    relations.append((p, c))
-            prev = cur
-        elements.append(hi)
-        for p in prev:
-            relations.append((p, hi))
-    return FinitePoset(elements, relations)
+        return self._levels(self._level(("j", lo)), self._level(("j", hi)))
 
 
 _FAMILIES = {
@@ -810,17 +828,18 @@ def make_family(name, arg=None):
     if name == "garland":
         if arg is None:
             raise PresentationError("family garland needs a length")
-        return GarlandFamily(int(arg))
+        length = int(arg)
+        if length < 1:
+            raise PresentationError("garland length must be >= 1")
+        return GarlandFamily([length], periodic=True)
     if name == "garland-seq":
         if not arg:
             raise PresentationError("family garland-seq needs a length list")
-        if isinstance(arg, str):
-            lengths = [int(x) for x in arg.split(",") if x.strip()]
-        else:
-            lengths = [int(x) for x in arg]
+        items = arg.split(",") if isinstance(arg, str) else arg
+        lengths = [int(x) for x in items if str(x).strip()]
         if not lengths or any(x < 1 for x in lengths):
             raise PresentationError("garland-seq lengths must be positive")
-        return garland_block_poset(lengths)
+        return GarlandFamily(lengths)
     raise PresentationError(f"unknown family {name!r}")
 
 

@@ -4,9 +4,10 @@ One simple per orbit of the presentation's automorphisms is resolved
 (`_row_terms`), and Ext, the resolution tables and the rows of the inverse
 Cartan matrix (`alternating_row`) all read that one resolution, moved onto
 every other simple of the orbit by the automorphism that `Presentation.orbit`
-names (on a garland, shift the blocks and swap top and bottom; elsewhere each
-orbit is one simple): the multiplicity of the injective at p in degree m of the
-resolution of the simple at j is dim Ext^m between the simples at p and j.
+names (on a garland, swap top and bottom, and shift the blocks of garland:L;
+elsewhere each orbit is one simple): the multiplicity of the injective at p
+in degree m of the resolution of the simple at j is dim Ext^m between the
+simples at p and j.
 Path presentations are hereditary, so their resolutions have length at most
 one and are written down in closed form.  On incidence presentations that
 Ext localizes to the finite closed interval [p, j] (Cibils, J. Pure Appl.

@@ -16,7 +16,6 @@ from coxcartan import (
     evaluate_window,
     ext_dim,
     find_isomorphism,
-    garland_block_poset,
     inj_dim_simple,
     interval_comodule,
     knit_component,
@@ -170,7 +169,7 @@ def test_criterion_04_inverse_identities():
     for q in random_quivers(20):
         both_inverse_identities(q, q.window(q.vertices()))
     for lengths in ([1], [2]):
-        g = garland_block_poset(lengths)
+        g = make_family("garland-seq", lengths)
         both_inverse_identities(g, g.window(g.vertices()))
     for m0, span in ((1, "0..3"), (2, "0..2")):
         gf = make_family("garland", m0)
@@ -196,8 +195,8 @@ def random_posets(count, seed=50505):
 
 
 def test_criterion_05_mobius_cross_oracle():
-    posets = [garland_block_poset([1]), garland_block_poset([2]),
-              garland_block_poset([1, 2])] + random_posets(20)
+    posets = [make_family("garland-seq", lengths) for lengths in ([1], [2], [1, 2])]
+    posets += random_posets(20)
     for p in posets:
         cinv = cartan_inverse(p)
         for x in p.vertices():
@@ -218,8 +217,8 @@ def test_criterion_06_ext_symmetry():
         (make_family("a-infinity"), list(range(0, 6))),
         (make_family("z-a-infinity"), list(range(-3, 4))),
         (make_family("d-infinity"), list(range(-1, 6))),
-        (garland_block_poset([1]), None),
-        (garland_block_poset([2]), None),
+        (make_family("garland-seq", [1]), None),
+        (make_family("garland-seq", [2]), None),
     ]
     for pres, verts in samples:
         if verts is None:
@@ -233,9 +232,9 @@ def test_criterion_06_ext_symmetry():
 
 
 def test_criterion_07_garland_injective_dimensions():
-    g = garland_block_poset([1, 2])
-    assert inj_dim_simple(g, "j1") == 2
-    assert inj_dim_simple(g, "j2") == 3
+    g = make_family("garland-seq", [1, 2])
+    assert inj_dim_simple(g, ("j", 1)) == 2
+    assert inj_dim_simple(g, ("j", 2)) == 3
     assert inj_dim_simple(make_family("garland", 1), ("j", 0)) == 2
     assert inj_dim_simple(make_family("garland", 2), ("j", 0)) == 3
     print("PASS criterion 7: garland junction simples have injective dimension 2 and 3")
@@ -370,16 +369,17 @@ def test_criterion_12_order_complex_oracle_on_a_long_garland_interval():
     assert out.getvalue().startswith("OK:")
     # the oracle stays independent: no envelope, no resolution, and no dense
     # Fraction elimination on the fresh presentation
-    g = garland_block_poset([2, 2, 2])
-    degrees = range(len(g.interval("j0", "j3")))
+    g = make_family("garland-seq", [2, 2, 2])
+    j0, j3 = ("j", 0), ("j", 3)
+    degrees = range(len(g.interval(j0, j3)))
     with mock.patch.object(comodules, "label_envelope",
                            wraps=comodules.label_envelope) as envelope, \
             mock.patch.object(resolutions, "_resolve_in_region",
                               wraps=resolutions._resolve_in_region) as engine, \
             mock.patch.object(linalg, "rref", side_effect=AssertionError("dense rref")):
-        by_complex = [ext_dim(g, "j0", "j3", m, method="complex") for m in degrees]
+        by_complex = [ext_dim(g, j0, j3, m, method="complex") for m in degrees]
     assert envelope.call_count == 0 and engine.call_count == 0
-    assert by_complex == [ext_dim(g, "j0", "j3", m) for m in degrees]
-    assert sum((-1) ** m * d for m, d in enumerate(by_complex)) == mobius(g, "j0", "j3")
+    assert by_complex == [ext_dim(g, j0, j3, m) for m in degrees]
+    assert sum((-1) ** m * d for m, d in enumerate(by_complex)) == mobius(g, j0, j3)
     print("PASS criterion 12: the order-complex oracle of (j0, j3) on garland-seq:2,2,2 "
           "ranks 2915 chains without the engine and agrees with the resolution")

@@ -13,7 +13,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from coxcartan import cli, garland_block_poset, make_family
+from coxcartan import cli, make_family
 from coxcartan.cli import run
 
 
@@ -577,7 +577,7 @@ def incidence_argvs(draw):
         one_block = command == "verify" and suite == "mobius"
         lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=1 if one_block else 3))
         args = ["--family=garland-seq:" + ",".join(map(str, lengths))]
-        pres = garland_block_poset(lengths)
+        pres = make_family("garland-seq", lengths)
         names = [pres.display(v) for v in pres.vertices()]
     else:
         length, lo = draw(st.integers(1, 4)), draw(st.integers(-3, 3))

@@ -17,7 +17,7 @@ from coxcartan import (
     cartan_inverse,
     cartan_matrix,
     ext_dim,
-    garland_block_poset,
+    make_family,
     min_inj_copresentation,
     mobius,
     parse_presentation,
@@ -155,7 +155,7 @@ def test_garland_seq_resolutions_match_independent_oracles(lengths):
     # summands in most degrees, longer and wider than on the random posets
     # above; the order complex is asked only inside local_downset(j), one
     # block, where the open intervals stay small
-    p = garland_block_poset(lengths)
+    p = make_family("garland-seq", lengths)
     for pres in (p, p.opposite()):
         verts = pres.vertices()
         degrees = range(len(verts) + 1)

@@ -2,7 +2,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coxcartan import (
     AInfinityQuiver,
@@ -13,8 +13,8 @@ from coxcartan import (
     PresentationError,
     UnknownVertex,
     check_local_boundedness,
-    garland_block_poset,
     make_family,
+    parse_family_flag,
     parse_presentation,
 )
 
@@ -186,34 +186,65 @@ def test_garland_order_and_intervals():
     assert g.interval(j1, j0) == []
 
 
-def _garland_name(v):
-    """The name in `garland_block_poset` of a vertex of blocks 0.. of the family."""
-    if v[0] == "j":
-        return f"j{v[1]}"
-    _, m, i, s = v
-    return f"g{m + 1}.{i}{'tb'[s]}"
+def garland_block_poset(lengths):
+    """The bitmask reference for garland-seq: its blocks glued in a row as a
+    `FinitePoset` on the displayed names, its order the closure of the
+    relations from each level to the next, its covers recomputed from that.
+
+    Junctions are named j0..jk; block i (1-based, length lengths[i-1]) lies
+    between j(i-1) and j(i), with interior vertices named g<i>.<level><t|b>.
+    """
+    elements = ["j0"]
+    relations = []
+    for bi, L in enumerate(lengths, start=1):
+        prev = [f"j{bi - 1}"]
+        for lev in range(1, L + 1):
+            cur = [f"g{bi}.{lev}t", f"g{bi}.{lev}b"]
+            elements.extend(cur)
+            relations.extend((p, c) for p in prev for c in cur)
+            prev = cur
+        elements.append(f"j{bi}")
+        relations.extend((p, f"j{bi}") for p in prev)
+    return FinitePoset(elements, relations)
 
 
-@given(st.integers(1, 3), st.data())
-def test_garland_family_matches_the_finite_block_poset(length, data):
-    # blocks 0..3 of the family against the bitmask closure of four blocks;
-    # a cut region is compared where its junction lies inside both
-    g, f = GarlandFamily(length), garland_block_poset([length] * 4)
-    verts = list(g.window("0..4"))
-    assert [_garland_name(v) for v in verts] == f.vertices()
-    u, v = data.draw(st.sampled_from(verts)), data.draw(st.sampled_from(verts))
-    nu, nv = _garland_name(u), _garland_name(v)
-    assert g.leq(u, v) == f.leq(nu, nv)
-    assert [_garland_name(z) for z in g.interval(u, v)] == f.interval(nu, nv)
-    if u != ("j", 4):
-        assert [(_garland_name(w), k) for w, k in g.out_arcs(u)] == f.out_arcs(nu)
-        assert {_garland_name(z) for z in g.local_upset(u)} == f._cut(nu, f._up, f._down)
-    if u != ("j", 0):
-        assert [(_garland_name(w), k) for w, k in g.in_arcs(u)] == f.in_arcs(nu)
-        assert {_garland_name(z) for z in g.local_downset(u)} == f._cut(nu, f._down, f._up)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.booleans(), st.data())
+def test_garland_family_matches_the_finite_block_poset(lengths, periodic, data):
+    # a glued row of random blocks, or blocks 0..3 of garland:L, against the
+    # bitmask closure of the same blocks, which names a vertex as the glued
+    # row displays it; on garland:L the arcs and cut regions are compared
+    # where they stay inside those blocks
+    if periodic:
+        g, lengths = GarlandFamily(lengths[:1], periodic=True), lengths[:1] * 4
+        verts = g.window(f"0..{len(lengths)}").vertices
+        ends = [verts[0], verts[-1]]
+    else:
+        g = GarlandFamily(lengths)
+        verts, ends = g.vertices(), []
+    f, row = garland_block_poset(lengths), GarlandFamily(lengths)
+    name = {v: row.display(v) for v in verts}
+    assert list(name.values()) == f.vertices()
+    assert [g.parse_token(g.display(v)) for v in verts] == verts
+    for u in verts:
+        nu = name[u]
+        for v in verts:
+            assert g.leq(u, v) == f.leq(nu, name[v])
+            assert [name[z] for z in g.interval(u, v)] == f.interval(nu, name[v])
+        if u not in ends[1:]:
+            assert [(name[w], k) for w, k in g.out_arcs(u)] == f.out_arcs(nu)
+            assert {name[z] for z in g.local_upset(u)} == f._cut(nu, f._up, f._down)
+        if u not in ends[:1]:
+            assert [(name[w], k) for w, k in g.in_arcs(u)] == f.in_arcs(nu)
+            assert {name[z] for z in g.local_downset(u)} == f._cut(nu, f._down, f._up)
+        if periodic:
+            assert g.ancestors(u) is g.descendants(u) is None
+        else:
+            assert {name[z] for z in g.ancestors(u)} == f.ancestors(nu)
+            assert {name[z] for z in g.descendants(u)} == f.descendants(nu)
     elements = data.draw(st.lists(st.sampled_from(verts), unique=True))
-    assert [_garland_name(z) for z in g.linear_extension(elements)] == f.linear_extension(
-        [_garland_name(z) for z in elements]
+    assert [name[z] for z in g.linear_extension(elements)] == f.linear_extension(
+        [name[z] for z in elements]
     )
 
 
@@ -272,48 +303,71 @@ def test_garland_degrees_match_block_picture():
     assert rep["witnesses"][("g", 0, 2, 1)] == (2, 1)
 
 
-def test_garland_parse_tokens():
-    g = make_family("garland", 2)
-    assert g.parse_token("j-3") == ("j", -3)
-    assert g.parse_token("g2.1b") == ("g", 2, 1, 1)
-    with pytest.raises(UnknownVertex):
-        g.parse_token("g2.9t")
+@pytest.mark.parametrize("family, good, bad", [
+    ("garland:2", {"j-3": ("j", -3), "j0": ("j", 0), "g2.1b": ("g", 2, 1, 1),
+                   "g-1.2t": ("g", -1, 2, 0)},
+     ["g2.9t", "g0.0t", "j01", "j-0", "j+1", "g1.01t", "g01.1t", "g-0.1t", " j1", "j1 ",
+      "g1.1", "J1", "1", "x"]),
+    ("garland-seq:2,1", {"j0": ("j", 0), "j2": ("j", 2), "g1.2b": ("g", 0, 2, 1),
+                         "g2.1t": ("g", 1, 1, 0)},
+     ["g0.1t", "g2.2t", "g3.1t", "j-1", "j3", "j01", "j-0", "g1.01t", "g01.1t", " j1", "j1 ",
+      "1", "x"]),
+])
+def test_garland_parse_tokens(family, good, bad):
+    # a token names the vertex it is the display of, verbatim, and only it
+    g = parse_family_flag(family)
+    for tok, v in good.items():
+        assert g.parse_token(tok) == v and g.display(v) == tok
+    for tok in bad:
+        with pytest.raises(UnknownVertex, match=f"^unknown vertex {re.escape(tok)}$"):
+            g.parse_token(tok)
 
 
 def test_garland_vertices_are_exactly_those_on_some_level():
-    # a vertex id is well formed, with exact int block, level and side, or
-    # it is no vertex; every vertex is listed on its level
-    g = make_family("garland", 2)
-    good = [("j", 0), ("j", -3), ("g", 0, 1, 0), ("g", -1, 2, 1)]
+    # a vertex id is well formed, with exact int block, level and side, and
+    # on a glued row inside it, or it is no vertex; every vertex is listed
+    # on its level
+    g, row = make_family("garland", 2), make_family("garland-seq", "2,1")
+    good = [("j", 0), ("j", 2), ("g", 0, 1, 0), ("g", 1, 1, 1)]
     bad = [(), ("j",), ("g",), ("g", 0, 1), ("j", 1, 2), ("j", True), ("j", 1.0),
            ("g", 0, 1.5, 0), ("g", 0, True, 0), ("g", True, 1, 0), ("g", 0, 1, True),
            ("g", 0, 3, 0), ("g", 0, 1, 2), ("x", 1), "j0", 0]
-    assert all(g.has_vertex(v) for v in good)
-    assert not any(g.has_vertex(v) for v in bad)
-    for v in good:
-        assert v in g._at(g._level(v))
-    for v in bad:
-        with pytest.raises(UnknownVertex):
-            g.window([v])
+    outside = [("j", -1), ("j", 3), ("g", -1, 1, 0), ("g", 2, 1, 0), ("g", 1, 2, 0)]
+    assert all(g.has_vertex(v) for v in good + outside[:3] + [("g", 2, 1, 0)])
+    for pres, cases in ((g, bad), (row, bad + outside)):
+        assert all(pres.has_vertex(v) for v in good)
+        assert not any(pres.has_vertex(v) for v in cases)
+        for v in good:
+            assert v in pres._at(pres._level(v))
+        for v in cases:
+            with pytest.raises(UnknownVertex):
+                pres.window([v])
+    assert row._levels(-2, 9) == row.vertices() and len(row.vertices()) == 9
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4])
-def test_garland_orbit_moves_are_automorphisms_of_the_cut_regions(length):
-    # the representative is the block-0 top vertex on v's level in the
-    # block; its move carries both cut regions of r onto those of v, one to
-    # one, keeping the order and the arcs, and the opposite view agrees
-    g = GarlandFamily(length)
-    for v in g.window("-3..4"):
+@pytest.mark.parametrize("family", ["garland:1", "garland:2", "garland:3", "garland:4",
+                                    "garland-seq:1", "garland-seq:3,1,2", "garland-seq:2,4"])
+def test_garland_orbit_moves_are_automorphisms_of_the_cut_regions(family):
+    # the representative is the top vertex on v's level, in block 0 of
+    # garland:L and in v's own block on a glued row, whose only move swaps
+    # top and bottom; the move carries both cut regions of r onto those of
+    # v, one to one, keeping the order and the arcs, and the opposite view
+    # agrees
+    g = parse_family_flag(family)
+    verts = g.vertices() if g.is_finite else list(g.window("-3..4"))
+    for v in verts:
         r, move = g.orbit(v)
         op_r, op_move = g.opposite().orbit(v)
         assert op_r == r and (op_move is None) == (move is None)
-        assert r[1] == 0 and (r[0] == "j" or r[3] == 0)
-        assert g._level(r) % (length + 1) == g._level(v) % (length + 1)
+        assert r[1] == (v[1] if g.is_finite else 0) and (r[0] == "j" or r[3] == 0)
+        assert g._level(r) % g._span == g._level(v) % g._span
         assert g.orbit(r) == (r, None)
         if move is None:
             assert r == v
             continue
         assert move(r) == v
+        if g.is_finite:
+            assert sorted(map(move, verts), key=g.sort_key) == verts
         for cut in (g.local_downset, g.local_upset):
             region = list(cut(r))
             moved = [move(p) for p in region]
@@ -462,7 +516,7 @@ def test_thin_is_a_fact_of_the_class_and_its_opposite():
 
     thin = [(make_family(name), lo) for name, lo in
             (("a-infinity", 0), ("z-a-infinity", -3), ("d-infinity", -1))]
-    thin += [(make_family("garland", 2), 0), (garland_block_poset([1, 2]), None)]
+    thin += [(make_family("garland", 2), 0), (make_family("garland-seq", [1, 2]), None)]
     kronecker = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
     for base, lo in [*thin, (kronecker, None)]:
         verts = base.vertices() if lo is None else list(base.window(f"{lo}..{lo + 4}"))

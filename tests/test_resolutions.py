@@ -11,13 +11,13 @@ from coxcartan import (
     comodules,
     ext_alternating_sum,
     ext_dim,
-    garland_block_poset,
     inj_dim_simple,
     linalg,
     make_family,
     minimal_injective_resolution,
     mobius,
     parse_presentation,
+    presentations,
     resolutions,
 )
 from coxcartan.cli import run
@@ -125,14 +125,14 @@ def test_mobius_diamond_hand_recursion():
 
 def test_alternating_sum_equals_mobius_on_garlands():
     for lengths in ([1], [2], [1, 2]):
-        g = garland_block_poset(lengths)
+        g = make_family("garland-seq", lengths)
         for p in g.vertices():
             for j in g.vertices():
                 assert ext_alternating_sum(g, p, j) == mobius(g, p, j)
 
 
 def test_cartan_inverse_poset_equals_mobius():
-    g = garland_block_poset([1, 2])
+    g = make_family("garland-seq", [1, 2])
     cinv = cartan_inverse(g)
     for p in g.vertices():
         for j in g.vertices():
@@ -140,9 +140,9 @@ def test_cartan_inverse_poset_equals_mobius():
 
 
 def test_inj_dim_garland_blocks():
-    g = garland_block_poset([1, 2])
-    assert inj_dim_simple(g, "j1") == 2
-    assert inj_dim_simple(g, "j2") == 3
+    g = make_family("garland-seq", [1, 2])
+    assert inj_dim_simple(g, ("j", 1)) == 2
+    assert inj_dim_simple(g, ("j", 2)) == 3
 
 
 def test_inj_dim_infinite_garland():
@@ -184,7 +184,7 @@ def test_sharp_euler_garland():
 
 
 def test_ext_symmetry_garland_seq():
-    g = garland_block_poset([1, 2])
+    g = make_family("garland-seq", [1, 2])
     op = g.opposite()
     for i in g.vertices():
         for j in g.vertices():
@@ -270,7 +270,7 @@ def test_inverse_entries_cut_by_a_junction_are_zero():
     # entry is 0.  On a garland and on garland-seq these are exactly the
     # p <= j outside local_downset(j), which no resolution of the row reaches
     garland = make_family("garland", 2)
-    seq = garland_block_poset([1, 2, 1])
+    seq = make_family("garland-seq", [1, 2, 1])
     cases = [
         (garland, list(garland.window("-1..2"))),
         (garland.opposite(), list(garland.window("-1..2"))),
@@ -397,7 +397,7 @@ def test_euler_suite_resolves_each_simple_once_per_side():
         0, "OK: sampled simples have finite socle-finite resolutions, Ext symmetric\n"
     )
     resolved = [(type(call.args[0]).__name__, call.args[2]) for call in engine.call_args_list]
-    assert len(set(resolved)) == len(resolved) == 2 * (g.length + 1)
+    assert len(set(resolved)) == len(resolved) == 2 * (g.lengths[0] + 1)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
@@ -466,6 +466,31 @@ def test_garland_seq_rows_resolve_the_last_block_only():
     assert regions == [4]
 
 
+GARLAND_SEQ_COMMANDS = [
+    ["resolve", "--family=garland-seq:2,1,3", "--vertex=g3.2b", "--side=right"],
+    ["resolve", "--family=garland-seq:2,1,3", "--vertex=j2"],
+    ["ext", "--family=garland-seq:2,1,3", "--from=g1.1t", "--to=j1", "--max-degree=4"],
+    ["inverse", "--family=garland-seq:2,1,3", "--window=j0,g1.2b,j1,g3.1t,j3"],
+    ["verify", "--suite=euler", "--family=garland-seq:2,1,3", "--window=j0,g2.1t,j2"],
+    ["verify", "--suite=mobius", "--family=garland-seq:2,1,3", "--window=j2,g3.2t,j3"],
+]
+
+
+def test_garland_seq_builds_no_finite_poset():
+    # garland-seq reads its order off levels: no query builds the bitmask
+    # closure of a finite presentation, and every answer stays as it was
+    expected = []
+    for argv in GARLAND_SEQ_COMMANDS:
+        out = io.StringIO()
+        expected.append((run(argv, out=out), out.getvalue()))
+    assert all(code == 0 and text for code, text in expected)
+    with mock.patch.object(presentations._FinitePresentation, "__init__",
+                           side_effect=AssertionError("finite presentation built")):
+        for argv, want in zip(GARLAND_SEQ_COMMANDS, expected):
+            out = io.StringIO()
+            assert (run(argv, out=out), out.getvalue()) == want, argv
+
+
 def test_inverse_row_of_a_long_resolution():
     # on garland:16, Ext^17 between the simples at j0 and j1 is nonzero: the
     # resolution of row j1 runs to degree 17, one below the 35 elements of
@@ -482,18 +507,18 @@ def test_inverse_row_of_a_long_resolution():
 def test_order_complex_ranks_each_boundary_once():
     # open interval (j0, j1) of garland-seq:3: three levels of two, so chains
     # of dimension 0..2 and three boundary maps, augmentation included
-    g = garland_block_poset([3])
+    g = make_family("garland-seq", [3])
     real = resolutions.linalg.sparse_rank
     with mock.patch.object(resolutions.linalg, "sparse_rank", wraps=real) as rank:
-        dims = [ext_dim(g, "j0", "j1", m, method="complex") for m in range(8)]
+        dims = [ext_dim(g, ("j", 0), ("j", 1), m, method="complex") for m in range(8)]
     assert dims == [0, 0, 0, 0, 1, 0, 0, 0]
     assert rank.call_count == 3
 
 
 def test_order_complex_of_a_long_garland_interval():
     # open interval (j0, j3) of garland-seq:2,2,2: 14 elements, 2915 chains
-    g = garland_block_poset([2, 2, 2])
-    open_part = [z for z in g.interval("j0", "j3") if z not in ("j0", "j3")]
+    g = make_family("garland-seq", [2, 2, 2])
+    open_part = g.interval(("j", 0), ("j", 3))[1:-1]
     by_dim, _ = resolutions._order_complex(g, open_part)
     assert [len(by_dim[k]) for k in range(8)] == [14, 85, 292, 620, 832, 688, 320, 64]
     ranks = [linalg.sparse_rank(resolutions._boundary_columns(by_dim, k)) for k in range(8)]
