@@ -80,7 +80,6 @@ from .presentations import (
 )
 from .resolutions import (
     ResolutionSummary,
-    SharpEulerReport,
     check_sharp_euler,
     ext_alternating_sum,
     ext_dim,

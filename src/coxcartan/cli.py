@@ -322,9 +322,9 @@ def _suite_tau(pres, win, out):
 
 
 def _suite_euler(pres, win, out):
-    report = resolutions.check_sharp_euler(pres, list(win))
-    if not report.ok:
-        out.write("FAIL: " + "; ".join(report.failures[:3]) + "\n")
+    failures = resolutions.check_sharp_euler(pres, list(win))
+    if failures:
+        out.write("FAIL: " + "; ".join(failures[:3]) + "\n")
         return 1
     out.write("OK: sampled simples have finite socle-finite resolutions, Ext symmetric\n")
     return 0

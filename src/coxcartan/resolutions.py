@@ -324,61 +324,38 @@ def inj_dim_simple(pres, j):
     return minimal_injective_resolution(pres, j).length()
 
 
-class SharpEulerReport:
-    """The verdicts of `check_sharp_euler`, with one message per failure."""
-
-    def __init__(self, computable, left_sharp, right_sharp, symmetric, failures):
-        self.computable, self.left_sharp = computable, left_sharp
-        self.right_sharp, self.symmetric = right_sharp, symmetric
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return self.computable and self.left_sharp and self.right_sharp and self.symmetric
-
-
 def check_sharp_euler(pres, sample):
-    """Sample-based certification: finite socle-finite resolutions of simples
-    on both sides, plus the two-sided Ext symmetry on sampled pairs."""
+    """Sample-based certification, as the list of its failure messages
+    (empty when it holds): finite socle-finite resolutions of simples on
+    both sides, plus the two-sided Ext symmetry on sampled pairs."""
     from .cartan import cartan_matrix  # local import to avoid a cycle
 
     failures = []
-    computable = True
     c = cartan_matrix(pres)
     for v in sample:
         for w in sample:
             try:
                 c.entry(v, w)
             except IntervalFinitenessViolated as exc:
-                computable = False
                 failures.append(f"entry ({pres.display(v)},{pres.display(w)}): {exc}")
 
-    def side_ok(p, side_name):
-        ok = True
+    for p, side_name in ((pres, "left"), (pres.opposite(), "right")):
         for j in sample:
             try:
                 summary = minimal_injective_resolution(p, j)
             except IntervalFinitenessViolated as exc:
-                ok = False
                 failures.append(f"{side_name} resolution at {pres.display(j)}: {exc}")
                 continue
             if any(len(t) == 0 for t in summary.terms):
-                ok = False
                 failures.append(f"{side_name} resolution at {pres.display(j)}: empty term")
-        return ok
 
-    left_sharp = side_ok(pres, "left")
-    right_sharp = side_ok(pres.opposite(), "right")
-
-    symmetric = True
     for i in sample:
         for j in sample:
             for m in ext_degrees(pres, i, j):
                 a = ext_dim(pres, i, j, m)
                 b = ext_dim(pres.opposite(), j, i, m)
                 if a != b:
-                    symmetric = False
                     failures.append(
                         f"ext symmetry fails at ({pres.display(i)},{pres.display(j)},m={m}): {a} vs {b}"
                     )
-    return SharpEulerReport(computable, left_sharp, right_sharp, symmetric, failures)
+    return failures

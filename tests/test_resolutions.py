@@ -162,9 +162,9 @@ def test_inj_dim_quiver_cases():
 
 def test_sharp_euler_families():
     a = make_family("a-infinity")
-    assert check_sharp_euler(a, list(a.window("0..5"))).ok
+    assert check_sharp_euler(a, list(a.window("0..5"))) == []
     d = make_family("d-infinity")
-    assert check_sharp_euler(d, list(d.window("-1..4"))).ok
+    assert check_sharp_euler(d, list(d.window("-1..4"))) == []
 
 
 def test_sharp_euler_random_tree():
@@ -172,15 +172,33 @@ def test_sharp_euler_random_tree():
     tree = parse_presentation(
         "kind quiver\narrow 0 1\narrow 0 2\narrow 1 3\narrow 1 4\narrow 2 5\n"
     )
-    report = check_sharp_euler(tree, tree.vertices())
-    assert report.ok, report.failures
+    assert check_sharp_euler(tree, tree.vertices()) == []
 
 
 def test_sharp_euler_garland():
     g = make_family("garland", 1)
+    assert check_sharp_euler(g, list(g.window("0..1"))) == []
+
+
+def test_sharp_euler_lists_one_line_per_failure():
+    # right-side Ext read one too high: every compared degree is a failure,
+    # and the euler suite prints the first three and exits 1
+    g = make_family("garland", 1)
     sample = list(g.window("0..1"))
-    report = check_sharp_euler(g, sample)
-    assert report.ok, report.failures
+    real = resolutions.ext_dim
+
+    def skewed(pres, src, tgt, m, method="resolution"):
+        return real(pres, src, tgt, m, method) + isinstance(pres, presentations.OppositePresentation)
+
+    with mock.patch.object(resolutions, "ext_dim", skewed):
+        failures = check_sharp_euler(g, sample)
+        out = io.StringIO()
+        code = run(["verify", "--suite=euler", "--family=garland:1", "--window=0..1"], out=out)
+    compared = [(i, j, m) for i in sample for j in sample
+                for m in resolutions.ext_degrees(g, i, j)]
+    assert len(failures) == len(compared) > 3
+    assert failures[0] == "ext symmetry fails at (j0,j0,m=0): 1 vs 2"
+    assert (code, out.getvalue()) == (1, "FAIL: " + "; ".join(failures[:3]) + "\n")
 
 
 def test_ext_symmetry_garland_seq():
