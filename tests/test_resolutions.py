@@ -188,7 +188,8 @@ def test_sharp_euler_lists_one_line_per_failure():
     real = resolutions.ext_dim
 
     def skewed(pres, src, tgt, m, method="resolution"):
-        return real(pres, src, tgt, m, method) + isinstance(pres, presentations.OppositePresentation)
+        right = isinstance(pres, presentations.OppositePresentation)
+        return real(pres, src, tgt, m, method) + right
 
     with mock.patch.object(resolutions, "ext_dim", skewed):
         failures = check_sharp_euler(g, sample)
