@@ -2,7 +2,7 @@
 
 A presentation stands in for the coalgebra: a path presentation is a locally
 finite acyclic quiver, an incidence presentation an intervally finite poset.
-Built-in infinite families answer neighbourhood/order queries in closed form;
+Built-in families answer neighbourhood and order queries in closed form;
 arbitrary user input is finite only, so interval-finiteness never has to be
 guessed.  The two linear chains are one class, with or without a start, and
 so are the garlands, a row of blocks glued once (garland-seq) or repeated
@@ -524,13 +524,6 @@ class FinitePoset(_FinitePresentation):
     def leq(self, u, v):
         return bool(self._up[u] & self._bit.get(v, 0))
 
-    # leq's rule, inline: the engine reads one line per vertex of a region
-    def counts_into(self, v, frms):
-        return [1 if self._down[v] & self._bit[u] else 0 for u in frms]
-
-    def counts_from(self, u, tos):
-        return [1 if self._up[u] & self._bit[v] else 0 for v in tos]
-
     def interval(self, u, v):
         if not self.leq(u, v):
             return []
@@ -691,16 +684,28 @@ class GarlandFamily(Presentation):
         self._shown = 0 if periodic else 1      # the number block 0 displays
         k = self._k = len(self.lengths)
         # the levels of junctions 0..k-1, and how many levels one period has
-        junctions = self._junctions = [0, *accumulate(x + 1 for x in self.lengths[:-1])]
+        junctions = [0, *accumulate(x + 1 for x in self.lengths[:-1])]
         span = self._span = sum(self.lengths) + k
 
         def level(v):
             q, r = divmod(v[1], k)
             return q * span + junctions[r] + (0 if v[0] == "j" else v[2])
 
-        # kept per vertex, as every order fact compares levels; `level` holds
-        # no reference to self, so a query frees its presentation at once
+        def at(n):
+            # in display order: junction m when n is level 0 of block m, else
+            # top and bottom of level i of block m
+            if not (periodic or 0 <= n <= span):
+                return ()
+            q, rem = divmod(n, span)
+            r = bisect_right(junctions, rem) - 1
+            m, i = q * k + r, rem - junctions[r]
+            return (("j", m),) if i == 0 else (("g", m, i, 0), ("g", m, i, 1))
+
+        # the level of each vertex and the vertices on each level, kept as
+        # they are asked for, since every order fact reads them; neither
+        # function refers to self, so a query frees its presentation at once
         self._level = _Kept(level).__getitem__
+        self._at = _Kept(at).__getitem__
 
     def has_vertex(self, v):
         # a well-formed id with exact ints (True == 1 and 1.0 == 1 would name
@@ -708,16 +713,6 @@ class GarlandFamily(Presentation):
         return (isinstance(v, tuple) and len(v) in (2, 4)
                 and v[0] == ("j" if len(v) == 2 else "g")
                 and all(type(x) is int for x in v[1:]) and v in self._at(self._level(v)))
-
-    def _at(self, n):
-        """The vertices on level n, in display order: junction m when it is
-        level i = 0 of block m, else level i of block m."""
-        if not (self.periodic or 0 <= n <= self._span):
-            return []
-        q, rem = divmod(n, self._span)
-        r = bisect_right(self._junctions, rem) - 1
-        m, i = q * self._k + r, rem - self._junctions[r]
-        return [("j", m)] if i == 0 else [("g", m, i, 0), ("g", m, i, 1)]
 
     def _levels(self, lo, hi):
         """The vertices on levels lo..hi, in display order."""

@@ -303,7 +303,7 @@ def test_garland_degrees_match_block_picture():
     assert rep["witnesses"][("g", 0, 2, 1)] == (2, 1)
 
 
-@pytest.mark.parametrize("family, good, bad", [
+GARLAND_TOKENS = [
     ("garland:2", {"j-3": ("j", -3), "j0": ("j", 0), "g2.1b": ("g", 2, 1, 1),
                    "g-1.2t": ("g", -1, 2, 0)},
      ["g2.9t", "g0.0t", "j01", "j-0", "j+1", "g1.01t", "g01.1t", "g-0.1t", " j1", "j1 ",
@@ -312,15 +312,18 @@ def test_garland_degrees_match_block_picture():
                          "g2.1t": ("g", 1, 1, 0)},
      ["g0.1t", "g2.2t", "g3.1t", "j-1", "j3", "j01", "j-0", "g1.01t", "g01.1t", " j1", "j1 ",
       "1", "x"]),
-])
-def test_garland_parse_tokens(family, good, bad):
+]
+
+
+def test_garland_parse_tokens():
     # a token names the vertex it is the display of, verbatim, and only it
-    g = parse_family_flag(family)
-    for tok, v in good.items():
-        assert g.parse_token(tok) == v and g.display(v) == tok
-    for tok in bad:
-        with pytest.raises(UnknownVertex, match=f"^unknown vertex {re.escape(tok)}$"):
-            g.parse_token(tok)
+    for family, good, bad in GARLAND_TOKENS:
+        g = parse_family_flag(family)
+        for tok, v in good.items():
+            assert g.parse_token(tok) == v and g.display(v) == tok
+        for tok in bad:
+            with pytest.raises(UnknownVertex, match=f"^unknown vertex {re.escape(tok)}$"):
+                g.parse_token(tok)
 
 
 def test_garland_vertices_are_exactly_those_on_some_level():
@@ -345,39 +348,38 @@ def test_garland_vertices_are_exactly_those_on_some_level():
     assert row._levels(-2, 9) == row.vertices() and len(row.vertices()) == 9
 
 
-@pytest.mark.parametrize("family", ["garland:1", "garland:2", "garland:3", "garland:4",
-                                    "garland-seq:1", "garland-seq:3,1,2", "garland-seq:2,4"])
-def test_garland_orbit_moves_are_automorphisms_of_the_cut_regions(family):
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_garland_orbit_moves_are_automorphisms_of_the_cut_regions(length):
     # the representative is the top vertex on v's level, in block 0 of
     # garland:L and in v's own block on a glued row, whose only move swaps
     # top and bottom; the move carries both cut regions of r onto those of
     # v, one to one, keeping the order and the arcs, and the opposite view
     # agrees
-    g = parse_family_flag(family)
-    verts = g.vertices() if g.is_finite else list(g.window("-3..4"))
-    for v in verts:
-        r, move = g.orbit(v)
-        op_r, op_move = g.opposite().orbit(v)
-        assert op_r == r and (op_move is None) == (move is None)
-        assert r[1] == (v[1] if g.is_finite else 0) and (r[0] == "j" or r[3] == 0)
-        assert g._level(r) % g._span == g._level(v) % g._span
-        assert g.orbit(r) == (r, None)
-        if move is None:
-            assert r == v
-            continue
-        assert move(r) == v
-        if g.is_finite:
-            assert sorted(map(move, verts), key=g.sort_key) == verts
-        for cut in (g.local_downset, g.local_upset):
-            region = list(cut(r))
-            moved = [move(p) for p in region]
-            assert len(set(moved)) == len(region) and set(moved) == cut(v)
-            assert [op_move(p) for p in region] == moved
-            for p in region:
-                for q in region:
-                    assert g.leq(p, q) == g.leq(move(p), move(q))
-                for arcs in (g.out_arcs, g.in_arcs):
-                    assert sorted((move(w), k) for w, k in arcs(p)) == sorted(arcs(move(p)))
+    for g in (GarlandFamily([length], periodic=True), GarlandFamily([length, 1, 3])):
+        verts = g.vertices() if g.is_finite else list(g.window("-3..4"))
+        for v in verts:
+            r, move = g.orbit(v)
+            op_r, op_move = g.opposite().orbit(v)
+            assert op_r == r and (op_move is None) == (move is None)
+            assert r[1] == (v[1] if g.is_finite else 0) and (r[0] == "j" or r[3] == 0)
+            assert g._level(r) % g._span == g._level(v) % g._span
+            assert g.orbit(r) == (r, None)
+            if move is None:
+                assert r == v
+                continue
+            assert move(r) == v
+            if g.is_finite:
+                assert sorted(map(move, verts), key=g.sort_key) == verts
+            for cut in (g.local_downset, g.local_upset):
+                region = list(cut(r))
+                moved = [move(p) for p in region]
+                assert len(set(moved)) == len(region) and set(moved) == cut(v)
+                assert [op_move(p) for p in region] == moved
+                for p in region:
+                    for q in region:
+                        assert g.leq(p, q) == g.leq(move(p), move(q))
+                    for arcs in (g.out_arcs, g.in_arcs):
+                        assert sorted((move(w), k) for w, k in arcs(p)) == sorted(arcs(move(p)))
 
 
 def test_only_garlands_know_automorphisms():
