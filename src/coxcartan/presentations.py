@@ -785,10 +785,10 @@ class GarlandFamily(Presentation):
         return frozenset([v, *self._levels(self._level(v) + 1, self._level(("j", v[1] + 1)))])
 
     def orbit(self, v):
-        """The vertex on v's level in blocks 0..k-1, top for an interior
-        level, and the move that shifts every block by the whole periods
-        between them and, when v is a bottom vertex, swaps top and bottom on
-        every level.  A glued row is one period: only the swap moves it."""
+        """v's junction, or the top vertex of v's level, shifted by whole
+        periods into blocks 0..k-1, and the move that shifts every block back
+        by those periods and, when v is a bottom vertex, swaps top and bottom
+        on every level.  A glued row is one period: only the swap moves it."""
         shift = v[1] - v[1] % self._k if self.periodic else 0
         flip = 0 if v[0] == "j" else v[3]
         if not shift and not flip:
