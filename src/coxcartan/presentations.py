@@ -830,8 +830,10 @@ def make_family(name, arg=None):
     if name == "garland-seq":
         if not arg:
             raise PresentationError("family garland-seq needs a length list")
-        items = arg.split(",") if isinstance(arg, str) else arg
-        lengths = [int(x) for x in items if str(x).strip()]
+        if isinstance(arg, str):
+            lengths = [int(x) for x in arg.split(",") if x.strip()]
+        else:
+            lengths = [int(x) for x in arg]
         if not lengths or any(x < 1 for x in lengths):
             raise PresentationError("garland-seq lengths must be positive")
         return GarlandFamily(lengths)
