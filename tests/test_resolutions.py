@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -508,6 +509,24 @@ def test_garland_seq_builds_no_finite_poset():
         for argv, want in zip(GARLAND_SEQ_COMMANDS, expected):
             out = io.StringIO()
             assert (run(argv, out=out), out.getvalue()) == want, argv
+
+
+def test_a_long_garland_seq_costs_what_its_window_reads():
+    # a row of 3,000 blocks is read off its levels, not built as a closure
+    # (74 MB traced when it was), so a window of three vertices stays small
+    lengths = ",".join(["2"] * 3000)
+    argv = ["inverse", f"--family=garland-seq:{lengths}", "--window=j1500,g1501.1t,j1501"]
+    tracemalloc.start()
+    try:
+        out = io.StringIO()
+        code = run(argv, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out.getvalue()) == (
+        0, "\tj1500\tg1501.1t\tj1501\nj1500\t1\t0\t0\ng1501.1t\t-1\t1\t0\nj1501\t-1\t1\t1\n"
+    )
+    assert peak < 4 * 2**20, peak
 
 
 def test_inverse_row_of_a_long_resolution():
