@@ -6,8 +6,9 @@ i is the dimension vector of the indecomposable injective at i and column j is
 the dimension vector of the opposite-side injective at j.  Each count is a
 fact of the presentation's class (`Presentation.path_count`), and so are the
 certified rows and columns (`paths_into`, `paths_from`) and the bulk counts
-that a window reads a line of (`counts_into`, `counts_from`), so no walk,
-memo or budget lives here.  A window row of the inverse is its certified
+that a window reads a line of (`counts_into`, `counts_from`) and the runs
+that it may read instead (`runs_into`, `runs_from`), so no walk, memo or
+budget lives here.  A window row of the inverse is its certified
 line, at most in-degree + 1 entries on a path presentation, scattered into
 a row of zeros at the positions that it holds.
 
@@ -43,6 +44,8 @@ def cartan_matrix(pres):
         name="c",
         row_on=pres.counts_into,
         col_on=pres.counts_from,
+        row_runs=pres.runs_into,
+        col_runs=pres.runs_from,
     )
 
 

@@ -167,12 +167,20 @@ def _cmd_resolve(args, out):
     return 0
 
 
+def _count(value, flag):
+    """`value`, given to the count flag `flag`, refused when negative."""
+    if value < 0:
+        raise CoxError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
 def _cmd_ext(args, out):
+    max_degree = _count(args.max_degree, "--max-degree")
     pres = _load_presentation(args)
     src = pres.parse_token(args.src)
     tgt = pres.parse_token(args.tgt)
     out.write("m\tdim\n")
-    for m in range(args.max_degree + 1):
+    for m in range(max_degree + 1):
         out.write(f"{m}\t{resolutions.ext_dim(pres, src, tgt, m)}\n")
     return 0
 
@@ -210,6 +218,7 @@ def _cmd_mesh(args, out):
 
 
 def _cmd_knit(args, out):
+    steps = _count(args.steps, "--steps")
     pres = _load_presentation(args)
     if args.seed_column:
         lo_hi = args.seed_column.split("..")
@@ -224,7 +233,7 @@ def _cmd_knit(args, out):
         seed = ("injectives", list(pres.window(args.section)))
     else:
         raise CoxError("knit needs --section or --seed-column")
-    frag = artranslate.knit_component(pres, seed, args.steps)
+    frag = artranslate.knit_component(pres, seed, steps)
     if args.format == "dot":
         out.write(frag.to_dot())
     else:

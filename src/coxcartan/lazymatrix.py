@@ -13,20 +13,29 @@ A window-line read `row_on(i, cols)` (`col_on(j, rows)`) returns the
 entries of row i (column j) on the given indices as a list, in order, in
 one call; it reads no certified line that the entry rule would not read,
 so its cost stays bounded by the window.  Without one it reads the entry
-rule cell by cell.  A window of a matrix that is not a product is read one
-row at a time through `row_on`, and so is each row of the right factor of
-a product window.
+rule cell by cell.  A line may also be read as runs (`row_runs(i)`,
+`col_runs(j)`): (start, stop, value) triples, sorted and disjoint, with
+value at every integer index start <= k < stop and either end None where
+the line is unbounded; a certified line may be a RunLine, a mapping held
+as such runs.  A window that is one consecutive run of integers (a
+`lo..hi` window) reads a line that has runs as those runs clipped to it,
+so its cost is the runs', not the window's.  A window of a matrix that is
+not a product is read one row at a time, through its runs or `row_on`,
+and so is each row of the right factor of a product window.
 
 A line of a product a.b is the sparse sum of the factors' lines (row i is
 the sum over row i of `a` of a[i,k] times row k of `b`), and it is None
-when any of those lines is.  A window of a.b is evaluated row by row: row i
-of `a`, when certified, is spread over the rows of `b` on the window's
-columns, each read once per window and shared by every output row that
-meets it; the output row starts as its first factor row, times a[i,k], and
-each further one is added to it in one elementwise pass.  A row of `a`
-that is not certified is evaluated entry by entry, lazily, and so is any
-row whose bulk read raises, so the first error and the first
-counterexample are those that the entry order meets first.
+when any of those lines is; runs are summed at their end points, so rows
+[0, a] and [0, a-1] cancel to one point without writing either out.  A
+window of a.b is evaluated row by row: row i of `a`, when certified, is
+spread over the rows of `b` on the window's columns, each read once per
+window and shared by every output row that meets it; a factor row read as
+runs is added, times a[i,k], into a list of changes at its end points,
+which one running sum turns into cells, and a dense factor row is added
+elementwise in the same pass.  A row of `a` that is not certified is
+evaluated entry by entry, lazily, and so is any row whose bulk read
+raises, so the first error and the first counterexample are those that the
+entry order meets first.
 
 A window prints as TSV from a row of "0" cells per row, with str called
 only at the row's nonzero positions.
@@ -35,8 +44,9 @@ Multiplication in this setting is not associative, so the API is strictly
 binary: chain products only with explicit grouping.
 """
 
+from collections.abc import Mapping
 from functools import cached_property, partial
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import add, mul, neg
 
 from .errors import UndefinedProduct
@@ -44,16 +54,20 @@ from .errors import UndefinedProduct
 
 class LazyIntMatrix:
     """entry_rule(i, j) -> int plus optional row and column rules, each
-    returning a certified sparse line or None, and optional window-line
-    reads row_on(i, cols) and col_on(j, rows) (see the module docstring)."""
+    returning a certified sparse line or None, optional window-line reads
+    row_on(i, cols) and col_on(j, rows), and optional run reads row_runs(i)
+    and col_runs(j), each returning runs or None (see the module
+    docstring)."""
 
     def __init__(self, entry_rule, row_rule=None, col_rule=None, name="",
-                 row_on=None, col_on=None):
+                 row_on=None, col_on=None, row_runs=None, col_runs=None):
         self._entry = entry_rule
         self._row_rule = row_rule
         self._col_rule = col_rule
         self._row_on = row_on
         self._col_on = col_on
+        self._row_runs = row_runs
+        self._col_runs = col_runs
         self.name = name
         self.factors = None
         self._rows = {}
@@ -74,6 +88,13 @@ class LazyIntMatrix:
             return self._col_on(j, rows)
         return [self._entry(i, j) for i in rows]
 
+    def row_runs(self, i):
+        """Row i as runs, or None when the matrix reads it no such way."""
+        return None if self._row_runs is None else self._row_runs(i)
+
+    def col_runs(self, j):
+        return None if self._col_runs is None else self._col_runs(j)
+
     def row(self, i):
         """Row i as {j: nonzero value}, or None; shared, so read only."""
         try:
@@ -93,33 +114,68 @@ class LazyIntMatrix:
             line = self._cols[j] = self._col_rule(j)
             return line
 
-    def row_support(self, i):
-        row = self.row(i)
-        return None if row is None else row.keys()
-
-    def col_support(self, j):
-        col = self.col(j)
-        return None if col is None else col.keys()
-
     def __repr__(self):
         return f"LazyIntMatrix({self.name or 'anon'})"
+
+
+class RunLine(Mapping):
+    """A certified sparse line held as runs (see the module docstring), with
+    nonzero values.  As a mapping it is {index: value}, its points written
+    out on the first read and kept; `spread` takes the runs themselves."""
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    @cached_property
+    def _points(self):
+        return {k: v for s, e, v in self.runs for k in range(s, e)}
+
+    def __getitem__(self, k):
+        return self._points[k]
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __len__(self):
+        return len(self._points)
+
+    def __repr__(self):
+        return f"RunLine({self.runs!r})"
 
 
 def spread(coeffs, line):
     """The sum of c * line(k) over the items (k, c) of `coeffs`, a certified
     sparse line, as one with the zero sums dropped; None when `coeffs` or any
-    line(k) is None."""
+    line(k) is None.  The runs of RunLines are added at their end points, so
+    when there are any the sum is a RunLine whose cost is that of the ends;
+    points met beside them are runs of one."""
     if coeffs is None:
         return None
-    acc = {}
-    get = acc.get
+    acc, ends = {}, {}
+    get, end = acc.get, ends.get
     for k, c in coeffs.items():
         ln = line(k)
         if ln is None:
             return None
-        for j, v in ln.items():
-            acc[j] = get(j, 0) + c * v
-    return {j: v for j, v in acc.items() if v}
+        if isinstance(ln, RunLine):
+            for s, e, v in ln.runs:
+                ends[s] = end(s, 0) + c * v
+                ends[e] = end(e, 0) - c * v
+        else:
+            for j, v in ln.items():
+                acc[j] = get(j, 0) + c * v
+    if not ends:
+        return {j: v for j, v in acc.items() if v}
+    for j, v in acc.items():
+        ends[j] = end(j, 0) + v
+        ends[j + 1] = end(j + 1, 0) - v
+    runs, total = [], 0
+    for k in sorted(k for k, d in ends.items() if d):
+        if total:
+            runs.append((start, k, total))
+        total += ends[k]
+        start = k
+    return RunLine(runs)
 
 
 def _negated(line):
@@ -138,6 +194,8 @@ def transpose(m):
         name=f"{m.name}^tr" if m.name else "",
         row_on=m.col_on,
         col_on=m.row_on,
+        row_runs=m.col_runs,
+        col_runs=m.row_runs,
     )
 
 
@@ -225,35 +283,69 @@ def _window_rows(m, rows, cols):
     """Row i of m on cols for each i of rows in turn: a list, or an iterator
     that reads the row entry by entry.
 
-    A matrix that is not a product is read through `m.row_on`.  For a
-    product a.b (`m.factors`) whose row i of `a` is certified, the row is
-    the sum over that row's items (k, a[i,k]) of a[i,k] times row k of `b`
-    on cols, read as `b.row_on(k, cols)` once per call.  The row of `a`
+    A matrix that is not a product is read through its row's runs clipped
+    to cols, when cols are consecutive integers and the row has runs, else
+    through `m.row_on`.  For a product a.b (`m.factors`) whose row i of `a`
+    is certified, the row is the sum over that row's items (k, a[i,k]) of
+    a[i,k] times row k of `b` on cols, read the same way once per call: runs
+    are added at their end points, dense rows elementwise.  The row of `a`
     holds nonzero entries only, so the factor rows read up to each row are
     those the entry rule reads.  If reading the row raises, the row is read
     entry by entry instead, so the first error is the one that order meets
     first.
     """
     cols = list(cols)
+    n = len(cols)
     a, b = m.factors if m.factors and cols else (None, None)
+    lo = cols[0] if cols else None
+    if type(lo) is not int or cols != list(range(lo, lo + n)):
+        lo = None       # not one run of integers: no line is read as runs
     factor_rows = {}
 
-    def product_row(ra):
-        out = None
-        for k, aik in ra.items():
-            row = factor_rows.get(k)
-            if row is None:
-                row = factor_rows[k] = b.row_on(k, cols)
-            if aik != 1:
-                row = map(neg, row) if aik == -1 else map(mul, repeat(aik), row)
+    def line(mat, k):
+        # row k of mat on cols: a tuple of runs of positions, or a list
+        runs = None if lo is None else mat.row_runs(k)
+        if runs is None:
+            return mat.row_on(k, cols)
+        clipped = []
+        for s, e, v in runs:
+            s = 0 if s is None or s < lo else s - lo
+            e = n if e is None or e > lo + n else e - lo
+            if s < e:
+                clipped.append((s, e, v))
+        return tuple(clipped)
+
+    def factor_row(k):
+        row = factor_rows.get(k)
+        if row is None:
+            row = factor_rows[k] = line(b, k)
+        return row
+
+    def summed(terms):
+        # the sum of c times row over the pairs (c, row) of terms
+        out, ends = None, None
+        for c, row in terms:
+            if type(row) is tuple:
+                if ends is None:
+                    ends = [0] * n
+                for s, e, v in row:
+                    ends[s] += c * v
+                    if e < n:
+                        ends[e] -= c * v
+                continue
+            if c != 1:
+                row = map(neg, row) if c == -1 else map(mul, repeat(c), row)
             out = list(row if out is None else map(add, out, row))
-        return [0] * len(cols) if out is None else out
+        if ends is not None:
+            out = list(accumulate(ends) if out is None else map(add, out, accumulate(ends)))
+        return [0] * n if out is None else out
 
     for i in rows:
         ra = None if a is None else a.row(i)
         if a is None or ra is not None:
             try:
-                out = m.row_on(i, cols) if a is None else product_row(ra)
+                out = summed([(1, line(m, i))] if a is None else
+                             ((aik, factor_row(k)) for k, aik in ra.items()))
             except Exception:
                 pass    # read entry by entry below: the error that order meets
             else:
@@ -346,9 +438,6 @@ class DimensionVector:
 
     def __neg__(self):
         return DimensionVector({v: -c for v, c in self._d.items()})
-
-    def scale(self, k):
-        return DimensionVector({v: k * c for v, c in self._d.items()})
 
     def __eq__(self, other):
         if isinstance(other, DimensionVector):

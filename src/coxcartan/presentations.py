@@ -38,7 +38,14 @@ are the bulk counts that a matrix window reads one line of,
 `counts_into(v, frms)` and `counts_from(u, tos)`: the base class loops
 `path_count`, the linear chains and d-infinity compare in place, a finite
 quiver reads its kept columns (of v, or entry u of each column of tos) with
-no Python call per cell, and the opposite view swaps the two.  An inverse
+no Python call per cell, and the opposite view swaps the two.  On the
+linear chains and d-infinity a Cartan line is also one or two runs of 1s,
+`runs_into(v)` and `runs_from(u)`: row v of a chain is [start, v] and
+column u is [u, oo); rows -1 and 0 of d-infinity are the points v and 1,
+row v >= 1 is [1, v], and column 1 is [-1, oo).  A `lo..hi` window reads
+those runs clipped to it, and a bounded line is certified as a RunLine,
+so a far line costs its runs, not its length; the ancestors there are a
+range, tested by membership alone.  An inverse
 Cartan row j of a path presentation lives on j and the tails of its arrows;
 a finite poset's lives on [c, j] for the nearest c < j comparable with
 every element below j, when there is one: below c each open interval is a
@@ -51,6 +58,7 @@ from collections import Counter
 from itertools import accumulate, chain, repeat
 
 from .errors import EmptyWindow, PresentationError, UnknownVertex
+from .lazymatrix import RunLine
 
 
 class Window:
@@ -89,6 +97,11 @@ class Window:
 
     def __repr__(self):
         return "Window[%s]" % ",".join(self.presentation.display(v) for v in self.vertices)
+
+
+def _certified(runs):
+    """The RunLine of `runs`, or None when one of them is unbounded."""
+    return None if any(None in run for run in runs) else RunLine(runs)
 
 
 def _int_or_str(tok):
@@ -169,8 +182,18 @@ class Presentation:
         """[path_count(u, v) for v in tos] in one read."""
         return [self.path_count(u, v) for v in tos]
 
+    def runs_into(self, v):
+        """Row v of the Cartan matrix as runs (`lazymatrix` module
+        docstring), or None when the class keeps none."""
+        return None
+
+    def runs_from(self, u):
+        """Column u of the Cartan matrix as runs, or None."""
+        return None
+
     def ancestors(self, v):
-        """frozenset {u : path u -> v exists}, or None when infinite/uncertified."""
+        """The set {u : path u -> v exists} (a frozenset, or a range on the
+        linear chains), or None when infinite/uncertified."""
         return None
 
     def descendants(self, v):
@@ -178,13 +201,21 @@ class Presentation:
 
     def paths_into(self, v):
         """Row v of the Cartan matrix: {u: path_count(u, v)} over
-        ancestors(v), or None when that is."""
+        ancestors(v), or None when that is; a RunLine where the class keeps
+        the row's runs."""
+        runs = self.runs_into(v)
+        if runs is not None:
+            return _certified(runs)
         anc = self.ancestors(v)
         return None if anc is None else dict(zip(anc, self.counts_into(v, anc)))
 
     def paths_from(self, u):
         """Column u of the Cartan matrix: {v: path_count(u, v)} over
-        descendants(u), or None when that is."""
+        descendants(u), or None when that is; a RunLine where the class
+        keeps the column's runs."""
+        runs = self.runs_from(u)
+        if runs is not None:
+            return _certified(runs)
         desc = self.descendants(u)
         return None if desc is None else dict(zip(desc, self.counts_from(u, desc)))
 
@@ -320,6 +351,12 @@ class OppositePresentation(Presentation):
 
     def counts_from(self, u, tos):
         return self.base.counts_into(u, tos)
+
+    def runs_into(self, v):
+        return self.base.runs_from(v)
+
+    def runs_from(self, u):
+        return self.base.runs_into(u)
 
     def ancestors(self, v):
         return self.base.descendants(v)
@@ -584,8 +621,15 @@ class AInfinityQuiver(Presentation):
     def counts_from(self, u, tos):
         return [1 if u <= v else 0 for v in tos]
 
+    # row v is [start, v] and column u is [u, oo)
+    def runs_into(self, v):
+        return [(self.start, v + 1, 1)]
+
+    def runs_from(self, u):
+        return [(u, None, 1)]
+
     def ancestors(self, v):
-        return None if self.start is None else frozenset(range(self.start, v + 1))
+        return None if self.start is None else range(self.start, v + 1)
 
 
 class ZAInfinityQuiver(AInfinityQuiver):
@@ -633,10 +677,21 @@ class DInfinityQuiver(Presentation):
     def counts_from(self, u, tos):
         return [1 if u == v or (u == 1 if v in (-1, 0) else 1 <= u <= v) else 0 for v in tos]
 
+    # rows -1 and 0 are the points v and 1, and row v >= 1 is [1, v];
+    # columns -1 and 0 are points, column 1 is [-1, oo) and column u >= 2 is
+    # [u, oo)
+    def runs_into(self, v):
+        return [(v, v + 1, 1), (1, 2, 1)] if v in (-1, 0) else [(1, v + 1, 1)]
+
+    def runs_from(self, u):
+        if u in (-1, 0):
+            return [(u, u + 1, 1)]
+        return [(-1 if u == 1 else u, None, 1)]
+
     def ancestors(self, v):
         if v in (-1, 0):
             return frozenset({v, 1})
-        return frozenset(range(1, v + 1))
+        return range(1, v + 1)
 
     def descendants(self, v):
         if v in (-1, 0):

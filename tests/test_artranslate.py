@@ -722,7 +722,7 @@ def test_knit_check_agrees_with_the_coxeter_transformation(case):
     tdim = -end
     for src, dst, mult in frag.arrows:
         if dst == found[1]:
-            tdim = tdim + frag.node(src).dim.scale(mult)
+            tdim = tdim + DimensionVector({v: mult * c for v, c in frag.node(src).dim.items()})
     v = pres.parse_token(found[2])
     assert (tdim[v], op.apply(end, "forward").entry(v)) == (int(found[3]), int(found[4]))
     assert found[3] != found[4]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import weakref
 from unittest import mock
@@ -715,6 +716,70 @@ def test_far_windows_cost_what_the_window_holds_on_every_path_family():
             assert peak < 5 * 2**20, (argv, peak)
 
 
+def traced(argv):
+    """(exit code, stdout, traced peak bytes, seconds) of one command."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out = invoke(argv)
+        return code, out, tracemalloc.get_traced_memory()[1], time.perf_counter() - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_far_chain_windows_cost_what_near_ones_cost():
+    # a Cartan line of a chain family is read as runs clipped to the
+    # window, and a product row is summed at their end points
+    for family in ("a-infinity", "d-infinity"):
+        for command in (["cartan"], ["coxeter", "--direction=forward"],
+                        ["coxeter", "--direction=inverse"]):
+            peaks = []
+            for lo in (10, 10**6):
+                code, out, peak, _ = traced([*command, f"--family={family}",
+                                             f"--window={lo}..{lo + 100}"])
+                assert code == 0 and len(out.splitlines()) == 102, (family, command)
+                peaks.append(peak)
+            assert peaks[1] < 2 * peaks[0] + 2**16, (family, command, peaks)
+
+
+def test_far_coxeter_suite_costs_what_a_near_one_costs():
+    # Phi(e_a) is the spread of Cartan rows a million entries long, whose
+    # runs cancel at their end points to one point
+    for family in ("a-infinity", "d-infinity"):
+        runs = []
+        for lo in (10, 10**6):
+            runs.append(traced(["verify", "--suite=coxeter", f"--family={family}",
+                                f"--window={lo}..{lo + 3}"]))
+        (near_code, near_out, near_peak, near_s), (code, out, peak, s) = runs
+        assert code == near_code == 0 and out == near_out, family
+        assert peak < 3 * near_peak + 2**16, (family, near_peak, peak)
+        assert s < 5 * near_s + 0.25, (family, near_s, s)
+
+
+def test_far_classify_costs_what_a_near_one_costs():
+    # a chain family's ancestors are a range, tested by membership alone
+    peaks, outs = [], []
+    for lo in (10, 10**6):
+        code, out, peak, _ = traced(["classify", "--family=a-infinity",
+                                     f"--window={lo}..{lo + 3}"])
+        assert code == 0, lo
+        peaks.append(peak)
+        outs.append(out.replace(str(lo), "lo").splitlines()[:4])
+    assert outs[0] == outs[1]
+    assert peaks[1] < 3 * peaks[0] + 2**16, peaks
+
+
+def test_negative_counts_exit_two_naming_the_flag(capsys):
+    for argv, flag in (
+        (["knit", "--family=a-infinity", "--section=0..2", "--steps=-1"], "--steps"),
+        (["ext", "--family=a-infinity", "--from=0", "--to=1", "--max-degree=-1"],
+         "--max-degree"),
+    ):
+        assert invoke(argv) == (2, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
+
+
 def test_cartan_and_inverse_windows_call_no_entry_rule():
     # each window row is one bulk read of its line: path counts compared in
     # place, the inverse row read off its certified local row
@@ -842,21 +907,13 @@ def test_far_translates_cost_what_the_near_ones_cost():
     # tau and tau-minus of I[n, n+5] on the tree families: neither the
     # E(k) fit test nor the infinite-kernel refusal builds an ancestor set,
     # so n = 10**6 peaks within a small factor of n = 10
-    def traced(argv):
-        tracemalloc.start()
-        try:
-            code, out = invoke(argv)
-            return code, out, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     for family in ("a-infinity", "d-infinity"):
         for direction, shift in (("tau", 1), ("tau-minus", -1)):
             peaks = []
             for n in (10, 10**6):
                 argv = ["tau", f"--family={family}", f"--interval={n},{n + 5}",
                         f"--direction={direction}"]
-                code, out, peak = traced(argv)
+                code, out, peak, _ = traced(argv)
                 shifted = ",".join(f"1@{v + shift}" for v in range(n, n + 6))
                 assert (code, out) == (0, shifted + "\n"), argv
                 peaks.append(peak)
