@@ -61,7 +61,6 @@ from .comodules import (
     FormalInjective,
     InjectiveMorphism,
     MaterializedInjective,
-    arrows_from,
     bfs_layers,
     hom_basis,
     interval_comodule,
@@ -270,8 +269,8 @@ class MeshSequence:
 
 
 def _interval_span(dim):
-    """(lo, hi) when the dimension vector is 1 on the consecutive integers
-    lo..hi and 0 elsewhere, else None."""
+    """(lo, hi) when the dimension vector (or dict of nonzero dimensions) is
+    1 on the consecutive integers lo..hi and 0 elsewhere, else None."""
     items = dim.items()
     supp = [v for v, c in items if c == 1 and isinstance(v, int)]
     if not supp or len(supp) != len(items):
@@ -283,13 +282,13 @@ def _interval_span(dim):
 def interval_bounds(module):
     """(lo, hi) when the comodule is a thin interval on consecutive integers
     with nonzero consecutive maps, else None."""
-    bounds = _interval_span(module.dim_vector())
+    bounds = _interval_span(module.dims)
     if bounds is None:
         return None
     lo, hi = bounds
     for v in range(lo, hi):
-        arrows = [a for a in arrows_from(module.pres, v) if a[1] == v + 1]
-        if len(arrows) != 1 or module.arrow_map(arrows[0])[0][0] == 0:
+        rows = module.maps.get((v, v + 1, 0))
+        if not rows or not rows[0] or (v + 1, 1) not in module.pres.out_arcs(v):
             return None
     return lo, hi
 

@@ -221,10 +221,10 @@ def _cmd_knit(args, out):
     steps = _count(args.steps, "--steps")
     pres = _load_presentation(args)
     if args.seed_column:
-        lo_hi = args.seed_column.split("..")
-        if len(lo_hi) != 2:
-            raise CoxError("--seed-column expects lo..hi")
-        lo, hi = int(lo_hi[0]), int(lo_hi[1])
+        try:
+            lo, hi = map(int, args.seed_column.split(".."))
+        except ValueError:
+            raise CoxError("--seed-column expects lo..hi") from None
         nodes, arrows = artranslate.interval_column_seed(
             pres, lo, list(range(lo, hi + 1))
         )

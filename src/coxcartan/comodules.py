@@ -3,11 +3,12 @@ the socle -> envelope -> cokernel engine of injective copresentations and
 resolutions.
 
 A Comodule assigns a Q-vector space to each vertex of a presentation and a
-matrix to each arc inside its support; arcs leaving the support are the zero
-map.  As in module `linalg`, an integral entry is an int and a Fraction
-appears only where a denominator does.  Over an incidence presentation the
-arcs are the covers, so a comodule is a representation of the Hasse quiver
-with commutativity relations.
+map to each arc inside its support, kept as its nonzeros (sparse rows), so
+it costs what its nonzeros cost; arcs leaving the support are the zero map.
+As in module `linalg`, an integral entry is an int and a Fraction appears
+only where a denominator does.  Over an incidence presentation the arcs are
+the covers, so a comodule is a representation of the Hasse quiver with
+commutativity relations.
 
 The engine repeats one step on a finite convex window: take the socle, embed
 into its injective envelope, pass to the cokernel.  The socle at a vertex
@@ -126,21 +127,20 @@ def enumerate_paths(pres, u, v):
 # comodules
 
 class Comodule:
-    """dims: vertex -> dimension; maps: arrow id -> matrix (target x source).
-
+    """dims: vertex -> dimension; maps: arrow id -> sparse rows, one
+    {source column: nonzero value} per target basis vector, never written.
     Missing map entries are zero maps; vertices absent from dims carry the
-    zero space.
-    """
+    zero space."""
 
     def __init__(self, pres, dims, maps=None):
         self.pres = pres
-        self.dims = {v: int(d) for v, d in dims.items() if d}
+        self.dims = dims = {v: int(d) for v, d in dims.items() if d}
         self.maps = {}
-        for arrow, mat in (maps or {}).items():
+        for arrow, rows in (maps or {}).items():
             u, w, _ = arrow
-            if self.dim(u) and self.dim(w):
-                assert linalg.shape(mat) == (self.dim(w), self.dim(u)), arrow
-                self.maps[arrow] = mat
+            if u in dims and w in dims:
+                assert len(rows) == dims[w] and (not rows[0] or max(rows[0]) < dims[u]), arrow
+                self.maps[arrow] = rows
 
     def dim(self, v):
         return self.dims.get(v, 0)
@@ -153,8 +153,7 @@ class Comodule:
         return not self.dims
 
     def arrow_map(self, arrow):
-        u, w, _ = arrow
-        return self.maps.get(arrow, linalg.zeros(self.dim(w), self.dim(u)))
+        return self.maps.get(arrow) or [{} for _ in range(self.dim(arrow[1]))]
 
     def dim_vector(self):
         return DimensionVector(self.dims)
@@ -166,24 +165,33 @@ class Comodule:
         out of v is zero and nothing otherwise, read with no elimination."""
         bases, maps = {}, self.maps
         for v in self.support:
-            out = arrows_from(self.pres, v)
+            mats = [maps[a] for a in arrows_from(self.pres, v) if a in maps]
             if self.dims[v] == 1:
-                if not any(x for a in out for (x,) in maps.get(a, ())):
+                if not any(row for mat in mats for row in mat):
                     bases[v] = [[1]]
                 continue
-            mats = [self.arrow_map(a) for a in out if self.dim(a[1])]
-            basis = linalg.intersect_kernels(mats, self.dim(v))
+            basis = linalg.intersect_kernels(mats, self.dims[v])
             if basis:
                 bases[v] = basis
         return DimensionVector({v: len(b) for v, b in bases.items()}), bases
 
     def dual(self):
         """The dual comodule over the opposite presentation."""
-        maps = {reverse_arrow(arrow): linalg.transpose(mat) for arrow, mat in self.maps.items()}
+        maps = {reverse_arrow(arrow): _columns(rows, self.dims[arrow[0]])
+                for arrow, rows in self.maps.items()}
         return Comodule(self.pres.opposite(), dict(self.dims), maps)
 
     def __repr__(self):
         return "Comodule(%s)" % self.dim_vector().sparse_str(self.pres)
+
+
+def _columns(rows, n):
+    """The sparse rows of a map from Q^n, transposed: its n sparse columns."""
+    cols = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][r] = x
+    return cols
 
 
 def zero_comodule(pres):
@@ -195,18 +203,13 @@ def interval_comodule(pres, lo, hi):
     identity arrow maps (linear quiver families)."""
     if lo > hi:
         return zero_comodule(pres)
-    dims = {}
-    maps = {}
     for v in range(lo, hi + 1):
         if not pres.has_vertex(v):
             raise PresentationError(f"interval vertex {v} not in presentation")
-        dims[v] = 1
-    for v in range(lo, hi):
-        arrows = [a for a in arrows_from(pres, v) if a[1] == v + 1]
-        if len(arrows) != 1:
-            raise PresentationError("interval modules need a single arrow per step")
-        maps[arrows[0]] = [[1]]
-    return Comodule(pres, dims, maps)
+    if any((v + 1, 1) not in pres.out_arcs(v) for v in range(lo, hi)):
+        raise PresentationError("interval modules need a single arrow per step")
+    maps = {(v, v + 1, 0): [{0: 1}] for v in range(lo, hi)}
+    return Comodule(pres, dict.fromkeys(range(lo, hi + 1), 1), maps)
 
 
 def direct_sum(mods):
@@ -220,12 +223,10 @@ def direct_sum(mods):
             dims[v] = dims.get(v, 0) + d
     maps = {}
     for m, off in zip(mods, offsets):
-        for arrow, mat in m.maps.items():
-            u, w, _ = arrow
-            big = maps.setdefault(arrow, linalg.zeros(dims[w], dims[u]))
-            for r in range(m.dim(w)):
-                for c in range(m.dim(u)):
-                    big[off[w] + r][off[u] + c] = mat[r][c]
+        for (u, w, k), rows in m.maps.items():
+            big = maps.setdefault((u, w, k), [{} for _ in range(dims[w])])
+            for r, row in enumerate(rows):
+                big[off[w] + r].update({off[u] + c: x for c, x in row.items()})
     return Comodule(mods[0].pres, dims, maps)
 
 
@@ -243,13 +244,13 @@ def hom_basis(x, y):
     for u in verts:
         for arrow in arrows_from(x.pres, u):
             w = arrow[1]
-            xa, ya = x.arrow_map(arrow), y.arrow_map(arrow)
+            xcols, ya = _columns(x.arrow_map(arrow), x.dim(u)), y.arrow_map(arrow)
             # psi_w . x_arrow = y_arrow . psi_u, one row per entry (w != u: acyclic)
             for r in range(y.dim(w)):
                 for c in range(x.dim(u)):
-                    row = {var_offset[w] + r * x.dim(w) + t: xa[t][c] for t in range(x.dim(w))}
-                    for t in range(y.dim(u)):
-                        row[var_offset[u] + t * x.dim(u) + c] = -ya[r][t]
+                    row = {var_offset[w] + r * x.dim(w) + t: z for t, z in xcols[c].items()}
+                    for t, z in ya[r].items():
+                        row[var_offset[u] + t * x.dim(u) + c] = -z
                     rows.append(row)
     kernel = linalg.kernel_basis(rows, nvars)
     shared = [v for v in verts if x.dim(v) and y.dim(v)]
@@ -425,10 +426,8 @@ class MaterializedInjective:
             for arrow in arrows_from(formal.pres, v):
                 kw = self.keys.get(arrow[1])
                 if kw:
-                    shift, mat = shifts.get(arrow), linalg.zeros(len(kw), len(kv))
-                    for r, k in enumerate(kw):
-                        mat[r][pos[k + shift[k % n] if shift else k]] = 1
-                    maps[arrow] = mat
+                    shift = shifts.get(arrow)
+                    maps[arrow] = [{pos[k + shift[k % n] if shift else k]: 1} for k in kw]
         self.comodule = Comodule(formal.pres, {v: len(k) for v, k in self.keys.items()}, maps)
 
 
@@ -546,18 +545,18 @@ def materialized_kernel(formal, bases):
             shift = shifts.get(arrow)
             kept = {k + shift[k % n] if shift else k: k for k in formal.keys(arrow[1])}
             row_of = {p: r for r, p in enumerate(target)}
-            mat = linalg.zeros(len(target), len(basis))
+            rows = [{} for _ in target]
             for c, col in enumerate(basis.values()):
                 image = {kept[k]: x for k, x in col.items() if k in kept}
                 rest = dict(image)
                 for p, x in image.items():
                     if p in row_of:
-                        mat[row_of[p]][c] = x
+                        rows[row_of[p]][c] = x
                         for k, z in target[p].items():
                             rest[k] = rest.get(k, 0) - x * z
                 if any(rest.values()):
                     raise AssertionError("kernel not arrow-stable")
-            maps[arrow] = mat
+            maps[arrow] = rows
     return Comodule(pres, {v: len(b) for v, b in bases.items()}, maps)
 
 
@@ -584,12 +583,12 @@ def label_envelope(mod, window, socle=None):
             labels.append(a)
     e0, n = FormalInjective(pres, [(a, 1) for a in labels]), len(labels)
     for u in _sinks_first(pres, mod.dims):
-        rows, shifts, cols = pulled.setdefault(u, {}), e0.shifts(u), range(mod.dims[u])
+        rows, shifts = pulled.setdefault(u, {}), e0.shifts(u)
         for arrow in arrows_from(pres, u):
-            if pulled.get(arrow[1]):
-                mat, shift = mod.arrow_map(arrow), shifts.get(arrow)
+            if pulled.get(arrow[1]) and arrow in mod.maps:
+                cols, shift = _columns(mod.maps[arrow], mod.dims[u]), shifts.get(arrow)
                 for key, after in pulled[arrow[1]].items():
-                    row = [sum(x * mat[r][c] for r, x in enumerate(after)) for c in cols]
+                    row = [sum(after[r] * x for r, x in col.items()) for col in cols]
                     if any(row):
                         rows[key + shift[key % n] if shift else key] = row
     ann, found = {}, {}

@@ -330,7 +330,5 @@ def extend_to_basis(cols, n):
 
 
 def intersect_kernels(mats, n):
-    """Basis (list of columns) of the intersection of kernels of maps from Q^n."""
-    if not mats:
-        return identity(n)
-    return kernel_basis([dict(enumerate(row)) for m in mats for row in m], n)
+    """Basis (list of columns) of the meet of the kernels of maps from Q^n, as sparse rows."""
+    return kernel_basis([row for m in mats for row in m], n)

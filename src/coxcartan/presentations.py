@@ -897,9 +897,13 @@ def make_family(name, arg=None):
 
 def parse_family_flag(text):
     """Parse CLI-style family strings like "a-infinity", "garland:2",
-    "garland-seq:1,2"."""
+    "garland-seq:1,2", naming the flag when a length is not an integer."""
     name, _, arg = text.partition(":")
-    return make_family(name.strip(), arg.strip() or None)
+    name, arg = name.strip(), arg.strip() or None
+    try:
+        return make_family(name, arg.split(",") if arg and name == "garland-seq" else arg)
+    except ValueError:
+        raise PresentationError(f"--family {name} takes integer lengths, got {arg!r}") from None
 
 
 def parse_presentation(text):

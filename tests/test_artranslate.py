@@ -25,6 +25,7 @@ from coxcartan import (
     interval_column_seed,
     interval_comodule,
     knit_component,
+    linalg,
     make_family,
     min_inj_copresentation,
     parse_presentation,
@@ -33,6 +34,8 @@ from coxcartan import (
     verify_translate_formula,
     zero_comodule,
 )
+from coxcartan.comodules import arrows_from
+from dense_maps import sparse_maps, to_dense
 
 A2 = "kind quiver\narrow 0 1\n"
 A3 = "kind quiver\narrow 0 1\narrow 1 2\n"
@@ -70,6 +73,121 @@ def test_socle_idempotent():
     assert again == soc
 
 
+def non_thin_sums():
+    """Direct sums with 2- and 3-dimensional vertices: two overlapping
+    intervals of a-infinity, in both orders, and two Kronecker modules, of
+    dimension (2, 2) and (2, 1), each plus a simple.  At the source of the
+    second, each arrow alone has a kernel, and the two kernels meet in 0."""
+    a = make_family("a-infinity")
+    lo, hi = interval_comodule(a, 0, 2), interval_comodule(a, 1, 3)
+    k = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
+    kron = Comodule(k, {0: 2, 1: 2}, sparse_maps({
+        (0, 1, 0): [[1, 0], [0, 1]], (0, 1, 1): [[0, 1], [0, 0]],
+    }))
+    split = Comodule(k, {0: 2, 1: 1}, sparse_maps({(0, 1, 0): [[1, 0]], (0, 1, 1): [[0, 1]]}))
+    return [direct_sum([lo, hi]), direct_sum([hi, lo]), direct_sum([kron, Comodule(k, {1: 1})]),
+            direct_sum([split, Comodule(k, {0: 1})])]
+
+
+def dense_hom_basis(x, y):
+    """The hom space x -> y as `hom_basis` lays it out, solved from dense
+    maps: one dense equation per entry of psi_w x_a = y_a psi_u."""
+    verts = sorted(set(x.dims) | set(y.dims), key=x.pres.sort_key)
+    offset, nvars = {}, 0
+    for v in verts:
+        offset[v], nvars = nvars, nvars + x.dim(v) * y.dim(v)
+    rows = []
+    for u in verts:
+        for arrow in arrows_from(x.pres, u):
+            w = arrow[1]
+            xa, ya = to_dense(x.arrow_map(arrow), x.dim(u)), to_dense(y.arrow_map(arrow), y.dim(u))
+            for r in range(y.dim(w)):
+                for c in range(x.dim(u)):
+                    row = [0] * nvars
+                    for t in range(x.dim(w)):
+                        row[offset[w] + r * x.dim(w) + t] += xa[t][c]
+                    for t in range(y.dim(u)):
+                        row[offset[u] + t * x.dim(u) + c] -= ya[r][t]
+                    rows.append(row)
+    kernel = linalg.nullspace(rows) if rows else linalg.identity(nvars)
+    return [
+        {v: [[vec[offset[v] + r * x.dim(v) + c] for c in range(x.dim(v))] for r in range(y.dim(v))]
+         for v in verts if x.dim(v) and y.dim(v)}
+        for vec in kernel
+    ]
+
+
+def test_non_thin_socle_intersects_sparse_kernels():
+    # a vertex of dimension 2 or more meets the kernels of its out-maps,
+    # against the nullspace of the dense maps stacked
+    for m in non_thin_sums():
+        with mock.patch.object(linalg, "intersect_kernels", wraps=linalg.intersect_kernels) as meet:
+            soc, bases = m.socle()
+        wide = [v for v in m.support if m.dim(v) > 1]
+        assert meet.call_count == len(wide) > 0
+        for v in m.support:
+            out = [to_dense(m.arrow_map(a), m.dim(v)) for a in arrows_from(m.pres, v)]
+            stacked = [row for mat in out for row in mat]
+            expect = linalg.nullspace(stacked) if stacked else linalg.identity(m.dim(v))
+            assert bases.get(v, []) == expect, v
+            assert soc[v] == len(expect), v
+    assert non_thin_sums()[0].socle() == (DimensionVector({2: 1, 3: 1}), {2: [[1, 0]], 3: [[1]]})
+    assert non_thin_sums()[2].socle()[0] == DimensionVector({1: 3})
+    assert non_thin_sums()[3].socle() == (DimensionVector({0: 1, 1: 1}), {0: [[0, 0, 1]], 1: [[1]]})
+
+
+def test_non_thin_double_dual_gives_back_the_maps():
+    for m in non_thin_sums():
+        back = m.dual().dual()
+        assert back.pres == m.pres and back.dims == m.dims
+        assert back.maps == m.maps
+        # the dual map of u -> w is the transpose, read densely
+        for (w, u, k), rows in m.dual().maps.items():
+            want = to_dense(m.maps[u, w, k], m.dim(u))
+            assert to_dense(rows, m.dim(w)) == [list(col) for col in zip(*want)], (u, w, k)
+
+
+def test_non_thin_hom_and_isomorphism_match_the_dense_reference():
+    sums = non_thin_sums()
+    for x in sums:
+        for y in sums:
+            if x.pres is y.pres:
+                assert hom_basis(x, y) == dense_hom_basis(x, y)
+                assert hom_basis(x.dual(), y.dual()) == dense_hom_basis(x.dual(), y.dual())
+    # Kronecker modules of dimension (2, 2) with maps (I, J), (J, I) and
+    # (I, J^tr), J a nilpotent Jordan block: the first and last are
+    # isomorphic, the first two lie in different tubes
+    k = sums[2].pres
+    kron = [
+        Comodule(k, {0: 2, 1: 2}, sparse_maps({(0, 1, 0): a0, (0, 1, 1): a1}))
+        for a0, a1 in (([[1, 0], [0, 1]], [[0, 1], [0, 0]]), ([[0, 1], [0, 0]], [[1, 0], [0, 1]]),
+                       ([[1, 0], [0, 1]], [[0, 0], [1, 0]]))
+    ]
+    assert find_isomorphism(kron[0], kron[1]) is None
+    for x, y in ((sums[0], sums[1]), (kron[0], kron[2])):
+        assert hom_basis(x, y) == dense_hom_basis(x, y)
+        iso = find_isomorphism(x, y)
+        # a dense check of the answer: invertible at each vertex, and it
+        # commutes with every arrow map
+        for v, d in x.dims.items():
+            assert linalg.rank(iso[v]) == d, v
+            for arrow in arrows_from(x.pres, v):
+                w = arrow[1]
+                if w in x.dims:
+                    lhs = linalg.mat_mul(iso[w], to_dense(x.arrow_map(arrow), d))
+                    rhs = linalg.mat_mul(to_dense(y.arrow_map(arrow), d), iso[v])
+                    assert lhs == rhs, arrow
+
+
+def test_comodule_refuses_a_map_of_the_wrong_shape():
+    a = make_family("a-infinity")
+    dims = {0: 1, 1: 2}
+    assert Comodule(a, dims, {(0, 1, 0): [{0: 1}, {}]}).maps
+    for rows in ([{0: 1}], [{0: 1}, {}, {}], [{1: 1}, {}]):
+        with pytest.raises(AssertionError):
+            Comodule(a, dims, {(0, 1, 0): rows})
+
+
 def test_copresentation_interval():
     a = make_family("a-infinity")
     cop = min_inj_copresentation(interval_comodule(a, 1, 2))
@@ -97,7 +215,7 @@ def test_copresentation_minimality_socle_match():
     m = Comodule(
         d,
         {-1: 1, 1: 1},
-        {(1, -1, 0): [[1]]},
+        sparse_maps({(1, -1, 0): [[1]]}),
     )
     cop = min_inj_copresentation(m)
     soc, _ = m.socle()
@@ -110,7 +228,6 @@ def test_copresentation_exact_at_e0():
     # the window and beyond it; the embedding is injective, so that image has
     # the dims of M.  E0 at v is its keys there (the matrix columns)
     from coxcartan.artranslate import grow_window
-    from coxcartan import linalg
 
     a = make_family("a-infinity")
     module = interval_comodule(a, 2, 4)
@@ -439,7 +556,7 @@ def test_translate_formula_kronecker_regular():
 
     k = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
     reg = Comodule(
-        k, {0: 1, 1: 1}, {(0, 1, 0): [[Fraction(1)]], (0, 1, 1): [[Fraction(0)]]}
+        k, {0: 1, 1: 1}, sparse_maps({(0, 1, 0): [[Fraction(1)]], (0, 1, 1): [[Fraction(0)]]})
     )
     result = verify_translate_formula(reg)
     assert result["holds"]
@@ -466,7 +583,7 @@ def test_comodule_engine_walks_a_long_chain_without_recursion():
     assert [[a[1:] for a in p] for p in paths] == [[(1, k)] + [(i, 0) for i in range(2, n + 1)]
                                                    for k in (0, 1)]
     maps = {(i, i + 1, 0): [[1]] for i in range(n)} | {(0, 1, 1): [[1]]}
-    module = Comodule(q, dict.fromkeys(range(n + 1), 1), maps)
+    module = Comodule(q, dict.fromkeys(range(n + 1), 1), sparse_maps(maps))
     e0, ann = label_envelope(module, range(n + 1))
     assert e0.summands == [n] and e0.keys(0) == [0, 1]
     assert ann == {0: [{0: -1, 1: 1}]}
@@ -662,6 +779,30 @@ def test_many_paths_cost_what_the_translate_holds(tmp_path, monkeypatch):
     assert peak < 219 * 2**20 // 2, peak
 
 
+def test_kernel_maps_cost_their_nonzeros(tmp_path, monkeypatch):
+    # tau I[10,16] is 13064-dimensional at 0 and 8074 at 1: the arrow map
+    # 0 -> 1 of the kernel has one nonzero per basis vector it keeps, so
+    # the traced peak stays far below the 2.1 GB its dense matrices took
+    from coxcartan.cli import run
+
+    (tmp_path / "skip2.txt").write_text("kind quiver\n" + "".join(
+        f"arrow {i} {j}\n" for i in range(61) for j in (i + 1, i + 2) if j < 61
+    ))
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = run(["tau", "--file=skip2.txt", "--interval=10,16", "--direction=tau"], out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out.getvalue()) == (0, (
+        "13064@0,8074@1,4990@2,3084@3,1906@4,1178@5,728@6,450@7,278@8,172@9,"
+        "106@10,66@11,41@12,25@13,15@14,9@15,5@16,3@17,1@18\n"
+    ))
+    assert peak <= 64 * 2**20, peak
+
+
 def _knit_until_stuck(pres, seed, steps):
     """(fragment of the meshes completed, the KnittingStuck message or None)."""
     from coxcartan import KnittingStuck
@@ -810,7 +951,6 @@ def test_passing_tau_suite_evaluates_no_coxeter_image():
 
 def test_wide_tau_suite_intersects_no_kernels():
     # every socle the suite reads sits on lines, each read off its out-maps
-    from coxcartan import linalg
     from coxcartan.cli import run
 
     out = io.StringIO()

@@ -780,6 +780,25 @@ def test_negative_counts_exit_two_naming_the_flag(capsys):
         assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
 
 
+def test_malformed_lengths_and_columns_exit_two_naming_the_flag(capsys):
+    # no Python int() message, and no empty length read as absent
+    for argv, line in (
+        (["cartan", "--family=garland:x", "--window=j0,j1"],
+         "--family garland takes integer lengths, got 'x'"),
+        (["cartan", "--family=garland-seq:1,x", "--window=j0,j1"],
+         "--family garland-seq takes integer lengths, got '1,x'"),
+        (["cartan", "--family=garland-seq:1,,2", "--window=j0,j1"],
+         "--family garland-seq takes integer lengths, got '1,,2'"),
+        (["knit", "--family=a-infinity", "--seed-column=0..x", "--steps=1"],
+         "--seed-column expects lo..hi"),
+        (["knit", "--family=a-infinity", "--seed-column=0..1..2", "--steps=1"],
+         "--seed-column expects lo..hi"),
+    ):
+        assert invoke(argv) == (2, ""), argv
+        assert capsys.readouterr().err == f"error: {line}\n", argv
+    assert invoke(["cartan", "--family=garland-seq: 1, 2", "--window=j0,j1"])[0] == 0
+
+
 def test_cartan_and_inverse_windows_call_no_entry_rule():
     # each window row is one bulk read of its line: path counts compared in
     # place, the inverse row read off its certified local row

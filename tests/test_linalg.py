@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coxcartan import linalg
+from dense_maps import to_sparse
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -247,7 +248,7 @@ def test_results_are_ints_exactly_where_integral(data):
     assert int_where_integral(grid)
     kernel = linalg.kernel_basis([dict(enumerate(row)) for row in grid], cols)
     assert kernel == reference_kernel(grid, cols)
-    assert linalg.intersect_kernels([grid], cols) == kernel
+    assert linalg.intersect_kernels([to_sparse(grid)], cols) == kernel
     results = [kernel, linalg.intersect_kernels([], cols)]
     if rows:
         assert linalg.nullspace(grid) == kernel

@@ -45,6 +45,7 @@ from coxcartan.comodules import (
     label_socle,
     reverse_arrow,
 )
+from dense_maps import sparse_maps, to_dense
 
 
 def windowed_reference(module, margin=1):
@@ -87,7 +88,7 @@ def representations(draw):
                 maps[arrow] = [
                     [Fraction(flat[r * cols + c]) for c in range(cols)] for r in range(rows)
                 ]
-    return Comodule(q, dims, maps)
+    return Comodule(q, dims, sparse_maps(maps))
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,10 +135,10 @@ def family_modules():
             dims = {leg: 1, **{v: 1 for v in range(1, hi + 1)}}
             maps = {(1, leg, 0): [[Fraction(1)]]}
             maps.update({(v, v + 1, 0): [[Fraction(1)]] for v in range(1, hi)})
-            yield f"d{leg}+[1,{hi}]", Comodule(d, dims, maps)
+            yield f"d{leg}+[1,{hi}]", Comodule(d, dims, sparse_maps(maps))
     one, zero = Fraction(1), Fraction(0)
     maps = {(1, -1, 0): [[one, zero]], (1, 0, 0): [[zero, one]]}
-    yield "d{-1,0}+2@1", Comodule(d, {-1: 1, 0: 1, 1: 2}, maps)
+    yield "d{-1,0}+2@1", Comodule(d, {-1: 1, 0: 1, 1: 2}, sparse_maps(maps))
 
 
 def test_socle_certificate_matches_reference_on_family_intervals():
@@ -225,7 +226,7 @@ def path_tuple_embedding(module, e0):
             for i, path in enumerate(enumerate_paths(pres, v, a)):
                 row = phis[s]
                 for arrow in reversed(path):
-                    mat = module.arrow_map(arrow)
+                    mat = to_dense(module.arrow_map(arrow), module.dim(arrow[0]))
                     row = [sum(x * mat[r][c] for r, x in enumerate(row))
                            for c in range(module.dim(arrow[0]))]
                 rows[s + n * i] = row
@@ -251,8 +252,8 @@ def assert_exact_along_path_tuples(module, g):
         for arrow in arrows_from(module.pres, v):
             w = arrow[1]
             if e0 and len(g.target.keys(w)):
-                lhs = linalg.mat_mul(dense(g, w), ends[0].arrow_map(arrow))
-                rhs = linalg.mat_mul(ends[1].arrow_map(arrow), dense(g, v))
+                lhs = linalg.mat_mul(dense(g, w), to_dense(ends[0].arrow_map(arrow), e0))
+                rhs = linalg.mat_mul(to_dense(ends[1].arrow_map(arrow), e1), dense(g, v))
                 assert lhs == rhs, arrow
 
 
@@ -276,12 +277,13 @@ def whole_quiver_kernel(nabla_g):
             w = arrow[1]
             if w in bases:
                 img = linalg.mat_mul(
-                    src.arrow_map(arrow), linalg.columns_matrix(bases[v], len(bases[v][0]))
+                    to_dense(src.arrow_map(arrow), src.dim(v)),
+                    linalg.columns_matrix(bases[v], len(bases[v][0])),
                 )
                 maps[arrow] = linalg.solve_matrix(
                     linalg.columns_matrix(bases[w], len(bases[w][0])), img
                 )
-    return Comodule(op, {v: len(b) for v, b in bases.items()}, maps)
+    return Comodule(op, {v: len(b) for v, b in bases.items()}, sparse_maps(maps))
 
 
 @st.composite
@@ -383,6 +385,7 @@ def family_window_modules(draw):
         v for v in verts
         if any(w not in verts for w, _ in family.out_arcs(v) + family.in_arcs(v))
     ]
+    maps = sparse_maps(maps)
     return Comodule(family, dims, maps), Comodule(copy, dims, maps), verts, frontier
 
 
