@@ -37,19 +37,24 @@ Knitting builds a translation-quiver fragment mesh by mesh.  The translate's
 dimension vector tau is obtained from mesh additivity (sum of the middle minus
 the end) and is checked against the Coxeter transformation at every step, so
 an unsound seed section fails loudly rather than producing a wrong picture.
-The check is `CoxeterOperator.sends`, the identity tau.c^-1 = -(end.c^-tr),
-which holds exactly when Phi(end) = tau on every vertex; both sides are one
-spread of a node's own dimension vector over the rows or the columns of
-c^-1, so the cost of a mesh is that of its output, and nothing of earlier
-meshes is reused.  Only a failed mesh reads Phi(end), through
-`CoxeterOperator.apply`, to name the first vertex on the supports grown by
-one arc where the two differ.  `verify_translate_formula` compares the
-translate of a module with Phi of its dimension vector through the same
-identity.  Nodes are indexed by id, and a node enters a ready queue, ordered
+A node's dimension vector is held as runs where its seed has them (E(j) as
+the runs of `paths_into(j)`, a seed interval as one run), so on the chain
+families it is a few runs however far out it lies; a file quiver's hold
+points.  A mesh is one `spread` of its middle minus its end, tested for
+zero, negativity and its I[lo,hi] label at the run end points.  The check is
+`CoxeterOperator.sends`, the identity tau.c^-1 = -(end.c^-tr), which holds
+exactly when Phi(end) = tau on every vertex and multiplies runs where c^-1
+has run products.  So a mesh costs its runs (a file quiver's, its points), a
+knitting its meshes plus its printed text, and nothing of earlier meshes is
+reused.  Nodes are indexed by id, and a node enters a ready queue, ordered
 by creation, once its last out-neighbour is meshed; the next mesh ends at
-the oldest ready node, so the cost of a knitting is linear in its output.  A
-failed mesh at a seed injective E(j) with a quiver arc leaving the seed
-section is reported as the edge of the section rather than as a disagreement.
+the oldest ready node.  A failed mesh at a seed injective E(j) with a quiver
+arc leaving the seed section is reported as the edge of the section; any
+other failed mesh reads Phi(end), through `CoxeterOperator.apply`, to name
+the first vertex on the supports grown by one arc where the two differ, a
+text built only when it is the message.  `verify_translate_formula`
+compares the translate of a module with Phi of its dimension vector through
+the same identity.
 """
 
 from bisect import insort
@@ -82,7 +87,7 @@ from .errors import (
     PresentationError,
     UnknownVertex,
 )
-from .lazymatrix import DimensionVector, LazyVector
+from .lazymatrix import DimensionVector, LazyVector, RunLine, spread
 
 
 def grow_window(pres, verts, steps):
@@ -269,14 +274,24 @@ class MeshSequence:
 
 
 def _interval_span(dim):
-    """(lo, hi) when the dimension vector (or dict of nonzero dimensions) is
-    1 on the consecutive integers lo..hi and 0 elsewhere, else None."""
+    """(lo, hi) when the certified sparse line `dim` is 1 on the consecutive
+    integers lo..hi and 0 elsewhere, else None.  A RunLine, whose adjacent
+    runs differ in value as `spread` makes them, is read at its runs."""
+    if isinstance(dim, RunLine):
+        runs = dim.runs
+        return (runs[0][0], runs[0][1] - 1) if len(runs) == 1 and runs[0][2] == 1 else None
     items = dim.items()
     supp = [v for v, c in items if c == 1 and isinstance(v, int)]
     if not supp or len(supp) != len(items):
         return None
     lo, hi = min(supp), max(supp)
     return (lo, hi) if hi - lo + 1 == len(supp) else None
+
+
+def _least(line):
+    """The least value of a nonzero certified sparse line, read at its runs
+    when it is a RunLine."""
+    return min(c for *_, c in line.runs) if isinstance(line, RunLine) else min(line.values())
 
 
 def interval_bounds(module):
@@ -389,8 +404,9 @@ class KnitFragment:
 
 def injective_section_seed(pres, window):
     """Seed nodes E(j) for j in the window, dim E(j) being the Cartan row
-    `paths_into(j)`, with the arrows induced by the quiver: an arrow k -> j
-    induces an irreducible map E(j) -> E(k)."""
+    `paths_into(j)`, held as its runs where it has them, with the arrows
+    induced by the quiver: an arrow k -> j induces an irreducible map
+    E(j) -> E(k)."""
     nodes = []
     for j in window:
         row = pres.paths_into(j)
@@ -411,14 +427,13 @@ def injective_section_seed(pres, window):
 
 def interval_column_seed(pres, lo, hi_list):
     """Seed a linear-family knitting with the column of intervals
-    [lo, m] for m in hi_list (consecutive, increasing)."""
+    [lo, m] for m in hi_list (consecutive, increasing), each one run."""
     for v in range(lo, max(hi_list, default=lo - 1) + 1):
         if not pres.has_vertex(v):
             raise UnknownVertex(f"seed column vertex {v} not in presentation")
     nodes = []
     for m in hi_list:
-        dim = DimensionVector({v: 1 for v in range(lo, m + 1)})
-        nodes.append((f"I[{lo},{m}]", dim))
+        nodes.append((f"I[{lo},{m}]", DimensionVector(RunLine([(lo, m + 1, 1)]))))
     arrows = []
     for idx in range(len(hi_list) - 1):
         if hi_list[idx + 1] == hi_list[idx] + 1:
@@ -512,34 +527,38 @@ def knit_component(pres, seed, steps, section_flag="--section"):
             insort(ready, (order[nid], nid))
 
     def stuck(nid, message):
-        # seed nodes come first, so a seed index is a creation index
-        if order[nid] in edge:
-            a, b = edge[order[nid]]
-            message = (
-                f"mesh at {nid}: knitting reached the edge of its seed section "
-                f"at {frag.node(nid).label}, whose arc {pres.display(a)} -> "
-                f"{pres.display(b)} leaves it; widen {section_flag}"
-            )
-        return KnittingStuck(message)
+        # seed nodes come first, so a seed index is a creation index; the
+        # message is built, by calling it, only when it is not the edge's
+        if order[nid] not in edge:
+            return KnittingStuck(message())
+        a, b = edge[order[nid]]
+        return KnittingStuck(
+            f"mesh at {nid}: knitting reached the edge of its seed section "
+            f"at {frag.node(nid).label}, whose arc {pres.display(a)} -> "
+            f"{pres.display(b)} leaves it; widen {section_flag}"
+        )
+
+    def line(nid):
+        return frag.node(nid).dim.line
 
     for _ in range(steps):
         if not ready:
             raise KnittingStuck("no node has all out-neighbours meshed")
         end = frag.node(ready.pop(0)[1])
-        acc = {v: -c for v, c in end.dim.items()}
+        coeffs = {end.node_id: -1}
         mids = []
         for src, mult in in_of[end.node_id]:
-            for v, c in frag.node(src).dim.items():
-                acc[v] = acc.get(v, 0) + mult * c
+            coeffs[src] = coeffs.get(src, 0) + mult
             mids.extend([src] * mult)
-        tdim = DimensionVector(acc)       # middle minus end
-        if tdim.is_zero() or any(c < 0 for _, c in tdim.items()):
-            raise stuck(
-                end.node_id, f"mesh at {end.node_id} has no valid translate (projective end?)"
-            )
+        sum_line = spread(coeffs, line)     # middle minus end
+        if not sum_line or _least(sum_line) < 0:
+            raise stuck(end.node_id, lambda: (
+                f"mesh at {end.node_id} has no valid translate (projective end?)"
+            ))
+        tdim = DimensionVector(sum_line)
         if not coxeter_op.sends(end.dim, tdim):
-            raise stuck(end.node_id, _disagreement(pres, coxeter_op, end, tdim))
-        span = _interval_span(tdim) if pres.linear else None
+            raise stuck(end.node_id, lambda: _disagreement(pres, coxeter_op, end, tdim))
+        span = _interval_span(sum_line) if pres.linear else None
         tid = add_node(tdim, f"I[{span[0]},{span[1]}]" if span else None)
         for src, mult in in_of[end.node_id]:
             add_arrow(tid, src, mult)

@@ -19,15 +19,18 @@ alternating sum of the terms of the one resolution of the simple at j
 lie in local_downset(j), the finite region that certifies the row.  An entry
 is the same sum at one p (`resolutions.ext_alternating_sum`).  On a
 hereditary path presentation that resolution has length at most one, so the
-row is delta(j,p) - #arrows(p -> j) on j and its arrow neighbours; on an
-incidence presentation the entries are cross-checkable against the Mobius
-function.
+row is delta(j,p) - #arrows(p -> j) on j and its arrow neighbours: the
+inverse is 1 - A with A[j,p] = #arrows(p -> j).  Where the class keeps its
+arrows as runs (`arc_runs`), the inverse multiplies a vector held as runs
+at their end points through that form (`LazyIntMatrix.spread_rows`,
+`spread_cols`).  On an incidence presentation the entries are
+cross-checkable against the Mobius function.
 """
 
 from functools import partial
 from itertools import compress, count
 
-from .lazymatrix import LazyIntMatrix
+from .lazymatrix import LazyIntMatrix, RunLine, summed
 
 
 def path_count(pres, frm, to):
@@ -56,7 +59,8 @@ def cartan_inverse(pres):
     local_upset(p).  Entry (j, p) is `resolutions.ext_alternating_sum`: 1 on
     the diagonal and 0 where p cannot reach j, with nothing resolved, and
     otherwise read off row j.  A window of row j reads row j once, and only
-    when some p != j in it can reach j."""
+    when some p != j in it can reach j.  On a class with `arc_runs` the run
+    products are those of 1 - A (see the module docstring)."""
     from . import resolutions
 
     def col(p):
@@ -78,7 +82,30 @@ def cartan_inverse(pres):
 
     row = partial(resolutions.alternating_row, pres)
     inverse = LazyIntMatrix(entry, row_rule=row, col_rule=col, name="c^-1", row_on=row_on)
+    arcs = pres.arc_runs()
+    if arcs is not None:
+        # a sum of columns is x less x moved along the arrows, a sum of rows
+        # y less y moved back along them
+        inverse.spread_cols = partial(_less_moved, arcs)
+        inverse.spread_rows = partial(_less_moved, [
+            (None if a is None else a + step, None if b is None else b + step, -step)
+            for a, b, step in arcs
+        ])
     return inverse
+
+
+def _less_moved(arcs, runs):
+    """x - x.M as a RunLine, for x held as bounded runs and M moving each
+    integer k with start <= k < stop to k + step, for the items (start,
+    stop, step) of `arcs`."""
+    terms = [(1, RunLine(runs))]
+    for s, e, v in runs:
+        for a, b, step in arcs:
+            lo = s if a is None or a < s else a
+            hi = e if b is None or b > e else b
+            if lo < hi:
+                terms.append((-v, RunLine([(lo + step, hi + step, 1)])))
+    return summed(terms)
 
 
 class CartanPair:

@@ -13,7 +13,8 @@ that make the product finite, so the cost is linear in the size of the
 result.  The outer product stays lazy and is evaluated only on the
 coordinates a caller asks for.  Whether Phi sends x to a given finitely
 supported y is decided without forming Phi(x), exactly and on every vertex,
-from the lines of c^{-1} alone (`sends`).  The transposes of both Cartan
+from c^{-1} alone (`sends`): its lines, or its products with runs for a
+vector held as runs.  The transposes of both Cartan
 matrices are built once per operator, so their line memos survive from one
 vector to the next.
 
@@ -24,6 +25,8 @@ identity cells of the two products of c^{-1} with c (see
 `verify_generator_identities`), not one coordinate at a time.
 """
 
+from itertools import chain
+
 from .errors import NotInDomain, UndefinedProduct
 from .lazymatrix import (
     DimensionVector,
@@ -32,7 +35,9 @@ from .lazymatrix import (
     evaluate_window,
     multiply,
     negate,
+    row_terms,
     spread,
+    summed,
     transpose,
 )
 
@@ -139,17 +144,19 @@ class CoxeterOperator:
         y and over k in row j of c^{-1} of y_j c^{-1}_jk c_ki, which is
         (y.(c^{-1}.c))_i = y_i.  So the identity holds exactly when Phi(x)
         and y agree at every vertex, however far from their supports.
+
+        A vector held as runs (`DimensionVector.line`) is multiplied at its
+        run end points when c^{-1} has run products, as on the chain
+        families, where c^{-1} = 1 - A with A[j,k] the number of arrows
+        k -> j (the closed-form resolution of the simple at j): the sum is
+        y - y.A + x - x.A^tr, each run of x moved along the arrows' runs and
+        each of y moved back.  Every run of x and y is bounded, so each moved
+        run is too, and the sum of all of them, taken at their end points, is
+        the same certified line as the sum of the lines of c^{-1} read point
+        by point; it is zero exactly when that one is.
         """
-        acc = {}
-        get = acc.get
-        for vec, line in ((x, self.cinv.col), (y, self.cinv.row)):
-            for k, c in vec.items():
-                ln = line(k)
-                if ln is None:
-                    return False
-                for j, v in ln.items():
-                    acc[j] = get(j, 0) + c * v
-        return not any(acc.values())
+        total = summed(chain(row_terms(x.line, self.cinv_tr), row_terms(y.line, self.cinv)))
+        return total is not None and not total
 
     def verify_generator_identities(self, eval_window):
         """Check the two defining identities at every generator of a window.

@@ -37,6 +37,13 @@ evaluated entry by entry, lazily, and so is any row whose bulk read
 raises, so the first error and the first counterexample are those that the
 entry order meets first.
 
+A matrix may also multiply bounded runs at their end points
+(`spread_rows(runs)`, `spread_cols(runs)`), which `row_terms` uses for a
+RunLine.  A DimensionVector built from a RunLine holds it as its `line`:
+its sums, products, zero test and (where integer vertices print in their
+own order) printed text read the runs, and its points are written out only
+when one of them is read.
+
 A window prints as TSV from a row of "0" cells per row, with str called
 only at the row's nonzero positions.
 
@@ -55,12 +62,14 @@ from .errors import UndefinedProduct
 class LazyIntMatrix:
     """entry_rule(i, j) -> int plus optional row and column rules, each
     returning a certified sparse line or None, optional window-line reads
-    row_on(i, cols) and col_on(j, rows), and optional run reads row_runs(i)
-    and col_runs(j), each returning runs or None (see the module
-    docstring)."""
+    row_on(i, cols) and col_on(j, rows), optional run reads row_runs(i) and
+    col_runs(j), each returning runs or None, and optional run products
+    spread_rows(runs) and spread_cols(runs), the sums of the rows (columns)
+    over bounded runs as a RunLine (see the module docstring)."""
 
     def __init__(self, entry_rule, row_rule=None, col_rule=None, name="",
-                 row_on=None, col_on=None, row_runs=None, col_runs=None):
+                 row_on=None, col_on=None, row_runs=None, col_runs=None,
+                 spread_rows=None, spread_cols=None):
         self._entry = entry_rule
         self._row_rule = row_rule
         self._col_rule = col_rule
@@ -68,6 +77,8 @@ class LazyIntMatrix:
         self._col_on = col_on
         self._row_runs = row_runs
         self._col_runs = col_runs
+        self.spread_rows = spread_rows
+        self.spread_cols = spread_cols
         self.name = name
         self.factors = None
         self._rows = {}
@@ -121,23 +132,27 @@ class LazyIntMatrix:
 class RunLine(Mapping):
     """A certified sparse line held as runs (see the module docstring), with
     nonzero values.  As a mapping it is {index: value}, its points written
-    out on the first read and kept; `spread` takes the runs themselves."""
+    out on the first read and kept; `summed` and `row_terms` take the runs
+    themselves, and so does its truth value."""
 
     def __init__(self, runs):
         self.runs = runs
 
     @cached_property
-    def _points(self):
+    def points(self):
         return {k: v for s, e, v in self.runs for k in range(s, e)}
 
     def __getitem__(self, k):
-        return self._points[k]
+        return self.points[k]
 
     def __iter__(self):
-        return iter(self._points)
+        return iter(self.points)
 
     def __len__(self):
-        return len(self._points)
+        return len(self.points)
+
+    def __bool__(self):
+        return bool(self.runs)
 
     def __repr__(self):
         return f"RunLine({self.runs!r})"
@@ -145,19 +160,25 @@ class RunLine(Mapping):
 
 def spread(coeffs, line):
     """The sum of c * line(k) over the items (k, c) of `coeffs`, a certified
-    sparse line, as one with the zero sums dropped; None when `coeffs` or any
-    line(k) is None.  The runs of RunLines are added at their end points, so
-    when there are any the sum is a RunLine whose cost is that of the ends;
-    points met beside them are runs of one."""
+    sparse line, as one (`summed`); None when `coeffs` or any line(k) is
+    None."""
     if coeffs is None:
         return None
+    return summed((c, line(k)) for k, c in coeffs.items())
+
+
+def summed(terms):
+    """The sum of c * line over the pairs (c, line) of `terms`, certified
+    sparse lines, as one with the zero sums dropped; None as soon as a line
+    is None.  The runs of RunLines are added at their end points, so when
+    there are any the sum is a RunLine whose cost is that of the ends;
+    points met beside them are runs of one."""
     acc, ends = {}, {}
     get, end = acc.get, ends.get
-    for k, c in coeffs.items():
-        ln = line(k)
+    for c, ln in terms:
         if ln is None:
             return None
-        if isinstance(ln, RunLine):
+        if type(ln) is RunLine:     # not isinstance: an ABC's check is slow
             for s, e, v in ln.runs:
                 ends[s] = end(s, 0) + c * v
                 ends[e] = end(e, 0) - c * v
@@ -178,6 +199,18 @@ def spread(coeffs, line):
     return RunLine(runs)
 
 
+def row_terms(line, m):
+    """Pairs (c, line) whose `summed` sum is line.m, for a certified sparse
+    line `line`: one, (1, m.spread_rows(runs)), for a RunLine when m has run
+    products, so that its cost is that of its runs; otherwise (c, row k of
+    m) for each item (k, c) of `line`, read as they are summed."""
+    if m.spread_rows is not None and type(line) is RunLine:
+        yield 1, m.spread_rows(line.runs)
+    else:
+        for k, c in line.items():
+            yield c, m.row(k)
+
+
 def _negated(line):
     return None if line is None else {k: -v for k, v in line.items()}
 
@@ -196,6 +229,8 @@ def transpose(m):
         col_on=m.row_on,
         row_runs=m.col_runs,
         col_runs=m.row_runs,
+        spread_rows=m.spread_cols,
+        spread_cols=m.spread_rows,
     )
 
 
@@ -389,10 +424,15 @@ def verify_identity_on_window(a, b, win, transposed=False):
 class DimensionVector:
     """Finitely supported integer vector indexed by vertices.  Integral
     entries of any numeric type are kept as ints; a non-integral one raises
-    ValueError rather than being truncated."""
+    ValueError rather than being truncated.  A vector built from a RunLine
+    is held as its runs: `line` and `is_zero` read them, and its points are
+    written out on the first read of one."""
 
     def __init__(self, entries=None):
-        self._d = {}
+        if type(entries) is RunLine:
+            self.line = entries
+            return
+        self.line = self._d = {}
         if entries:
             for v, c in dict(entries).items():
                 if type(c) is int:
@@ -403,6 +443,12 @@ class DimensionVector:
                     if n != c:
                         raise ValueError(f"non-integral entry {c!r} at {v!r}")
                     self._d[v] = n
+
+    # `line` is the vector as a certified sparse line, shared, so read only:
+    # the RunLine it holds, whose points are `_d` once one is read, or `_d`
+    @cached_property
+    def _d(self):
+        return self.line.points
 
     @classmethod
     def unit(cls, v):
@@ -419,7 +465,7 @@ class DimensionVector:
         return self._d.items()
 
     def is_zero(self):
-        return not self._d
+        return not self.line
 
     def total(self):
         return sum(self._d.values())
@@ -448,13 +494,18 @@ class DimensionVector:
         return hash(frozenset(self._d.items()))
 
     def sparse_str(self, pres):
-        if not self._d:
+        line = self.line
+        if not line:
             return "0"
+        if type(line) is RunLine and pres.int_order:
+            # run by run, in order, with no point written out but as text
+            return ",".join(f"{c}@" + f",{c}@".join(map(str, range(s, e)))
+                            for s, e, c in line.runs)
         d, display = self._d, pres.display
         return ",".join(f"{d[v]}@{display(v)}" for v in sorted(d, key=pres.sort_key))
 
     def __repr__(self):
-        return "DimensionVector(%r)" % (self._d,)
+        return "DimensionVector(%r)" % (self.line,)
 
 
 def parse_vector_literal(pres, text):

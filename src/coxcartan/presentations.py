@@ -45,7 +45,9 @@ column u is [u, oo); rows -1 and 0 of d-infinity are the points v and 1,
 row v >= 1 is [1, v], and column 1 is [-1, oo).  A `lo..hi` window reads
 those runs clipped to it, and a bounded line is certified as a RunLine,
 so a far line costs its runs, not its length; the ancestors there are a
-range, tested by membership alone.  An inverse
+range, tested by membership alone.  Their arrows are runs too,
+`arc_runs()`: a shift by one from the start of a chain, and on d-infinity
+also the fork at 1.  An inverse
 Cartan row j of a path presentation lives on j and the tails of its arrows;
 a finite poset's lives on [c, j] for the nearest c < j comparable with
 every element below j, when there is one: below c each open interval is a
@@ -126,6 +128,8 @@ class Presentation:
     # a linear quiver on consecutive integers, where interval modules and
     # their meshes have closed forms
     linear = False
+    # integer vertices, displayed as str shows them and in their own order
+    int_order = False
 
     # -- vertex bookkeeping ------------------------------------------------
 
@@ -189,6 +193,12 @@ class Presentation:
 
     def runs_from(self, u):
         """Column u of the Cartan matrix as runs, or None."""
+        return None
+
+    def arc_runs(self):
+        """The arrows as runs (start, stop, step), an arrow k -> k + step for
+        each integer start <= k < stop and either end None where unbounded,
+        or None when the class keeps none."""
         return None
 
     def ancestors(self, v):
@@ -598,6 +608,7 @@ class AInfinityQuiver(Presentation):
     family = "a-infinity"
     cartan_finiteness = (True, False)
     linear = True
+    int_order = True
     start = 0
 
     def has_vertex(self, v):
@@ -628,6 +639,9 @@ class AInfinityQuiver(Presentation):
     def runs_from(self, u):
         return [(u, None, 1)]
 
+    def arc_runs(self):
+        return [(self.start, None, 1)]
+
     def ancestors(self, v):
         return None if self.start is None else range(self.start, v + 1)
 
@@ -649,6 +663,7 @@ class DInfinityQuiver(Presentation):
     kind = "quiver"
     family = "d-infinity"
     cartan_finiteness = (True, False)
+    int_order = True
 
     def has_vertex(self, v):
         return type(v) is int and v >= -1
@@ -687,6 +702,10 @@ class DInfinityQuiver(Presentation):
         if u in (-1, 0):
             return [(u, u + 1, 1)]
         return [(-1 if u == 1 else u, None, 1)]
+
+    # k -> k + 1 for k >= 1, and the fork 1 -> -1, 1 -> 0
+    def arc_runs(self):
+        return [(1, None, 1), (1, 2, -2), (1, 2, -1)]
 
     def ancestors(self, v):
         if v in (-1, 0):
@@ -885,32 +904,35 @@ def make_family(name, arg=None):
     if name == "garland-seq":
         if not arg:
             raise PresentationError("family garland-seq needs a length list")
-        if isinstance(arg, str):
-            lengths = [int(x) for x in arg.split(",") if x.strip()]
-        else:
-            lengths = [int(x) for x in arg]
+        lengths = [int(x) for x in (arg.split(",") if isinstance(arg, str) else arg)]
         if not lengths or any(x < 1 for x in lengths):
             raise PresentationError("garland-seq lengths must be positive")
         return GarlandFamily(lengths)
     raise PresentationError(f"unknown family {name!r}")
 
 
+def _family(name, arg, where):
+    """make_family(name, arg), with a length that is not an integer refused
+    by a PresentationError naming `where`, the flag or directive."""
+    try:
+        return make_family(name, arg)
+    except ValueError:
+        raise PresentationError(f"{where} {name} takes integer lengths, got {arg!r}") from None
+
+
 def parse_family_flag(text):
     """Parse CLI-style family strings like "a-infinity", "garland:2",
     "garland-seq:1,2", naming the flag when a length is not an integer."""
     name, _, arg = text.partition(":")
-    name, arg = name.strip(), arg.strip() or None
-    try:
-        return make_family(name, arg.split(",") if arg and name == "garland-seq" else arg)
-    except ValueError:
-        raise PresentationError(f"--family {name} takes integer lengths, got {arg!r}") from None
+    return _family(name.strip(), arg.strip() or None, "--family")
 
 
 def parse_presentation(text):
-    """Parse the presentation file format (one directive per line, # comments)."""
+    """Parse the presentation file format (one directive per line, #
+    comments).  A family line is built where it is read, its garland-seq
+    lengths split on commas as the --family flag splits them."""
     kind = None
     family = None
-    family_arg = None
     vertices = []
     arrows = []
     covers = []
@@ -940,17 +962,14 @@ def parse_presentation(text):
             elif directive == "family":
                 if len(parts) < 2:
                     raise PresentationError("expected 'family <name> [param]'")
-                family = parts[1]
-                family_arg = " ".join(parts[2:]) if len(parts) > 2 else None
+                family = _family(parts[1], " ".join(parts[2:]) or None, "family")
             else:
                 raise PresentationError(f"unknown directive {directive!r}")
         except PresentationError as exc:
             raise PresentationError(f"line {lineno}: {exc}") from None
     if family is not None:
         # built-in families ignore vertex/arrow/cover lines
-        if family == "garland-seq" and family_arg:
-            family_arg = family_arg.replace(" ", "")
-        return make_family(family, family_arg)
+        return family
     if kind is None:
         raise PresentationError("missing 'kind' (or 'family') directive")
     if kind == "quiver":

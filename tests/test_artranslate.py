@@ -35,6 +35,7 @@ from coxcartan import (
     zero_comodule,
 )
 from coxcartan.comodules import arrows_from
+from coxcartan.lazymatrix import RunLine, spread
 from dense_maps import sparse_maps, to_dense
 
 A2 = "kind quiver\narrow 0 1\n"
@@ -869,6 +870,47 @@ def test_knit_check_agrees_with_the_coxeter_transformation(case):
     assert found[3] != found[4]
 
 
+@st.composite
+def knit_seeds(draw):
+    # an injective section from the start of a-infinity or the fork of
+    # d-infinity, or a seed column on a path family near its start or at
+    # 10**6, with at most a few steps more than it holds
+    name = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
+    pres = make_family(name)
+    first = {"a-infinity": 0, "d-infinity": -1}.get(name, -4)
+    if name != "z-a-infinity" and draw(st.booleans()):
+        top = draw(st.integers(first + 1, 16))
+        return pres, ("injectives", list(range(first, top + 1))), draw(st.integers(1, top + 4))
+    lo = draw(st.sampled_from([first, first + 3, 10**6]))
+    hi = lo + draw(st.integers(0, 12))
+    nodes, arrows = interval_column_seed(pres, lo, list(range(lo, hi + 1)))
+    if draw(st.booleans()):
+        # one node moved by +-1 at a vertex of its support or next to it,
+        # still held as runs
+        k = draw(st.integers(0, len(nodes) - 1))
+        label, dim = nodes[k]
+        v = draw(st.integers(max(lo - 1, first), lo + k + 1))
+        moved = spread({0: 1, 1: draw(st.sampled_from([-1, 1]))}, [dim.line, {v: 1}].__getitem__)
+        nodes[k] = (label, DimensionVector(moved))
+    return pres, ("explicit", nodes, arrows), draw(st.integers(1, hi - lo + 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(knit_seeds())
+def test_run_held_knitting_prints_what_the_pointwise_one_prints(case):
+    # every node of a chain-family knitting is held as runs; the knitting
+    # with dict vectors and the pointwise check prints the same text and dot
+    # output, or stops with the same message
+    from pointwise import knit_text, pointwise_knit
+
+    pres, seed, steps = case
+    text = knit_text(pres, seed, steps)
+    assert text == pointwise_knit(pres, seed, steps)
+    if not text.startswith("mesh at"):
+        frag = knit_component(pres, seed, steps)
+        assert all(isinstance(n.dim.line, RunLine) for n in frag.nodes)
+
+
 @pytest.mark.parametrize("family, lo", [("a-infinity", 0), ("d-infinity", -1)])
 def test_knit_evaluates_no_coxeter_image(family, lo):
     # each mesh checks tau.c^-1 = -end.c^-tr, two spreads of certified
@@ -900,6 +942,24 @@ def test_knit_disagreement_with_no_vertex_in_the_grown_window():
         "mesh at n0: additivity and Coxeter disagree beyond the supports of "
         "its end and translate grown by one arc"
     )
+
+
+def test_knit_at_the_edge_of_its_section_builds_no_disagreement():
+    # at a seed injective with an arc leaving the section the message is
+    # the edge's, so the disagreement text, which reads Phi(end) on a grown
+    # window, is never built
+    from coxcartan import KnittingStuck, artranslate
+
+    for family, window in (("d-infinity", "20000..20005"), ("a-infinity", "3..8")):
+        pres = make_family(family)
+        with mock.patch.object(artranslate, "_disagreement", side_effect=AssertionError):
+            with pytest.raises(KnittingStuck) as stuck:
+                knit_component(pres, ("injectives", list(pres.window(window))), 4)
+        lo = window.split("..")[0]
+        assert str(stuck.value) == (
+            f"mesh at n0: knitting reached the edge of its seed section at E({lo}), "
+            f"whose arc {int(lo) - 1} -> {lo} leaves it; widen --section"
+        )
 
 
 def test_translate_formula_sees_a_discrepancy_far_from_both_supports():

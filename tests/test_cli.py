@@ -756,6 +756,26 @@ def test_far_coxeter_suite_costs_what_a_near_one_costs():
         assert s < 5 * near_s + 0.25, (family, near_s, s)
 
 
+def test_far_tau_suite_costs_what_a_near_one_costs(capsys):
+    # a seed injective E(j) of d-infinity is the run [1, j], its mesh sums
+    # and its Coxeter check are taken at run end points, and the edge of the
+    # section is named without building the disagreement text
+    runs, errs = [], []
+    for lo in (10, 10**6):
+        runs.append(traced(["verify", "--suite=tau", "--family=d-infinity",
+                            f"--window={lo}..{lo + 5}"]))
+        errs.append(capsys.readouterr().err)
+    (near_code, near_out, near_peak, near_s), (code, out, peak, s) = runs
+    assert code == near_code == 2 and out == near_out == ""
+    for lo, err in zip((10, 10**6), errs):
+        assert err == (
+            f"error: mesh at n0: knitting reached the edge of its seed section at "
+            f"E({lo}), whose arc {lo - 1} -> {lo} leaves it; widen --window\n"
+        )
+    assert peak < 3 * near_peak + 2**16, (near_peak, peak)
+    assert s < 5 * near_s + 0.25, (near_s, s)
+
+
 def test_far_classify_costs_what_a_near_one_costs():
     # a chain family's ancestors are a range, tested by membership alone
     peaks, outs = [], []
@@ -797,6 +817,27 @@ def test_malformed_lengths_and_columns_exit_two_naming_the_flag(capsys):
         assert invoke(argv) == (2, ""), argv
         assert capsys.readouterr().err == f"error: {line}\n", argv
     assert invoke(["cartan", "--family=garland-seq: 1, 2", "--window=j0,j1"])[0] == 0
+
+
+def test_family_lines_split_their_lengths_as_the_flag_does(tmp_path, capsys):
+    # a --file family line splits garland-seq lengths on commas, so no two
+    # digits are joined into one length, and a piece that is not an integer
+    # is refused in one line that names the file line
+    path = tmp_path / "family.txt"
+    for text, line in (
+        ("family garland-seq 1 2\n", "line 1: family garland-seq takes integer lengths, got '1 2'"),
+        ("# a comment\nfamily garland x\n", "line 2: family garland takes integer lengths, got 'x'"),
+        ("family garland-seq 1,,2\n",
+         "line 1: family garland-seq takes integer lengths, got '1,,2'"),
+    ):
+        path.write_text(text)
+        assert invoke(["cartan", f"--file={path}", "--window=j0,j1"]) == (2, ""), text
+        assert capsys.readouterr().err == f"error: {line}\n", text
+    flag = invoke(["cartan", "--family=garland-seq:1,2", "--window=j0,j1"])
+    assert flag[0] == 0
+    for text in ("family garland-seq 1, 2\n", "family garland-seq 1,2\n"):
+        path.write_text(text)
+        assert invoke(["cartan", f"--file={path}", "--window=j0,j1"]) == flag, text
 
 
 def test_cartan_and_inverse_windows_call_no_entry_rule():

@@ -14,6 +14,8 @@ from coxcartan import (
     make_family,
     parse_presentation,
 )
+from coxcartan.artranslate import grow_window
+from coxcartan.lazymatrix import RunLine
 
 
 def operator(pres):
@@ -353,3 +355,70 @@ def test_sends_is_the_phi_image_on_every_vertex(case):
     phi = op.apply(x, "forward").to_dimension_vector()
     assert op.sends(x, phi)
     assert not op.sends(x, phi + DimensionVector({v: delta}))
+
+
+def runs_of(vec):
+    """`vec` held as runs: each point a run of one."""
+    return DimensionVector(RunLine([(k, k + 1, c) for k, c in sorted(vec.items())]))
+
+
+@st.composite
+def run_pairs(draw):
+    # x held as runs on a chain family, near its start, at d-infinity's fork
+    # or at 10**6; y its Phi image read through apply on the supports grown
+    # by three arcs, that image moved by +-1 at one vertex, or random runs
+    name = draw(st.sampled_from(["a-infinity", "z-a-infinity", "d-infinity"]))
+    pres = make_family(name)
+    first = {"a-infinity": 0, "d-infinity": -1}.get(name, -20)
+    at = draw(st.sampled_from([first, 1, 10**6]))
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        at += draw(st.integers(0, 4))
+        n = draw(st.integers(1, 12))
+        runs.append((at, at + n, draw(st.integers(-3, 3).filter(bool))))
+        at += n
+    x = DimensionVector(RunLine(runs))
+    kind = draw(st.sampled_from(["image", "perturbed", "random"]))
+    if kind == "random":
+        y = {k: draw(st.integers(-3, 3)) for k in range(runs[0][0] - 2, at + 2)
+             if pres.has_vertex(k)}
+        return pres, x, runs_of(DimensionVector(y)), kind
+    phi = CoxeterOperator(cartan_pair(pres)).apply(x, "forward")
+    window = grow_window(pres, x.support | {first, 1, 2}, 3)
+    y = DimensionVector({v: phi.entry(v) for v in window})
+    if kind == "perturbed":
+        y = y + DimensionVector({draw(st.sampled_from(window)): draw(st.sampled_from([-1, 1]))})
+    return pres, x, draw(st.sampled_from([runs_of(y), y])), kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_pairs())
+def test_run_held_check_agrees_with_the_pointwise_rule(case):
+    # the run products of c^-1 give the answer of its lines read point by
+    # point, on Phi images, on images moved at one vertex and on random pairs
+    from pointwise import pointwise_sends
+
+    pres, x, y, kind = case
+    op = operator(pres)
+    assert op.cinv.spread_rows is not None and op.cinv.spread_cols is not None
+    expect = pointwise_sends(op, x, y)
+    assert op.sends(x, y) == expect
+    assert expect == {"image": True, "perturbed": False}.get(kind, expect), kind
+
+
+def test_run_held_check_reads_no_line_of_the_inverse():
+    # E(10**6) of d-infinity is the run [1, 10**6] and its Phi image is 1 on
+    # [-1, 10**6 + 1] and 2 at the fork; both are checked at run end points,
+    # with no line of c^-1 computed and no point written out
+    d = make_family("d-infinity")
+    op = operator(d)
+    far = 10**6
+    x = DimensionVector(d.paths_into(far))
+    phi = DimensionVector(RunLine([(-1, 1, 1), (1, 2, 2), (2, far + 2, 1)]))
+    moved = DimensionVector(RunLine([(-1, 1, 1), (1, 2, 2), (2, far, 1), (far, far + 1, 2),
+                                     (far + 1, far + 2, 1)]))
+    with mock.patch.object(LazyIntMatrix, "row", side_effect=AssertionError), \
+            mock.patch.object(LazyIntMatrix, "col", side_effect=AssertionError), \
+            mock.patch.object(RunLine, "points", property(mock.Mock(side_effect=AssertionError))):
+        assert op.sends(x, phi)
+        assert not op.sends(x, moved)

@@ -235,8 +235,9 @@ def test_matrix_window_tsv():
 
 
 def test_knit_reads_each_inverse_support_once():
-    # the Coxeter scatter asks for the same rows of the inverse at every
-    # mesh; each line is computed once per index and kept
+    # on a --file quiver the Coxeter check asks for the same lines of the
+    # inverse at every mesh; each line is computed once per index and kept
+    # (the chain families multiply runs instead, and read no line)
     from collections import Counter
     from unittest import mock
 
@@ -257,11 +258,14 @@ def test_knit_reads_each_inverse_support_once():
         m._col_rule = counted("col", m._col_rule)
         return m
 
-    a = make_family("a-infinity")
-    with mock.patch.object(cartan, "cartan_inverse", counted_inverse):
-        frag = knit_component(a, ("injectives", list(a.window("0..162"))), 160)
-    assert len(frag.meshes) == 160
-    assert calls and max(calls.values()) == 1
+    chain = parse_presentation("kind quiver\n" + "".join(f"arrow {i} {i + 1}\n" for i in range(30)))
+    kronecker = parse_presentation("kind quiver\narrow 0 1\narrow 0 1\n")
+    for pres, steps in ((chain, 30), (kronecker, 40)):
+        calls.clear()
+        with mock.patch.object(cartan, "cartan_inverse", counted_inverse):
+            frag = knit_component(pres, ("injectives", pres.vertices()), steps)
+        assert len(frag.meshes) == steps
+        assert calls and max(calls.values()) == 1
 
 
 def per_entry_grid(m, rows, cols):

@@ -178,9 +178,9 @@ def incidence_corpus():
 
 
 def test_incidence_output_is_unchanged(tmp_path):
-    # recorded while garland-seq was still built as a generic finite poset;
-    # the file's family line reads as garland-seq:12
-    (tmp_path / "seq.txt").write_text("family garland-seq 1 2\n")
+    # recorded while garland-seq was still built as a generic finite poset,
+    # with the file's family line on garland-seq:12
+    (tmp_path / "seq.txt").write_text("family garland-seq 12\n")
     digests = digests_by_command(incidence_corpus(), tmp_path,
                                  lambda argv: f"{argv[0]} {argv[1].split(':')[0]}")
     assert digests == {
